@@ -14,7 +14,7 @@ import numpy as np
 
 from . import game_core, mjls_inner, outer_layer
 from .mjls_inner import RegimeLQModel, RiccatiSolution
-from .numkit import BlowupError, TimeGrid
+from .numkit import TimeGrid
 from .outer_layer import OuterGameSpec, OuterSolution
 
 
@@ -28,7 +28,14 @@ class HierarchySolution:
 def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
                     saddle=game_core.solve_zero_sum,
                     norm_bound: float = 1e8) -> HierarchySolution:
-    """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0."""
+    """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0.
+
+    Shares the step functions and the blow-up guard of the standalone
+    solvers.  diagnostics holds the turnpike references (rho_H, the
+    lambda_2 trajectory and its mean), the number of local games settled
+    by each game_core.SADDLE_PATHS entry ("saddle_paths") and the largest
+    best-response gap over all of them.
+    """
     if spec.n_regimes != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")
     N, n = model.n_regimes, model.n_states
@@ -42,35 +49,32 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
     f = np.zeros((n_nodes, N, spec.n_row_actions))
     g = np.zeros((n_nodes, N, spec.n_col_actions))
     mu = np.zeros((n_nodes, N, N))
-    P[-1] = model.Q_T.copy()
+    P[-1] = mjls_inner.terminal_value(model)
 
+    stats = {}
     phi_right = np.einsum("ijj->i", P[-1])
     for idx in range(grid.n_steps, 0, -1):
-        f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(k[idx], spec, saddle)
+        f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(
+            k[idx], spec, saddle, stats=stats
+        )
         P[idx - 1], r[idx - 1] = mjls_inner.riccati_step(
             P[idx], r[idx], mu[idx], model, nodes[idx], grid.step, workspace
         )
-        norms = np.linalg.norm(P[idx - 1], axis=(1, 2))
-        if not np.all(np.isfinite(P[idx - 1])) or norms.max() > norm_bound:
-            worst = int(np.nanargmax(np.where(np.isfinite(norms), norms, np.inf)))
-            raise BlowupError(
-                f"Riccati flow escaped in regime {worst} at t={nodes[idx - 1]:.6g}",
-                time=nodes[idx - 1],
-                regime=worst,
-            )
+        mjls_inner.check_escape(P[idx - 1], nodes[idx - 1], norm_bound)
         phi_left = np.einsum("ijj->i", P[idx - 1])
         k[idx - 1] = outer_layer.k_step(
             k[idx], phi_right, phi_left, mu[idx], nodes[idx], grid.step
         )
         phi_right = phi_left
-    f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec, saddle)
+    f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec, saddle, stats=stats)
 
-    lam2 = np.array([outer_layer.laplacian_spectral_gap(mu[idx])
-                     for idx in range(n_nodes)])
+    lam2 = outer_layer.laplacian_spectral_gap(mu)
     diagnostics = {
         "rho_H": mjls_inner.hamiltonian_spectral_gap(model),
         "lambda2_trajectory": lam2,
         "lambda2_mean": float(lam2.mean()),
+        "saddle_paths": {name: stats[name] for name in game_core.SADDLE_PATHS},
+        "max_best_response_gap": stats["max_gap"],
     }
     riccati = RiccatiSolution(grid=grid, P=P, r=r, rates=mu)
     outer = OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)

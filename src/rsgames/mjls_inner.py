@@ -201,13 +201,35 @@ def _rates_at_nodes(rates, n_nodes, N):
     )
 
 
+def terminal_value(model: RegimeLQModel) -> np.ndarray:
+    """P(T) = Q_T, symmetrized, stacked (N, n, n)."""
+    return 0.5 * (model.Q_T + np.swapaxes(model.Q_T, 1, 2))
+
+
+def check_escape(P: np.ndarray, t: float, norm_bound: float) -> None:
+    """Raise BlowupError when some entry of P (N, n, n) at time t leaves
+    [-norm_bound, norm_bound]; NaN and inf both count as an escape.  The
+    reported regime is the one with the largest Frobenius norm."""
+    peak = np.abs(P).max()
+    if not peak <= norm_bound:
+        norms = np.linalg.norm(P, axis=(1, 2))
+        worst = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
+        raise BlowupError(
+            f"Riccati flow escaped (|P| > {norm_bound:g}) in regime {worst} "
+            f"at t={t:.6g}",
+            time=t,
+            regime=worst,
+        )
+
+
 def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
                           norm_bound: float = 1e8) -> RiccatiSolution:
     """Backward sweep of the coupled Riccati flow with P(T)=Q_T, r(T)=0.
 
     Rates may be a constant (N, N) matrix or per-node (n_nodes, N, N); the
-    value at the right node of each step is frozen over that step.  A
-    Frobenius norm above `norm_bound` aborts with the finite-escape time.
+    value at the right node of each step is frozen over that step.  An
+    entry of P above `norm_bound` in absolute value aborts with the
+    finite-escape time (see check_escape).
     """
     N, n = model.n_regimes, model.n_states
     n_nodes = grid.n_steps + 1
@@ -216,23 +238,13 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
     nodes = grid.nodes()
     P = np.empty((n_nodes, N, n, n))
     r = np.zeros((n_nodes, N))
-    P[-1] = np.stack([_sym(model.Q_T[i]) for i in range(N)])
+    P[-1] = terminal_value(model)
     for k in range(grid.n_steps - 1, -1, -1):
         P[k], r[k] = riccati_step(
             P[k + 1], r[k + 1], rates[k + 1], model, nodes[k + 1], grid.step,
             workspace,
         )
-        peak = np.abs(P[k]).max()  # NaN and inf both trip the comparison
-        if not peak <= norm_bound:
-            norms = np.linalg.norm(P[k], axis=(1, 2))
-            finite = np.where(np.isfinite(norms), norms, np.inf)
-            worst = int(np.argmax(finite))
-            raise BlowupError(
-                f"Riccati flow escaped (|P| > {norm_bound:g}) in regime {worst} "
-                f"at t={nodes[k]:.6g}",
-                time=nodes[k],
-                regime=worst,
-            )
+        check_escape(P[k], nodes[k], norm_bound)
     return RiccatiSolution(grid=grid, P=P, r=r, rates=rates)
 
 

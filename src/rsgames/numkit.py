@@ -41,9 +41,9 @@ class TimeGrid:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
 
 
-def _as_square(M) -> np.ndarray:
+def _as_square(M, stack: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or (M.ndim > 2 and not stack) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
@@ -65,8 +65,12 @@ def expm_action(M, v, t: float) -> np.ndarray:
 
 
 def eigenvalues(M) -> np.ndarray:
-    """All eigenvalues of M (with multiplicity), as a complex array."""
-    M = _as_square(M)
+    """All eigenvalues of M (with multiplicity), as a complex array.
+
+    M may also be a stack (..., n, n); the result is then (..., n), from
+    one batched call.
+    """
+    M = _as_square(M, stack=True)
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

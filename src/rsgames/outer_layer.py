@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import game_core, numkit
-from .game_core import MatrixGame, SaddlePoint
-from .numkit import TimeGrid
+from .game_core import MatrixGame
+from .numkit import NumericalError, TimeGrid
 
 
 @dataclass
@@ -56,6 +56,8 @@ class OuterGameSpec:
             raise ValueError(
                 f"Lambda must be (N, N, n_f, n_g), got {self.Lambda.shape}"
             )
+        if not (np.all(np.isfinite(self.mu_bar)) and np.all(np.isfinite(self.Lambda))):
+            raise ValueError("mu_bar and Lambda must be finite")
         if self.cost_mode not in ("trace_p", "theta"):
             raise ValueError(f"unknown cost_mode {self.cost_mode!r}")
         if not (self.rho_f > 0 and self.rho_g > 0):
@@ -130,34 +132,38 @@ def stability_gaps(k: np.ndarray) -> np.ndarray:
     return k[None, :] - k[:, None]
 
 
+def _local_games(k, spec: OuterGameSpec) -> np.ndarray:
+    """All local games M_i = sum_{j != i} Lambda_ij (k_j - k_i), (N, n_f, n_g)."""
+    return np.einsum("ijab,ij->iab", spec.Lambda, stability_gaps(k))
+
+
+def _rate_rows(f, g, spec: OuterGameSpec, rows: np.ndarray) -> np.ndarray:
+    """Rate rows mu*_i. of regimes rows (B,) under strategies f (B, n_f),
+    g (B, n_g); the diagonal entry of each row is minus its sum."""
+    rates = spec.mu_bar[rows] + np.einsum("ba,bjac,bc->bj", f, spec.Lambda[rows], g)
+    diag = (np.arange(rows.size), rows)
+    rates[diag] = 0.0
+    if rates.min() < -1e-10:
+        b, j = np.unravel_index(np.argmin(rates), rates.shape)
+        raise NumericalError(
+            f"computed rate mu[{rows[b]},{j}] = {rates[b, j]:.3g} < 0; the "
+            "OuterGameSpec construction invariant should have precluded this"
+        )
+    rates = np.maximum(rates, 0.0)
+    rates[diag] = -rates.sum(axis=1)
+    return rates
+
+
 def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
     """M_i = sum_{j != i} Lambda_ij (k_j - k_i)."""
-    k = np.asarray(k, dtype=float)
-    M = np.zeros((spec.n_row_actions, spec.n_col_actions))
-    for j in range(spec.n_regimes):
-        if j != i:
-            M = M + spec.Lambda[i, j] * (k[j] - k[i])
-    return MatrixGame(M)
+    return MatrixGame(_local_games(k, spec)[i])
 
 
 def equilibrium_rates(f, g, spec: OuterGameSpec, i: int) -> np.ndarray:
     """Rate row mu*_i. for strategies (f, g); diagonal = -row sum."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    row = np.zeros(spec.n_regimes)
-    for j in range(spec.n_regimes):
-        if j == i:
-            continue
-        rate = spec.mu_bar[i, j] + f @ spec.Lambda[i, j] @ g
-        if rate < -1e-10:
-            raise ValueError(
-                f"computed rate mu[{i},{j}] = {rate:.3g} < 0; the "
-                "OuterGameSpec construction invariant should have "
-                "precluded this"
-            )
-        row[j] = max(rate, 0.0)
-    row[i] = -row.sum()
-    return row
+    f = np.asarray(f, dtype=float)[None]
+    g = np.asarray(g, dtype=float)[None]
+    return _rate_rows(f, g, spec, np.array([i]))[0]
 
 
 def metzler_apply(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -171,20 +177,24 @@ def outer_rhs(k, phi, mu) -> np.ndarray:
     return np.asarray(phi, dtype=float) + metzler_apply(np.asarray(mu), np.asarray(k))
 
 
-def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_zero_sum):
-    """Solve every regime's local game at one time node.
+def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_zero_sum,
+                     stats=None):
+    """Solve every regime's local game at one time node, all at once.
 
-    Returns (f, g, mu) with f: (N, n_f), g: (N, n_g), mu: (N, N) generator.
+    The games go to game_core.solve_games, which settles pure saddles, 2x2
+    closed forms and full-support equalizers batched and hands only the
+    rest to `saddle` (the LP by default).  Returns (f, g, mu) with
+    f: (N, n_f), g: (N, n_g), mu: (N, N) generator.  A dict `stats` gains
+    the count of games settled by each game_core.SADDLE_PATHS entry and
+    keeps the largest best-response gap under "max_gap".
     """
-    N = spec.n_regimes
-    f = np.zeros((N, spec.n_row_actions))
-    g = np.zeros((N, spec.n_col_actions))
-    mu = np.zeros((N, N))
-    for i in range(N):
-        sp: SaddlePoint = saddle(local_game_matrix(k, spec, i))
-        f[i] = sp.row_strategy
-        g[i] = sp.col_strategy
-        mu[i] = equilibrium_rates(sp.row_strategy, sp.col_strategy, spec, i)
+    f, g, path, gap = game_core.solve_games(_local_games(k, spec), saddle)
+    mu = _rate_rows(f, g, spec, np.arange(spec.n_regimes))
+    if stats is not None:
+        counts = np.bincount(path, minlength=len(game_core.SADDLE_PATHS))
+        for name, count in zip(game_core.SADDLE_PATHS, counts):
+            stats[name] = stats.get(name, 0) + int(count)
+        stats["max_gap"] = max(stats.get("max_gap", 0.0), float(gap.max()))
     return f, g, mu
 
 
@@ -266,13 +276,15 @@ def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float,
     return f, g
 
 
-def laplacian_spectral_gap(mu: np.ndarray) -> float:
+def laplacian_spectral_gap(mu: np.ndarray):
     """Smallest strictly positive real part in the spectrum of L = -mu.
 
-    mu must be a generator (zero row sums, nonnegative off-diagonal).
-    Returns 0.0 when no eigenvalue has real part above 1e-12.
+    mu must be a generator (zero row sums, nonnegative off-diagonal), or a
+    stack (..., N, N) of them, solved with one batched eigenvalue call.
+    Returns 0.0 where no eigenvalue has real part above 1e-12: a float for
+    one generator, an array of the stack's shape for a stack.
     """
-    mu = np.asarray(mu, dtype=float)
-    lam = numkit.eigenvalues(-mu)
-    positive = lam.real[lam.real > 1e-12]
-    return float(positive.min()) if positive.size else 0.0
+    lam = numkit.eigenvalues(-np.asarray(mu, dtype=float)).real
+    smallest = np.where(lam > 1e-12, lam, np.inf).min(axis=-1)
+    gap = np.where(np.isfinite(smallest), smallest, 0.0)
+    return float(gap) if gap.ndim == 0 else gap

@@ -163,6 +163,9 @@ def run_paths(config: SimConfig, policy: QuotePolicy, uniforms: np.ndarray,
             0.0,
         )
     target_cum = np.cumsum(target_probs, axis=1)
+    # a cumsum row may end just below 1.0; a draw past its end takes the
+    # last regime with a positive rate instead of the out-of-range index N
+    last_target = N - 1 - np.argmax(target_probs[:, ::-1] > 0, axis=1)
     p_leave = 1.0 - np.exp(-exit_rates * dt)
 
     S = np.full(n_paths, config.s0, dtype=float)
@@ -192,9 +195,11 @@ def run_paths(config: SimConfig, policy: QuotePolicy, uniforms: np.ndarray,
 
         leave = u_reg < p_leave[reg]
         if leave.any():
-            frac = (u_reg[leave] / p_leave[reg][leave])[:, None]
+            src = reg[leave]
+            frac = (u_reg[leave] / p_leave[src])[:, None]
             reg = reg.copy()
-            reg[leave] = (frac >= target_cum[reg[leave]]).sum(axis=1)
+            reg[leave] = np.minimum((frac >= target_cum[src]).sum(axis=1),
+                                    last_target[src])
 
         w = np.where(predator, -model.xi * model.gamma * q, 0.0)
         dS = w * dt + model.sigmas[reg] * sqrt_dt * z

@@ -158,6 +158,14 @@ class TestSolveCommand:
         code = run(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NUMERICAL
 
+    def test_linalg_error_exit_code(self, tmp_path, solve_config, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.hierarchy, "solve_hierarchy", singular)
+        code = run(["solve", "--config", solve_config, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NUMERICAL
+
     def test_unknown_key_rejected(self, tmp_path, solve_config):
         tree = yaml.safe_load(open(solve_config))
         tree["lq"]["unexpected"] = 1

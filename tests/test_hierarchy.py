@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rsgames import hierarchy, mjls_inner, outer_layer
+from rsgames import game_core, hierarchy, mjls_inner, outer_layer
 from rsgames.mjls_inner import RegimeLQModel
-from rsgames.numkit import TimeGrid
+from rsgames.numkit import BlowupError, TimeGrid
 from rsgames.outer_layer import OuterGameSpec
 
 
@@ -101,6 +101,45 @@ class TestSolveHierarchy:
         simpson = (traces[0] + traces[-1] + 4.0 * traces[1:-1:2].sum(axis=0)
                    + 2.0 * traces[2:-1:2].sum(axis=0)) * h / 3.0
         np.testing.assert_allclose(sol.outer.k[0], simpson, atol=20.0 * h**2)
+
+
+class TestBlowupGuard:
+    def test_tan_flow_escape_same_in_both_solvers(self):
+        # disturbance dominates: Sctrl = -1, so -p' = 1 + p^2 = tan flow,
+        # which escapes at tau = pi/2
+        one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+        model = RegimeLQModel(A=zero, B=zero, D=one, Sigma=zero, Q=one,
+                              R=one, S=one, Q_T=zero)
+        spec = OuterGameSpec(mu_bar=np.zeros((1, 1)), Lambda=np.zeros((1, 1, 1, 1)))
+        grid = TimeGrid(0.0, 2.0, 400)
+        with pytest.raises(BlowupError) as standalone:
+            mjls_inner.solve_coupled_riccati(model, np.zeros((1, 1)), grid)
+        with pytest.raises(BlowupError) as joint:
+            hierarchy.solve_hierarchy(model, spec, grid)
+        assert joint.value.time == standalone.value.time
+        assert joint.value.regime == standalone.value.regime == 0
+        assert abs(2.0 - joint.value.time - np.pi / 2) < 0.1
+
+
+class TestDiagnostics:
+    def test_saddle_path_counts_cover_every_game(self):
+        model = two_regime_scalar()
+        spec = mixed_saddle_spec()
+        grid = TimeGrid(0.0, 1.0, 150)
+        sol = hierarchy.solve_hierarchy(model, spec, grid)
+        paths = sol.diagnostics["saddle_paths"]
+        assert set(paths) == set(game_core.SADDLE_PATHS)
+        assert sum(paths.values()) == model.n_regimes * (grid.n_steps + 1)
+        assert paths["2x2"] > 0  # the mixed local games take the closed form
+        assert 0.0 <= sol.diagnostics["max_best_response_gap"] <= 1e-9
+
+    def test_lambda2_trajectory_matches_per_node(self):
+        model = two_regime_scalar()
+        spec = mixed_saddle_spec()
+        grid = TimeGrid(0.0, 1.0, 50)
+        sol = hierarchy.solve_hierarchy(model, spec, grid)
+        per_node = [outer_layer.laplacian_spectral_gap(m) for m in sol.outer.mu]
+        np.testing.assert_array_equal(sol.diagnostics["lambda2_trajectory"], per_node)
 
 
 def brute_force_hierarchy_sweep(model, spec, grid, resolution=200):

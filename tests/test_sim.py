@@ -97,6 +97,43 @@ class TestPathMechanics:
         assert abs(out["mean_price_increment"]) <= 3.0 * se
 
 
+class TestRegimeDraw:
+    def test_draw_past_cumsum_end_stays_in_range(self, monkeypatch):
+        # equal exit rates, and each row's target cumsum ends one ulp below 1.0
+        a, b = 0.1, 0.3
+        model = ASModel(gamma=0.5, xi=2.0, A=2000.0, k=8.0,
+                        sigmas=[0.3, 0.5, 0.8], q_max=3, horizon=0.02,
+                        rates=[[0.0, a, b], [a, 0.0, b], [a, b, 0.0]],
+                        dt=0.02 / 40)
+        exit_rate = -model.rates[0, 0]
+        np.testing.assert_array_equal(np.diag(model.rates), -exit_rate)
+        cum_end = a / exit_rate + b / exit_rate
+        assert cum_end < 1.0
+        # every path leaves at every step, with the draw at the top of [0, 1)
+        p_leave = 1.0 - np.exp(-exit_rate * model.dt)
+        u_reg = np.nextafter(p_leave, 0.0)
+        assert u_reg / p_leave >= cum_end
+
+        real_streams = sim.generate_streams
+
+        def streams(seed, n_paths, n_steps):
+            uniforms, normals = real_streams(seed, n_paths, n_steps)
+            uniforms[:, :, 0] = u_reg
+            return uniforms, normals
+
+        monkeypatch.setattr(sim, "generate_streams", streams)
+        config = SimConfig(model=model, n_paths=4, n_steps=40, seed=5)
+        report = sim.run_monte_carlo(config)
+        assert np.isfinite(report.strategies["vanilla"]["mean_pnl"])
+
+        policy = sim.make_policy(model, "vanilla", 40)
+        uniforms, normals = streams(5, 4, 40)
+        rec = sim.run_paths(config, policy, uniforms, normals, True,
+                            record=True)["record"]
+        # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
+        np.testing.assert_array_equal(rec.regime, [2, 1] * 20)
+
+
 class TestPolicies:
     def test_vanilla_is_xi_blind(self, lively_as_model):
         m_lo = dataclasses.replace(lively_as_model, xi=1.0)
