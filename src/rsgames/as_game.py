@@ -286,22 +286,30 @@ def build_theta_table(model: ASModel, n_steps: int, rates=None,
     return ThetaTable(taus=taus, theta=theta, gamma=model.gamma, q_max=model.q_max)
 
 
-def integrated_variance(model: ASModel, rates=None, i: int = 0,
-                        tau: float = 0.0) -> float:
-    """w_i(tau) = int_0^tau [exp(Q u) s]_i du with s the squared vols.
+def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
+    """w_i(tau) = int_0^tau [exp(Q u) s]_i du, s the squared vols, for every
+    tau in taus (rows) and regime i (columns).
 
     Computed exactly through the augmented generator [[Q, s], [0, 0]]: the
-    top-right block of its exponential is the integral above.
+    top-right block of its exponential is the integral above.  All taus go
+    through one stacked expm, which treats each slice exactly as it treats
+    a single matrix.
     """
-    if tau < 0:
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     N = model.n_regimes
     Q = _as_generator(model.rates if rates is None else rates, N)
-    s = model.sigmas**2
     aug = np.zeros((N + 1, N + 1))
     aug[:N, :N] = Q
-    aug[:N, N] = s
-    return float(scipy.linalg.expm(aug * tau)[i, N])
+    aug[:N, N] = model.sigmas**2
+    return scipy.linalg.expm(aug[None] * taus[:, None, None])[:, :N, N]
+
+
+def integrated_variance(model: ASModel, rates=None, i: int = 0,
+                        tau: float = 0.0) -> float:
+    """w_i(tau), one entry of :func:`_integrated_variances`."""
+    return float(_integrated_variances(model, rates, [tau])[0, i])
 
 
 def integrated_variance_expansion(model: ASModel, rates=None, i: int = 0,
@@ -314,10 +322,17 @@ def integrated_variance_expansion(model: ASModel, rates=None, i: int = 0,
     return float(s[i] * tau + 0.5 * (Q[i] @ s) * tau**2)
 
 
+def risk_factors(model: ASModel, rates=None, taus=(0.0,)) -> np.ndarray:
+    """Horizon-integrated risk factors C_i(tau) = gamma w_i(tau) +
+    gamma^2 xi tau, shape (len(taus), N), from one stacked exponential."""
+    taus = np.asarray(taus, dtype=float)
+    w = _integrated_variances(model, rates, taus)
+    return model.gamma * w + model.gamma**2 * model.xi * taus[:, None]
+
+
 def risk_factor(model: ASModel, rates=None, i: int = 0, tau: float = 0.0) -> float:
-    """Horizon-integrated risk factor C_i(tau) = gamma w_i(tau) + gamma^2 xi tau."""
-    w = integrated_variance(model, rates, i, tau)
-    return float(model.gamma * w + model.gamma**2 * model.xi * tau)
+    """C_i(tau), one entry of :func:`risk_factors`."""
+    return float(risk_factors(model, rates, [tau])[0, i])
 
 
 def effective_volatility(model: ASModel, i: int, tau: float, rates=None):
@@ -327,15 +342,24 @@ def effective_volatility(model: ASModel, i: int, tau: float, rates=None):
     return inst, risk_factor(model, rates, i, tau)
 
 
+def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.ndarray:
+    """Short-horizon penalty (q^2/2) C_i(tau) - c_q (A/gamma) C0 tau, with
+    the executed-flow coefficient c_q = 2 interior and 1 at q = -+ q_max,
+    shape (len(taus), N, len(qs)); qs defaults to every inventory level."""
+    qs = model.q_levels() if qs is None else np.asarray(qs)
+    if np.any(np.abs(qs) > model.q_max):
+        raise ValueError(f"|q| = {np.abs(qs).max()} exceeds the inventory bound "
+                         f"{model.q_max}")
+    taus = np.asarray(taus, dtype=float)
+    c_q = np.where(np.abs(qs) == model.q_max, 1.0, 2.0)
+    rent = c_q * (model.A / model.gamma) * model.fill_constant * taus[:, None, None]
+    return 0.5 * qs * qs * risk_factors(model, rates, taus)[:, :, None] - rent
+
+
 def theta_expansion(model: ASModel, rates=None, i: int = 0, q: int = 0,
                     tau: float = 0.0) -> float:
-    """Short-horizon penalty (q^2/2) C_i(tau) - c_q (A/gamma) C0 tau, with
-    the executed-flow coefficient c_q = 2 interior and 1 at q = -+ q_max."""
-    if abs(q) > model.q_max:
-        raise ValueError(f"|q| = {abs(q)} exceeds the inventory bound {model.q_max}")
-    c_q = 1.0 if abs(q) == model.q_max else 2.0
-    rent = c_q * (model.A / model.gamma) * model.fill_constant * tau
-    return 0.5 * q * q * risk_factor(model, rates, i, tau) - rent
+    """One entry of :func:`theta_expansions`."""
+    return float(theta_expansions(model, rates, [tau], [q])[0, i, 0])
 
 
 def quote_from_slice(theta_slice: np.ndarray, model: ASModel, i: int,
@@ -387,12 +411,6 @@ def quote_surfaces(table: ThetaTable, model: ASModel):
     return ask, bid, ask_active, bid_active
 
 
-def macro_theta_cost(model: ASModel, rates=None, i: int = 0, q: int = 0,
-                     tau: float = 0.0) -> float:
-    """Running cost of the macro switching game: the penalty expansion."""
-    return theta_expansion(model, rates, i, q, tau)
-
-
 def _affine_generator(spec: OuterGameSpec, f_act: float, g_act: float) -> np.ndarray:
     off = spec.mu_bar + f_act * spec.lam_att - g_act * spec.lam_stab
     off = off - np.diag(np.diag(off))
@@ -413,6 +431,10 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     proportional efforts and charges both effort penalties to the flow;
     bang_bang mode plays the printed threshold indicators (honoring
     spec.flip_bang_bang) instead of solving the node games.
+
+    The running costs phi come from stacked exponentials: the four vertex
+    generators are costed once over all node taus, and each node costs its
+    adopted rates once over its distinct RK4 stage taus.
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -424,6 +446,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     n_nodes = grid.n_steps + 1
     nodes = grid.nodes()
     T = grid.T
+    h = -grid.step
 
     U = np.zeros((n_nodes, N))
     f_out = np.zeros((n_nodes, N, 2))
@@ -431,84 +454,78 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     mu_out = np.zeros((n_nodes, N, N))
     flagged = 0
 
-    def phi_vec(tau, rates_off):
-        return np.array(
-            [macro_theta_cost(model, rates_off, i, q, tau) for i in range(N)]
-        )
+    def costs(rates_off, taus):
+        """phi_i(q) under one generator at every tau, (len(taus), N)."""
+        return theta_expansions(model, rates_off, taus, [q])[:, :, 0]
 
-    def node_policies(U_node, tau):
+    actions = (0.0, 1.0)
+    if mode == "affine":
+        vertex_rates = {(fa, ga): _affine_generator(spec, fa, ga)
+                        for fa in actions for ga in actions}
+        vertex_costs = {v: costs(rates, T - nodes) for v, rates in vertex_rates.items()}
+
+    def node_policies(idx, stage_taus):
+        """Efforts (N, 2), rate rows (N, N) and the adopted running costs
+        at the stage taus, (len(stage_taus), N), of node idx."""
         nonlocal flagged
         efforts = np.zeros((N, 2))
         mu_rows = np.zeros((N, N))
-        gaps_all = outer_layer.stability_gaps(U_node)
-        if mode == "quadratic":
-            for i in range(N):
+        stage_costs = np.empty((len(stage_taus), N))
+        gaps_all = outer_layer.stability_gaps(U[idx])
+        for i in range(N):
+            if mode == "quadratic":
                 f_i, g_i = outer_layer.proportional_policy(
                     gaps_all[i], spec.lam_att[i], spec.lam_stab[i],
                     spec.rho_f, spec.rho_g, clamp=spec.clamp_efforts,
                 )
-                efforts[i] = (f_i, g_i)
-                mu_rows[i] = _affine_generator(spec, f_i, g_i)[i]
-            return efforts, mu_rows
-        if mode == "bang_bang":
-            for i in range(N):
+            elif mode == "bang_bang":
                 f_i, g_i = outer_layer.bang_bang_policy(
                     gaps_all[i], spec.lam_att[i], spec.lam_stab[i],
                     flip=spec.flip_bang_bang,
                 )
-                efforts[i] = (f_i, g_i)
-                mu_rows[i] = _affine_generator(spec, f_i, g_i)[i]
-            return efforts, mu_rows
-        vertex_phi = {}
-        for fa in (0.0, 1.0):
-            for ga in (0.0, 1.0):
-                vertex_phi[(fa, ga)] = phi_vec(tau, _affine_generator(spec, fa, ga))
-        for i in range(N):
-            H = np.empty((2, 2))
-            for ai, fa in enumerate((0.0, 1.0)):
-                for bi, ga in enumerate((0.0, 1.0)):
-                    rates = _affine_generator(spec, fa, ga)
-                    H[ai, bi] = vertex_phi[(fa, ga)][i] + rates[i] @ gaps_all[i]
-            sp = game_core.solve_zero_sum(MatrixGame(H))
-            f_i = float(sp.row_strategy[1])
-            g_i = float(sp.col_strategy[1])
+            else:
+                H = np.array([[vertex_costs[(fa, ga)][idx, i]
+                               + vertex_rates[(fa, ga)][i] @ gaps_all[i]
+                               for ga in actions] for fa in actions])
+                sp = game_core.solve_zero_sum(MatrixGame(H))
+                f_i = float(sp.row_strategy[1])
+                g_i = float(sp.col_strategy[1])
             rates = _affine_generator(spec, f_i, g_i)
-            true_val = phi_vec(tau, rates)[i] + rates[i] @ gaps_all[i]
-            if abs(true_val - sp.value) > flag_tol * max(1.0, abs(sp.value)):
-                flagged += 1
+            stage_costs[:, i] = costs(rates, stage_taus)[:, i]
+            if mode == "affine":
+                true_val = stage_costs[0, i] + rates[i] @ gaps_all[i]
+                if abs(true_val - sp.value) > flag_tol * max(1.0, abs(sp.value)):
+                    flagged += 1
             efforts[i] = (f_i, g_i)
             mu_rows[i] = rates[i]
-        return efforts, mu_rows
+        return efforts, mu_rows, stage_costs
 
-    def step_rhs(efforts, mu_rows):
+    def step_rhs(efforts, mu_rows, cost_at):
+        """The rhs of one RK4 step; cost_at maps each of the step's
+        numkit.rk4_stage_times to the running costs there."""
         def rhs(t, U_cur):
-            tau = T - t
+            cost = cost_at[t]
             out = np.empty(N)
             for i in range(N):
-                f_i, g_i = efforts[i]
-                rates = _affine_generator(spec, f_i, g_i)
-                val = macro_theta_cost(model, rates, i, q, tau)
-                val += mu_rows[i] @ (U_cur - U_cur[i])
+                val = cost[i] + mu_rows[i] @ (U_cur - U_cur[i])
                 if mode == "quadratic":
+                    f_i, g_i = efforts[i]
                     val -= 0.5 * spec.rho_f * f_i**2 + 0.5 * spec.rho_g * g_i**2
                 out[i] = val
             return -out
 
         return rhs
 
-    for idx in range(grid.n_steps, 0, -1):
-        tau = T - nodes[idx]
-        efforts, mu_rows = node_policies(U[idx], tau)
-        f_out[idx] = np.stack([[1.0 - e[0], e[0]] for e in efforts])
-        g_out[idx] = np.stack([[1.0 - e[1], e[1]] for e in efforts])
+    for idx in range(grid.n_steps, -1, -1):
+        t = nodes[idx]
+        stage_ts = numkit.rk4_stage_times(t, h) if idx else (t,)
+        efforts, mu_rows, stage_costs = node_policies(idx, T - np.array(stage_ts))
+        f_out[idx] = np.stack([1.0 - efforts[:, 0], efforts[:, 0]], axis=1)
+        g_out[idx] = np.stack([1.0 - efforts[:, 1], efforts[:, 1]], axis=1)
         mu_out[idx] = mu_rows - np.diag(mu_rows.sum(axis=1))
-        U[idx - 1] = numkit.rk4_step(
-            step_rhs(efforts, mu_rows), nodes[idx], U[idx], -grid.step
-        )
-    efforts, mu_rows = node_policies(U[0], T - nodes[0])
-    f_out[0] = np.stack([[1.0 - e[0], e[0]] for e in efforts])
-    g_out[0] = np.stack([[1.0 - e[1], e[1]] for e in efforts])
-    mu_out[0] = mu_rows - np.diag(mu_rows.sum(axis=1))
+        if idx:
+            rhs = step_rhs(efforts, mu_rows, dict(zip(stage_ts, stage_costs)))
+            U[idx - 1] = numkit.rk4_step(rhs, t, U[idx], h)
 
     return OuterSolution(
         grid=grid, k=U, f=f_out, g=g_out, mu=mu_out,

@@ -6,7 +6,9 @@ every output file carries a schema_version.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -211,13 +213,19 @@ def build_outer_spec(tree: dict, flip=None, clamp=None) -> outer_layer.OuterGame
 
 # --------------------------------------------------------------- outputs ---
 
-def _atomic_write(path: str, text: str):
+CSV_CHUNK_ROWS = 8192
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle on a temporary file next to path, renamed onto path
+    when the block exits cleanly and deleted when it raises."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -226,29 +234,73 @@ def _atomic_write(path: str, text: str):
 
 
 def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: str, header, rows):
-    lines = [",".join(["schema_version"] + list(header))]
-    for row in rows:
-        lines.append(",".join([str(SCHEMA_VERSION)] + [_fmt(x) for x in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header, columns):
+    """Write a CSV from equal-length 1-D array columns, after a
+    schema_version column.
+
+    Float cells are written with repr, other cells with str, and masked
+    cells of a masked array as empty.  Rows are formatted and written
+    CSV_CHUNK_ROWS at a time.  A NaN or inf in an unmasked float cell
+    raises NumericalError and leaves no file behind.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} column names for {len(columns)} columns")
+    columns = [np.asanyarray(col) for col in columns]
+    n_rows = len(columns[0]) if columns else 0
+    for name, col in zip(header, columns):
+        if col.ndim != 1:
+            raise ValueError(f"column {name} is not one-dimensional")
+        if len(col) != n_rows:
+            raise ValueError(f"column {name} has {len(col)} rows, expected {n_rows}")
+        if col.dtype.kind == "f" and not np.all(np.isfinite(np.ma.compressed(col))):
+            raise NumericalError(f"{os.path.basename(path)}: column {name} "
+                                 "holds a non-finite value")
+    schema = str(SCHEMA_VERSION)
+    with _atomic_open(path) as handle:
+        handle.write(",".join(["schema_version"] + list(header)) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = [_format_cells(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
+            handle.write("\n".join(map(",".join, zip(itertools.repeat(schema), *cells))))
+            handle.write("\n")
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _format_cells(part) -> list:
+    data = np.ma.getdata(part)
+    text = repr if data.dtype.kind == "f" else str
+    cells = list(map(text, data.tolist()))
+    for k in np.flatnonzero(np.ma.getmaskarray(part)):
+        cells[k] = ""
+    return cells
+
+
+def _index_columns(shape):
+    """Row-major index arrays, one per axis, of an array of this shape."""
+    return np.indices(shape).reshape(len(shape), -1)
 
 
 # -------------------------------------------------------------- commands ---
+
+def expansion_report(model: ASModel, table: as_game.ThetaTable) -> dict:
+    """Largest gap between the penalty table and its short-horizon
+    expansion over every node after the terminal one, regime and level.
+
+    A non-finite gap raises NumericalError instead of being skipped.
+    """
+    approx = as_game.theta_expansions(model, None, table.taus[1:])
+    err = np.abs(approx - table.theta[1:])
+    if not np.all(np.isfinite(err)):
+        raise NumericalError("expansion report: the penalty table or its "
+                             "expansion is not finite")
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "max_abs_error": float(err.max()),
+        "n_points": int(err.size),
+    }
+
 
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, "calibrate")["calibrate"]
@@ -281,58 +333,29 @@ def cmd_solve(args) -> int:
     report = hierarchy.turnpike_report(sol)
 
     nodes = grid.nodes()
-    N = model.n_regimes
-    n = model.n_states
-    write_csv(
-        os.path.join(args.out, "riccati_p.csv"),
-        ["t", "regime", "row", "col", "value"],
-        [
-            (nodes[idx], i, a, b, sol.riccati.P[idx, i, a, b])
-            for idx in range(len(nodes))
-            for i in range(N)
-            for a in range(n)
-            for b in range(n)
-        ],
-    )
-    write_csv(
-        os.path.join(args.out, "riccati_r.csv"),
-        ["t", "regime", "value"],
-        [
-            (nodes[idx], i, sol.riccati.r[idx, i])
-            for idx in range(len(nodes))
-            for i in range(N)
-        ],
-    )
-    write_csv(
-        os.path.join(args.out, "outer_k.csv"),
-        ["t", "regime", "value"],
-        [
-            (nodes[idx], i, sol.outer.k[idx, i])
-            for idx in range(len(nodes))
-            for i in range(N)
-        ],
-    )
-    write_csv(
-        os.path.join(args.out, "rates.csv"),
-        ["t", "from", "to", "rate"],
-        [
-            (nodes[idx], i, j, sol.outer.mu[idx, i, j])
-            for idx in range(len(nodes))
-            for i in range(N)
-            for j in range(N)
-        ],
-    )
-    write_csv(
-        os.path.join(args.out, "policies.csv"),
-        ["t", "regime", "player", "action", "weight"],
-        [
-            (nodes[idx], i, player, a, vec[idx, i, a])
-            for idx in range(len(nodes))
-            for i in range(N)
-            for player, vec in (("row", sol.outer.f), ("col", sol.outer.g))
-            for a in range(vec.shape[2])
-        ],
-    )
+    P = sol.riccati.P
+    idx, i, a, b = _index_columns(P.shape)
+    write_csv(os.path.join(args.out, "riccati_p.csv"),
+              ["t", "regime", "row", "col", "value"],
+              [nodes[idx], i, a, b, P.ravel()])
+    idx, i = _index_columns(sol.riccati.r.shape)
+    write_csv(os.path.join(args.out, "riccati_r.csv"), ["t", "regime", "value"],
+              [nodes[idx], i, sol.riccati.r.ravel()])
+    idx, i = _index_columns(sol.outer.k.shape)
+    write_csv(os.path.join(args.out, "outer_k.csv"), ["t", "regime", "value"],
+              [nodes[idx], i, sol.outer.k.ravel()])
+    idx, i, j = _index_columns(sol.outer.mu.shape)
+    write_csv(os.path.join(args.out, "rates.csv"), ["t", "from", "to", "rate"],
+              [nodes[idx], i, j, sol.outer.mu.ravel()])
+    # per (node, regime): the row player's weights, then the column player's
+    weights = np.concatenate([sol.outer.f, sol.outer.g], axis=2)
+    n_row_actions = sol.outer.f.shape[2]
+    idx, i, a = _index_columns(weights.shape)
+    is_row = a < n_row_actions
+    write_csv(os.path.join(args.out, "policies.csv"),
+              ["t", "regime", "player", "action", "weight"],
+              [nodes[idx], i, np.where(is_row, "row", "col"),
+               np.where(is_row, a, a - n_row_actions), weights.ravel()])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "rho_H": report["rho_H"],
@@ -344,6 +367,9 @@ def cmd_solve(args) -> int:
         "outer_reference_rate": report["outer_reference_rate"],
         "outer_degenerate": report["outer_degenerate"],
         "warnings": report["warnings"],
+        "saddle_paths": {name: int(count) for name, count
+                         in sol.diagnostics["saddle_paths"].items()},
+        "max_best_response_gap": float(sol.diagnostics["max_best_response_gap"]),
     }
     write_json(os.path.join(args.out, "turnpike.json"), payload)
     print(f"wrote riccati_p.csv, riccati_r.csv, outer_k.csv, rates.csv, "
@@ -361,55 +387,29 @@ def cmd_mm(args) -> int:
     table = as_game.build_theta_table(model, n_steps)
     ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
 
-    qs = model.q_levels()
-    rows = []
-    for idx, tau in enumerate(table.taus):
-        t = model.horizon - tau
-        for i in range(model.n_regimes):
-            for qi, q in enumerate(qs):
-                rows.append(
-                    (t, i, q, table.theta[idx, i, qi],
-                     ask[idx, i, qi] if a_act[qi] else "",
-                     bid[idx, i, qi] if b_act[qi] else "")
-                )
+    idx, i, qi = _index_columns(table.theta.shape)
     write_csv(os.path.join(args.out, "theta_quotes.csv"),
-              ["t", "regime", "q", "theta", "u_a", "u_b"], rows)
+              ["t", "regime", "q", "theta", "u_a", "u_b"],
+              [(model.horizon - table.taus)[idx], i, model.q_levels()[qi],
+               table.theta.ravel(),
+               np.ma.array(ask.ravel(), mask=~a_act[qi]),
+               np.ma.array(bid.ravel(), mask=~b_act[qi])])
 
     if mm_cfg["expansion_report"]:
-        worst = 0.0
-        count = 0
-        rent_unit = (model.A / model.gamma) * model.fill_constant
-        for idx, tau in enumerate(table.taus[1:], start=1):
-            for i in range(model.n_regimes):
-                factor = as_game.risk_factor(model, None, i, tau)
-                for q in qs:
-                    c_q = 1.0 if abs(int(q)) == model.q_max else 2.0
-                    approx = 0.5 * q * q * factor - c_q * rent_unit * tau
-                    worst = max(worst,
-                                abs(approx - table.theta[idx, i, q + model.q_max]))
-                    count += 1
-        write_json(
-            os.path.join(args.out, "expansion_report.json"),
-            {
-                "schema_version": SCHEMA_VERSION,
-                "max_abs_error": worst,
-                "n_points": count,
-            },
-        )
+        write_json(os.path.join(args.out, "expansion_report.json"),
+                   expansion_report(model, table))
 
     if mm_cfg["xi_sweep"]:
-        sweep_rows = []
-        for xi in mm_cfg["xi_sweep"]:
+        xis = np.array([float(xi) for xi in mm_cfg["xi_sweep"]])
+        spreads = np.empty_like(xis)
+        mid = model.q_max  # q = 0
+        for n, xi in enumerate(xis):
             m_xi = dataclasses.replace(model, xi=float(xi))
             t_xi = as_game.build_theta_table(m_xi, n_steps)
             a_xi, b_xi, _, _ = as_game.quote_surfaces(t_xi, m_xi)
-            mid = model.q_max  # q = 0
-            sweep_rows.append(
-                (float(xi),
-                 float(a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()))
-            )
+            spreads[n] = a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
-                  ["xi", "total_spread_q0_full_horizon"], sweep_rows)
+                  ["xi", "total_spread_q0_full_horizon"], [xis, spreads])
 
     macro_cfg = mm_cfg["macro"]
     if macro_cfg:
@@ -431,16 +431,17 @@ def cmd_mm(args) -> int:
             model, spec, int(macro_cfg.get("inventory", 0)), grid,
             mode=macro_cfg.get("mode", "affine"),
         )
-        write_csv(
-            os.path.join(args.out, "macro_values.csv"),
-            ["t", "regime", "U", "f_act", "g_act"],
-            [
-                (grid.nodes()[idx], i, sol.k[idx, i],
-                 sol.f[idx, i, 1], sol.g[idx, i, 1])
-                for idx in range(grid.n_steps + 1)
-                for i in range(model.n_regimes)
-            ],
-        )
+        idx, i = _index_columns(sol.k.shape)
+        write_csv(os.path.join(args.out, "macro_values.csv"),
+                  ["t", "regime", "U", "f_act", "g_act"],
+                  [grid.nodes()[idx], i, sol.k.ravel(),
+                   sol.f[:, :, 1].ravel(), sol.g[:, :, 1].ravel()])
+        write_json(os.path.join(args.out, "macro_report.json"), {
+            "schema_version": SCHEMA_VERSION,
+            "mode": sol.meta["mode"],
+            "inventory": int(sol.meta["inventory"]),
+            "nonbilinear_nodes": int(sol.meta["nonbilinear_nodes"]),
+        })
 
     print(f"wrote market-making tables to {args.out}")
     return EXIT_OK
@@ -478,16 +479,16 @@ def cmd_simulate(args) -> int:
         policy = sim.make_policy(model, "equilibrium", n_steps)
         for p in range(n_export):
             rec = sim.simulate_path(config, policy, path_index=p)
+            # a PathRecord marks the side that cannot quote at the
+            # inventory bound with NaN; such cells are written empty
             write_csv(
                 os.path.join(args.out, f"path_{p:04d}.csv"),
                 ["step", "time", "price", "regime", "inventory", "cash",
                  "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
-                [
-                    (s, rec.time[s], rec.price[s], rec.regime[s],
-                     rec.inventory[s], rec.cash[s], rec.ask[s], rec.bid[s],
-                     rec.drift[s], int(rec.ask_fill[s]), int(rec.bid_fill[s]))
-                    for s in range(len(rec.time))
-                ],
+                [np.arange(len(rec.time)), rec.time, rec.price, rec.regime,
+                 rec.inventory, rec.cash, np.ma.masked_invalid(rec.ask),
+                 np.ma.masked_invalid(rec.bid), rec.drift,
+                 rec.ask_fill.astype(int), rec.bid_fill.astype(int)],
             )
     return EXIT_OK
 

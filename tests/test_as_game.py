@@ -1,13 +1,23 @@
 import dataclasses
 
+import json
+import os
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rsgames import as_game, outer_layer
 from rsgames.as_game import ASModel
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import OuterGameSpec
+
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "macro_reference.json")) as _handle:
+    MACRO_REFERENCE = json.load(_handle)
 
 
 def small_model(**overrides):
@@ -223,6 +233,65 @@ class TestIntegratedVariance:
 import scipy.linalg  # noqa: E402  (used by the quadrature oracle above)
 
 
+def single_integrated_variance(model, i, tau):
+    """w_i(tau) from one (N+1, N+1) exponential, as before batching."""
+    N = model.n_regimes
+    aug = np.zeros((N + 1, N + 1))
+    aug[:N, :N] = model.rates
+    aug[:N, N] = model.sigmas**2
+    return float(scipy.linalg.expm(aug * tau)[i, N])
+
+
+@st.composite
+def risk_cases(draw):
+    N = draw(st.integers(2, 5))
+    rates = draw(hnp.arrays(np.float64, (N, N), elements=st.floats(0.0, 50.0)))
+    sigmas = draw(hnp.arrays(np.float64, N, elements=st.floats(0.05, 2.0)))
+    taus = draw(st.lists(st.floats(0.0, 3.0), min_size=0, max_size=6))
+    taus = [0.0] + taus + [0.0]
+    xi = draw(st.floats(0.0, 20.0))
+    gamma = draw(st.floats(0.01, 2.0))
+    return (small_model(sigmas=sigmas, rates=rates, xi=xi, gamma=gamma),
+            np.array(taus))
+
+
+class TestRiskFactors:
+    @settings(max_examples=150, deadline=None)
+    @given(risk_cases())
+    def test_stack_equals_single_exponentials(self, case):
+        m, taus = case
+        got = as_game.risk_factors(m, None, taus)
+        assert got.shape == (len(taus), m.n_regimes)
+        for n, tau in enumerate(taus):
+            for i in range(m.n_regimes):
+                w = single_integrated_variance(m, i, tau)
+                assert got[n, i] == m.gamma * w + m.gamma**2 * m.xi * tau
+                assert as_game.integrated_variance(m, None, i, tau) == w
+                assert as_game.risk_factor(m, None, i, tau) == got[n, i]
+
+    def test_theta_expansions_match_scalar_form(self):
+        m = small_model()
+        taus = np.array([0.0, 0.01, 0.3])
+        grid = as_game.theta_expansions(m, None, taus)
+        rent = (m.A / m.gamma) * m.fill_constant
+        for n, tau in enumerate(taus):
+            for i in range(m.n_regimes):
+                factor = as_game.risk_factor(m, None, i, tau)
+                for qi, q in enumerate(m.q_levels()):
+                    c_q = 1.0 if abs(q) == m.q_max else 2.0
+                    assert grid[n, i, qi] == 0.5 * q * q * factor - c_q * rent * tau
+                    assert grid[n, i, qi] == as_game.theta_expansion(m, None, i, q, tau)
+
+    def test_rejects_negative_tau(self):
+        m = small_model()
+        with pytest.raises(ValueError):
+            as_game.risk_factors(m, None, [0.0, 0.1, -1e-12])
+        with pytest.raises(ValueError):
+            as_game.integrated_variance(m, None, 0, -0.5)
+        with pytest.raises(ValueError):
+            as_game.theta_expansions(m, None, [0.1], [m.q_max + 1])
+
+
 class TestThetaExpansion:
     def test_zero_horizon(self, paper_as_model):
         assert as_game.theta_expansion(paper_as_model, None, 0, 3, 0.0) == 0.0
@@ -358,10 +427,22 @@ class TestMacroLayer:
                                          cost_mode="theta", **kw)
 
     def test_macro_cost_is_expansion(self):
+        # with no switching the regimes decouple and each RK4 step of
+        # U_i' = -phi_i is Simpson's rule on the penalty expansion
         m = small_model()
-        for q in (-2, 0, 3):
-            assert as_game.macro_theta_cost(m, None, 1, q, 0.3) == \
-                as_game.theta_expansion(m, None, 1, q, 0.3)
+        spec = self.affine_spec(att=0.0, stab=0.0, mu0=0.0)
+        grid = TimeGrid(0.0, m.horizon, 20)
+        h = grid.step
+        no_switching = np.zeros((2, 2))
+        for q in (-3, 0, 2):
+            sol = as_game.solve_macro_as(m, spec, q, grid)
+            for i in range(2):
+                phi = [as_game.theta_expansion(m, no_switching, i, q, tau)
+                       for tau in np.linspace(0.0, m.horizon, 2 * grid.n_steps + 1)]
+                simpson = np.concatenate([[0.0], np.cumsum(
+                    [(h / 6.0) * (phi[2 * k] + 4.0 * phi[2 * k + 1] + phi[2 * k + 2])
+                     for k in range(grid.n_steps)])])
+                assert np.allclose(sol.k[::-1, i], simpson, rtol=1e-12, atol=1e-14)
 
     def test_indifferent_when_symmetric(self):
         m = small_model(sigmas=[0.4, 0.4], xi=0.0)
@@ -411,6 +492,20 @@ class TestMacroLayer:
         # the two orientations commit to different efforts somewhere
         assert plain.meta["mode"] == "bang_bang"
         assert np.abs(plain.f[:, :, 1] - flipped.f[:, :, 1]).max() == 1.0
+
+    @pytest.mark.parametrize("case", MACRO_REFERENCE["cases"],
+                             ids=lambda c: f"{c['mode']}-q{c['q']}")
+    def test_matches_reference_values(self, case):
+        # values recorded from the per-call implementation before the
+        # running costs were precomputed; the sweep must reproduce them bit
+        # for bit
+        m = small_model()
+        spec = self.affine_spec(rho_f=0.5, rho_g=0.5)
+        grid = TimeGrid(0.0, m.horizon, MACRO_REFERENCE["n_steps"])
+        sol = as_game.solve_macro_as(m, spec, case["q"], grid, mode=case["mode"])
+        for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
+            np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
+        assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
 
     def test_requires_affine_profiles(self):
         m = small_model()

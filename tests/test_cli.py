@@ -1,10 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
 from rsgames import cli
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def run(argv):
@@ -112,6 +116,17 @@ class TestSolveCommand:
         assert abs(float(first[5]) - np.tanh(1.0)) <= 1e-8
         report = json.loads((out / "turnpike.json").read_text())
         assert "rho_H" in report
+
+    def test_turnpike_carries_saddle_health(self, tmp_path):
+        config = os.path.join(CONFIGS, "solve_two_regime.yaml")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "turnpike.json").read_text())
+        tree = yaml.safe_load(open(config))
+        n_regimes = len(tree["lq"]["A"])
+        assert sum(report["saddle_paths"].values()) == \
+            n_regimes * (tree["grid"]["n_steps"] + 1)
+        assert 0.0 <= report["max_best_response_gap"] <= 1e-9
 
     def test_identical_regimes_uniform_outputs(self, tmp_path):
         eye = [[1.0]]
@@ -234,6 +249,43 @@ class TestMmCommand:
         out = tmp_path / "out"
         assert run(["mm", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "macro_values.csv").exists()
+        report = json.loads((out / "macro_report.json").read_text())
+        assert report["schema_version"] == cli.SCHEMA_VERSION
+        assert report["mode"] == "affine"
+        assert report["inventory"] == 2
+        assert isinstance(report["nonbilinear_nodes"], int)
+        assert report["nonbilinear_nodes"] >= 0
+
+    def test_no_macro_report_without_macro(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["mm", "--config", self.mm_config(tmp_path), "--out", str(out)]) == 0
+        assert not (out / "macro_report.json").exists()
+
+    def test_nan_theta_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        build = cli.as_game.build_theta_table
+
+        def poisoned(*args, **kwargs):
+            table = build(*args, **kwargs)
+            table.theta[5, 1, 2] = np.nan
+            return table
+
+        monkeypatch.setattr(cli.as_game, "build_theta_table", poisoned)
+        out = tmp_path / "out"
+        code = run(["mm", "--config", self.mm_config(tmp_path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "theta_quotes.csv").exists()
+
+    def test_expansion_report_rejects_nan(self, tmp_path):
+        model = cli.build_as_model(
+            cli.load_config(self.mm_config(tmp_path), "mm")["as_model"])
+        table = cli.as_game.build_theta_table(model, 8)
+        report = cli.expansion_report(model, table)
+        assert report["n_points"] == 8 * model.n_regimes * model.n_levels
+        assert np.isfinite(report["max_abs_error"])
+        table.theta[3, 0, 1] = np.nan
+        with pytest.raises(cli.NumericalError):
+            cli.expansion_report(model, table)
 
 
 class TestSimulateCommand:

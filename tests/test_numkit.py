@@ -144,3 +144,10 @@ class TestIntegrateBackward:
             TimeGrid(1.0, 1.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
+
+    def test_rk4_evaluates_at_stage_times(self):
+        for t, h in ((0.7, -0.1), (0.0, 1.0 / 3.0)):
+            seen = []
+            numkit.rk4_step(lambda s, y: seen.append(s) or y, t, np.ones(1), h)
+            start, mid, end = numkit.rk4_stage_times(t, h)
+            assert seen == [start, mid, mid, end]
