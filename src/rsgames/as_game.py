@@ -43,7 +43,8 @@ from .outer_layer import OuterGameSpec, OuterSolution
 
 SECONDS_PER_YEAR = 365.0 * 86400.0
 HOURS_PER_YEAR = 365.0 * 24.0
-DAYS_PER_YEAR = 365.0
+# largest 1-norm of M * (sub-segment length) that one propagation step takes
+MAX_SEG_NORM = 30.0
 
 
 class AccuracyError(NumericalError):
@@ -151,11 +152,14 @@ class ThetaTable:
         return float(np.interp(tau, self.taus, col))
 
     def slice_at(self, tau: float) -> np.ndarray:
-        out = np.empty(self.theta.shape[1:])
-        for i in range(self.theta.shape[1]):
-            for qi in range(self.theta.shape[2]):
-                out[i, qi] = float(np.interp(tau, self.taus, self.theta[:, i, qi]))
-        return out
+        """theta at tau for every regime and level: theta_at's np.interp
+        formula, applied once to the two rows that bracket tau."""
+        j = int(np.searchsorted(self.taus, tau, side="right")) - 1
+        if j < 0 or j == len(self.taus) - 1 or self.taus[j] == tau:
+            return self.theta[max(j, 0)].copy()
+        lo, hi = self.taus[j], self.taus[j + 1]
+        slope = (self.theta[j + 1] - self.theta[j]) / (hi - lo)
+        return slope * (tau - lo) + self.theta[j]
 
 
 def predator_drift(q: int, model: ASModel) -> float:
@@ -196,94 +200,65 @@ def build_generator(model: ASModel, rates=None) -> np.ndarray:
     return M
 
 
-def _propagate_v(M: np.ndarray, tau: float, v0: np.ndarray, max_seg_norm: float = 30.0):
-    """(log v)(tau) for dv/dtau = -M v, v(0) = v0, with rescaled segments.
+def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray,
+               log_scale: float = 0.0):
+    """Step dv/dtau = -M v from the state v * exp(log_scale) through n_steps
+    intervals of length dtau, yielding (v, log_scale) after each interval.
 
-    Segmenting keeps every intermediate in floating range; only the ratios
-    and the accumulated log scale are retained.
+    One expm(-M dtau / n_sub) is built and applied n_sub times per interval,
+    with n_sub chosen to keep |M| per sub-segment below MAX_SEG_NORM.  v is
+    rescaled to max 1 after every sub-segment, so arbitrarily stiff
+    generators stay inside floating range.
     """
     norm = float(np.abs(M).sum(axis=0).max())
-    n_seg = max(1, int(math.ceil(norm * tau / max_seg_norm)))
-    E = scipy.linalg.expm(-M * (tau / n_seg))
-    v = v0.astype(float).copy()
-    log_scale = 0.0
-    for _ in range(n_seg):
-        v = E @ v
-        top = v.max()
-        if not np.isfinite(top) or np.any(v <= 0.0):
-            raise AccuracyError(
-                "CARA transform v lost positivity; |M| tau too large for the "
-                "requested tolerance"
-            )
-        v /= top
-        log_scale += math.log(top)
-    return np.log(v) + log_scale
+    n_sub = max(1, int(math.ceil(norm * dtau / MAX_SEG_NORM)))
+    E = scipy.linalg.expm(-M * (dtau / n_sub))
+    for step in range(1, n_steps + 1):
+        for _ in range(n_sub):
+            v = E @ v
+            top = v.max()
+            if not np.isfinite(top) or np.any(v <= 0.0):
+                raise AccuracyError(
+                    f"CARA transform v lost positivity in interval {step} of "
+                    f"{n_steps} (dtau={dtau:.6g})"
+                )
+            v /= top
+            log_scale += math.log(top)
+        yield v, log_scale
 
 
 def solve_theta_exact(model: ASModel, rates=None, tau: float = 0.0) -> np.ndarray:
     """Penalty slice theta(tau) of shape (N, 2*q_max+1) via the matrix
     exponential, exact for rates constant on the interval."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    N, nq = model.n_regimes, model.n_levels
-    if tau == 0.0:
-        return np.zeros((N, nq))
-    M = build_generator(model, rates)
-    log_v = _propagate_v(M, tau, np.ones(N * nq))
-    return (-log_v / model.gamma).reshape(N, nq)
+    return solve_theta_piecewise(model, [(tau, rates)])
 
 
 def solve_theta_piecewise(model: ASModel, segments) -> np.ndarray:
     """Compose constant-rate segments, listed from the horizon outward:
     segments = [(tau_len_0, rates_0), (tau_len_1, rates_1), ...]."""
     N, nq = model.n_regimes, model.n_levels
-    v = np.ones(N * nq)
-    log_scale = 0.0
+    v, log_scale = np.ones(N * nq), 0.0
     for tau_len, rates in segments:
         if tau_len < 0:
             raise ValueError("segment lengths must be nonnegative")
-        if tau_len == 0:
-            continue
-        M = build_generator(model, rates)
-        log_v = _propagate_v(M, tau_len, v)
-        top = log_v.max()
-        v = np.exp(log_v - top)
-        log_scale += top
+        if tau_len > 0:
+            M = build_generator(model, rates)
+            (v, log_scale), = _propagate(M, tau_len, 1, v, log_scale)
     return (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
 
 
-def build_theta_table(model: ASModel, n_steps: int, rates=None,
-                      max_seg_norm: float = 30.0) -> ThetaTable:
-    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}.
-
-    Each node step applies exp(-M dτ) split into rescaled sub-segments, so
-    arbitrarily stiff generators stay inside floating range.
-    """
+def build_theta_table(model: ASModel, n_steps: int, rates=None) -> ThetaTable:
+    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     N, nq = model.n_regimes, model.n_levels
-    taus = np.linspace(0.0, model.horizon, n_steps + 1)
-    M = build_generator(model, rates)
-    dtau = model.horizon / n_steps
-    norm = float(np.abs(M).sum(axis=0).max())
-    n_sub = max(1, int(math.ceil(norm * dtau / max_seg_norm)))
-    E = scipy.linalg.expm(-M * (dtau / n_sub))
-    theta = np.empty((n_steps + 1, N, nq))
-    theta[0] = 0.0
-    v = np.ones(N * nq)
-    log_scale = 0.0
-    for idx in range(1, n_steps + 1):
-        for _ in range(n_sub):
-            v = E @ v
-            top = v.max()
-            if not np.isfinite(top) or np.any(v <= 0.0):
-                raise AccuracyError(
-                    f"CARA transform v lost positivity at tau={taus[idx]:.6g}"
-                )
-            v /= top
-            log_scale += math.log(top)
+    theta = np.zeros((n_steps + 1, N, nq))
+    steps = _propagate(build_generator(model, rates), model.horizon / n_steps,
+                       n_steps, np.ones(N * nq))
+    for idx, (v, log_scale) in enumerate(steps, start=1):
         theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
-    return ThetaTable(taus=taus, theta=theta, gamma=model.gamma, q_max=model.q_max)
+    return ThetaTable(taus=np.linspace(0.0, model.horizon, n_steps + 1),
+                      theta=theta, gamma=model.gamma, q_max=model.q_max)
 
 
 def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
@@ -335,13 +310,6 @@ def risk_factor(model: ASModel, rates=None, i: int = 0, tau: float = 0.0) -> flo
     return float(risk_factors(model, rates, [tau])[0, i])
 
 
-def effective_volatility(model: ASModel, i: int, tau: float, rates=None):
-    """(instantaneous effective variance, horizon risk factor):
-    sigma_i^2 + xi*gamma and C_i(tau)."""
-    inst = float(model.sigmas[i] ** 2 + model.xi * model.gamma)
-    return inst, risk_factor(model, rates, i, tau)
-
-
 def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.ndarray:
     """Short-horizon penalty (q^2/2) C_i(tau) - c_q (A/gamma) C0 tau, with
     the executed-flow coefficient c_q = 2 interior and 1 at q = -+ q_max,
@@ -384,7 +352,7 @@ def optimal_quotes(table: ThetaTable, model: ASModel, i: int, q: int,
                    t: float) -> QuotePair:
     """Quotes at clock time t (tau = horizon - t) from the penalty table."""
     tau = model.horizon - t
-    if tau < -1e-12 or t < -1e-12:
+    if not (tau >= -1e-12 and t >= -1e-12):  # NaN fails too
         raise ValueError(f"t = {t} outside [0, horizon]")
     tau = max(tau, 0.0)
     theta_slice = table.slice_at(tau)

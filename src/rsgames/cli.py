@@ -421,7 +421,6 @@ def cmd_mm(args) -> int:
             np.asarray(aff["mu0"], dtype=float) * 365.0,
             np.asarray(aff["lam_att"], dtype=float) * 365.0,
             np.asarray(aff["lam_stab"], dtype=float) * 365.0,
-            cost_mode="theta",
             clamp_efforts=bool(args.clamp_efforts)
             if args.clamp_efforts is not None else True,
             flip_bang_bang=bool(args.flip_bangbang_orientation),
@@ -503,33 +502,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
+        p.set_defaults(func=func)
+        return p
+
+    def outer_flags(p):
         p.add_argument("--flip-bangbang-orientation", action="store_true",
                        dest="flip_bangbang_orientation")
         p.add_argument("--clamp-efforts", action=argparse.BooleanOptionalAction,
                        default=None, dest="clamp_efforts")
 
-    p_cal = sub.add_parser("calibrate", help="fit regimes from OHLCV CSV")
+    p_cal = command("calibrate", cmd_calibrate, "fit regimes from OHLCV CSV")
     p_cal.add_argument("csv", help="input OHLCV CSV path")
-    common(p_cal)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_solve = sub.add_parser("solve", help="solve the two-layer LQ hierarchy")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_mm = sub.add_parser("mm", help="market-making tables and quotes")
-    common(p_mm)
-    p_mm.set_defaults(func=cmd_mm)
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo strategy comparison")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    outer_flags(command("solve", cmd_solve, "solve the two-layer LQ hierarchy"))
+    p_mm = command("mm", cmd_mm, "market-making tables and quotes")
+    p_mm.add_argument("--steps", type=int, default=None)
+    outer_flags(p_mm)
+    p_sim = command("simulate", cmd_simulate, "Monte-Carlo strategy comparison")
+    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--paths", type=int, default=None)
+    p_sim.add_argument("--steps", type=int, default=None)
     return parser
 
 

@@ -157,9 +157,11 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 
 def _solve_lp(M: np.ndarray) -> SaddlePoint:
-    """General m x n game via the positive-shift LP and its duals."""
-    shift = 1.0 - M.min()
-    Mp = M + shift
+    """General m x n game via the LP and its duals, on payoffs mapped to
+    [1, 2] so that the simplex tolerances are relative to the payoff spread."""
+    low = M.min()
+    scale = (M.max() - low) or 1.0
+    Mp = 1.0 + (M - low) / scale
     m, n = Mp.shape
     # column player: max 1@z  s.t.  Mp@z <= 1, z >= 0; duals give the row player
     z, duals = _simplex_max(Mp, np.ones(m), np.ones(n))
@@ -172,7 +174,7 @@ def _solve_lp(M: np.ndarray) -> SaddlePoint:
     if f.sum() <= 0:
         raise NumericalError("degenerate dual solution in matrix-game solve")
     f /= f.sum()
-    value = 1.0 / total - shift
+    value = low + (1.0 / total - 1.0) * scale
     return SaddlePoint(f, g, float(value))
 
 

@@ -109,30 +109,6 @@ class RiccatiSolution:
     rates: np.ndarray = field(repr=False, default=None)  # (n_nodes, N, N)
 
 
-def riccati_rhs(P_all: np.ndarray, rates: np.ndarray, model: RegimeLQModel,
-                i: int, sctrl: np.ndarray = None) -> np.ndarray:
-    """Backward-time derivative -dP_i/dt of the coupled Riccati flow."""
-    P = P_all[i]
-    if sctrl is None:
-        sctrl = model.control_matrix(i)
-    out = model.Q[i] + model.A[i].T @ P + P @ model.A[i] - P @ sctrl @ P
-    for j in range(model.n_regimes):
-        if j != i:
-            out = out + rates[i, j] * (P_all[j] - P)
-    return _sym(out)
-
-
-def offset_rhs(r_all: np.ndarray, P_all: np.ndarray, rates: np.ndarray,
-               model: RegimeLQModel, i: int) -> float:
-    """Backward-time derivative -dr_i/dt (noise trace plus coupling)."""
-    Sig = model.Sigma[i]
-    out = float(np.trace(Sig @ Sig.T @ P_all[i]))
-    for j in range(model.n_regimes):
-        if j != i:
-            out += rates[i, j] * (r_all[j] - r_all[i])
-    return out
-
-
 class _FlowWorkspace:
     """Precomputed per-regime arrays for the vectorized Riccati flow."""
 

@@ -38,7 +38,6 @@ class OuterGameSpec:
 
     mu_bar: np.ndarray
     Lambda: np.ndarray
-    cost_mode: str = "trace_p"  # or "theta" for the market-making layer
     lam_att: np.ndarray = None  # affine attacker profile (N, N), optional
     lam_stab: np.ndarray = None
     rho_f: float = 1.0
@@ -58,8 +57,6 @@ class OuterGameSpec:
             )
         if not (np.all(np.isfinite(self.mu_bar)) and np.all(np.isfinite(self.Lambda))):
             raise ValueError("mu_bar and Lambda must be finite")
-        if self.cost_mode not in ("trace_p", "theta"):
-            raise ValueError(f"unknown cost_mode {self.cost_mode!r}")
         if not (self.rho_f > 0 and self.rho_g > 0):
             raise ValueError("effort costs rho_f, rho_g must be positive")
         for i in range(N):

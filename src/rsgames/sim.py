@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import as_game
 from .as_game import ASModel
@@ -38,7 +38,6 @@ class SimConfig:
     n_paths: int = 1000
     n_steps: int = 2880
     seed: int = 20251212
-    strategy: str = "equilibrium"
     predator: bool = True
     initial_regime: int = 0
     s0: float = None
@@ -48,8 +47,6 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.strategy not in ("vanilla", "equilibrium"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0 <= self.initial_regime < self.model.n_regimes:
             raise ValueError(f"initial regime {self.initial_regime} out of range")
         span = self.n_steps * self.model.dt
@@ -104,26 +101,6 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
     ask, bid, a_act, b_act = as_game.quote_surfaces(table, table_model)
     return QuotePolicy(name=kind, ask=ask, bid=bid, ask_active=a_act,
                        bid_active=b_act)
-
-
-def _policy_quote(model: ASModel, kind: str, i: int, q: int, t: float,
-                  n_steps: int = 512):
-    policy_model = dataclasses.replace(model, xi=0.0) if kind == "vanilla" else model
-    table = as_game.build_theta_table(policy_model, n_steps)
-    return as_game.optimal_quotes(table, policy_model, i, q, t)
-
-
-def quote_policy_vanilla(model: ASModel, i: int, q: int, t: float,
-                         n_steps: int = 512):
-    """Predator-blind quotes: the table ignores xi entirely."""
-    return _policy_quote(model, "vanilla", i, q, t, n_steps)
-
-
-def quote_policy_equilibrium(model: ASModel, i: int, q: int, t: float,
-                             n_steps: int = 512):
-    """Predator-aware quotes; by the risk isomorphism these coincide with
-    vanilla quotes at volatility sigma^2 + gamma*xi."""
-    return _policy_quote(model, "equilibrium", i, q, t, n_steps)
 
 
 def generate_streams(seed: int, n_paths: int, n_steps: int):
@@ -274,7 +251,7 @@ def simulate_path(config: SimConfig, policy: QuotePolicy = None,
                   path_index: int = 0) -> PathRecord:
     """Replay one path (by stream index) and return its full record."""
     if policy is None:
-        policy = make_policy(config.model, config.strategy, config.n_steps)
+        policy = make_policy(config.model, "equilibrium", config.n_steps)
     children = np.random.SeedSequence(config.seed).spawn(path_index + 1)
     gen = np.random.Generator(np.random.Philox(children[path_index]))
     uniforms = gen.random((config.n_steps, 3))[None]
@@ -312,7 +289,7 @@ def paired_one_sided(diffs: np.ndarray):
         return (math.inf if mean > 0 else (-math.inf if mean < 0 else 0.0),
                 0.0 if mean > 0 else 1.0)
     t = float(diffs.mean() / (sd / math.sqrt(n)))
-    p = float(scipy.stats.t.sf(t, df=n - 1))
+    p = float(scipy.special.stdtr(n - 1, -t))  # Student-t survival at t
     return t, p
 
 

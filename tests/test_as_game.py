@@ -117,8 +117,8 @@ class TestBuildGenerator:
         assert M[nq - 1, nq - 2] == pytest.approx(-fill)
 
     def test_zero_generator_gives_zero_theta(self):
-        log_v = as_game._propagate_v(np.zeros((4, 4)), 3.0, np.ones(4))
-        np.testing.assert_allclose(log_v, 0.0, atol=1e-15)
+        (v, log_scale), = as_game._propagate(np.zeros((4, 4)), 3.0, 1, np.ones(4))
+        np.testing.assert_allclose(np.log(v) + log_scale, 0.0, atol=1e-15)
 
 
 class TestSolveThetaExact:
@@ -193,6 +193,62 @@ class TestSolveThetaExact:
     def test_rejects_negative_tau(self, paper_as_model):
         with pytest.raises(ValueError):
             as_game.solve_theta_exact(paper_as_model, None, -1.0)
+
+
+rate_matrices = st.integers(1, 3).flatmap(
+    lambda N: hnp.arrays(float, (N, N), elements=st.floats(0.0, 20.0)))
+
+
+class TestPropagator:
+    @settings(max_examples=40, deadline=None)
+    @given(rates=rate_matrices, q_max=st.integers(1, 6),
+           gamma=st.floats(0.05, 1.0), xi=st.floats(0.0, 1.0),
+           A=st.floats(1.0, 50.0), horizon=st.floats(0.1, 2.0),
+           n_steps=st.integers(1, 8), split=st.floats(0.1, 0.9), data=st.data())
+    def test_table_rows_and_segments_match_exact(self, rates, q_max, gamma, xi, A,
+                                                 horizon, n_steps, split, data):
+        N = rates.shape[0]
+        sigmas = data.draw(hnp.arrays(float, N, elements=st.floats(0.1, 1.0)))
+        m = ASModel(gamma=gamma, xi=xi, A=A, k=5.0, sigmas=sigmas, q_max=q_max,
+                    horizon=horizon, rates=rates)
+        table = as_game.build_theta_table(m, n_steps)
+        for tau, row in zip(table.taus[1:], table.theta[1:]):
+            exact = as_game.solve_theta_exact(m, None, tau)
+            assert np.abs(row - exact).max() <= 1e-10 * np.abs(exact).max()
+        exact = as_game.solve_theta_exact(m, None, horizon)
+        two = as_game.solve_theta_piecewise(
+            m, [(split * horizon, None), ((1.0 - split) * horizon, None)])
+        assert np.abs(two - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    def test_lost_positivity_raises(self):
+        # expm(-M) of this M has a negative entry, so v = (1, 2) turns negative
+        M = np.array([[0.0, 5.0], [5.0, 0.0]])
+        with pytest.raises(as_game.AccuracyError):
+            list(as_game._propagate(M, 1.0, 3, np.array([1.0, 2.0])))
+
+
+class TestThetaTable:
+    def test_slice_at_matches_theta_at(self):
+        m = small_model()
+        table = as_game.build_theta_table(m, 16)
+        taus = table.taus
+        probes = [*taus, *(0.5 * (taus[1:] + taus[:-1])),
+                  taus[3] + 0.1 * (taus[4] - taus[3]), -0.5, 2.0 * taus[-1]]
+        scale = np.abs(table.theta).max()
+        for tau in probes:
+            want = [[table.theta_at(i, q, tau) for q in m.q_levels()]
+                    for i in range(m.n_regimes)]
+            # the same formula as np.interp; a fused multiply-add there may
+            # move the last bit
+            np.testing.assert_allclose(table.slice_at(tau), want, rtol=0,
+                                       atol=4e-16 * scale)
+
+    def test_optimal_quotes_rejects_time_outside_horizon(self):
+        m = small_model()
+        table = as_game.build_theta_table(m, 16)
+        for t in (-0.1, m.horizon + 0.1, np.nan):
+            with pytest.raises(ValueError):
+                as_game.optimal_quotes(table, m, 0, 0, t)
 
 
 class TestIntegratedVariance:
@@ -397,18 +453,24 @@ class TestQuotes:
         assert np.all(np.diff(spreads) >= -1e-12)
 
 
+def effective_variance(m, i):
+    """sigma_i^2 + xi*gamma as the generator charges it: the q = 1 diagonal
+    entry of regime i without switching, over gamma^2 / 2."""
+    M = as_game.build_generator(m, np.zeros((m.n_regimes, m.n_regimes)))
+    row = i * m.n_levels + m.q_max + 1
+    return M[row, row] / (0.5 * m.gamma**2)
+
+
 class TestEffectiveVolatility:
     def test_no_predator(self):
         m = small_model(xi=0.0, sigmas=[0.3, 0.5])
-        inst, factor = as_game.effective_volatility(m, 0, 0.4)
-        assert inst == pytest.approx(0.09)
+        assert effective_variance(m, 0) == pytest.approx(0.09)
         w = as_game.integrated_variance(m, None, 0, 0.4)
-        assert factor == pytest.approx(m.gamma * w)
+        assert as_game.risk_factor(m, None, 0, 0.4) == pytest.approx(m.gamma * w)
 
     def test_paper_arithmetic(self):
         m = small_model(gamma=0.02, xi=10.0, sigmas=[np.sqrt(0.05), 0.5])
-        inst, _ = as_game.effective_volatility(m, 0, 0.1)
-        assert inst == pytest.approx(0.25)
+        assert effective_variance(m, 0) == pytest.approx(0.25)
 
     def test_risk_isomorphism_identity(self, paper_as_model):
         m = paper_as_model
@@ -423,8 +485,7 @@ class TestEffectiveVolatility:
 class TestMacroLayer:
     def affine_spec(self, att=2.0, stab=1.5, mu0=4.0, **kw):
         off = np.ones((2, 2)) - np.eye(2)
-        return OuterGameSpec.from_affine(mu0 * off, att * off, stab * off,
-                                         cost_mode="theta", **kw)
+        return OuterGameSpec.from_affine(mu0 * off, att * off, stab * off, **kw)
 
     def test_macro_cost_is_expansion(self):
         # with no switching the regimes decouple and each RK4 step of

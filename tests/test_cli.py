@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -372,3 +374,40 @@ class TestConfigHandling:
         assert model.s0 == 90863.90
         assert round(model.horizon / model.dt) == 2880
         assert cfg["sim"]["n_paths"] == 1000
+
+
+class TestFlags:
+    VALUES = {"--config": ["c.yaml"], "--out": ["o"], "--seed": ["3"],
+              "--paths": ["4"], "--steps": ["5"],
+              "--flip-bangbang-orientation": [], "--clamp-efforts": [],
+              "--no-clamp-efforts": []}
+    OUTER = {"--flip-bangbang-orientation", "--clamp-efforts", "--no-clamp-efforts"}
+    READS = {
+        "calibrate": {"--config", "--out"},
+        "solve": {"--config", "--out"} | OUTER,
+        "mm": {"--config", "--out", "--steps"} | OUTER,
+        "simulate": {"--config", "--out", "--seed", "--paths", "--steps"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_only_the_flags_a_command_reads(self, command, capsys):
+        positional = ["bars.csv"] if command == "calibrate" else []
+        parser = cli.build_parser()
+        for flag, value in self.VALUES.items():
+            argv = [command, *positional, flag, *value]
+            if flag in self.READS[command]:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                assert exc.value.code == 2, flag
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rsgames.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -190,8 +190,7 @@ class TestCommandsMatchRowOracle:
                          ["xi", "total_spread_q0_full_horizon"], rows)
 
         spec = outer_layer.OuterGameSpec.from_affine(
-            *(np.asarray(affine[key]) * 365.0 for key in ("mu0", "lam_att", "lam_stab")),
-            cost_mode="theta")
+            *(np.asarray(affine[key]) * 365.0 for key in ("mu0", "lam_att", "lam_stab")))
         grid = TimeGrid(0.0, model.horizon, 40)
         macro = as_game.solve_macro_as(model, spec, 2, grid)
         rows = [(grid.nodes()[idx], i, macro.k[idx, i], macro.f[idx, i, 1],

@@ -54,6 +54,19 @@ class TestSolveZeroSum:
             via_lp = solve_zero_sum(MatrixGame(M), method="lp")
             assert abs(via_lp.value - closed_form_2x2(M)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [10.0**-e for e in range(2, 13)])
+    def test_lp_accurate_on_small_spread(self, s):
+        # perturbed rock-paper-scissors: the unique saddle is the fully
+        # mixed equalizer, the same for every positive scale s
+        rng = np.random.default_rng(25)
+        M = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+        M += rng.uniform(-0.3, 0.3, (3, 3))
+        bordered = np.block([[M.T, -np.ones((3, 1))], [np.ones((1, 3)), 0.0]])
+        f_eq = np.linalg.solve(bordered, [0.0, 0.0, 0.0, 1.0])[:3]
+        assert np.all(f_eq > 0.0)
+        sp = solve_zero_sum(MatrixGame(s * M), method="lp")
+        assert np.abs(sp.row_strategy - f_eq).max() <= 1e-12
+
     def test_random_games_saddle_gap(self):
         rng = np.random.default_rng(22)
         for _ in range(150):

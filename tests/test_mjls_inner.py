@@ -20,20 +20,26 @@ def two_regime_scalar(Q=(1.0, 4.0), Q_T=(0.0, 0.0), Sigma=(0.0, 0.0)):
                          Q=col(Q), R=ones, S=ones, Q_T=col(Q_T))
 
 
+def backward_derivatives(model, P, r, rates):
+    """(-dP/dt, -dr/dt) of every regime, from the right-hand side that
+    riccati_step integrates."""
+    return mjls_inner._FlowWorkspace(model).backward_derivatives(P, r, rates)
+
+
 class TestRhs:
     def test_scalar_plugin(self):
         m = scalar_model()
         P = np.zeros((1, 1, 1))
-        out = mjls_inner.riccati_rhs(P, np.zeros((1, 1)), m, 0)
-        assert out[0, 0] == 1.0  # -P' = Q at P = 0
+        out, _ = backward_derivatives(m, P, np.zeros(1), np.zeros((1, 1)))
+        assert out[0, 0, 0] == 1.0  # -P' = Q at P = 0
 
     def test_identical_regimes_coupling_vanishes(self):
         m = two_regime_scalar(Q=(1.0, 1.0))
         P = np.full((2, 1, 1), 0.3)
         rates = np.array([[0.0, 7.0], [5.0, 0.0]])
-        coupled = mjls_inner.riccati_rhs(P, rates, m, 0)
-        uncoupled = mjls_inner.riccati_rhs(P, np.zeros((2, 2)), m, 0)
-        np.testing.assert_allclose(coupled, uncoupled, atol=1e-14)
+        coupled, _ = backward_derivatives(m, P, np.zeros(2), rates)
+        uncoupled, _ = backward_derivatives(m, P, np.zeros(2), np.zeros((2, 2)))
+        np.testing.assert_allclose(coupled[0], uncoupled[0], atol=1e-14)
 
     def test_coupling_sum_by_hand(self):
         m = two_regime_scalar(Q=(0.0, 0.0))
@@ -41,29 +47,30 @@ class TestRhs:
         # evaluate at P1 = 0 where -P1 Sctrl P1 vanishes anyway
         P = np.array([[[0.0]], [[1.0]]])
         rates = np.array([[0.0, 30.0], [0.0, 0.0]])
-        out = mjls_inner.riccati_rhs(P, rates, m, 0)
-        assert out[0, 0] == pytest.approx(30.0)
+        out, _ = backward_derivatives(m, P, np.zeros(2), rates)
+        assert out[0, 0, 0] == pytest.approx(30.0)
 
     def test_offset_zero_cases(self):
         m = two_regime_scalar()
         P = np.ones((2, 1, 1))
         r = np.array([0.4, 0.4])
         rates = np.array([[0.0, 3.0], [3.0, 0.0]])
-        assert mjls_inner.offset_rhs(r, P, rates, m, 0) == pytest.approx(0.0)
+        _, out = backward_derivatives(m, P, r, rates)
+        assert out[0] == pytest.approx(0.0)
 
     def test_offset_trace(self):
         m = scalar_model(Sigma=np.sqrt(2.0))
         P = np.array([[[3.0]]])
-        out = mjls_inner.offset_rhs(np.zeros(1), P, np.zeros((1, 1)), m, 0)
-        assert out == pytest.approx(6.0)
+        _, out = backward_derivatives(m, P, np.zeros(1), np.zeros((1, 1)))
+        assert out[0] == pytest.approx(6.0)
 
     def test_offset_with_coupling(self):
         m = two_regime_scalar(Sigma=(1.0, 1.0))
         P = np.ones((2, 1, 1))
         r = np.array([0.0, 2.0])
         rates = np.array([[0.0, 30.0], [0.0, 0.0]])
-        out = mjls_inner.offset_rhs(r, P, rates, m, 0)
-        assert out == pytest.approx(61.0)
+        _, out = backward_derivatives(m, P, r, rates)
+        assert out[0] == pytest.approx(61.0)
 
 
 class TestSolveCoupledRiccati:

@@ -1,72 +1,19 @@
 import numpy as np
 import pytest
 
-from rsgames import numkit
+from rsgames import mjls_inner, numkit
 from rsgames.numkit import BlowupError, TimeGrid
 
 
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(
-            numkit.matrix_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-14
-        )
-
-    def test_diagonal(self):
-        out = numkit.matrix_exponential(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(out, np.diag([np.e, 1.0 / np.e]), rtol=1e-12)
-
-    def test_nilpotent(self):
-        out = numkit.matrix_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(out, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            M = rng.normal(size=(5, 5))
-            prod = numkit.matrix_exponential(M) @ numkit.matrix_exponential(-M)
-            np.testing.assert_allclose(prod, np.eye(5), atol=1e-9)
-
-    def test_spectral_mapping(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            X = rng.normal(size=(4, 4))
-            M = X + X.T  # symmetric, hence diagonalizable
-            lam = np.sort(numkit.eigenvalues(M).real)
-            lam_exp = np.sort(numkit.eigenvalues(numkit.matrix_exponential(M)).real)
-            np.testing.assert_allclose(lam_exp, np.exp(lam), rtol=1e-7)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            numkit.matrix_exponential(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            numkit.matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
-
-class TestExpmAction:
-    def test_zero_matrix(self):
-        v = np.ones(4)
-        np.testing.assert_allclose(
-            numkit.expm_action(np.zeros((4, 4)), v, 5.0), v, atol=1e-14
-        )
-
-    def test_diagonal(self):
-        out = numkit.expm_action(np.diag([-1.0, -2.0]), np.ones(2), 1.0)
-        np.testing.assert_allclose(out, [np.exp(-1.0), np.exp(-2.0)], rtol=1e-12)
-
-    def test_cross_oracle(self):
-        rng = np.random.default_rng(13)
-        M = rng.normal(size=(6, 6))
-        v = rng.normal(size=6)
-        t = 0.7
-        direct = numkit.matrix_exponential(M * t) @ v
-        out = numkit.expm_action(M, v, t)
-        np.testing.assert_allclose(out, direct, rtol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            numkit.expm_action(np.eye(3), np.ones(2), 1.0)
+def integrate_backward(rhs, terminal, grid):
+    """y' = rhs(t, y) from y(T) = terminal back to t0, one numkit.rk4_step
+    per grid interval; the trajectory at every node, index 0 = t0."""
+    nodes = grid.nodes()
+    traj = np.empty((grid.n_steps + 1,) + np.shape(terminal))
+    traj[-1] = terminal
+    for k in range(grid.n_steps - 1, -1, -1):
+        traj[k] = numkit.rk4_step(rhs, nodes[k + 1], traj[k + 1], -grid.step)
+    return traj
 
 
 class TestEigenvalues:
@@ -100,13 +47,13 @@ class TestIntegrateBackward:
     def test_zero_rhs(self):
         grid = TimeGrid(0.0, 1.0, 16)
         terminal = np.array([2.0, -3.0])
-        traj = numkit.integrate_backward(lambda t, y: 0.0 * y, terminal, grid)
+        traj = integrate_backward(lambda t, y: 0.0 * y, terminal, grid)
         np.testing.assert_allclose(traj, np.tile(terminal, (17, 1)), atol=0.0)
 
     def test_linear_exact(self):
         # -y' = 1 with y(1) = 0 has y(t) = 1 - t
         grid = TimeGrid(0.0, 1.0, 10)
-        traj = numkit.integrate_backward(
+        traj = integrate_backward(
             lambda t, y: -np.ones_like(y), np.zeros(1), grid
         )
         np.testing.assert_allclose(traj[:, 0], 1.0 - grid.nodes(), atol=1e-12)
@@ -114,7 +61,7 @@ class TestIntegrateBackward:
     def test_scalar_riccati_tanh(self):
         # -p' = 1 - p^2 with p(1) = 0 gives p(0) = tanh(1)
         grid = TimeGrid(0.0, 1.0, 1000)
-        traj = numkit.integrate_backward(
+        traj = integrate_backward(
             lambda t, y: -(1.0 - y**2), np.zeros(1), grid
         )
         assert abs(traj[0, 0] - np.tanh(1.0)) <= 1e-8
@@ -122,7 +69,7 @@ class TestIntegrateBackward:
     def test_convergence_order(self):
         def solve(n):
             grid = TimeGrid(0.0, 1.0, n)
-            traj = numkit.integrate_backward(
+            traj = integrate_backward(
                 lambda t, y: -(1.0 - y**2), np.zeros(1), grid
             )
             return traj[0, 0]
@@ -132,10 +79,14 @@ class TestIntegrateBackward:
         assert np.all(orders > 3.7) and np.all(orders < 4.3)
 
     def test_blowup_reports_time(self):
-        # dy/dtau = y^2 from y=1 escapes at tau = 1
+        # the program's backward flow: with B = 0 and D = S = 1 the scalar
+        # Riccati flow is dp/dtau = p^2 from p = 1, which escapes at tau = 1
+        one = np.ones((1, 1, 1))
+        m = mjls_inner.RegimeLQModel(A=0 * one, B=0 * one, D=one, Sigma=0 * one,
+                                     Q=0 * one, R=one, S=one, Q_T=one)
         grid = TimeGrid(0.0, 2.0, 64)
         with pytest.raises(BlowupError) as err, np.errstate(over="ignore"):
-            numkit.integrate_backward(lambda t, y: -(y**2), np.ones(1), grid)
+            mjls_inner.solve_coupled_riccati(m, np.zeros((1, 1)), grid)
         assert err.value.time is not None
         assert 0.0 <= err.value.time <= 2.0
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rsgames import as_game, sim
 from rsgames.as_game import ASModel
@@ -184,14 +185,15 @@ class TestPolicies:
         assert np.all(np.diff(gaps) > 0.0)
 
     def test_quote_policy_functions(self, lively_as_model):
+        def quote_at_start(m, kind):
+            # t = 0 is the last node of the surfaces; regime 0, q = 0
+            policy = sim.make_policy(m, kind, 64)
+            return policy.ask[-1, 0, m.q_max], policy.bid[-1, 0, m.q_max]
+
         m = lively_as_model
-        q_v = sim.quote_policy_vanilla(m, 0, 0, 0.0, n_steps=64)
-        q_e = sim.quote_policy_equilibrium(m, 0, 0, 0.0, n_steps=64)
-        assert q_e.ask > q_v.ask
+        assert quote_at_start(m, "equilibrium")[0] > quote_at_start(m, "vanilla")[0]
         m0 = dataclasses.replace(m, xi=0.0)
-        q_v0 = sim.quote_policy_vanilla(m0, 0, 0, 0.0, n_steps=64)
-        q_e0 = sim.quote_policy_equilibrium(m0, 0, 0, 0.0, n_steps=64)
-        assert q_v0 == q_e0
+        assert quote_at_start(m0, "vanilla") == quote_at_start(m0, "equilibrium")
 
 
 class TestPredatorEffects:
@@ -218,6 +220,14 @@ class TestPredatorEffects:
 
 
 class TestReport:
+    def test_paired_p_value_is_student_t_survival(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 7, 40, 1000):
+            for _ in range(20):
+                diffs = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0), n)
+                t, p = sim.paired_one_sided(diffs)
+                assert p == float(scipy.stats.t.sf(t, df=n - 1))
+
     def test_report_fields(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=30, n_steps=400, seed=13)
         report = sim.run_monte_carlo(config).to_dict()
@@ -250,6 +260,3 @@ class TestReport:
             SimConfig(model=lively_as_model, n_paths=0, n_steps=400, seed=1)
         with pytest.raises(ValueError):
             SimConfig(model=lively_as_model, n_paths=1, n_steps=399, seed=1)
-        with pytest.raises(ValueError):
-            SimConfig(model=lively_as_model, n_paths=1, n_steps=400, seed=1,
-                      strategy="martingale")
