@@ -1,11 +1,14 @@
 """Seeded Monte-Carlo replay of the regime-switching market.
 
-Randomness is a Philox counter stream per path: SeedSequence(seed) is
-spawned once per path index, and each path draws, per step, three uniforms
-(regime transition, ask fill, bid fill) followed by one standard normal
-(price shock), pre-generated as whole arrays.  Strategies being compared
-reuse the identical arrays (common random numbers), so fill comparisons
-differ only through the quote tables.
+Randomness is a Philox counter stream per path: stream p is seeded by
+SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
+and draws, per step, three uniforms (regime transition, ask fill, bid fill)
+followed by one standard normal (price shock).  run_monte_carlo generates
+the streams chunk by chunk (STREAM_CHUNK_BYTES) and replays every strategy
+on each chunk in one step loop (common random numbers), so fill comparisons
+differ only through the quote tables.  Report statistics are accumulated
+per path and reduced once, in path order, over all paths, so the report
+does not depend on the chunk size.
 
 Step order (one step of size dt):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -28,8 +31,16 @@ import scipy.special
 
 from . import as_game
 from .as_game import ASModel
+from .numkit import NumericalError
 
 SCHEMA_VERSION = 1
+
+# Streams take 32 bytes per path-step (three uniforms and one normal).
+# run_monte_carlo generates and replays them in chunks of at most
+# STREAM_CHUNK_BYTES; 128 MiB holds the reference run (1000 paths x 2880
+# steps, 92 MB) in one chunk.
+STREAM_BYTES_PER_STEP = 32
+STREAM_CHUNK_BYTES = 128 * 2**20
 
 
 @dataclass
@@ -103,33 +114,110 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
                        bid_active=b_act)
 
 
-def generate_streams(seed: int, n_paths: int, n_steps: int):
-    """Per-path variates: uniforms (n_paths, n_steps, 3) ordered (regime,
-    ask, bid) and normals (n_paths, n_steps).  Stream p is the p-th spawn of
-    SeedSequence(seed) feeding a Philox generator, so it depends only on
-    (seed, p)."""
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
+    """Per-path variates for paths first .. first+n_paths-1: uniforms
+    (n_paths, n_steps, 3) ordered (regime, ask, bid) and normals
+    (n_paths, n_steps).  Stream p feeds a Philox generator from
+    SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
+    so it depends only on (seed, p) and not on which chunk asks for it."""
     uniforms = np.empty((n_paths, n_steps, 3))
     normals = np.empty((n_paths, n_steps))
-    for p, child in enumerate(children):
-        gen = np.random.Generator(np.random.Philox(child))
-        uniforms[p] = gen.random((n_steps, 3))
-        normals[p] = gen.standard_normal(n_steps)
+    for row in range(n_paths):
+        seq = np.random.SeedSequence(seed, spawn_key=(first + row,))
+        gen = np.random.Generator(np.random.Philox(seq))
+        gen.random(out=uniforms[row])
+        gen.standard_normal(out=normals[row])
     return uniforms, normals
 
 
-def run_paths(config: SimConfig, policy: QuotePolicy, uniforms: np.ndarray,
-              normals: np.ndarray, predator: bool, record: bool = False):
-    """Vectorized replay of all paths under one quote policy.
+def _replay_tables(model: ASModel, policies, n_steps: int):
+    """Lookup tables of a stack of policies on the grid (n_steps+1, N,
+    2*q_max+1).
 
-    Returns a dict of per-path arrays and aggregate scalars; with
-    record=True also per-step records of path 0.
+    Returns each policy's flat (ask, bid) quote tables; flat stacked
+    (n_policies, n_steps+1, N, 2*q_max+1) tables of the fill probability
+    1 - exp(-A exp(-k u) dt) per side and of whether both sides quote; and
+    the (n_policies, 2*q_max+1) activity of each side.  A side that cannot
+    quote gets fill probability -1, which no uniform draw falls below.
     """
+    shape = (n_steps + 1, model.n_regimes, model.n_levels)
+    for policy in policies:
+        if policy.ask.shape != shape or policy.bid.shape != shape:
+            raise ValueError(
+                f"policy {policy.name!r} has quote tables of shape "
+                f"{policy.ask.shape}, expected {shape} for {n_steps} steps"
+            )
+    levels = np.arange(model.n_levels)
+    ask_active = np.stack([p.ask_active for p in policies]) & (levels > 0)
+    bid_active = np.stack([p.bid_active for p in policies]) & (levels < levels[-1])
+    fill = []
+    for side, active in (("ask", ask_active), ("bid", bid_active)):
+        # computed in place, so no table-sized temporary sits next to the
+        # streams
+        p = np.empty((len(policies),) + shape)
+        for k, policy in enumerate(policies):
+            quotes = getattr(policy, side)
+            if not np.isfinite(quotes).all():
+                raise NumericalError(f"policy {policy.name!r} has a non-finite "
+                                     f"{side} quote")
+            np.multiply(-model.k, quotes, out=p[k])
+        np.exp(p, out=p)
+        np.multiply(-model.A, p, out=p)
+        np.multiply(p, model.dt, out=p)
+        np.exp(p, out=p)
+        np.subtract(1.0, p, out=p)
+        if not np.isfinite(p).all():
+            raise NumericalError(f"non-finite {side} fill probability")
+        for k in range(len(policies)):
+            p[k][..., ~active[k]] = -1.0
+        fill.append(p.ravel())
+    both = np.broadcast_to((ask_active & bid_active)[:, None, None],
+                           (len(policies),) + shape).ravel()
+    quotes = [(p.ask.ravel(), p.bid.ravel()) for p in policies]
+    return quotes, fill[0], fill[1], both, ask_active, bid_active
+
+
+# per-path arrays of a replay; run_monte_carlo joins them across chunks
+PER_PATH = ("pnl", "fills_ask", "fills_bid", "terminal_inventory",
+            "spread_sum", "spread_count", "abs_drift_sum",
+            "abs_inventory_sum", "price_increment_sum")
+
+
+def _path_means(per_path: dict, n_steps: int) -> dict:
+    """Aggregates of per-path accumulators, each reduced once in path order,
+    so they do not depend on how the paths were split into chunks."""
+    path_steps = per_path["pnl"].size * n_steps
+    return {
+        "mean_total_spread": float(per_path["spread_sum"].sum())
+        / max(int(per_path["spread_count"].sum()), 1),
+        "mean_abs_drift": float(per_path["abs_drift_sum"].sum()) / path_steps,
+        "mean_abs_inventory": int(per_path["abs_inventory_sum"].sum()) / path_steps,
+        "mean_terminal_abs_inventory":
+            float(np.abs(per_path["terminal_inventory"]).mean()),
+        "mean_price_increment":
+            float(per_path["price_increment_sum"].sum()) / path_steps,
+    }
+
+
+def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
+              normals: np.ndarray, predator: bool, record: bool = False):
+    """Vectorized replay of all paths under a stack of quote policies.
+
+    Every policy replays the same streams in one step loop; the regime path
+    and the price noise are drawn once per step for all of them.  Returns
+    one dict per policy of per-path arrays (PER_PATH) and their aggregates;
+    with record=True also the per-step record of path 0.  A single
+    QuotePolicy gives a single dict.
+    """
+    single = isinstance(policies, QuotePolicy)
+    if single:
+        policies = [policies]
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
+    n_pol = len(policies)
     dt = model.dt
-    sqrt_dt = math.sqrt(dt)
     Q = model.q_max
+    D = model.n_levels
     rates = model.rates
     N = model.n_regimes
     exit_rates = -np.diag(rates)
@@ -144,107 +232,116 @@ def run_paths(config: SimConfig, policy: QuotePolicy, uniforms: np.ndarray,
     # last regime with a positive rate instead of the out-of-range index N
     last_target = N - 1 - np.argmax(target_probs[:, ::-1] > 0, axis=1)
     p_leave = 1.0 - np.exp(-exit_rates * dt)
+    noise_scale = model.sigmas * math.sqrt(dt)
+    drift_coef = -model.xi * model.gamma
 
-    S = np.full(n_paths, config.s0, dtype=float)
-    q = np.zeros(n_paths, dtype=np.int64)
-    m = np.zeros(n_paths, dtype=float)
+    quotes, p_ask, p_bid, both_sides, ask_active, bid_active = _replay_tables(
+        model, policies, n_steps)
+    # flat offset of (node = n_steps - s, regime 0, q = 0) in one policy's
+    # table, and of each policy in the stacked tables
+    node_offset = np.arange(n_steps, 0, -1) * (N * D) + Q
+    policy_offset = np.arange(n_pol)[:, None] * ((n_steps + 1) * N * D)
+
     reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
+    S = np.full((n_pol, n_paths), config.s0, dtype=float)
+    m = np.zeros((n_pol, n_paths))
+    w = np.zeros((n_pol, n_paths))
+    q = np.zeros((n_pol, n_paths), dtype=np.int64)
+    fills_ask = np.zeros((n_pol, n_paths), dtype=np.int64)
+    fills_bid = np.zeros((n_pol, n_paths), dtype=np.int64)
+    spread_sum = np.zeros((n_pol, n_paths))
+    spread_count = np.zeros((n_pol, n_paths), dtype=np.int64)
+    abs_drift_sum = np.zeros((n_pol, n_paths))
+    abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
+    increment_sum = np.zeros((n_pol, n_paths))
+    ua = np.empty((n_pol, n_paths))
+    ub = np.empty((n_pol, n_paths))
 
-    spread_sum = 0.0
-    spread_count = 0
-    drift_abs_sum = 0.0
-    abs_q_sum = 0.0
-    fills_ask = np.zeros(n_paths, dtype=np.int64)
-    fills_bid = np.zeros(n_paths, dtype=np.int64)
-    price_increments_sum = 0.0
-
-    rec = None
     if record:
-        rec = {name: np.zeros(n_steps) for name in
+        rec = {name: np.zeros((n_pol, n_steps)) for name in
                ("price", "inventory", "cash", "ask", "bid", "drift",
-                "ask_fill", "bid_fill", "regime")}
+                "ask_fill", "bid_fill")}
+        rec_regime = np.zeros(n_steps, dtype=np.int64)
 
     for s in range(n_steps):
         u_reg = uniforms[:, s, 0]
         u_ask = uniforms[:, s, 1]
         u_bid = uniforms[:, s, 2]
-        z = normals[:, s]
 
         leave = u_reg < p_leave[reg]
         if leave.any():
             src = reg[leave]
             frac = (u_reg[leave] / p_leave[src])[:, None]
-            reg = reg.copy()
             reg[leave] = np.minimum((frac >= target_cum[src]).sum(axis=1),
                                     last_target[src])
+        noise = noise_scale[reg] * normals[:, s]
 
-        w = np.where(predator, -model.xi * model.gamma * q, 0.0)
-        dS = w * dt + model.sigmas[reg] * sqrt_dt * z
-        S = S + dS
-        price_increments_sum += dS.sum()
+        if predator:
+            w = drift_coef * q
+        dS = w * dt + noise
+        S += dS
+        increment_sum += dS
+        abs_drift_sum += np.abs(w)
 
-        node = n_steps - s  # remaining horizon tau = T - s*dt
-        qi = q + Q
-        ua = policy.ask[node, reg, qi]
-        ub = policy.bid[node, reg, qi]
-        a_act = policy.ask_active[qi] & (q > -Q)
-        b_act = policy.bid_active[qi] & (q < Q)
+        idx = (node_offset[s] + reg * D) + q
+        for k, (ask, bid) in enumerate(quotes):
+            ask.take(idx[k], out=ua[k])
+            bid.take(idx[k], out=ub[k])
+        idx += policy_offset
+        fill_a = u_ask < p_ask.take(idx)
+        fill_b = u_bid < p_bid.take(idx)
+        both = both_sides.take(idx)
 
-        p_fill_a = 1.0 - np.exp(-model.A * np.exp(-model.k * ua) * dt)
-        p_fill_b = 1.0 - np.exp(-model.A * np.exp(-model.k * ub) * dt)
-        fill_a = a_act & (u_ask < p_fill_a)
-        fill_b = b_act & (u_bid < p_fill_b)
-
-        m = m + fill_a * (S + ua) - fill_b * (S - ub)
-        q = q - fill_a.astype(np.int64) + fill_b.astype(np.int64)
+        m += fill_a * (S + ua)
+        m -= fill_b * (S - ub)
         fills_ask += fill_a
         fills_bid += fill_b
+        q = fills_bid - fills_ask
 
-        both = a_act & b_act
-        spread_sum += float((ua + ub)[both].sum())
-        spread_count += int(both.sum())
-        drift_abs_sum += float(np.abs(w).sum())
-        abs_q_sum += float(np.abs(q).sum())
+        spread_sum += (ua + ub) * both
+        spread_count += both
+        abs_q_sum += np.abs(q)
 
         if record:
-            rec["price"][s] = S[0]
-            rec["inventory"][s] = q[0]
-            rec["cash"][s] = m[0]
-            rec["ask"][s] = ua[0] if a_act[0] else np.nan
-            rec["bid"][s] = ub[0] if b_act[0] else np.nan
-            rec["drift"][s] = w[0]
-            rec["ask_fill"][s] = float(fill_a[0])
-            rec["bid_fill"][s] = float(fill_b[0])
-            rec["regime"][s] = reg[0]
+            rec["price"][:, s] = S[:, 0]
+            rec["inventory"][:, s] = q[:, 0]
+            rec["cash"][:, s] = m[:, 0]
+            rec["ask"][:, s] = ua[:, 0]
+            rec["bid"][:, s] = ub[:, 0]
+            rec["drift"][:, s] = w[:, 0]
+            rec["ask_fill"][:, s] = fill_a[:, 0]
+            rec["bid_fill"][:, s] = fill_b[:, 0]
+            rec_regime[s] = reg[0]
 
     pnl = m + q * S
-    out = {
-        "pnl": pnl,
-        "fills_ask": fills_ask,
-        "fills_bid": fills_bid,
-        "terminal_inventory": q.copy(),
-        "mean_total_spread": spread_sum / max(spread_count, 1),
-        "mean_abs_drift": drift_abs_sum / (n_paths * n_steps),
-        "mean_abs_inventory": abs_q_sum / (n_paths * n_steps),
-        "mean_terminal_abs_inventory": float(np.abs(q).mean()),
-        "mean_price_increment": price_increments_sum / (n_paths * n_steps),
-    }
-    if record:
-        times = (np.arange(n_steps) + 1) * dt
-        out["record"] = PathRecord(
-            time=times,
-            price=rec["price"],
-            regime=rec["regime"].astype(int),
-            inventory=rec["inventory"].astype(int),
-            cash=rec["cash"],
-            ask=rec["ask"],
-            bid=rec["bid"],
-            drift=rec["drift"],
-            ask_fill=rec["ask_fill"].astype(bool),
-            bid_fill=rec["bid_fill"].astype(bool),
-            pnl=float(pnl[0]),
-        )
-    return out
+    outs = []
+    for k in range(n_pol):
+        out = {"pnl": pnl[k], "fills_ask": fills_ask[k],
+               "fills_bid": fills_bid[k], "terminal_inventory": q[k],
+               "spread_sum": spread_sum[k], "spread_count": spread_count[k],
+               "abs_drift_sum": abs_drift_sum[k],
+               "abs_inventory_sum": abs_q_sum[k],
+               "price_increment_sum": increment_sum[k]}
+        out.update(_path_means(out, n_steps))
+        if record:
+            # a side that could not quote at the inventory held before the
+            # step is recorded as NaN
+            held = np.concatenate(([0], rec["inventory"][k, :-1])).astype(np.int64) + Q
+            out["record"] = PathRecord(
+                time=(np.arange(n_steps) + 1) * dt,
+                price=rec["price"][k],
+                regime=rec_regime.astype(int),
+                inventory=rec["inventory"][k].astype(int),
+                cash=rec["cash"][k],
+                ask=np.where(ask_active[k, held], rec["ask"][k], np.nan),
+                bid=np.where(bid_active[k, held], rec["bid"][k], np.nan),
+                drift=rec["drift"][k],
+                ask_fill=rec["ask_fill"][k].astype(bool),
+                bid_fill=rec["bid_fill"][k].astype(bool),
+                pnl=float(pnl[k, 0]),
+            )
+        outs.append(out)
+    return outs[0] if single else outs
 
 
 def simulate_path(config: SimConfig, policy: QuotePolicy = None,
@@ -252,10 +349,8 @@ def simulate_path(config: SimConfig, policy: QuotePolicy = None,
     """Replay one path (by stream index) and return its full record."""
     if policy is None:
         policy = make_policy(config.model, "equilibrium", config.n_steps)
-    children = np.random.SeedSequence(config.seed).spawn(path_index + 1)
-    gen = np.random.Generator(np.random.Philox(children[path_index]))
-    uniforms = gen.random((config.n_steps, 3))[None]
-    normals = gen.standard_normal(config.n_steps)[None]
+    uniforms, normals = generate_streams(config.seed, 1, config.n_steps,
+                                         first=path_index)
     out = run_paths(config, policy, uniforms, normals, config.predator,
                     record=True)
     return out["record"]
@@ -320,14 +415,27 @@ class SimReport:
 
 
 def run_monte_carlo(config: SimConfig) -> SimReport:
-    """Run vanilla and equilibrium quoting on common random numbers."""
-    uniforms, normals = generate_streams(config.seed, config.n_paths,
-                                         config.n_steps)
+    """Run vanilla and equilibrium quoting on common random numbers.
+
+    Streams are generated and replayed STREAM_CHUNK_BYTES at a time; the
+    per-path results are joined in path order before any reduction, so the
+    report does not depend on the chunk size."""
+    kinds = ("vanilla", "equilibrium")
+    policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
+    chunk = max(1, STREAM_CHUNK_BYTES // (STREAM_BYTES_PER_STEP * config.n_steps))
+    parts = []
+    for first in range(0, config.n_paths, chunk):
+        uniforms, normals = generate_streams(
+            config.seed, min(chunk, config.n_paths - first), config.n_steps,
+            first=first)
+        outs = run_paths(config, policies, uniforms, normals, config.predator)
+        parts.append([{key: out[key] for key in PER_PATH} for out in outs])
+        del uniforms, normals, outs  # free this chunk before the next one
     results = {}
-    for kind in ("vanilla", "equilibrium"):
-        policy = make_policy(config.model, kind, config.n_steps)
-        results[kind] = run_paths(config, policy, uniforms, normals,
-                                  config.predator)
+    for k, kind in enumerate(kinds):
+        per_path = {key: np.concatenate([part[k][key] for part in parts])
+                    for key in PER_PATH}
+        results[kind] = {**per_path, **_path_means(per_path, config.n_steps)}
     stats = {kind: _strategy_stats(res) for kind, res in results.items()}
 
     def ratio(num, den):

@@ -1,0 +1,136 @@
+"""Reference implementations that tests compare the production code against.
+
+run_paths_oracle is the single-policy Monte-Carlo step loop that
+`sim.run_paths` replaced: it replays one quote policy, recomputes the fill
+probabilities at every step and reduces the report statistics over paths
+at every step.  Its per-path arrays and path record are the exact
+reference for the stacked replay; its mean_* fields sum in another order,
+so they are the reference to rounding only.
+"""
+
+import math
+
+import numpy as np
+
+from rsgames.sim import PathRecord
+
+
+def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
+    model = config.model
+    n_paths, n_steps = uniforms.shape[:2]
+    dt = model.dt
+    sqrt_dt = math.sqrt(dt)
+    Q = model.q_max
+    rates = model.rates
+    N = model.n_regimes
+    exit_rates = -np.diag(rates)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        target_probs = np.where(
+            exit_rates[:, None] > 0,
+            (rates - np.diag(np.diag(rates))) / np.where(exit_rates, exit_rates, 1.0)[:, None],
+            0.0,
+        )
+    target_cum = np.cumsum(target_probs, axis=1)
+    last_target = N - 1 - np.argmax(target_probs[:, ::-1] > 0, axis=1)
+    p_leave = 1.0 - np.exp(-exit_rates * dt)
+
+    S = np.full(n_paths, config.s0, dtype=float)
+    q = np.zeros(n_paths, dtype=np.int64)
+    m = np.zeros(n_paths, dtype=float)
+    reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
+
+    spread_sum = 0.0
+    spread_count = 0
+    drift_abs_sum = 0.0
+    abs_q_sum = 0.0
+    fills_ask = np.zeros(n_paths, dtype=np.int64)
+    fills_bid = np.zeros(n_paths, dtype=np.int64)
+    price_increments_sum = 0.0
+
+    rec = None
+    if record:
+        rec = {name: np.zeros(n_steps) for name in
+               ("price", "inventory", "cash", "ask", "bid", "drift",
+                "ask_fill", "bid_fill", "regime")}
+
+    for s in range(n_steps):
+        u_reg = uniforms[:, s, 0]
+        u_ask = uniforms[:, s, 1]
+        u_bid = uniforms[:, s, 2]
+        z = normals[:, s]
+
+        leave = u_reg < p_leave[reg]
+        if leave.any():
+            src = reg[leave]
+            frac = (u_reg[leave] / p_leave[src])[:, None]
+            reg = reg.copy()
+            reg[leave] = np.minimum((frac >= target_cum[src]).sum(axis=1),
+                                    last_target[src])
+
+        w = np.where(predator, -model.xi * model.gamma * q, 0.0)
+        dS = w * dt + model.sigmas[reg] * sqrt_dt * z
+        S = S + dS
+        price_increments_sum += dS.sum()
+
+        node = n_steps - s  # remaining horizon tau = T - s*dt
+        qi = q + Q
+        ua = policy.ask[node, reg, qi]
+        ub = policy.bid[node, reg, qi]
+        a_act = policy.ask_active[qi] & (q > -Q)
+        b_act = policy.bid_active[qi] & (q < Q)
+
+        p_fill_a = 1.0 - np.exp(-model.A * np.exp(-model.k * ua) * dt)
+        p_fill_b = 1.0 - np.exp(-model.A * np.exp(-model.k * ub) * dt)
+        fill_a = a_act & (u_ask < p_fill_a)
+        fill_b = b_act & (u_bid < p_fill_b)
+
+        m = m + fill_a * (S + ua) - fill_b * (S - ub)
+        q = q - fill_a.astype(np.int64) + fill_b.astype(np.int64)
+        fills_ask += fill_a
+        fills_bid += fill_b
+
+        both = a_act & b_act
+        spread_sum += float((ua + ub)[both].sum())
+        spread_count += int(both.sum())
+        drift_abs_sum += float(np.abs(w).sum())
+        abs_q_sum += float(np.abs(q).sum())
+
+        if record:
+            rec["price"][s] = S[0]
+            rec["inventory"][s] = q[0]
+            rec["cash"][s] = m[0]
+            rec["ask"][s] = ua[0] if a_act[0] else np.nan
+            rec["bid"][s] = ub[0] if b_act[0] else np.nan
+            rec["drift"][s] = w[0]
+            rec["ask_fill"][s] = float(fill_a[0])
+            rec["bid_fill"][s] = float(fill_b[0])
+            rec["regime"][s] = reg[0]
+
+    pnl = m + q * S
+    out = {
+        "pnl": pnl,
+        "fills_ask": fills_ask,
+        "fills_bid": fills_bid,
+        "terminal_inventory": q.copy(),
+        "mean_total_spread": spread_sum / max(spread_count, 1),
+        "mean_abs_drift": drift_abs_sum / (n_paths * n_steps),
+        "mean_abs_inventory": abs_q_sum / (n_paths * n_steps),
+        "mean_terminal_abs_inventory": float(np.abs(q).mean()),
+        "mean_price_increment": price_increments_sum / (n_paths * n_steps),
+    }
+    if record:
+        times = (np.arange(n_steps) + 1) * dt
+        out["record"] = PathRecord(
+            time=times,
+            price=rec["price"],
+            regime=rec["regime"].astype(int),
+            inventory=rec["inventory"].astype(int),
+            cash=rec["cash"],
+            ask=rec["ask"],
+            bid=rec["bid"],
+            drift=rec["drift"],
+            ask_fill=rec["ask_fill"].astype(bool),
+            bid_fill=rec["bid_fill"].astype(bool),
+            pnl=float(pnl[0]),
+        )
+    return out

@@ -117,8 +117,8 @@ class TestRegimeDraw:
 
         real_streams = sim.generate_streams
 
-        def streams(seed, n_paths, n_steps):
-            uniforms, normals = real_streams(seed, n_paths, n_steps)
+        def streams(seed, n_paths, n_steps, first=0):
+            uniforms, normals = real_streams(seed, n_paths, n_steps, first)
             uniforms[:, :, 0] = u_reg
             return uniforms, normals
 

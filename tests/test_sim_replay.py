@@ -1,0 +1,208 @@
+"""The stacked, chunked Monte-Carlo replay against the single-policy oracle,
+its invariants, chunk-size independence, bounded memory, and the checks on
+the policies it is given."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from oracles import run_paths_oracle
+from rsgames import cli, sim
+from rsgames.as_game import ASModel
+from rsgames.numkit import NumericalError
+from rsgames.sim import SimConfig
+
+MEAN_FIELDS = ("mean_total_spread", "mean_abs_drift", "mean_abs_inventory",
+               "mean_terminal_abs_inventory", "mean_price_increment")
+RECORD_FIELDS = ("time", "price", "regime", "inventory", "cash", "ask", "bid",
+                 "drift", "ask_fill", "bid_fill")
+
+
+@st.composite
+def sim_cases(draw):
+    """A small market with 1-3 regimes, its replay config and streams."""
+    n = draw(st.integers(1, 3))
+    positive = st.floats(0.1, 1.0)
+    rates = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rates[i, j] = draw(st.sampled_from([0.0, 50.0, 200.0, 800.0]))
+    n_steps = draw(st.integers(4, 40))
+    model = ASModel(
+        gamma=draw(positive), xi=draw(st.floats(0.0, 4.0)),
+        A=draw(st.floats(500.0, 20000.0)), k=draw(st.floats(2.0, 10.0)),
+        sigmas=[draw(positive) for _ in range(n)], q_max=draw(st.integers(1, 6)),
+        horizon=0.02, rates=rates, s0=100.0, dt=0.02 / n_steps,
+    )
+    config = SimConfig(model=model, n_paths=draw(st.integers(1, 40)),
+                       n_steps=n_steps, seed=draw(st.integers(0, 2**32 - 1)),
+                       predator=draw(st.booleans()),
+                       initial_regime=draw(st.integers(0, n - 1)))
+    uniforms, normals = sim.generate_streams(config.seed, config.n_paths, n_steps)
+    return config, uniforms, normals
+
+
+def _policies(config):
+    return [sim.make_policy(config.model, kind, config.n_steps)
+            for kind in ("vanilla", "equilibrium")]
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sim_cases())
+    def test_stacked_replay_equals_single_policy_loop(self, case):
+        config, uniforms, normals = case
+        policies = _policies(config)
+        outs = sim.run_paths(config, policies, uniforms, normals,
+                             config.predator, record=True)
+        for policy, out in zip(policies, outs):
+            ref = run_paths_oracle(config, policy, uniforms, normals,
+                                   config.predator, record=True)
+            for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
+                assert out[key].dtype == ref[key].dtype
+                np.testing.assert_array_equal(out[key], ref[key])
+            for field in RECORD_FIELDS:
+                got = getattr(out["record"], field)
+                want = getattr(ref["record"], field)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)  # NaN == NaN here
+            assert out["record"].pnl == ref["record"].pnl
+            for key in MEAN_FIELDS:
+                assert out[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sim_cases())
+    def test_every_path_keeps_its_bound_and_cash_identity(self, case):
+        # each path replayed alone is path 0 of its own replay, so its full
+        # record is available; it must also equal its row of the batch
+        config, uniforms, normals = case
+        policies = _policies(config)
+        batch = sim.run_paths(config, policies, uniforms, normals, config.predator)
+        q_max = config.model.q_max
+        for p in range(config.n_paths):
+            alone = sim.run_paths(config, policies, uniforms[p:p + 1],
+                                  normals[p:p + 1], config.predator, record=True)
+            for out, full in zip(alone, batch):
+                rec = out["record"]
+                assert np.abs(rec.inventory).max() <= q_max
+                assert rec.pnl == rec.cash[-1] + rec.inventory[-1] * rec.price[-1]
+                assert rec.pnl == full["pnl"][p]
+                assert rec.inventory[-1] == full["terminal_inventory"][p]
+
+
+class TestStreams:
+    def test_stream_depends_only_on_seed_and_path(self):
+        seed, n_steps = 41, 30
+        uniforms, normals = sim.generate_streams(seed, 9, n_steps)
+        for p, child in enumerate(np.random.SeedSequence(seed).spawn(9)):
+            gen = np.random.Generator(np.random.Philox(child))
+            np.testing.assert_array_equal(uniforms[p], gen.random((n_steps, 3)))
+            np.testing.assert_array_equal(normals[p], gen.standard_normal(n_steps))
+        part_u, part_n = sim.generate_streams(seed, 4, n_steps, first=5)
+        np.testing.assert_array_equal(part_u, uniforms[5:])
+        np.testing.assert_array_equal(part_n, normals[5:])
+
+    def test_exported_path_is_its_batch_row(self, lively_as_model):
+        config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
+        policy = sim.make_policy(lively_as_model, "equilibrium", 400)
+        uniforms, normals = sim.generate_streams(12, 8, 400)
+        batch = sim.run_paths(config, policy, uniforms, normals, True)
+        for p in (0, 5, 7):
+            rec = sim.simulate_path(config, policy, path_index=p)
+            assert rec.pnl == batch["pnl"][p]
+
+
+def _report_at_chunk(monkeypatch, tmp_path, config_path, paths_per_chunk, n_steps):
+    monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
+                        sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+    out = tmp_path / f"chunk{paths_per_chunk}"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out),
+                     "--steps", str(n_steps)]) == 0
+    return (out / "sim_report.json").read_bytes()
+
+
+class TestChunks:
+    @pytest.mark.parametrize("regimes", [2, 3])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, tmp_path,
+                                                  capsys, regimes):
+        n_paths, n_steps = 23, 60
+        as_model = {"gamma": 0.5, "xi": 2.0, "A": 2000.0, "k": 8.0,
+                    "sigmas": [0.3, 0.8], "q_max": 4, "horizon_hours": 175.2,
+                    "dt_seconds": 1576.8, "mu_per_day": [[0.0, 0.5], [0.5, 0.0]],
+                    "s0": 100.0}
+        if regimes == 3:
+            as_model.update(sigmas=[0.3, 0.5, 0.8],
+                            mu_per_day=[[0.0, 0.5, 0.2], [0.4, 0.0, 0.3],
+                                        [0.1, 0.6, 0.0]])
+        config_path = tmp_path / "sim.yaml"
+        config_path.write_text(yaml.safe_dump(
+            {"as_model": as_model, "sim": {"n_paths": n_paths, "seed": 8}}))
+        reports = {size: _report_at_chunk(monkeypatch, tmp_path, config_path,
+                                          size, n_steps)
+                   for size in (1, 7, n_paths)}
+        assert reports[1] == reports[n_paths]
+        assert reports[7] == reports[n_paths]
+        assert json.loads(reports[1])["n_paths"] == n_paths
+
+    def test_reference_run_is_one_chunk(self):
+        assert sim.STREAM_CHUNK_BYTES // (sim.STREAM_BYTES_PER_STEP * 2880) >= 1000
+
+    def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, lively_as_model):
+        paths_per_chunk, n_steps = 100, 400
+        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
+                            sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+
+        def peak(n_paths):
+            config = SimConfig(model=lively_as_model, n_paths=n_paths,
+                               n_steps=n_steps, seed=4)
+            tracemalloc.start()
+            try:
+                sim.run_monte_carlo(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(paths_per_chunk)
+        four_chunks = peak(4 * paths_per_chunk)
+        assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
+
+
+class TestPolicyChecks:
+    def test_policy_for_another_grid_is_rejected(self, lively_as_model):
+        config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
+        uniforms, normals = sim.generate_streams(2, 3, 400)
+        for steps in (64, 401, 800):
+            policy = sim.make_policy(lively_as_model, "vanilla", steps)
+            with pytest.raises(ValueError, match="expected"):
+                sim.run_paths(config, policy, uniforms, normals, True)
+
+    def test_nan_quote_is_a_numerical_error(self, lively_as_model):
+        config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
+        uniforms, normals = sim.generate_streams(2, 3, 400)
+        for side in ("ask", "bid"):
+            policy = sim.make_policy(lively_as_model, "vanilla", 400)
+            getattr(policy, side)[200, 1, lively_as_model.q_max] = np.nan
+            with pytest.raises(NumericalError):
+                sim.run_paths(config, policy, uniforms, normals, True)
+
+    @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3)])
+    def test_cli_exit_codes(self, monkeypatch, tmp_path, capsys, fault, code):
+        real_make_policy = sim.make_policy
+
+        def faulty(model, kind, n_steps):
+            if fault == "grid":
+                return real_make_policy(model, kind, n_steps + 1)
+            policy = real_make_policy(model, kind, n_steps)
+            policy.ask[1, 0, model.q_max] = np.nan
+            return policy
+
+        monkeypatch.setattr(sim, "make_policy", faulty)
+        rc = cli.main(["simulate", "--out", str(tmp_path), "--paths", "2",
+                       "--steps", "20"])
+        assert rc == code
+        assert not (tmp_path / "sim_report.json").exists()
