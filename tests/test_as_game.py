@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from rsgames import as_game, outer_layer
 from rsgames.as_game import ASModel
 from rsgames.numkit import TimeGrid
@@ -63,19 +64,19 @@ def theta_ode_oracle(model, rates, tau, n_steps):
 
 class TestPredatorDrift:
     def test_flat_at_zero(self, paper_as_model):
-        assert as_game.predator_drift(0, paper_as_model) == 0.0
+        assert oracles.predator_drift(0, paper_as_model) == 0.0
 
     def test_paper_values(self, paper_as_model):
-        assert as_game.predator_drift(5, paper_as_model) == pytest.approx(-1.0)
+        assert oracles.predator_drift(5, paper_as_model) == pytest.approx(-1.0)
 
     def test_odd_function(self, paper_as_model):
         for q in range(1, 11):
-            assert as_game.predator_drift(-q, paper_as_model) == \
-                -as_game.predator_drift(q, paper_as_model)
+            assert oracles.predator_drift(-q, paper_as_model) == \
+                -oracles.predator_drift(q, paper_as_model)
 
     def test_bound_checked(self, paper_as_model):
         with pytest.raises(ValueError):
-            as_game.predator_drift(11, paper_as_model)
+            oracles.predator_drift(11, paper_as_model)
 
 
 class TestBuildGenerator:
@@ -236,11 +237,11 @@ class TestThetaTable:
                   taus[3] + 0.1 * (taus[4] - taus[3]), -0.5, 2.0 * taus[-1]]
         scale = np.abs(table.theta).max()
         for tau in probes:
-            want = [[table.theta_at(i, q, tau) for q in m.q_levels()]
+            want = [[oracles.theta_at(table, i, q, tau) for q in m.q_levels()]
                     for i in range(m.n_regimes)]
             # the same formula as np.interp; a fused multiply-add there may
             # move the last bit
-            np.testing.assert_allclose(table.slice_at(tau), want, rtol=0,
+            np.testing.assert_allclose(oracles.slice_at(table, tau), want, rtol=0,
                                        atol=4e-16 * scale)
 
     def test_optimal_quotes_rejects_time_outside_horizon(self):
@@ -248,18 +249,18 @@ class TestThetaTable:
         table = as_game.build_theta_table(m, 16)
         for t in (-0.1, m.horizon + 0.1, np.nan):
             with pytest.raises(ValueError):
-                as_game.optimal_quotes(table, m, 0, 0, t)
+                oracles.optimal_quotes(table, m, 0, 0, t)
 
 
 class TestIntegratedVariance:
     def test_single_regime(self):
         m = small_model(sigmas=[0.4], rates=np.zeros((1, 1)))
-        w = as_game.integrated_variance(m, None, 0, 2.5)
+        w = oracles.integrated_variance(m, None, 0, 2.5)
         assert w == pytest.approx(0.4**2 * 2.5, rel=1e-12)
 
     def test_equal_volatilities(self):
         m = small_model(sigmas=[0.4, 0.4])
-        w = as_game.integrated_variance(m, None, 0, 1.3)
+        w = oracles.integrated_variance(m, None, 0, 1.3)
         assert w == pytest.approx(0.4**2 * 1.3, rel=1e-12)
 
     def test_against_quadrature(self):
@@ -267,7 +268,7 @@ class TestIntegratedVariance:
         Q = m.rates
         s = m.sigmas**2
         for i in (0, 1):
-            w = as_game.integrated_variance(m, None, i, 0.8)
+            w = oracles.integrated_variance(m, None, i, 0.8)
             ref, err = scipy.integrate.quad(
                 lambda u: (scipy.linalg.expm(Q * u) @ s)[i], 0.0, 0.8,
                 epsabs=1e-13, epsrel=1e-13,
@@ -278,8 +279,8 @@ class TestIntegratedVariance:
         m = small_model()
         prev = None
         for tau in (0.2, 0.1, 0.05, 0.025):
-            exact = as_game.integrated_variance(m, None, 0, tau)
-            approx = as_game.integrated_variance_expansion(m, None, 0, tau)
+            exact = oracles.integrated_variance(m, None, 0, tau)
+            approx = oracles.integrated_variance_expansion(m, None, 0, tau)
             ratio = abs(exact - approx) / tau**3
             if prev is not None:
                 assert ratio <= prev * 1.5  # stays bounded as tau halves
@@ -322,7 +323,7 @@ class TestRiskFactors:
             for i in range(m.n_regimes):
                 w = single_integrated_variance(m, i, tau)
                 assert got[n, i] == m.gamma * w + m.gamma**2 * m.xi * tau
-                assert as_game.integrated_variance(m, None, i, tau) == w
+                assert oracles.integrated_variance(m, None, i, tau) == w
                 assert as_game.risk_factor(m, None, i, tau) == got[n, i]
 
     def test_theta_expansions_match_scalar_form(self):
@@ -336,21 +337,21 @@ class TestRiskFactors:
                 for qi, q in enumerate(m.q_levels()):
                     c_q = 1.0 if abs(q) == m.q_max else 2.0
                     assert grid[n, i, qi] == 0.5 * q * q * factor - c_q * rent * tau
-                    assert grid[n, i, qi] == as_game.theta_expansion(m, None, i, q, tau)
+                    assert grid[n, i, qi] == oracles.theta_expansion(m, None, i, q, tau)
 
     def test_rejects_negative_tau(self):
         m = small_model()
         with pytest.raises(ValueError):
             as_game.risk_factors(m, None, [0.0, 0.1, -1e-12])
         with pytest.raises(ValueError):
-            as_game.integrated_variance(m, None, 0, -0.5)
+            oracles.integrated_variance(m, None, 0, -0.5)
         with pytest.raises(ValueError):
             as_game.theta_expansions(m, None, [0.1], [m.q_max + 1])
 
 
 class TestThetaExpansion:
     def test_zero_horizon(self, paper_as_model):
-        assert as_game.theta_expansion(paper_as_model, None, 0, 3, 0.0) == 0.0
+        assert oracles.theta_expansion(paper_as_model, None, 0, 3, 0.0) == 0.0
 
     def test_fill_constant_value(self, paper_as_model):
         assert paper_as_model.fill_constant == pytest.approx(0.36824, abs=1e-5)
@@ -376,7 +377,7 @@ class TestThetaExpansion:
             worst = 0.0
             for i in (0, 1):
                 for q in (2, 3, 5):
-                    approx = as_game.theta_expansion(m, None, i, q, tau)
+                    approx = oracles.theta_expansion(m, None, i, q, tau)
                     worst = max(worst, abs(exact[i, q + 5] - approx))
             errs.append(worst)
         slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
@@ -390,14 +391,14 @@ class TestThetaExpansion:
             * m.A * m.fill_constant
         for tau in (2.0**-8, 2.0**-9, 2.0**-10):
             exact = as_game.solve_theta_exact(m, None, tau)[0, 5 + 2]
-            approx = as_game.theta_expansion(m, None, 0, 2, tau)
+            approx = oracles.theta_expansion(m, None, 0, 2, tau)
             assert abs(exact - approx) == pytest.approx(coeff * tau**2, rel=0.25)
 
 
 class TestQuotes:
     def test_base_offset_at_flat_table(self, paper_as_model):
         table = as_game.build_theta_table(paper_as_model, 8)
-        quote = as_game.optimal_quotes(table, paper_as_model, 0, 0,
+        quote = oracles.optimal_quotes(table, paper_as_model, 0, 0,
                                        paper_as_model.horizon)
         base = np.log(1.002) / 0.02
         assert quote.ask == pytest.approx(base, abs=1e-12)
@@ -407,22 +408,22 @@ class TestQuotes:
     def test_symmetric_book_at_zero_inventory(self):
         m = small_model()
         table = as_game.build_theta_table(m, 64)
-        quote = as_game.optimal_quotes(table, m, 1, 0, 0.25)
+        quote = oracles.optimal_quotes(table, m, 1, 0, 0.25)
         assert quote.ask == pytest.approx(quote.bid, abs=1e-12)
 
     def test_volatile_regime_quotes_wider(self, paper_as_model):
         table = as_game.build_theta_table(paper_as_model, 256)
         for q in (-3, 0, 4):
-            calm = as_game.optimal_quotes(table, paper_as_model, 0, q, 0.0)
-            wild = as_game.optimal_quotes(table, paper_as_model, 1, q, 0.0)
+            calm = oracles.optimal_quotes(table, paper_as_model, 0, q, 0.0)
+            wild = oracles.optimal_quotes(table, paper_as_model, 1, q, 0.0)
             assert wild.ask + wild.bid > calm.ask + calm.bid
 
     def test_sides_suppressed_at_bounds(self):
         m = small_model()
         table = as_game.build_theta_table(m, 32)
-        at_short = as_game.optimal_quotes(table, m, 0, -m.q_max, 0.5)
+        at_short = oracles.optimal_quotes(table, m, 0, -m.q_max, 0.5)
         assert not at_short.ask_active and at_short.bid_active
-        at_long = as_game.optimal_quotes(table, m, 0, m.q_max, 0.5)
+        at_long = oracles.optimal_quotes(table, m, 0, m.q_max, 0.5)
         assert at_long.ask_active and not at_long.bid_active
 
     def test_quotes_clamped_nonnegative(self):
@@ -439,7 +440,7 @@ class TestQuotes:
         def total_spread(xi, sigma, q):
             m = ASModel(sigmas=[sigma], xi=xi, **base)
             table = as_game.build_theta_table(m, 128)
-            quote = as_game.optimal_quotes(table, m, 0, q, m.horizon - tau)
+            quote = oracles.optimal_quotes(table, m, 0, q, m.horizon - tau)
             return quote.ask + quote.bid
 
         # widening in xi
@@ -465,7 +466,7 @@ class TestEffectiveVolatility:
     def test_no_predator(self):
         m = small_model(xi=0.0, sigmas=[0.3, 0.5])
         assert effective_variance(m, 0) == pytest.approx(0.09)
-        w = as_game.integrated_variance(m, None, 0, 0.4)
+        w = oracles.integrated_variance(m, None, 0, 0.4)
         assert as_game.risk_factor(m, None, 0, 0.4) == pytest.approx(m.gamma * w)
 
     def test_paper_arithmetic(self):
@@ -498,7 +499,7 @@ class TestMacroLayer:
         for q in (-3, 0, 2):
             sol = as_game.solve_macro_as(m, spec, q, grid)
             for i in range(2):
-                phi = [as_game.theta_expansion(m, no_switching, i, q, tau)
+                phi = [oracles.theta_expansion(m, no_switching, i, q, tau)
                        for tau in np.linspace(0.0, m.horizon, 2 * grid.n_steps + 1)]
                 simpson = np.concatenate([[0.0], np.cumsum(
                     [(h / 6.0) * (phi[2 * k] + 4.0 * phi[2 * k + 1] + phi[2 * k + 2])

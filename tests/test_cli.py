@@ -375,6 +375,34 @@ class TestConfigHandling:
         assert round(model.horizon / model.dt) == 2880
         assert cfg["sim"]["n_paths"] == 1000
 
+    # config key, value, the ASModel field the error names
+    NON_FINITE = [
+        ("gamma", float("nan"), "gamma"),
+        ("xi", float("nan"), "xi"),
+        ("A", float("nan"), "A"),
+        ("A", float("inf"), "A"),
+        ("k", float("nan"), "k"),
+        ("sigmas", [0.3, float("nan")], "sigmas"),
+        ("mu_per_day", [[0.0, float("nan")], [3.0, 0.0]], "rates"),
+        ("horizon_hours", float("nan"), "horizon"),
+        ("dt_seconds", float("inf"), "dt"),
+        ("s0", float("nan"), "s0"),
+    ]
+
+    @pytest.mark.parametrize("command,output", [("mm", "theta_quotes.csv"),
+                                                ("simulate", "sim_report.json")])
+    @pytest.mark.parametrize("key,value,field", NON_FINITE,
+                             ids=[f"{k}={v}" for k, v, _ in NON_FINITE])
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys, command,
+                                                    output, key, value, field):
+        tree = cli.load_config(None, command)
+        tree["as_model"].update({"q_max": 3, key: value})
+        cfg = write_yaml(tmp_path / "bad.yaml", tree)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (out / output).exists()
+
 
 class TestFlags:
     VALUES = {"--config": ["c.yaml"], "--out": ["o"], "--seed": ["3"],
