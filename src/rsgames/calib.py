@@ -1,22 +1,28 @@
 """OHLCV regime calibration: rolling volatility, 1-D clustering, rates.
 
-The pipeline labels each bar by clustering its trailing log-return
-volatility and then estimates the switching generator from the label
-sequence.  Rate estimation prefers the matrix logarithm of the empirical
-bar-transition matrix, which undoes the aliasing of fast chains observed
-at coarse bars; when no real generator log exists (e.g. labels alternating
-every bar) it falls back to direct transition counting, whose small-step
-limit it matches.
+One `np.loadtxt` parses the CSV body column-wise; a non-finite value is an
+error that names its column and line.  Each bar is labelled by clustering
+its trailing log-return volatility, reduced over sliding-window views in
+blocks of `VOL_BLOCK` windows, and the switching generator is estimated
+from the labels.  Rate estimation prefers the matrix logarithm of the
+empirical bar-transition matrix, which undoes the aliasing of fast chains
+observed at coarse bars; when no real generator log exists (e.g. labels
+alternating every bar) it falls back to direct transition counting, whose
+small-step limit it matches.
 """
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
 import scipy.linalg
+
+COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")  # OhlcvSeries order
+VOL_BLOCK = 4096  # windows per std reduction: bounds the temporaries
 
 
 @dataclass
@@ -30,9 +36,12 @@ class OhlcvSeries:
 
     def __post_init__(self):
         n = len(self.timestamps)
-        for name in ("open", "high", "low", "close", "volume"):
-            if len(getattr(self, name)) != n:
+        for name in ("timestamps", *COLUMNS[1:]):
+            values = getattr(self, name)
+            if len(values) != n:
                 raise ValueError(f"column {name} has wrong length")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"column {name} is not finite")
         if n < 2:
             raise ValueError("need at least two bars")
         dts = np.diff(self.timestamps)
@@ -63,30 +72,40 @@ def _parse_timestamp(raw: str) -> float:
 
 
 def load_ohlcv_csv(path) -> OhlcvSeries:
-    """Read a CSV with header timestamp,open,high,low,close,volume."""
-    required = ["timestamp", "open", "high", "low", "close", "volume"]
-    rows = {name: [] for name in required}
+    """Read a CSV whose header names the COLUMNS in any order; other
+    columns are ignored."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        header = next(csv.reader(handle), [])
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in COLUMNS if c not in index]
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows["timestamp"].append(_parse_timestamp(row["timestamp"]))
-                for name in required[1:]:
-                    rows[name].append(float(row[name]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return OhlcvSeries(
-        timestamps=np.array(rows["timestamp"]),
-        open=np.array(rows["open"]),
-        high=np.array(rows["high"]),
-        low=np.array(rows["low"]),
-        close=np.array(rows["close"]),
-        volume=np.array(rows["volume"]),
-    )
+        try:
+            with warnings.catch_warnings():  # a bare header fails as too few bars
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    handle, delimiter=",", comments=None, quotechar='"',
+                    usecols=[index[c] for c in COLUMNS], unpack=True, ndmin=2,
+                    converters={index["timestamp"]: _parse_timestamp})
+        except ValueError as exc:
+            raise _located(path, header, exc) from exc
+    for name, values in zip(COLUMNS, data):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:  # data row r is file line r + 2, blank lines not counted
+            raise ValueError(f"{path}:{bad[0] + 2}: {name} is not finite")
+    return OhlcvSeries(*data)
+
+
+def _located(path, header, exc) -> ValueError:
+    """np.loadtxt's "... at row R[, column C]" error as "{path}:{line}: ..."."""
+    msg = str(exc)
+    at = re.search(r" at row (\d+)(?:, column (\d+))?", msg)
+    if at is None:
+        return ValueError(f"{path}: {msg}")
+    # numpy counts rows from 0 in conversion errors, from 1 in short-row ones
+    line = int(at[1]) + 2 - (at[2] is None)
+    column = f"{header[int(at[2]) - 1]}: " if at[2] else ""
+    return ValueError(f"{path}:{line}: {column}{msg[:at.start()]}{msg[at.end():]}")
 
 
 def rolling_volatility(series: OhlcvSeries, window: int,
@@ -102,11 +121,13 @@ def rolling_volatility(series: OhlcvSeries, window: int,
     n = len(series.close)
     if n <= window:
         raise ValueError("series shorter than the volatility window")
-    returns = np.diff(np.log(series.close))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.diff(np.log(series.close)), window)
     out = np.full(n, np.nan)
     scale = math.sqrt(annualization)
-    for t in range(window, n):
-        out[t] = returns[t - window : t].std(ddof=1) * scale
+    for lo in range(0, len(windows), VOL_BLOCK):
+        block = windows[lo:lo + VOL_BLOCK]
+        out[window + lo:window + lo + len(block)] = block.std(axis=1, ddof=1) * scale
     return out
 
 
@@ -225,13 +246,11 @@ class RegimeCalibration:
 
 
 def label_runs(labels) -> list:
-    runs = []
-    for lab in np.asarray(labels, dtype=int):
-        if runs and runs[-1][0] == int(lab):
-            runs[-1][1] += 1
-        else:
-            runs.append([int(lab), 1])
-    return [tuple(r) for r in runs]
+    """(label, length) of each run of equal consecutive labels."""
+    labels = np.asarray(labels, dtype=int)
+    starts = np.flatnonzero(np.r_[labels.size > 0, labels[1:] != labels[:-1]])
+    lengths = np.diff(np.append(starts, labels.size))
+    return list(zip(labels[starts].tolist(), lengths.tolist()))
 
 
 def calibrate(series: OhlcvSeries, window: int = 48,
@@ -244,9 +263,7 @@ def calibrate(series: OhlcvSeries, window: int = 48,
     24/7 market (365 * 48 bars per year).
     """
     vol = rolling_volatility(series, window, annualization)
-    defined = ~np.isnan(vol)
-    values = vol[defined]
-    centers, labels = kmeans_1d(values, n_regimes)
+    centers, labels = kmeans_1d(vol[window:], n_regimes)
     bar_days = series.bar_seconds / 86400.0
     generator = estimate_generator(labels, bar_days, n_states=n_regimes)
     return RegimeCalibration(

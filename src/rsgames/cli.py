@@ -69,11 +69,11 @@ DEFAULT_MM = {
     "macro": None,
 }
 
+DEFAULTS = {"as_model": DEFAULT_AS_MODEL, "sim": DEFAULT_SIM,
+            "calibrate": DEFAULT_CALIBRATE, "mm": DEFAULT_MM}
+
 ALLOWED_KEYS = {
-    "as_model": set(DEFAULT_AS_MODEL),
-    "sim": set(DEFAULT_SIM),
-    "calibrate": set(DEFAULT_CALIBRATE),
-    "mm": set(DEFAULT_MM),
+    **{section: set(defaults) for section, defaults in DEFAULTS.items()},
     "grid": {"t0", "T", "n_steps"},
     "lq": {"A", "B", "D", "Sigma", "Q", "R", "S", "Q_T"},
     "outer": {"mu_bar", "Lambda", "affine", "rho_f", "rho_g",
@@ -121,22 +121,23 @@ def load_config(path, command: str) -> dict:
             raise ConfigError(f"section {section!r} must be a mapping")
         if section in ALLOWED_KEYS:
             _check_keys(section, given, section)
-        defaults = {
-            "as_model": DEFAULT_AS_MODEL,
-            "sim": DEFAULT_SIM,
-            "calibrate": DEFAULT_CALIBRATE,
-            "mm": DEFAULT_MM,
-        }.get(section)
-        if defaults is not None:
-            merged[section] = {**defaults, **given}
-        else:
-            merged[section] = dict(given)
+        merged[section] = {**DEFAULTS.get(section, {}), **given}
     return merged
+
+
+def config_int(tree: dict, section: str, key: str) -> int:
+    """tree[key] if it is integer-valued; otherwise (NaN, inf, 2.7, "x") a
+    config error that names the field, never a silent truncation."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if float(tree[key]) == int(tree[key]):
+            return int(tree[key])
+    raise ConfigError(f"{section}.{key} must be an integer, got {tree[key]!r}")
 
 
 def build_as_model(tree: dict) -> ASModel:
     _check_keys("as_model", tree, "as_model")
     mu = np.asarray(tree["mu_per_day"], dtype=float) * 365.0
+    q_max = config_int(tree, "as_model", "q_max")
     try:
         return ASModel(
             gamma=float(tree["gamma"]),
@@ -144,7 +145,7 @@ def build_as_model(tree: dict) -> ASModel:
             A=float(tree["A"]),
             k=float(tree["k"]),
             sigmas=np.asarray(tree["sigmas"], dtype=float),
-            q_max=int(tree["q_max"]),
+            q_max=q_max,
             horizon=float(tree["horizon_hours"]) / HOURS_PER_YEAR,
             rates=mu,
             s0=float(tree["s0"]),
@@ -307,9 +308,9 @@ def cmd_calibrate(args) -> int:
     series = calib.load_ohlcv_csv(args.csv)
     result = calib.calibrate(
         series,
-        window=int(cfg["window"]),
+        window=config_int(cfg, "calibrate", "window"),
         annualization=float(cfg["annualization"]),
-        n_regimes=int(cfg["n_regimes"]),
+        n_regimes=config_int(cfg, "calibrate", "n_regimes"),
     )
     out = os.path.join(args.out, "calibration.json")
     write_json(out, result.to_dict())
@@ -381,7 +382,7 @@ def cmd_mm(args) -> int:
     cfg = load_config(args.config, "mm")
     model = build_as_model(cfg["as_model"])
     mm_cfg = cfg["mm"]
-    n_steps = int(mm_cfg["n_steps"])
+    n_steps = config_int(mm_cfg, "mm", "n_steps")
     if args.steps is not None:
         n_steps = args.steps
     table = as_game.build_theta_table(model, n_steps)
@@ -450,8 +451,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
     model = build_as_model(cfg["as_model"])
     sim_cfg = cfg["sim"]
-    n_paths = args.paths if args.paths is not None else int(sim_cfg["n_paths"])
-    seed = args.seed if args.seed is not None else int(sim_cfg["seed"])
+    n_paths = config_int(sim_cfg, "sim", "n_paths") if args.paths is None else args.paths
+    seed = config_int(sim_cfg, "sim", "seed") if args.seed is None else args.seed
     n_steps = args.steps if args.steps is not None else int(
         round(model.horizon / model.dt)
     )
@@ -464,7 +465,7 @@ def cmd_simulate(args) -> int:
         n_steps=n_steps,
         seed=seed,
         predator=bool(sim_cfg["predator"]),
-        initial_regime=int(sim_cfg["initial_regime"]),
+        initial_regime=config_int(sim_cfg, "sim", "initial_regime"),
     )
     report = sim.run_monte_carlo(config)
     out = os.path.join(args.out, "sim_report.json")
@@ -474,7 +475,7 @@ def cmd_simulate(args) -> int:
         print(f"note: {note}")
 
     if sim_cfg["export_paths"]:
-        n_export = min(int(sim_cfg["n_export_paths"]), n_paths)
+        n_export = min(config_int(sim_cfg, "sim", "n_export_paths"), n_paths)
         policy = sim.make_policy(model, "equilibrium", n_steps)
         for p in range(n_export):
             rec = sim.simulate_path(config, policy, path_index=p)

@@ -224,17 +224,6 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
     return RiccatiSolution(grid=grid, P=P, r=r, rates=rates)
 
 
-def feedback_gains(P: np.ndarray, model: RegimeLQModel, i: int):
-    """Saddle feedback (K_u, K_w): u = K_u x with K_u = -R^{-1} B' P,
-    w = K_w x with K_w = S^{-1} D' P."""
-    try:
-        K_u = -np.linalg.solve(model.R[i], model.B[i].T @ P)
-        K_w = np.linalg.solve(model.S[i], model.D[i].T @ P)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular R or S in regime {i}: {exc}") from exc
-    return K_u, K_w
-
-
 def hamiltonian_matrix(model: RegimeLQModel, i: int) -> np.ndarray:
     """Block matrix [[A, -Sctrl], [-Q, -A']] of regime i."""
     n = model.n_states

@@ -156,13 +156,6 @@ def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
     return MatrixGame(_local_games(k, spec)[i])
 
 
-def equilibrium_rates(f, g, spec: OuterGameSpec, i: int) -> np.ndarray:
-    """Rate row mu*_i. for strategies (f, g); diagonal = -row sum."""
-    f = np.asarray(f, dtype=float)[None]
-    g = np.asarray(g, dtype=float)[None]
-    return _rate_rows(f, g, spec, np.array([i]))[0]
-
-
 def metzler_apply(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(M(mu) z)_i = sum_{j != i} mu_ij (z_j - z_i); mu diagonal ignored."""
     off = mu - np.diag(np.diag(mu))

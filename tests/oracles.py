@@ -13,14 +13,21 @@ are the paper's formulas that only tests use: the predator's drift, the
 integrated variance and its expansion, one entry of the short-horizon
 penalty, and quotes read off a penalty table at any clock time by linear
 interpolation between tau nodes.
+
+load_ohlcv_csv_oracle, rolling_volatility_oracle and label_runs_oracle are
+the per-row and per-bar loops that the columnar `calib` pipeline replaced;
+its outputs must equal theirs exactly.  feedback_gains and
+equilibrium_rates are closed forms of the LQ layer that only tests use.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from rsgames import as_game
+from rsgames import as_game, calib, outer_layer
+from rsgames.calib import OhlcvSeries
 from rsgames.sim import PathRecord
 
 
@@ -234,3 +241,73 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
             pnl=float(pnl[0]),
         )
     return out
+
+
+def load_ohlcv_csv_oracle(path) -> OhlcvSeries:
+    """Read a CSV with header timestamp,open,high,low,close,volume."""
+    required = ["timestamp", "open", "high", "low", "close", "volume"]
+    rows = {name: [] for name in required}
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)} in {path}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows["timestamp"].append(calib._parse_timestamp(row["timestamp"]))
+                for name in required[1:]:
+                    rows[name].append(float(row[name]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return OhlcvSeries(
+        timestamps=np.array(rows["timestamp"]),
+        open=np.array(rows["open"]),
+        high=np.array(rows["high"]),
+        low=np.array(rows["low"]),
+        close=np.array(rows["close"]),
+        volume=np.array(rows["volume"]),
+    )
+
+
+def rolling_volatility_oracle(series, window, annualization):
+    """calib.rolling_volatility as one std per bar."""
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    n = len(series.close)
+    if n <= window:
+        raise ValueError("series shorter than the volatility window")
+    returns = np.diff(np.log(series.close))
+    out = np.full(n, np.nan)
+    scale = math.sqrt(annualization)
+    for t in range(window, n):
+        out[t] = returns[t - window : t].std(ddof=1) * scale
+    return out
+
+
+def label_runs_oracle(labels) -> list:
+    runs = []
+    for lab in np.asarray(labels, dtype=int):
+        if runs and runs[-1][0] == int(lab):
+            runs[-1][1] += 1
+        else:
+            runs.append([int(lab), 1])
+    return [tuple(r) for r in runs]
+
+
+def feedback_gains(P, model, i):
+    """Saddle feedback (K_u, K_w): u = K_u x with K_u = -R^{-1} B' P,
+    w = K_w x with K_w = S^{-1} D' P."""
+    try:
+        K_u = -np.linalg.solve(model.R[i], model.B[i].T @ P)
+        K_w = np.linalg.solve(model.S[i], model.D[i].T @ P)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular R or S in regime {i}: {exc}") from exc
+    return K_u, K_w
+
+
+def equilibrium_rates(f, g, spec, i):
+    """Rate row mu*_i. for strategies (f, g); diagonal = -row sum."""
+    f = np.asarray(f, dtype=float)[None]
+    g = np.asarray(g, dtype=float)[None]
+    return outer_layer._rate_rows(f, g, spec, np.array([i]))[0]

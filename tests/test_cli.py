@@ -404,6 +404,40 @@ class TestConfigHandling:
         assert not (out / output).exists()
 
 
+    INTEGER_FIELDS = [("mm", "as_model", "q_max"), ("simulate", "as_model", "q_max"),
+                      ("mm", "mm", "n_steps"), ("simulate", "sim", "n_paths"),
+                      ("simulate", "sim", "seed"),
+                      ("simulate", "sim", "initial_regime"),
+                      ("calibrate", "calibrate", "window"),
+                      ("calibrate", "calibrate", "n_regimes")]
+    OUTPUT = {"mm": "theta_quotes.csv", "simulate": "sim_report.json",
+              "calibrate": "calibration.json"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, "two"])
+    @pytest.mark.parametrize("command,section,key", INTEGER_FIELDS,
+                             ids=[f"{c}-{s}.{k}" for c, s, k in INTEGER_FIELDS])
+    def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command,
+                                                 section, key, value):
+        # catches: int() on the field, which truncates 2.7 and fails on NaN
+        # with "cannot convert float NaN to integer"
+        tree = cli.load_config(None, command)
+        if "as_model" in tree:
+            tree["as_model"]["q_max"] = 3
+        tree[section][key] = value
+        cfg = write_yaml(tmp_path / "bad.yaml", tree)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "calibrate":
+            argv.insert(1, synthetic_ohlcv(tmp_path / "bars.csv"))
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {section}.{key} must be an integer" in err
+        assert not (out / self.OUTPUT[command]).exists()
+
+    def test_integer_valued_float_is_accepted(self):
+        assert cli.config_int({"q_max": 4.0}, "as_model", "q_max") == 4
+
+
 class TestFlags:
     VALUES = {"--config": ["c.yaml"], "--out": ["o"], "--seed": ["3"],
               "--paths": ["4"], "--steps": ["5"],

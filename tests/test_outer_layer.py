@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import equilibrium_rates
 from rsgames import game_core, outer_layer
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import (
     OuterGameSpec,
     bang_bang_policy,
-    equilibrium_rates,
     laplacian_spectral_gap,
     local_game_matrix,
     outer_rhs,
