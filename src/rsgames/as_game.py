@@ -43,7 +43,6 @@ import numpy as np
 import scipy.linalg
 
 from . import game_core, numkit, outer_layer
-from .game_core import MatrixGame
 from .numkit import NumericalError, TimeGrid
 from .outer_layer import OuterGameSpec, OuterSolution
 
@@ -64,14 +63,16 @@ class AccuracyError(NumericalError):
 
 
 def _as_generator(rates, N):
-    """Return a (N, N) generator: given off-diagonals, diagonal = -row sum."""
+    """Return generators (..., N, N) from rates (..., N, N): the given
+    off-diagonals, diagonal = -row sum."""
     rates = np.asarray(rates, dtype=float)
-    if rates.shape != (N, N):
-        raise ValueError(f"rates must be ({N}, {N}), got {rates.shape}")
-    off = rates - np.diag(np.diag(rates))
+    if rates.shape[-2:] != (N, N):
+        raise ValueError(f"rates must be (..., {N}, {N}), got {rates.shape}")
+    eye = np.eye(N)
+    off = rates - rates * eye
     if np.any(off < 0):
         raise ValueError("switching rates must be nonnegative off-diagonal")
-    return off - np.diag(off.sum(axis=1))
+    return off - eye * off.sum(axis=-1)[..., None]
 
 
 @dataclass
@@ -118,9 +119,10 @@ class ASModel:
         if self.horizon <= 0 or self.dt <= 0:
             raise ValueError("horizon and dt must be positive")
         N = self.sigmas.shape[0]
-        if self.rates is None:
-            self.rates = np.zeros((N, N))
-        self.rates = _as_generator(self.rates, N)
+        rates = np.zeros((N, N)) if self.rates is None else np.asarray(self.rates, float)
+        if rates.ndim != 2:  # only the internal helpers take stacks of generators
+            raise ValueError(f"rates must be ({N}, {N}), got {rates.shape}")
+        self.rates = _as_generator(rates, N)
 
     @property
     def n_regimes(self) -> int:
@@ -312,27 +314,29 @@ def build_theta_table(model: ASModel, n_steps: int, rates=None) -> ThetaTable:
 
 def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
     """w_i(tau) = int_0^tau [exp(Q u) s]_i du, s the squared vols, for every
-    tau in taus (rows) and regime i (columns).
+    generator Q in the stack rates (..., N, N) (default the model's), every
+    tau in taus and regime i: shape (..., len(taus), N).
 
     Computed exactly through the augmented generator [[Q, s], [0, 0]]: the
-    top-right block of its exponential is the integral above.  All taus go
-    through one stacked expm, which treats each slice exactly as it treats
-    a single matrix.
+    top-right block of its exponential is the integral above.  Every (Q,
+    tau) pair goes through one stacked expm, which treats each slice
+    exactly as it treats a single matrix.
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     N = model.n_regimes
     Q = _as_generator(model.rates if rates is None else rates, N)
-    aug = np.zeros((N + 1, N + 1))
-    aug[:N, :N] = Q
-    aug[:N, N] = model.sigmas**2
-    return scipy.linalg.expm(aug[None] * taus[:, None, None])[:, :N, N]
+    aug = np.zeros(Q.shape[:-2] + (1, N + 1, N + 1))
+    aug[..., :N, :N] = Q[..., None, :, :]
+    aug[..., :N, N] = model.sigmas**2
+    return scipy.linalg.expm(aug * taus[:, None, None])[..., :N, N]
 
 
 def risk_factors(model: ASModel, rates=None, taus=(0.0,)) -> np.ndarray:
     """Horizon-integrated risk factors C_i(tau) = gamma w_i(tau) +
-    gamma^2 xi tau, shape (len(taus), N), from one stacked exponential."""
+    gamma^2 xi tau, shape (..., len(taus), N) for generators rates (..., N,
+    N), from one stacked exponential."""
     taus = np.asarray(taus, dtype=float)
     w = _integrated_variances(model, rates, taus)
     return model.gamma * w + model.gamma**2 * model.xi * taus[:, None]
@@ -346,7 +350,8 @@ def risk_factor(model: ASModel, rates=None, i: int = 0, tau: float = 0.0) -> flo
 def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.ndarray:
     """Short-horizon penalty (q^2/2) C_i(tau) - c_q (A/gamma) C0 tau, with
     the executed-flow coefficient c_q = 2 interior and 1 at q = -+ q_max,
-    shape (len(taus), N, len(qs)); qs defaults to every inventory level."""
+    shape (..., len(taus), N, len(qs)) for generators rates (..., N, N); qs
+    defaults to every inventory level."""
     qs = model.q_levels() if qs is None else np.asarray(qs)
     if np.any(np.abs(qs) > model.q_max):
         raise ValueError(f"|q| = {np.abs(qs).max()} exceeds the inventory bound "
@@ -354,7 +359,7 @@ def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.nda
     taus = np.asarray(taus, dtype=float)
     c_q = np.where(np.abs(qs) == model.q_max, 1.0, 2.0)
     rent = c_q * (model.A / model.gamma) * model.fill_constant * taus[:, None, None]
-    return 0.5 * qs * qs * risk_factors(model, rates, taus)[:, :, None] - rent
+    return 0.5 * qs * qs * risk_factors(model, rates, taus)[..., None] - rent
 
 
 def quote_surfaces(table: ThetaTable, model: ASModel):
@@ -377,9 +382,11 @@ def quote_surfaces(table: ThetaTable, model: ASModel):
     return ask, bid, ask_active, bid_active
 
 
-def _affine_generator(spec: OuterGameSpec, f_act: float, g_act: float) -> np.ndarray:
-    off = spec.mu_bar + f_act * spec.lam_att - g_act * spec.lam_stab
-    off = off - np.diag(np.diag(off))
+def _affine_generators(spec: OuterGameSpec, f_act, g_act) -> np.ndarray:
+    """Rates (B, N, N), zero diagonal, under effort arrays f_act, g_act (B,)."""
+    off = (spec.mu_bar + f_act[:, None, None] * spec.lam_att
+           - g_act[:, None, None] * spec.lam_stab)
+    off[:, np.arange(spec.n_regimes), np.arange(spec.n_regimes)] = 0.0
     return np.maximum(off, 0.0)
 
 
@@ -388,19 +395,18 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     """Backward macro sweep of U_i(t, q) for one inventory level.
 
     The node optimization is min over the stabilizer, max over the driver of
-    phi_i(q; f, g) + sum_j mu_ij(f, g) (U_j - U_i).  phi is evaluated at the
-    candidate pair (rates applied to the whole chain), so it is not bilinear
-    in (f, g); in affine mode the four action vertices define a 2x2 game
-    whose mixed saddle is adopted, and nodes where the true bracket at that
-    saddle strays from the game value by more than flag_tol are counted in
-    meta["nonbilinear_nodes"].  Quadratic mode uses the closed-form
-    proportional efforts and charges both effort penalties to the flow;
-    bang_bang mode plays the printed threshold indicators (honoring
-    spec.flip_bang_bang) instead of solving the node games.
+    phi_i(q; f, g) + sum_j mu_ij(f, g) (U_j - U_i), with phi evaluated under
+    the candidate rates applied to the whole chain, so it is not bilinear in
+    (f, g).  In affine mode the four action vertices define a 2x2 game per
+    regime; one game_core.solve_games call settles the node's N games, each
+    regime adopts its mixed saddle, and regimes where the true bracket there
+    strays from the game value by more than flag_tol are counted in
+    meta["nonbilinear_nodes"].  Quadratic mode plays the proportional
+    efforts and charges both effort penalties to the flow; bang_bang mode
+    plays the printed thresholds (honoring spec.flip_bang_bang).
 
-    The running costs phi come from stacked exponentials: the four vertex
-    generators are costed once over all node taus, and each node costs its
-    adopted rates once over its distinct RK4 stage taus.
+    phi comes from stacked exponentials: the four vertex generators over all
+    node taus once, each node's N adopted generators over its stage taus.
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -409,91 +415,64 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     N = spec.n_regimes
     if N != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")
-    n_nodes = grid.n_steps + 1
     nodes = grid.nodes()
-    T = grid.T
     h = -grid.step
+    regimes = np.arange(N)
 
-    U = np.zeros((n_nodes, N))
-    f_out = np.zeros((n_nodes, N, 2))
-    g_out = np.zeros((n_nodes, N, 2))
-    mu_out = np.zeros((n_nodes, N, N))
+    U = np.zeros((grid.n_steps + 1, N))
+    efforts = np.zeros((grid.n_steps + 1, 2, N))
+    mu = np.zeros((grid.n_steps + 1, N, N))
     flagged = 0
 
-    def costs(rates_off, taus):
-        """phi_i(q) under one generator at every tau, (len(taus), N)."""
-        return theta_expansions(model, rates_off, taus, [q])[:, :, 0]
-
-    actions = (0.0, 1.0)
     if mode == "affine":
-        vertex_rates = {(fa, ga): _affine_generator(spec, fa, ga)
-                        for fa in actions for ga in actions}
-        vertex_costs = {v: costs(rates, T - nodes) for v, rates in vertex_rates.items()}
-
-    def node_policies(idx, stage_taus):
-        """Efforts (N, 2), rate rows (N, N) and the adopted running costs
-        at the stage taus, (len(stage_taus), N), of node idx."""
-        nonlocal flagged
-        efforts = np.zeros((N, 2))
-        mu_rows = np.zeros((N, N))
-        stage_costs = np.empty((len(stage_taus), N))
-        gaps_all = outer_layer.stability_gaps(U[idx])
-        for i in range(N):
-            if mode == "quadratic":
-                f_i, g_i = outer_layer.proportional_policy(
-                    gaps_all[i], spec.lam_att[i], spec.lam_stab[i],
-                    spec.rho_f, spec.rho_g, clamp=spec.clamp_efforts,
-                )
-            elif mode == "bang_bang":
-                f_i, g_i = outer_layer.bang_bang_policy(
-                    gaps_all[i], spec.lam_att[i], spec.lam_stab[i],
-                    flip=spec.flip_bang_bang,
-                )
-            else:
-                H = np.array([[vertex_costs[(fa, ga)][idx, i]
-                               + vertex_rates[(fa, ga)][i] @ gaps_all[i]
-                               for ga in actions] for fa in actions])
-                sp = game_core.solve_zero_sum(MatrixGame(H))
-                f_i = float(sp.row_strategy[1])
-                g_i = float(sp.col_strategy[1])
-            rates = _affine_generator(spec, f_i, g_i)
-            stage_costs[:, i] = costs(rates, stage_taus)[:, i]
-            if mode == "affine":
-                true_val = stage_costs[0, i] + rates[i] @ gaps_all[i]
-                if abs(true_val - sp.value) > flag_tol * max(1.0, abs(sp.value)):
-                    flagged += 1
-            efforts[i] = (f_i, g_i)
-            mu_rows[i] = rates[i]
-        return efforts, mu_rows, stage_costs
-
-    def step_rhs(efforts, mu_rows, cost_at):
-        """The rhs of one RK4 step; cost_at maps each of the step's
-        numkit.rk4_stage_times to the running costs there."""
-        def rhs(t, U_cur):
-            cost = cost_at[t]
-            out = np.empty(N)
-            for i in range(N):
-                val = cost[i] + mu_rows[i] @ (U_cur - U_cur[i])
-                if mode == "quadratic":
-                    f_i, g_i = efforts[i]
-                    val -= 0.5 * spec.rho_f * f_i**2 + 0.5 * spec.rho_g * g_i**2
-                out[i] = val
-            return -out
-
-        return rhs
+        # vertex v = 2 * f_act + g_act of the action pairs
+        vertex_rates = _affine_generators(spec, np.array([0.0, 0.0, 1.0, 1.0]),
+                                          np.array([0.0, 1.0, 0.0, 1.0]))
+        vertex_costs = theta_expansions(model, vertex_rates, grid.T - nodes, [q])[..., 0]
 
     for idx in range(grid.n_steps, -1, -1):
         t = nodes[idx]
+        gaps = outer_layer.stability_gaps(U[idx])
+        if mode == "quadratic":
+            f, g = outer_layer.proportional_policy(
+                gaps, spec.lam_att, spec.lam_stab, spec.rho_f, spec.rho_g,
+                clamp=spec.clamp_efforts)
+        elif mode == "bang_bang":
+            f, g = outer_layer.bang_bang_policy(gaps, spec.lam_att, spec.lam_stab,
+                                                flip=spec.flip_bang_bang)
+        else:
+            H = vertex_costs[:, idx] + np.vecdot(vertex_rates, gaps)
+            games = H.T.reshape(N, 2, 2)
+            f_mix, g_mix, _, _ = game_core.solve_games(games)
+            f, g = f_mix[:, 1], g_mix[:, 1]
+        rates = _affine_generators(spec, f, g)
+        mu_rows = rates[regimes, regimes]
         stage_ts = numkit.rk4_stage_times(t, h) if idx else (t,)
-        efforts, mu_rows, stage_costs = node_policies(idx, T - np.array(stage_ts))
-        f_out[idx] = np.stack([1.0 - efforts[:, 0], efforts[:, 0]], axis=1)
-        g_out[idx] = np.stack([1.0 - efforts[:, 1], efforts[:, 1]], axis=1)
-        mu_out[idx] = mu_rows - np.diag(mu_rows.sum(axis=1))
+        # phi_i(q) of regime i under its adopted generator rates[i]
+        stage_costs = theta_expansions(model, rates, grid.T - np.array(stage_ts),
+                                       [q])[regimes, :, regimes, 0].T
+        if mode == "affine":
+            value = np.einsum("ia,iab,ib->i", f_mix, games, g_mix)
+            true_val = stage_costs[0] + np.vecdot(mu_rows, gaps)
+            flagged += int(np.count_nonzero(
+                np.abs(true_val - value) > flag_tol * np.maximum(1.0, np.abs(value))))
+        efforts[idx] = f, g
+        mu[idx] = mu_rows - np.diag(mu_rows.sum(axis=1))
         if idx:
-            rhs = step_rhs(efforts, mu_rows, dict(zip(stage_ts, stage_costs)))
+            penalty = (0.5 * spec.rho_f * f**2 + 0.5 * spec.rho_g * g**2
+                       if mode == "quadratic" else 0.0)
+            cost_at = dict(zip(stage_ts, stage_costs))
+
+            def rhs(s, U_s):
+                gaps_s = outer_layer.stability_gaps(U_s)
+                return -(cost_at[s] + np.vecdot(mu_rows, gaps_s) - penalty)
+
             U[idx - 1] = numkit.rk4_step(rhs, t, U[idx], h)
 
+    f_act, g_act = efforts[:, 0], efforts[:, 1]
     return OuterSolution(
-        grid=grid, k=U, f=f_out, g=g_out, mu=mu_out,
+        grid=grid, k=U,
+        f=np.stack([1.0 - f_act, f_act], axis=2),
+        g=np.stack([1.0 - g_act, g_act], axis=2), mu=mu,
         meta={"mode": mode, "nonbilinear_nodes": flagged, "inventory": q},
     )

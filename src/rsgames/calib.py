@@ -16,7 +16,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import scipy.linalg
@@ -59,16 +59,20 @@ class OhlcvSeries:
 
 
 def _parse_timestamp(raw: str) -> float:
-    """Epoch seconds; numeric wins over RFC-3339 when both would parse."""
+    """Epoch seconds; numeric wins over RFC-3339 when both would parse, and
+    an RFC-3339 time with no zone is UTC, whatever the host's zone."""
     raw = raw.strip()
     try:
         return float(raw)
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(raw.replace("Z", "+00:00")).timestamp()
+        stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise ValueError(f"cannot parse timestamp {raw!r}") from exc
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
 def load_ohlcv_csv(path) -> OhlcvSeries:

@@ -128,6 +128,8 @@ def load_config(path, command: str) -> dict:
 def config_int(tree: dict, section: str, key: str) -> int:
     """tree[key] if it is integer-valued; otherwise (NaN, inf, 2.7, "x") a
     config error that names the field, never a silent truncation."""
+    if key not in tree:
+        raise ConfigError(f"{section}: missing {key!r}")
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if float(tree[key]) == int(tree[key]):
             return int(tree[key])
@@ -157,9 +159,10 @@ def build_as_model(tree: dict) -> ASModel:
 
 def build_grid(tree: dict) -> TimeGrid:
     _check_keys("grid", tree, "grid")
+    n_steps = config_int(tree, "grid", "n_steps")
     try:
         return TimeGrid(t0=float(tree.get("t0", 0.0)), T=float(tree["T"]),
-                        n_steps=int(tree["n_steps"]))
+                        n_steps=n_steps)
     except KeyError as exc:
         raise ConfigError(f"grid: missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -385,6 +388,13 @@ def cmd_mm(args) -> int:
     n_steps = config_int(mm_cfg, "mm", "n_steps")
     if args.steps is not None:
         n_steps = args.steps
+    macro_cfg = mm_cfg["macro"]
+    if macro_cfg:
+        _check_keys("macro", macro_cfg, "mm.macro")
+        _check_keys("affine", macro_cfg.get("affine") or {}, "mm.macro.affine")
+        macro_cfg = {"inventory": 0, "n_steps": 200, **macro_cfg}
+        macro_inventory = config_int(macro_cfg, "mm.macro", "inventory")
+        macro_steps = config_int(macro_cfg, "mm.macro", "n_steps")
     table = as_game.build_theta_table(model, n_steps)
     ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
 
@@ -412,10 +422,6 @@ def cmd_mm(args) -> int:
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
                   ["xi", "total_spread_q0_full_horizon"], [xis, spreads])
 
-    macro_cfg = mm_cfg["macro"]
-    if macro_cfg:
-        _check_keys("macro", macro_cfg, "mm.macro")
-        _check_keys("affine", macro_cfg.get("affine") or {}, "mm.macro.affine")
     if macro_cfg and macro_cfg.get("enabled"):
         aff = macro_cfg.get("affine") or {}
         spec = outer_layer.OuterGameSpec.from_affine(
@@ -426,9 +432,9 @@ def cmd_mm(args) -> int:
             if args.clamp_efforts is not None else True,
             flip_bang_bang=bool(args.flip_bangbang_orientation),
         )
-        grid = TimeGrid(0.0, model.horizon, int(macro_cfg.get("n_steps", 200)))
+        grid = TimeGrid(0.0, model.horizon, macro_steps)
         sol = as_game.solve_macro_as(
-            model, spec, int(macro_cfg.get("inventory", 0)), grid,
+            model, spec, macro_inventory, grid,
             mode=macro_cfg.get("mode", "affine"),
         )
         idx, i = _index_columns(sol.k.shape)

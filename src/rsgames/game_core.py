@@ -1,12 +1,13 @@
 """Zero-sum matrix games: exact saddle points in mixed strategies.
 
 Orientation is fixed throughout the package: the row player (f) maximizes
-f @ payoff @ g, the column player (g) minimizes.  2x2 games without a pure
-saddle are solved in closed form; everything else goes through a
-self-contained dense simplex on the classical LP formulation.  Stacks of
-same-shape games are solved at once by `solve_games`, which also tries the
-full-support equalizer of square games and keeps the LP as a verified
-fallback.
+f @ payoff @ g, the column player (g) minimizes.  `solve_games` is the one
+place that decides how a game is settled: stacks of same-shape games go
+through a pure saddle, the 2x2 closed form and the full-support equalizer
+of square games at once, and whatever is left goes to `solve_lp`, a
+self-contained dense simplex on the classical LP formulation whose answer
+is verified.  `solve_zero_sum` is the one-game entry point to the same
+rules.
 
 Tie-breaking is deterministic: among pure saddles the lowest (row, col)
 index pair wins, so degenerate games (e.g. the all-zero matrix) resolve to
@@ -71,7 +72,7 @@ def _pure_saddles(M: np.ndarray):
 
 
 def _mixed_2x2(M: np.ndarray):
-    """Closed-form saddles (f, g, value) of 2x2 games M (B, 2, 2).
+    """Closed-form saddles (f, g) of 2x2 games M (B, 2, 2).
 
     Valid only for games without a pure saddle, where the denominator is
     nonzero.
@@ -82,7 +83,7 @@ def _mixed_2x2(M: np.ndarray):
     g = np.clip(np.stack([(d - b) / den, (a - c) / den], axis=1), 0.0, 1.0)
     f /= f.sum(axis=1, keepdims=True)
     g /= g.sum(axis=1, keepdims=True)
-    return f, g, (a * d - b * c) / den
+    return f, g
 
 
 def _equalizers(M: np.ndarray):
@@ -156,9 +157,11 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     raise NumericalError("simplex did not terminate on matrix-game LP")
 
 
-def _solve_lp(M: np.ndarray) -> SaddlePoint:
-    """General m x n game via the LP and its duals, on payoffs mapped to
-    [1, 2] so that the simplex tolerances are relative to the payoff spread."""
+def solve_lp(game: MatrixGame) -> SaddlePoint:
+    """Any m x n game via the LP and its duals, on payoffs mapped to [1, 2]
+    so that the simplex tolerances are relative to the payoff spread.  The
+    answer is verified: a best-response gap above 1e-7 is a NumericalError."""
+    M = game.payoff
     low = M.min()
     scale = (M.max() - low) or 1.0
     Mp = 1.0 + (M - low) / scale
@@ -174,49 +177,23 @@ def _solve_lp(M: np.ndarray) -> SaddlePoint:
     if f.sum() <= 0:
         raise NumericalError("degenerate dual solution in matrix-game solve")
     f /= f.sum()
-    value = low + (1.0 / total - 1.0) * scale
-    return SaddlePoint(f, g, float(value))
-
-
-def solve_zero_sum(game: MatrixGame, method: str = "auto") -> SaddlePoint:
-    """Mixed saddle point of a finite zero-sum game.
-
-    method="auto" tries pure-saddle detection, then the 2x2 closed form,
-    then the LP; method="lp" forces the LP path (used to cross-check the
-    closed form).
-    """
-    M = game.payoff
-    if method == "auto":
-        found, r, c = _pure_saddles(M[None])
-        if found[0]:
-            f = np.zeros(M.shape[0])
-            g = np.zeros(M.shape[1])
-            f[r[0]] = 1.0
-            g[c[0]] = 1.0
-            return SaddlePoint(f, g, float(M[r[0], c[0]]))
-        if M.shape == (2, 2):
-            f, g, value = _mixed_2x2(M[None])
-            return SaddlePoint(f[0], g[0], float(value[0]))
-    elif method != "lp":
-        raise ValueError(f"unknown method {method!r}")
-    sp = _solve_lp(M)
-    gap = best_response_gap(game, sp.row_strategy, sp.col_strategy)
+    gap = best_response_gap(game, f, g)
     if gap > 1e-7:
         raise NumericalError(f"matrix-game LP left a saddle gap of {gap:.3e}")
-    return sp
+    return SaddlePoint(f, g, float(low + (1.0 / total - 1.0) * scale))
 
 
-def solve_games(M: np.ndarray, fallback=solve_zero_sum):
+def solve_games(M: np.ndarray, fallback=solve_lp):
     """Mixed saddles of a stack of same-shape games M (B, m, n) at once.
 
     Each game is settled by the first path that applies, in the order of
-    SADDLE_PATHS: a pure saddle (row-major, lowest index first, as in
-    solve_zero_sum), the 2x2 closed form, the full-support equalizer of a
-    square game, and last `fallback` (MatrixGame -> SaddlePoint, the LP by
-    default) one game at a time.  An equalizer is accepted only if both
-    strategies are strictly positive, sum to 1 and leave a best-response
-    gap <= SADDLE_GAP_TOL; strict positivity makes that saddle the game's
-    only one, so it is the one the LP would find.
+    SADDLE_PATHS: a pure saddle (row-major, lowest index first), the 2x2
+    closed form, the full-support equalizer of a square game, and last
+    `fallback` (MatrixGame -> SaddlePoint, the verified LP by default) one
+    game at a time.  An equalizer is accepted only if both strategies are
+    strictly positive, sum to 1 and leave a best-response gap <=
+    SADDLE_GAP_TOL; strict positivity makes that saddle the game's only
+    one, so it is the one the LP would find.
 
     Returns (f, g, path, gap): strategies (B, m) and (B, n), the index into
     SADDLE_PATHS of the path that settled each game, and each game's
@@ -237,7 +214,7 @@ def solve_games(M: np.ndarray, fallback=solve_zero_sum):
     path[found] = SADDLE_PATHS.index("pure")
     rest = rows[~found]
     if rest.size and (m, n) == (2, 2):
-        f[rest], g[rest], _ = _mixed_2x2(M[rest])
+        f[rest], g[rest] = _mixed_2x2(M[rest])
         path[rest] = SADDLE_PATHS.index("2x2")
     elif rest.size and m == n:
         solved = _equalizers(M[rest])
@@ -253,6 +230,18 @@ def solve_games(M: np.ndarray, fallback=solve_zero_sum):
         sp = fallback(MatrixGame(M[b]))
         f[b], g[b] = sp.row_strategy, sp.col_strategy
     return f, g, path, _gaps(M, f, g)
+
+
+def solve_zero_sum(game: MatrixGame, method: str = "auto") -> SaddlePoint:
+    """Mixed saddle point of one game: by the rules of solve_games with the
+    value f @ payoff @ g (method="auto"), or by the verified LP (method="lp",
+    the cross-check of the closed forms)."""
+    if method == "lp":
+        return solve_lp(game)
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+    f, g, _, _ = solve_games(game.payoff[None])
+    return SaddlePoint(f[0], g[0], float(f[0] @ game.payoff @ g[0]))
 
 
 def best_response_gap(game: MatrixGame, f, g) -> float:

@@ -26,7 +26,7 @@ class HierarchySolution:
 
 
 def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
-                    saddle=game_core.solve_zero_sum,
+                    saddle=game_core.solve_lp,
                     norm_bound: float = 1e8) -> HierarchySolution:
     """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0.
 

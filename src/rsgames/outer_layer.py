@@ -59,18 +59,16 @@ class OuterGameSpec:
             raise ValueError("mu_bar and Lambda must be finite")
         if not (self.rho_f > 0 and self.rho_g > 0):
             raise ValueError("effort costs rho_f, rho_g must be positive")
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                if self.mu_bar[i, j] < 0:
-                    raise ValueError(f"mu_bar[{i},{j}] must be nonnegative")
-                worst = self.mu_bar[i, j] + self.Lambda[i, j].min()
-                if worst < -1e-12:
-                    raise ValueError(
-                        f"rate mu[{i},{j}] can reach {worst:.3g} < 0 at a "
-                        "vertex pair; shrink Lambda or raise mu_bar"
-                    )
+        worst = self.mu_bar + self.Lambda.min(axis=(2, 3))
+        bad = ~np.eye(N, dtype=bool) & ((self.mu_bar < 0) | (worst < -1e-12))
+        if bad.any():  # the first offending pair, row-major
+            i, j = np.argwhere(bad)[0]
+            if self.mu_bar[i, j] < 0:
+                raise ValueError(f"mu_bar[{i},{j}] must be nonnegative")
+            raise ValueError(
+                f"rate mu[{i},{j}] can reach {worst[i, j]:.3g} < 0 at a "
+                "vertex pair; shrink Lambda or raise mu_bar"
+            )
 
     @property
     def n_regimes(self) -> int:
@@ -94,18 +92,11 @@ class OuterGameSpec:
         mu0 = np.asarray(mu0, dtype=float)
         lam_att = np.asarray(lam_att, dtype=float)
         lam_stab = np.asarray(lam_stab, dtype=float)
-        N = mu0.shape[0]
-        Lam = np.zeros((N, N, 2, 2))
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                Lam[i, j] = np.array(
-                    [
-                        [0.0, -lam_stab[i, j]],
-                        [lam_att[i, j], lam_att[i, j] - lam_stab[i, j]],
-                    ]
-                )
+        Lam = np.zeros(mu0.shape + (2, 2))
+        Lam[..., 0, 1] = -lam_stab
+        Lam[..., 1, 0] = lam_att
+        Lam[..., 1, 1] = lam_att - lam_stab
+        Lam[np.diag_indices(mu0.shape[0])] = 0.0
         return cls(
             mu_bar=mu0, Lambda=Lam, lam_att=lam_att, lam_stab=lam_stab, **kwargs
         )
@@ -167,13 +158,13 @@ def outer_rhs(k, phi, mu) -> np.ndarray:
     return np.asarray(phi, dtype=float) + metzler_apply(np.asarray(mu), np.asarray(k))
 
 
-def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_zero_sum,
+def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp,
                      stats=None):
     """Solve every regime's local game at one time node, all at once.
 
     The games go to game_core.solve_games, which settles pure saddles, 2x2
     closed forms and full-support equalizers batched and hands only the
-    rest to `saddle` (the LP by default).  Returns (f, g, mu) with
+    rest to `saddle` (the verified LP by default).  Returns (f, g, mu) with
     f: (N, n_f), g: (N, n_g), mu: (N, N) generator.  A dict `stats` gains
     the count of games settled by each game_core.SADDLE_PATHS entry and
     keeps the largest best-response gap under "max_gap".
@@ -192,7 +183,7 @@ def k_step(k_right, phi_right, phi_left, mu, t_right, h):
     """One RK4 step of -dk/dt = phi(t) + M(mu) k from t_right to t_right - h.
 
     mu is frozen over the step; phi is interpolated linearly between its
-    node values.  Shared by solve_outer and the hierarchy sweep.
+    node values.
     """
     phi_right = np.asarray(phi_right, dtype=float)
     phi_left = np.asarray(phi_left, dtype=float)
@@ -206,51 +197,24 @@ def k_step(k_right, phi_right, phi_left, mu, t_right, h):
     return numkit.rk4_step(rhs, t_right, k_right, -h)
 
 
-def solve_outer(phi: np.ndarray, spec: OuterGameSpec, grid: TimeGrid,
-                saddle=game_core.solve_zero_sum) -> OuterSolution:
-    """Backward sweep of the switching-value flow with k(T) = 0.
-
-    phi: (n_nodes, N) running cost at every grid node.  At each node the
-    local games are solved from the current k, the equilibrium generator is
-    frozen over the step, and k is stepped backward.
-    """
-    phi = np.asarray(phi, dtype=float)
-    N = spec.n_regimes
-    n_nodes = grid.n_steps + 1
-    if phi.shape != (n_nodes, N):
-        raise ValueError(f"phi must be (n_nodes, N) = {(n_nodes, N)}, got {phi.shape}")
-    nodes = grid.nodes()
-    k = np.zeros((n_nodes, N))
-    f = np.zeros((n_nodes, N, spec.n_row_actions))
-    g = np.zeros((n_nodes, N, spec.n_col_actions))
-    mu = np.zeros((n_nodes, N, N))
-    for idx in range(grid.n_steps, 0, -1):
-        f[idx], g[idx], mu[idx] = node_equilibrium(k[idx], spec, saddle)
-        k[idx - 1] = k_step(
-            k[idx], phi[idx], phi[idx - 1], mu[idx], nodes[idx], grid.step
-        )
-    f[0], g[0], mu[0] = node_equilibrium(k[0], spec, saddle)
-    return OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)
-
-
 def bang_bang_policy(gaps, lam_att, lam_stab, flip: bool = False):
     """Threshold efforts for the affine family, as printed:
     f = 1 iff sum_j lam_att_j * Delta_j < 0, same for g with lam_stab.
+    gaps and profiles hold one row (..., N) per regime; f, g are (...).
 
     flip=True reverses the trigger orientation (> 0), matching the prose
     reading where effort rises when switching toward costlier regimes.
     """
-    gaps = np.asarray(gaps, dtype=float)
-    s_att = float(np.asarray(lam_att, dtype=float) @ gaps)
-    s_stab = float(np.asarray(lam_stab, dtype=float) @ gaps)
+    s_att, s_stab = np.vecdot(lam_att, gaps), np.vecdot(lam_stab, gaps)
     if flip:
-        return (1.0 if s_att > 0 else 0.0), (1.0 if s_stab > 0 else 0.0)
-    return (1.0 if s_att < 0 else 0.0), (1.0 if s_stab < 0 else 0.0)
+        s_att, s_stab = -s_att, -s_stab
+    return np.where(s_att < 0, 1.0, 0.0), np.where(s_stab < 0, 1.0, 0.0)
 
 
 def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float,
                         clamp: bool = True):
-    """Variable-gain efforts under quadratic effort costs:
+    """Variable-gain efforts under quadratic effort costs, rows as in
+    bang_bang_policy:
     f = [sum lam_att_j Delta_j]+ / rho_f,  g = [-sum lam_stab_j Delta_j]+ / rho_g.
 
     With clamp=True (default) efforts are cut to [0, 1] so they remain
@@ -258,11 +222,12 @@ def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float,
     """
     if not (rho_f > 0 and rho_g > 0):
         raise ValueError("rho_f and rho_g must be positive")
-    gaps = np.asarray(gaps, dtype=float)
-    f = max(float(np.asarray(lam_att, dtype=float) @ gaps), 0.0) / rho_f
-    g = max(-float(np.asarray(lam_stab, dtype=float) @ gaps), 0.0) / rho_g
+    s_att, s_stab = np.vecdot(lam_att, gaps), -np.vecdot(lam_stab, gaps)
+    # [x]+ keeps x unless 0 > x, so a -0.0 sum stays -0.0
+    f = np.where(s_att < 0.0, 0.0, s_att) / rho_f
+    g = np.where(s_stab < 0.0, 0.0, s_stab) / rho_g
     if clamp:
-        f, g = min(f, 1.0), min(g, 1.0)
+        f, g = np.where(f > 1.0, 1.0, f), np.where(g > 1.0, 1.0, g)
     return f, g
 
 

@@ -17,7 +17,9 @@ interpolation between tau nodes.
 load_ohlcv_csv_oracle, rolling_volatility_oracle and label_runs_oracle are
 the per-row and per-bar loops that the columnar `calib` pipeline replaced;
 its outputs must equal theirs exactly.  feedback_gains and
-equilibrium_rates are closed forms of the LQ layer that only tests use.
+equilibrium_rates are closed forms of the LQ layer that only tests use, and
+solve_outer is the standalone outer value sweep that the hierarchy runs
+inside its joint sweep.
 """
 
 import csv
@@ -42,6 +44,7 @@ def theta_table_oracle(model, n_steps, rates=None):
     for idx, (v, log_scale) in enumerate(steps, start=1):
         theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
     return theta
+
 
 
 def predator_drift(q, model):
@@ -311,3 +314,29 @@ def equilibrium_rates(f, g, spec, i):
     f = np.asarray(f, dtype=float)[None]
     g = np.asarray(g, dtype=float)[None]
     return outer_layer._rate_rows(f, g, spec, np.array([i]))[0]
+
+
+def solve_outer(phi, spec, grid):
+    """Backward sweep of the switching-value flow with k(T) = 0.
+
+    phi: (n_nodes, N) running cost at every grid node.  At each node the
+    local games are solved from the current k, the equilibrium generator is
+    frozen over the step, and k is stepped backward.
+    """
+    phi = np.asarray(phi, dtype=float)
+    N = spec.n_regimes
+    n_nodes = grid.n_steps + 1
+    if phi.shape != (n_nodes, N):
+        raise ValueError(f"phi must be (n_nodes, N) = {(n_nodes, N)}, got {phi.shape}")
+    nodes = grid.nodes()
+    k = np.zeros((n_nodes, N))
+    f = np.zeros((n_nodes, N, spec.n_row_actions))
+    g = np.zeros((n_nodes, N, spec.n_col_actions))
+    mu = np.zeros((n_nodes, N, N))
+    for idx in range(grid.n_steps, 0, -1):
+        f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(k[idx], spec)
+        k[idx - 1] = outer_layer.k_step(
+            k[idx], phi[idx], phi[idx - 1], mu[idx], nodes[idx], grid.step
+        )
+    f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec)
+    return outer_layer.OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)

@@ -24,7 +24,6 @@ from rsgames import (
     game_core,
     hierarchy,
     mjls_inner,
-    outer_layer,
     sim,
 )
 from rsgames.as_game import ASModel
@@ -93,7 +92,7 @@ def test_03_outer_sweep_oracle():
     spec = mixed_saddle_spec()
     grid = TimeGrid(0.0, 1.5, 300)
     phi = np.tile([1.0, 0.0], (grid.n_steps + 1, 1))
-    sol = outer_layer.solve_outer(phi, spec, grid)
+    sol = oracles.solve_outer(phi, spec, grid)
     k_bf = brute_force_outer_sweep(phi, spec, grid, resolution=200)
     elapsed = time.perf_counter() - t0
     rel = np.max(np.abs(sol.k[0] - k_bf) / np.maximum(np.abs(k_bf), 1e-9))
@@ -114,7 +113,7 @@ def test_04_hierarchy_self_consistency():
     sol0 = hierarchy.solve_hierarchy(model, spec0, grid)
     rates = spec0.mu_bar - np.diag(spec0.mu_bar.sum(axis=1))
     ric = mjls_inner.solve_coupled_riccati(model, rates, grid)
-    out = outer_layer.solve_outer(np.einsum("tijj->ti", ric.P), spec0, grid)
+    out = oracles.solve_outer(np.einsum("tijj->ti", ric.P), spec0, grid)
     err_dec = max(np.abs(sol0.riccati.P - ric.P).max(),
                   np.abs(sol0.outer.k - out.k).max())
     ok = err_p <= 1e-10 and err_dec <= 1e-12

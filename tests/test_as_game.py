@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from rsgames import as_game, outer_layer
+from rsgames import as_game, game_core, outer_layer
 from rsgames.as_game import ASModel
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import OuterGameSpec
@@ -339,6 +339,20 @@ class TestRiskFactors:
                     assert grid[n, i, qi] == 0.5 * q * q * factor - c_q * rent * tau
                     assert grid[n, i, qi] == oracles.theta_expansion(m, None, i, q, tau)
 
+    def test_generator_stack_equals_one_at_a_time(self):
+        # the macro sweep costs every regime's adopted generator in one call
+        rng = np.random.default_rng(31)
+        m = small_model(sigmas=[0.3, 0.8, 0.5], rates=np.ones((3, 3)))
+        rates = rng.uniform(0.0, 6.0, (5, 3, 3))
+        taus = np.array([0.0, 0.02, 0.5, 1.0])
+        stacked = as_game.theta_expansions(m, rates, taus, [-2, 3])
+        assert stacked.shape == (5, 4, 3, 2)
+        for b in range(5):
+            np.testing.assert_array_equal(
+                stacked[b], as_game.theta_expansions(m, rates[b], taus, [-2, 3]))
+        with pytest.raises(ValueError):
+            as_game.risk_factors(m, -rates, taus)
+
     def test_rejects_negative_tau(self):
         m = small_model()
         with pytest.raises(ValueError):
@@ -568,6 +582,50 @@ class TestMacroLayer:
         for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
             np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
         assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
+
+    @pytest.mark.parametrize("case", MACRO_REFERENCE["three_regime_cases"],
+                             ids=lambda c: f"{c['mode']}-q{c['q']}")
+    def test_matches_three_regime_reference(self, case):
+        # values recorded from the per-regime loop over node games; in
+        # affine mode these reach mixed 2x2 saddles and flagged nodes
+        m = small_model(sigmas=case["sigmas"], rates=case["rates"])
+        spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
+                                         np.array(case["lam_stab"]), rho_f=0.5, rho_g=0.5)
+        grid = TimeGrid(0.0, m.horizon, MACRO_REFERENCE["n_steps"])
+        sol = as_game.solve_macro_as(m, spec, case["q"], grid, mode=case["mode"])
+        for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
+            np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
+        assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
+        if case["mode"] == "affine":
+            mixed = (sol.f[:, :, 1] > 0.0) & (sol.f[:, :, 1] < 1.0)
+            assert mixed.any() and case["nonbilinear_nodes"] > 0
+
+    @pytest.mark.parametrize("mode", ["affine", "quadratic", "bang_bang"])
+    def test_one_game_batch_and_one_exponential_per_node(self, monkeypatch, mode):
+        case = MACRO_REFERENCE["three_regime_cases"][0]
+        m = small_model(sigmas=case["sigmas"], rates=case["rates"])
+        spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
+                                         np.array(case["lam_stab"]))
+        calls = {"games": [], "expm": 0}
+        solve_games, expm = game_core.solve_games, scipy.linalg.expm
+
+        def counting_games(M, *args):
+            calls["games"].append(M.shape)
+            return solve_games(M, *args)
+
+        def counting_expm(A):
+            calls["expm"] += 1
+            return expm(A)
+
+        monkeypatch.setattr(game_core, "solve_games", counting_games)
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        grid = TimeGrid(0.0, m.horizon, 9)
+        as_game.solve_macro_as(m, spec, 1, grid, mode=mode)
+        n_nodes = grid.n_steps + 1
+        if mode == "affine":  # plus the vertex generators over all nodes
+            assert calls == {"games": [(3, 2, 2)] * n_nodes, "expm": n_nodes + 1}
+        else:
+            assert calls == {"games": [], "expm": n_nodes}
 
     def test_requires_affine_profiles(self):
         m = small_model()

@@ -5,6 +5,7 @@ input."""
 import csv
 import io
 import re
+import time
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -173,6 +174,52 @@ def test_series_rejects_non_finite(field):
     cols[field][3] = np.nan
     with pytest.raises(ValueError, match=f"column {field} is not finite"):
         OhlcvSeries(**cols)
+
+
+
+# POSIX rules, so the zones need no tz database; New York leaves daylight
+# saving at 2025-11-02 02:00 local time
+ZONES = ["UTC0", "EST5EDT,M3.2.0,M11.1.0", "IST-5:30"]
+
+
+@pytest.fixture
+def host_zone(monkeypatch):
+    """set_zone(name) makes name the process's local time zone until the
+    test ends."""
+    def set_zone(name):
+        monkeypatch.setenv("TZ", name)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+@pytest.mark.parametrize("zone", ZONES)
+def test_zone_less_timestamp_is_utc(host_zone, zone):
+    # catches: datetime.timestamp() on a naive time, which reads it in the
+    # host's zone (1765083600 under New York)
+    host_zone(zone)
+    assert calib._parse_timestamp("2025-12-07T00:00:00") == 1765065600.0
+    assert calib._parse_timestamp("2025-12-07T00:00:00") == \
+        calib._parse_timestamp("2025-12-07T00:00:00Z")
+    assert calib._parse_timestamp("2025-12-07T00:00:00+01:00") == 1765062000.0
+
+
+@pytest.mark.parametrize("zone", ZONES)
+def test_zone_less_series_across_dst_change(tmp_path, host_zone, zone):
+    # 48 half-hour bars through New York's fall-back hour: read as UTC they
+    # keep a constant interval under every host zone
+    host_zone(zone)
+    lines = ["timestamp,open,high,low,close,volume"]
+    for b in range(48):
+        stamp = datetime.fromtimestamp(1761998400 + 1800 * b, tz=timezone.utc)
+        lines.append(f"{stamp.replace(tzinfo=None).isoformat()},1,1,1,{1 + b % 3},1")
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(lines) + "\n")
+    series = calib.load_ohlcv_csv(path)  # raised "bar interval must be constant"
+    assert series.timestamps[0] == 1761998400.0  # 2025-11-01T12:00:00Z
+    assert np.all(np.diff(series.timestamps) == 1800.0)
 
 
 # ------------------------------------------------------------- volatility ---

@@ -409,9 +409,15 @@ class TestConfigHandling:
                       ("simulate", "sim", "seed"),
                       ("simulate", "sim", "initial_regime"),
                       ("calibrate", "calibrate", "window"),
-                      ("calibrate", "calibrate", "n_regimes")]
+                      ("calibrate", "calibrate", "n_regimes"),
+                      ("mm", "mm.macro", "inventory"), ("mm", "mm.macro", "n_steps"),
+                      ("solve", "grid", "n_steps")]
     OUTPUT = {"mm": "theta_quotes.csv", "simulate": "sim_report.json",
-              "calibrate": "calibration.json"}
+              "calibrate": "calibration.json", "solve": "turnpike.json"}
+    MACRO = {"enabled": True, "inventory": 1, "n_steps": 20,
+             "affine": {"mu0": [[0.0, 3.0], [3.0, 0.0]],
+                        "lam_att": [[0.0, 1.0], [1.0, 0.0]],
+                        "lam_stab": [[0.0, 1.0], [1.0, 0.0]]}}
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, "two"])
     @pytest.mark.parametrize("command,section,key", INTEGER_FIELDS,
@@ -419,11 +425,22 @@ class TestConfigHandling:
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command,
                                                  section, key, value):
         # catches: int() on the field, which truncates 2.7 and fails on NaN
-        # with "cannot convert float NaN to integer"
-        tree = cli.load_config(None, command)
+        # with "cannot convert float NaN to integer"; the macro fields are
+        # read before the theta table is written
+        if command == "solve":
+            with open(os.path.join(CONFIGS, "solve_two_regime.yaml")) as handle:
+                tree = yaml.safe_load(handle)
+        else:
+            tree = cli.load_config(None, command)
         if "as_model" in tree:
             tree["as_model"]["q_max"] = 3
-        tree[section][key] = value
+        if section == "mm.macro":
+            tree["mm"]["macro"] = dict(self.MACRO)
+        *parents, leaf = f"{section}.{key}".split(".")
+        node = tree
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
         cfg = write_yaml(tmp_path / "bad.yaml", tree)
         out = tmp_path / "out"
         argv = [command, "--config", cfg, "--out", str(out)]
@@ -433,6 +450,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"config error: {section}.{key} must be an integer" in err
         assert not (out / self.OUTPUT[command]).exists()
+
+    def test_missing_integer_field_is_a_config_error(self, tmp_path, capsys):
+        with open(os.path.join(CONFIGS, "solve_two_regime.yaml")) as handle:
+            tree = yaml.safe_load(handle)
+        del tree["grid"]["n_steps"]
+        cfg = write_yaml(tmp_path / "bad.yaml", tree)
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "config error: grid: missing 'n_steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,output", [("mm", "theta_quotes.csv"),
+                                                ("simulate", "sim_report.json")])
+    def test_stacked_rates_are_a_config_error(self, tmp_path, capsys, command, output):
+        tree = cli.load_config(None, command)
+        tree["as_model"].update({"q_max": 3, "sigmas": [0.3, 0.8],
+                                 "mu_per_day": [[[0.0, 30.0], [30.0, 0.0]]]})
+        cfg = write_yaml(tmp_path / "bad.yaml", tree)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "rates must be (2, 2), got (1, 2, 2)" in capsys.readouterr().err
+        assert not (out / output).exists()
 
     def test_integer_valued_float_is_accepted(self):
         assert cli.config_int({"q_max": 4.0}, "as_model", "q_max") == 4

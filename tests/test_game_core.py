@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from rsgames import game_core
+from rsgames import game_core, hierarchy, outer_layer
 from rsgames.game_core import MatrixGame, SaddlePoint, best_response_gap, solve_zero_sum
 
 
@@ -112,6 +114,37 @@ class TestSolveZeroSum:
             MatrixGame(np.array([[np.inf, 0.0]]))
         with pytest.raises(ValueError):
             MatrixGame(np.zeros((0, 2)))
+
+
+class TestOneSaddlePath:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_auto_is_solve_games_on_one_game(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            m, n = rng.integers(1, 6, size=2)
+            M = rng.normal(size=(m, n)) * 10.0
+            sp = solve_zero_sum(MatrixGame(M))
+            f, g, _, _ = game_core.solve_games(M[None])
+            np.testing.assert_array_equal(sp.row_strategy, f[0])
+            np.testing.assert_array_equal(sp.col_strategy, g[0])
+            assert sp.value == f[0] @ M @ g[0]
+
+    def test_pure_saddle_value_is_the_entry(self):
+        M = np.array([[3.0, 1.0, 4.0], [0.5, 0.25, 9.0]])
+        assert solve_zero_sum(MatrixGame(M)).value == 1.0
+
+    def test_last_resort_is_the_verified_lp(self):
+        for fn, name in ((game_core.solve_games, "fallback"),
+                         (outer_layer.node_equilibrium, "saddle"),
+                         (hierarchy.solve_hierarchy, "saddle")):
+            assert inspect.signature(fn).parameters[name].default is game_core.solve_lp
+
+    def test_lp_is_verified(self, monkeypatch):
+        # a simplex answer that is not a saddle must not come back
+        monkeypatch.setattr(game_core, "_simplex_max",
+                            lambda A, b, c: (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+        with pytest.raises(game_core.NumericalError, match="saddle gap"):
+            game_core.solve_lp(MatrixGame([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 class TestBestResponseGap:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from rsgames import game_core, hierarchy, mjls_inner, outer_layer
 from rsgames.mjls_inner import RegimeLQModel
 from rsgames.numkit import BlowupError, TimeGrid
@@ -33,7 +34,7 @@ class TestSolveHierarchy:
         base_rates = spec.mu_bar - np.diag(spec.mu_bar.sum(axis=1))
         ric = mjls_inner.solve_coupled_riccati(model, base_rates, grid)
         phi = np.einsum("tijj->ti", ric.P)
-        out = outer_layer.solve_outer(phi, spec, grid)
+        out = oracles.solve_outer(phi, spec, grid)
 
         assert np.abs(sol.riccati.P - ric.P).max() <= 1e-12
         assert np.abs(sol.riccati.r - ric.r).max() <= 1e-12

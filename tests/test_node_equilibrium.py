@@ -35,7 +35,25 @@ def oracle_pure_saddle(M):
     return None
 
 
-def oracle_node_equilibrium(k, spec, saddle=game_core.solve_zero_sum):
+def oracle_saddle(game):
+    """The settling rule before batching, kept apart from solve_games: the
+    row-major pure saddle, then the 2x2 closed form, then the verified LP."""
+    M = game.payoff
+    pick = oracle_pure_saddle(M)
+    if pick is not None:
+        f, g = np.zeros(M.shape[0]), np.zeros(M.shape[1])
+        f[pick[0]], g[pick[1]] = 1.0, 1.0
+        return game_core.SaddlePoint(f, g, float(M[pick]))
+    if M.shape == (2, 2):
+        (a, b), (c, d) = M
+        den = a - b - c + d  # nonzero: no pure saddle
+        p, q = (d - c) / den, (d - b) / den
+        return game_core.SaddlePoint(np.array([p, 1.0 - p]), np.array([q, 1.0 - q]),
+                                     float((a * d - b * c) / den))
+    return game_core.solve_lp(game)
+
+
+def oracle_node_equilibrium(k, spec, saddle=oracle_saddle):
     """One saddle solve and one rate row per regime, as before batching."""
     N = spec.n_regimes
     f = np.zeros((N, spec.n_row_actions))
@@ -173,7 +191,7 @@ class TestSaddlePaths:
 
         def counting_saddle(game):
             calls.append(game.shape)
-            return game_core.solve_zero_sum(game)
+            return oracle_saddle(game)
 
         stats = {}
         f, g, _ = outer_layer.node_equilibrium(np.array([0.0, 1.0]), spec,

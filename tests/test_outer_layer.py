@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import equilibrium_rates
+from oracles import equilibrium_rates, solve_outer
 from rsgames import game_core, outer_layer
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import (
@@ -11,7 +11,6 @@ from rsgames.outer_layer import (
     local_game_matrix,
     outer_rhs,
     proportional_policy,
-    solve_outer,
     stability_gaps,
 )
 
@@ -276,6 +275,35 @@ class TestPolicies:
         f, _ = proportional_policy(np.array([4.0]), np.array([1.0]),
                                    np.array([0.0]), 2.0, 1.0, clamp=True)
         assert f == 1.0
+
+
+class TestPoliciesOnTheGapMatrix:
+    # the macro sweep passes the full stability_gaps matrix; each regime's
+    # efforts must be exactly those of its own row, down to the sign of zero
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_match_one_regime_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 6))
+        gaps = stability_gaps(rng.normal(size=N) * rng.choice([0.0, 1.0, 50.0]))
+        lam_att, lam_stab = rng.uniform(-1.0, 3.0, (2, N, N))
+        rho_f, rho_g = rng.uniform(0.1, 2.0, 2)
+        for clamp, flip in ((True, True), (False, False)):
+            rows = [proportional_policy(gaps[i], lam_att[i], lam_stab[i], rho_f, rho_g,
+                                        clamp=clamp) for i in range(N)]
+            full = proportional_policy(gaps, lam_att, lam_stab, rho_f, rho_g, clamp=clamp)
+            rows_bb = [bang_bang_policy(gaps[i], lam_att[i], lam_stab[i], flip=flip)
+                       for i in range(N)]
+            full_bb = bang_bang_policy(gaps, lam_att, lam_stab, flip=flip)
+            for got, want in ((full, rows), (full_bb, rows_bb)):
+                for player in range(2):
+                    expected = np.array([r[player] for r in want])
+                    assert got[player].tobytes() == expected.tobytes()
+
+    def test_zero_gaps_keep_the_sign_of_zero(self):
+        # [x]+ of a -0.0 sum is -0.0, as max(x, 0.0) gives it
+        _, g = proportional_policy(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)),
+                                   1.0, 1.0)
+        assert np.all(g == 0.0) and np.all(np.signbit(g))
 
 
 class TestLaplacianGap:
