@@ -390,6 +390,9 @@ def _affine_generators(spec: OuterGameSpec, f_act, g_act) -> np.ndarray:
     return np.maximum(off, 0.0)
 
 
+MACRO_MODES = ("affine", "quadratic", "bang_bang")
+
+
 def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
                    mode: str = "affine", flag_tol: float = 1e-9) -> OuterSolution:
     """Backward macro sweep of U_i(t, q) for one inventory level.
@@ -410,7 +413,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
-    if mode not in ("affine", "quadratic", "bang_bang"):
+    if mode not in MACRO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     N = spec.n_regimes
     if N != model.n_regimes:

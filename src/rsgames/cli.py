@@ -136,6 +136,26 @@ def config_int(tree: dict, section: str, key: str) -> int:
     raise ConfigError(f"{section}.{key} must be an integer, got {tree[key]!r}")
 
 
+def macro_affine(tree: dict, n_regimes: int):
+    """(mu0, lam_att, lam_stab) of mm.macro.affine, per day: each present,
+    numeric, (N, N) and finite, or a config error that names it."""
+    mats = []
+    for key in ("mu0", "lam_att", "lam_stab"):
+        if key not in tree:
+            raise ConfigError(f"mm.macro.affine: missing {key!r}")
+        try:
+            M = np.asarray(tree[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mm.macro.affine.{key} is not a numeric matrix") from exc
+        if M.shape != (n_regimes, n_regimes):
+            raise ConfigError(f"mm.macro.affine.{key} must be ({n_regimes}, {n_regimes}), "
+                              f"got {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise ConfigError(f"mm.macro.affine.{key} must be finite")
+        mats.append(M)
+    return mats
+
+
 def build_as_model(tree: dict) -> ASModel:
     _check_keys("as_model", tree, "as_model")
     mu = np.asarray(tree["mu_per_day"], dtype=float) * 365.0
@@ -395,6 +415,20 @@ def cmd_mm(args) -> int:
         macro_cfg = {"inventory": 0, "n_steps": 200, **macro_cfg}
         macro_inventory = config_int(macro_cfg, "mm.macro", "inventory")
         macro_steps = config_int(macro_cfg, "mm.macro", "n_steps")
+    spec = None
+    if macro_cfg and macro_cfg.get("enabled"):
+        macro_mode = macro_cfg.get("mode", "affine")
+        if macro_mode not in as_game.MACRO_MODES:
+            raise ConfigError(f"mm.macro.mode must be one of {', '.join(as_game.MACRO_MODES)}, "
+                              f"got {macro_mode!r}")
+        mu0, lam_att, lam_stab = macro_affine(macro_cfg.get("affine") or {},
+                                              model.n_regimes)
+        spec = outer_layer.OuterGameSpec.from_affine(
+            mu0 * 365.0, lam_att * 365.0, lam_stab * 365.0,
+            clamp_efforts=bool(args.clamp_efforts)
+            if args.clamp_efforts is not None else True,
+            flip_bang_bang=bool(args.flip_bangbang_orientation),
+        )
     table = as_game.build_theta_table(model, n_steps)
     ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
 
@@ -422,21 +456,9 @@ def cmd_mm(args) -> int:
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
                   ["xi", "total_spread_q0_full_horizon"], [xis, spreads])
 
-    if macro_cfg and macro_cfg.get("enabled"):
-        aff = macro_cfg.get("affine") or {}
-        spec = outer_layer.OuterGameSpec.from_affine(
-            np.asarray(aff["mu0"], dtype=float) * 365.0,
-            np.asarray(aff["lam_att"], dtype=float) * 365.0,
-            np.asarray(aff["lam_stab"], dtype=float) * 365.0,
-            clamp_efforts=bool(args.clamp_efforts)
-            if args.clamp_efforts is not None else True,
-            flip_bang_bang=bool(args.flip_bangbang_orientation),
-        )
+    if spec is not None:
         grid = TimeGrid(0.0, model.horizon, macro_steps)
-        sol = as_game.solve_macro_as(
-            model, spec, macro_inventory, grid,
-            mode=macro_cfg.get("mode", "affine"),
-        )
+        sol = as_game.solve_macro_as(model, spec, macro_inventory, grid, mode=macro_mode)
         idx, i = _index_columns(sol.k.shape)
         write_csv(os.path.join(args.out, "macro_values.csv"),
                   ["t", "regime", "U", "f_act", "g_act"],

@@ -14,6 +14,7 @@ index pair wins, so degenerate games (e.g. the all-zero matrix) resolve to
 the first action of each player and leave baseline behaviour untouched.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,11 @@ def _equalizers(M: np.ndarray):
     """Full-support equalizer strategies (f, g) of square games M (B, m, m).
 
     g solves M g = v 1 and f solves f' M = v 1', each summing to 1, as one
-    stacked solve of the bordered systems.  Returns None when any system is
-    exactly singular.  The result is a saddle only where both strategies
-    come out nonnegative; the caller checks that.
+    stacked solve of the bordered systems.  When one system is exactly
+    singular the systems are solved one at a time, and a game with a
+    singular system gets NaN strategies, so the others' strategies do not
+    depend on it.  The result is a saddle only where both strategies come
+    out nonnegative; the caller checks that.
     """
     B, m, _ = M.shape
     A = np.zeros((2 * B, m + 1, m + 1))
@@ -105,7 +108,10 @@ def _equalizers(M: np.ndarray):
     try:
         x = np.linalg.solve(A, rhs)[:, :m, 0]
     except np.linalg.LinAlgError:
-        return None
+        x = np.full((2 * B, m), np.nan)
+        for b in range(2 * B):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[b] = np.linalg.solve(A[b], rhs[b])[:m, 0]
     return x[B:], x[:B]
 
 
@@ -217,15 +223,13 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
         f[rest], g[rest] = _mixed_2x2(M[rest])
         path[rest] = SADDLE_PATHS.index("2x2")
     elif rest.size and m == n:
-        solved = _equalizers(M[rest])
-        if solved is not None:
-            fe, ge = solved
-            ok = ((fe > 0.0).all(axis=1) & (ge > 0.0).all(axis=1)
-                  & (np.abs(fe.sum(axis=1) - 1.0) <= 1e-12)
-                  & (np.abs(ge.sum(axis=1) - 1.0) <= 1e-12))
-            ok[ok] = _gaps(M[rest[ok]], fe[ok], ge[ok]) <= SADDLE_GAP_TOL
-            f[rest[ok]], g[rest[ok]] = fe[ok], ge[ok]
-            path[rest[ok]] = SADDLE_PATHS.index("equalizer")
+        fe, ge = _equalizers(M[rest])
+        ok = ((fe > 0.0).all(axis=1) & (ge > 0.0).all(axis=1)
+              & (np.abs(fe.sum(axis=1) - 1.0) <= 1e-12)
+              & (np.abs(ge.sum(axis=1) - 1.0) <= 1e-12))
+        ok[ok] = _gaps(M[rest[ok]], fe[ok], ge[ok]) <= SADDLE_GAP_TOL
+        f[rest[ok]], g[rest[ok]] = fe[ok], ge[ok]
+        path[rest[ok]] = SADDLE_PATHS.index("equalizer")
     for b in np.nonzero(path == SADDLE_PATHS.index("lp"))[0]:
         sp = fallback(MatrixGame(M[b]))
         f[b], g[b] = sp.row_strategy, sp.col_strategy

@@ -57,9 +57,9 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
         f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(
             k[idx], spec, saddle, stats=stats
         )
-        P[idx - 1], r[idx - 1] = mjls_inner.riccati_step(
-            P[idx], r[idx], mu[idx], model, nodes[idx], grid.step, workspace
-        )
+        G, coupled = mjls_inner.coupling_generators(mu[idx])
+        mjls_inner.riccati_step(workspace, P[idx], r[idx], G if coupled else None,
+                                grid.step, P[idx - 1], r[idx - 1])
         mjls_inner.check_escape(P[idx - 1], nodes[idx - 1], norm_bound)
         phi_left = np.einsum("ijj->i", P[idx - 1])
         k[idx - 1] = outer_layer.k_step(

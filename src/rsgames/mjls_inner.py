@@ -15,6 +15,17 @@ reproduces x' P x exactly, which pins the normalization (see tests).
 
 Rates mu(t) are taken per grid node and held constant over each backward
 step, matching the synchronized sweep in :mod:`rsgames.hierarchy`.
+
+The right-hand side costs two batched matmuls per RK4 stage.  With
+W_i = A_i - Sctrl_i P_i / 2,
+
+    A_i'P_i + P_i A_i - P_i Sctrl_i P_i = P_i W_i + (P_i W_i)',
+
+which holds because P_i and Sctrl_i are symmetric.  The step keeps P
+exactly symmetric: P(T) is symmetrized, every slope is assembled from
+exactly symmetric terms (Y + Y', the symmetrized Q, a coupling that is
+linear in P), and stage values are sums of those.  The same symmetry turns
+tr(Sigma Sigma' P_i) into one row-wise dot product.
 """
 
 from dataclasses import dataclass, field
@@ -110,60 +121,87 @@ class RiccatiSolution:
 
 
 class _FlowWorkspace:
-    """Precomputed per-regime arrays for the vectorized Riccati flow."""
+    """Per-regime arrays of the Riccati flow and the RK4 stage buffers.
+
+    Every stage writes into these buffers, so a step allocates no array of
+    the size of P.
+    """
 
     def __init__(self, model: RegimeLQModel):
+        N, n = model.n_regimes, model.n_states
         self.A = model.A
-        self.At = np.ascontiguousarray(np.swapaxes(model.A, 1, 2))
-        self.Q = model.Q
-        self.sctrl = model.control_matrices()
-        self.noise = np.matmul(model.Sigma, np.swapaxes(model.Sigma, 1, 2))
-        self.N = model.n_regimes
-        self.n = model.n_states
+        self.Q = 0.5 * (model.Q + np.swapaxes(model.Q, 1, 2))
+        self.half_sctrl = 0.5 * model.control_matrices()
+        self.noise = np.matmul(model.Sigma, np.swapaxes(model.Sigma, 1, 2)).reshape(N, -1)
+        self.W = np.empty((N, n, n))       # A - Sctrl P / 2, then G P
+        self.Y = np.empty((N, n, n))       # P W
+        self.P = np.empty((N, n, n))       # stage value of P
+        self.r = np.empty(N)               # stage value of r
+        self.kP = tuple(np.empty((N, n, n)) for _ in range(4))  # RK4 slopes
+        self.kr = np.empty((4, N))
+        self.kr_rows = tuple(self.kr)
 
-    @staticmethod
-    def split_rates(rates):
-        off = rates - np.diag(np.diag(rates))
-        return off, off.sum(axis=1), bool(off.any())
+    def derivative(self, P, r, G, dP, dr):
+        """Write (-dP/dt, -dr/dt) at the symmetric P into dP and dr.
 
-    def backward_derivatives(self, P, r, rates, split=None):
-        """(-dP/dt, -dr/dt) of the coupled flow, all regimes at once."""
-        off, outflow, coupled = self.split_rates(rates) if split is None else split
-        dP = self.Q + self.At @ P + P @ self.A - P @ self.sctrl @ P
-        dr = (self.noise * np.swapaxes(P, 1, 2)).sum(axis=(1, 2))
-        if coupled:
-            dP += (off @ P.reshape(self.N, -1)).reshape(P.shape)
-            dP -= outflow[:, None, None] * P
-            dr += off @ r - outflow * r
-        dP = 0.5 * (dP + np.swapaxes(dP, 1, 2))
-        return dP, dr
+        G is the coupling generator of coupling_generators, or None for
+        uncoupled regimes.
+        """
+        N = len(dr)
+        np.matmul(self.half_sctrl, P, out=self.W)
+        np.subtract(self.A, self.W, out=self.W)
+        np.matmul(P, self.W, out=self.Y)
+        np.add(self.Y, self.Y.transpose(0, 2, 1), out=dP)
+        dP += self.Q
+        np.vecdot(self.noise, P.reshape(N, -1), out=dr)
+        if G is not None:
+            np.matmul(G, P.reshape(N, -1), out=self.W.reshape(N, -1))
+            dP += self.W
+            dr += G @ r
 
 
-def riccati_step(P_right, r_right, rates, model, t_right, h, workspace=None):
-    """One RK4 step of the joint (P, r) flow from t_right to t_right - h.
+def coupling_generators(rates):
+    """Generators G (..., N, N) with (G P)_i = sum_{j != i} mu_ij (P_j - P_i),
+    from rates (..., N, N) whose diagonal is ignored, and whether each has
+    a nonzero off-diagonal rate."""
+    G = np.array(rates, dtype=float)
+    diag = np.arange(G.shape[-1])
+    G[..., diag, diag] = 0.0
+    coupled = G.any(axis=(-2, -1))
+    G[..., diag, diag] = -G.sum(axis=-1)
+    return G, coupled
 
-    `rates` is held constant over the step.  Shared verbatim by the
-    standalone solver and the hierarchy sweep so their flows agree exactly.
+
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+
+
+def riccati_step(ws, P_right, r_right, G, h, P_out, r_out):
+    """One RK4 step of the joint (P, r) flow from the right node of a step
+    of length h to its left node, written into P_out and r_out.
+
+    G (coupling_generators, or None) is held constant over the step.
+    Shared by the standalone solver and the hierarchy sweep so their flows
+    agree exactly.
     """
-    ws = workspace if workspace is not None else _FlowWorkspace(model)
-    split = ws.split_rates(rates)
+    kP, kr, P, r = ws.kP, ws.kr_rows, ws.P, ws.r
     # classical RK4 in backward time tau = T - t, step +h, rhs = -d/dt
-    half = 0.5 * h
-    k1P, k1r = ws.backward_derivatives(P_right, r_right, rates, split)
-    k2P, k2r = ws.backward_derivatives(
-        P_right + half * k1P, r_right + half * k1r, rates, split
-    )
-    k3P, k3r = ws.backward_derivatives(
-        P_right + half * k2P, r_right + half * k2r, rates, split
-    )
-    k4P, k4r = ws.backward_derivatives(
-        P_right + h * k3P, r_right + h * k3r, rates, split
-    )
-    sixth = h / 6.0
-    P_new = P_right + sixth * (k1P + 2.0 * k2P + 2.0 * k3P + k4P)
-    r_new = r_right + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    P_new = 0.5 * (P_new + np.swapaxes(P_new, 1, 2))
-    return P_new, r_new
+    ws.derivative(P_right, r_right, G, kP[0], kr[0])
+    for s, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+        np.multiply(kP[s - 1], c, out=P)
+        P += P_right
+        if G is not None:  # the uncoupled slope of r does not read r
+            np.multiply(kr[s - 1], c, out=r)
+            r += r_right
+        ws.derivative(P, r, G, kP[s], kr[s])
+    # P_out = P_right + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    acc = kP[1]
+    acc += kP[2]
+    acc *= 2.0
+    acc += kP[0]
+    acc += kP[3]
+    acc *= h / 6.0
+    np.add(P_right, acc, out=P_out)
+    np.add(r_right, (h / 6.0) * (_RK4_WEIGHTS @ ws.kr), out=r_out)
 
 
 def _rates_at_nodes(rates, n_nodes, N):
@@ -186,8 +224,7 @@ def check_escape(P: np.ndarray, t: float, norm_bound: float) -> None:
     """Raise BlowupError when some entry of P (N, n, n) at time t leaves
     [-norm_bound, norm_bound]; NaN and inf both count as an escape.  The
     reported regime is the one with the largest Frobenius norm."""
-    peak = np.abs(P).max()
-    if not peak <= norm_bound:
+    if not (P.max() <= norm_bound and P.min() >= -norm_bound):
         norms = np.linalg.norm(P, axis=(1, 2))
         worst = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
         raise BlowupError(
@@ -210,16 +247,15 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
     N, n = model.n_regimes, model.n_states
     n_nodes = grid.n_steps + 1
     rates = _rates_at_nodes(rates, n_nodes, N)
+    G, coupled = coupling_generators(rates)
+    G = [G_k if coupled_k else None for G_k, coupled_k in zip(G, coupled.tolist())]
     workspace = _FlowWorkspace(model)
     nodes = grid.nodes()
     P = np.empty((n_nodes, N, n, n))
     r = np.zeros((n_nodes, N))
     P[-1] = terminal_value(model)
     for k in range(grid.n_steps - 1, -1, -1):
-        P[k], r[k] = riccati_step(
-            P[k + 1], r[k + 1], rates[k + 1], model, nodes[k + 1], grid.step,
-            workspace,
-        )
+        riccati_step(workspace, P[k + 1], r[k + 1], G[k + 1], grid.step, P[k], r[k])
         check_escape(P[k], nodes[k], norm_bound)
     return RiccatiSolution(grid=grid, P=P, r=r, rates=rates)
 

@@ -14,6 +14,12 @@ integrated variance and its expansion, one entry of the short-horizon
 penalty, and quotes read off a penalty table at any clock time by linear
 interpolation between tau nodes.
 
+FlowWorkspaceOracle and riccati_step_oracle are the Riccati right-hand side
+and RK4 step that the buffered `mjls_inner.riccati_step` replaced (four
+batched matmuls per stage, a fresh array per operation);
+riccati_sweep_oracle runs them over a grid with the blow-up check of that
+time.  The buffered step must agree with them to rounding.
+
 load_ohlcv_csv_oracle, rolling_volatility_oracle and label_runs_oracle are
 the per-row and per-bar loops that the columnar `calib` pipeline replaced;
 its outputs must equal theirs exactly.  feedback_gains and
@@ -28,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rsgames import as_game, calib, outer_layer
+from rsgames import as_game, calib, mjls_inner, outer_layer
 from rsgames.calib import OhlcvSeries
+from rsgames.numkit import BlowupError
 from rsgames.sim import PathRecord
 
 
@@ -340,3 +347,83 @@ def solve_outer(phi, spec, grid):
         )
     f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec)
     return outer_layer.OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)
+
+
+class FlowWorkspaceOracle:
+    """Precomputed per-regime arrays for the vectorized Riccati flow."""
+
+    def __init__(self, model):
+        self.A = model.A
+        self.At = np.ascontiguousarray(np.swapaxes(model.A, 1, 2))
+        self.Q = model.Q
+        self.sctrl = model.control_matrices()
+        self.noise = np.matmul(model.Sigma, np.swapaxes(model.Sigma, 1, 2))
+        self.N = model.n_regimes
+        self.n = model.n_states
+
+    @staticmethod
+    def split_rates(rates):
+        off = rates - np.diag(np.diag(rates))
+        return off, off.sum(axis=1), bool(off.any())
+
+    def backward_derivatives(self, P, r, rates, split=None):
+        """(-dP/dt, -dr/dt) of the coupled flow, all regimes at once."""
+        off, outflow, coupled = self.split_rates(rates) if split is None else split
+        dP = self.Q + self.At @ P + P @ self.A - P @ self.sctrl @ P
+        dr = (self.noise * np.swapaxes(P, 1, 2)).sum(axis=(1, 2))
+        if coupled:
+            dP += (off @ P.reshape(self.N, -1)).reshape(P.shape)
+            dP -= outflow[:, None, None] * P
+            dr += off @ r - outflow * r
+        dP = 0.5 * (dP + np.swapaxes(dP, 1, 2))
+        return dP, dr
+
+
+def riccati_step_oracle(P_right, r_right, rates, model, t_right, h, workspace=None):
+    """One RK4 step of the joint (P, r) flow from t_right to t_right - h.
+
+    `rates` is held constant over the step.  Shared verbatim by the
+    standalone solver and the hierarchy sweep so their flows agree exactly.
+    """
+    ws = workspace if workspace is not None else FlowWorkspaceOracle(model)
+    split = ws.split_rates(rates)
+    # classical RK4 in backward time tau = T - t, step +h, rhs = -d/dt
+    half = 0.5 * h
+    k1P, k1r = ws.backward_derivatives(P_right, r_right, rates, split)
+    k2P, k2r = ws.backward_derivatives(
+        P_right + half * k1P, r_right + half * k1r, rates, split
+    )
+    k3P, k3r = ws.backward_derivatives(
+        P_right + half * k2P, r_right + half * k2r, rates, split
+    )
+    k4P, k4r = ws.backward_derivatives(
+        P_right + h * k3P, r_right + h * k3r, rates, split
+    )
+    sixth = h / 6.0
+    P_new = P_right + sixth * (k1P + 2.0 * k2P + 2.0 * k3P + k4P)
+    r_new = r_right + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    P_new = 0.5 * (P_new + np.swapaxes(P_new, 1, 2))
+    return P_new, r_new
+
+
+def riccati_sweep_oracle(model, rates, grid, norm_bound=1e8):
+    """(P, r) of mjls_inner.solve_coupled_riccati stepped by
+    riccati_step_oracle, with the blow-up check on np.abs(P)."""
+    N, n = model.n_regimes, model.n_states
+    n_nodes = grid.n_steps + 1
+    rates = mjls_inner._rates_at_nodes(rates, n_nodes, N)
+    workspace = FlowWorkspaceOracle(model)
+    nodes = grid.nodes()
+    P = np.empty((n_nodes, N, n, n))
+    r = np.zeros((n_nodes, N))
+    P[-1] = mjls_inner.terminal_value(model)
+    for k in range(grid.n_steps - 1, -1, -1):
+        P[k], r[k] = riccati_step_oracle(
+            P[k + 1], r[k + 1], rates[k + 1], model, nodes[k + 1], grid.step,
+            workspace,
+        )
+        if not np.abs(P[k]).max() <= norm_bound:
+            norms = np.linalg.norm(P[k], axis=(1, 2))
+            worst = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
+            raise BlowupError("Riccati flow escaped", time=nodes[k], regime=worst)
+    return P, r

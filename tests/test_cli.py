@@ -258,6 +258,36 @@ class TestMmCommand:
         assert isinstance(report["nonbilinear_nodes"], int)
         assert report["nonbilinear_nodes"] >= 0
 
+    GOOD_AFFINE = {"mu0": [[0.0, 3.0], [3.0, 0.0]],
+                   "lam_att": [[0.0, 1.0], [1.0, 0.0]],
+                   "lam_stab": [[0.0, 1.0], [1.0, 0.0]]}
+    BAD_MACRO = [
+        ({"mode": "affin"}, "mm.macro.mode must be one of affine, quadratic, bang_bang"),
+        ({"affine": {"lam_att": GOOD_AFFINE["lam_att"],
+                     "lam_stab": GOOD_AFFINE["lam_stab"]}},
+         "mm.macro.affine: missing 'mu0'"),
+        ({"affine": {**GOOD_AFFINE, "lam_att": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}},
+         "mm.macro.affine.lam_att must be (2, 2), got (2, 3)"),
+        ({"affine": {**GOOD_AFFINE, "lam_stab": [[0.0, float("nan")], [1.0, 0.0]]}},
+         "mm.macro.affine.lam_stab must be finite"),
+        ({"affine": {**GOOD_AFFINE, "mu0": [[0.0, "fast"], [3.0, 0.0]]}},
+         "mm.macro.affine.mu0 is not a numeric matrix"),
+    ]
+
+    @pytest.mark.parametrize("bad,message", BAD_MACRO,
+                             ids=["mode", "missing", "shape", "nan", "text"])
+    def test_bad_macro_is_a_config_error_before_any_write(self, tmp_path, capsys,
+                                                          bad, message):
+        # catches: checking mm.macro after theta_quotes.csv and
+        # expansion_report.json are written, which left both behind
+        macro = {"enabled": True, "inventory": 1, "n_steps": 20,
+                 "mode": "affine", "affine": self.GOOD_AFFINE, **bad}
+        out = tmp_path / "out"
+        cfg = self.mm_config(tmp_path, macro=macro)
+        assert run(["mm", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_macro_report_without_macro(self, tmp_path):
         out = tmp_path / "out"
         assert run(["mm", "--config", self.mm_config(tmp_path), "--out", str(out)]) == 0

@@ -129,6 +129,35 @@ class TestOneSaddlePath:
             np.testing.assert_array_equal(sp.col_strategy, g[0])
             assert sp.value == f[0] @ M @ g[0]
 
+    @pytest.mark.parametrize("twin_first", [False, True])
+    def test_singular_stack_mate_leaves_the_equalizer_alone(self, twin_first):
+        # a perturbed rock-paper-scissors game is settled by the equalizer;
+        # stacked with a mixed game whose two equal rows make its bordered
+        # systems singular, it keeps the same strategies and only the
+        # singular game reaches the LP
+        rng = np.random.default_rng(11)
+        rps = (np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+               + rng.uniform(-0.3, 0.3, (3, 3)))
+        twin = np.array([[1.0, -1.0, 0.5], [1.0, -1.0, 0.5], [-1.0, 1.0, 0.0]])
+        lp_games = []
+
+        def counting_lp(game):
+            lp_games.append(game.payoff)
+            return game_core.solve_lp(game)
+
+        equalizer = game_core.SADDLE_PATHS.index("equalizer")
+        f_alone, g_alone, path_alone, _ = game_core.solve_games(rps[None], counting_lp)
+        assert path_alone.tolist() == [equalizer] and lp_games == []
+
+        at = int(twin_first)
+        stack = np.stack([twin, rps] if twin_first else [rps, twin])
+        f, g, path, gap = game_core.solve_games(stack, counting_lp)
+        assert path[at] == equalizer
+        np.testing.assert_array_equal(f[at], f_alone[0])
+        np.testing.assert_array_equal(g[at], g_alone[0])
+        assert len(lp_games) == 1 and np.array_equal(lp_games[0], twin)
+        assert gap.max() <= 1e-7
+
     def test_pure_saddle_value_is_the_entry(self):
         M = np.array([[3.0, 1.0, 4.0], [0.5, 0.25, 9.0]])
         assert solve_zero_sum(MatrixGame(M)).value == 1.0

@@ -24,7 +24,11 @@ def two_regime_scalar(Q=(1.0, 4.0), Q_T=(0.0, 0.0), Sigma=(0.0, 0.0)):
 def backward_derivatives(model, P, r, rates):
     """(-dP/dt, -dr/dt) of every regime, from the right-hand side that
     riccati_step integrates."""
-    return mjls_inner._FlowWorkspace(model).backward_derivatives(P, r, rates)
+    P, r = np.asarray(P, dtype=float), np.asarray(r, dtype=float)
+    G, coupled = mjls_inner.coupling_generators(rates)
+    dP, dr = np.empty_like(P), np.empty_like(r)
+    mjls_inner._FlowWorkspace(model).derivative(P, r, G if coupled else None, dP, dr)
+    return dP, dr
 
 
 class TestRhs:
