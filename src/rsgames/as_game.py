@@ -108,12 +108,12 @@ class ASModel:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.gamma <= 0 or self.A <= 0 or self.k <= 0:
-            raise ValueError("gamma, A and k must be positive")
+        if min(self.gamma, self.A, self.k, self.s0) <= 0:
+            raise ValueError("gamma, A, k and s0 must be positive")
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if np.any(self.sigmas <= 0):
-            raise ValueError("volatilities must be positive")
+            raise ValueError("sigmas must be positive")
         if self.q_max < 1:
             raise ValueError("q_max must be at least 1")
         if self.horizon <= 0 or self.dt <= 0:

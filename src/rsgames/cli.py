@@ -1,7 +1,7 @@
 """Command-line front end: calibrate, solve, mm, simulate.
 
-Configs are YAML trees; unknown keys are rejected before any compute and
-every output file carries a schema_version.  Exit codes: 0 success,
+Configs are YAML trees, checked in full against FIELDS before any compute
+or write; every output file carries a schema_version.  Exit codes: 0 success,
 2 config/validation error, 3 numerical failure.
 """
 
@@ -34,63 +34,66 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config ---
 
-DEFAULT_AS_MODEL = {
-    "gamma": 0.02,
-    "xi": 10.0,
-    "A": 250000.0,
-    "k": 10.0,
-    "sigmas": [0.2253, 0.5305],
-    "q_max": 10,
-    "horizon_hours": 12.0,
-    "dt_seconds": 15.0,
-    "mu_per_day": [[0.0, 30.0], [30.0, 0.0]],
-    "s0": 90863.90,
+REQUIRED = object()  # the default of a field that has none
+
+# "section.key": (kind, default).  The kinds: "bool" (a YAML bool, never a
+# quoted one), "int" (integer-valued, see config_int) or "int>=n" (also at
+# least n), "number" (float() of it) or "number>0" (also finite and
+# positive), "list" (numeric, one axis), "matrix" (numeric, two or more
+# axes), "mode" (one of as_game.MACRO_MODES) and "section" (a nested
+# mapping; a null or empty one is absent).  A None default marks an optional
+# field.  The domain objects keep the value checks they own (finite,
+# positive, shapes, PSD); load_config checks kinds only.
+FIELDS = {
+    "as_model.gamma": ("number", 0.02),
+    "as_model.xi": ("number", 10.0),
+    "as_model.A": ("number", 250000.0),
+    "as_model.k": ("number", 10.0),
+    "as_model.sigmas": ("list", [0.2253, 0.5305]),
+    "as_model.q_max": ("int", 10),
+    "as_model.horizon_hours": ("number", 12.0),
+    "as_model.dt_seconds": ("number", 15.0),
+    "as_model.mu_per_day": ("matrix", [[0.0, 30.0], [30.0, 0.0]]),
+    "as_model.s0": ("number", 90863.90),
+    "sim.n_paths": ("int", 1000),
+    "sim.seed": ("int>=0", 20251212),
+    "sim.initial_regime": ("int", 0),
+    "sim.predator": ("bool", True),
+    "sim.export_paths": ("bool", False),
+    "sim.n_export_paths": ("int>=0", 1),
+    "calibrate.window": ("int>=2", 48),
+    "calibrate.annualization": ("number>0", 365.0 * 48.0),
+    "calibrate.n_regimes": ("int>=1", 2),
+    "mm.n_steps": ("int>=1", 512),
+    "mm.expansion_report": ("bool", True),
+    "mm.xi_sweep": ("list", []),
+    "mm.macro": ("section", None),
+    "mm.macro.enabled": ("bool", False),
+    "mm.macro.inventory": ("int", 0),
+    "mm.macro.n_steps": ("int", 200),
+    "mm.macro.mode": ("mode", "affine"),
+    "mm.macro.affine": ("section", None),
+    **{f"{section}.affine.{key}": ("matrix", REQUIRED)
+       for section in ("mm.macro", "outer") for key in ("mu0", "lam_att", "lam_stab")},
+    "grid.t0": ("number", 0.0),
+    "grid.T": ("number", REQUIRED),
+    "grid.n_steps": ("int", REQUIRED),
+    **{f"lq.{key}": ("matrix", REQUIRED)
+       for key in ("A", "B", "D", "Sigma", "Q", "R", "S", "Q_T")},
+    "outer.mu_bar": ("matrix", None),
+    "outer.Lambda": ("matrix", None),
+    "outer.affine": ("section", None),
 }
 
-DEFAULT_SIM = {
-    "n_paths": 1000,
-    "seed": 20251212,
-    "initial_regime": 0,
-    "predator": True,
-    "export_paths": False,
-    "n_export_paths": 1,
-}
-
-DEFAULT_CALIBRATE = {
-    "window": 48,
-    "annualization": 365.0 * 48.0,
-    "n_regimes": 2,
-}
-
-DEFAULT_MM = {
-    "n_steps": 512,
-    "expansion_report": True,
-    "xi_sweep": [],
-    "macro": None,
-}
-
-DEFAULTS = {"as_model": DEFAULT_AS_MODEL, "sim": DEFAULT_SIM,
-            "calibrate": DEFAULT_CALIBRATE, "mm": DEFAULT_MM}
-
-ALLOWED_KEYS = {
-    **{section: set(defaults) for section, defaults in DEFAULTS.items()},
-    "grid": {"t0", "T", "n_steps"},
-    "lq": {"A", "B", "D", "Sigma", "Q", "R", "S", "Q_T"},
-    "outer": {"mu_bar", "Lambda", "affine", "rho_f", "rho_g",
-              "clamp_efforts", "flip_bang_bang"},
-    "macro": {"enabled", "inventory", "n_steps", "mode", "affine"},
-    "affine": {"mu0", "lam_att", "lam_stab"},
-}
-
-
-def _check_keys(section: str, tree: dict, path: str):
-    allowed = ALLOWED_KEYS[section]
-    for key in tree:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
+WANTS = {"bool": "must be true or false", "number": "must be a number",
+         "number>0": "must be a finite number above 0",
+         "list": "is not a numeric list", "matrix": "is not a numeric matrix",
+         "mode": f"must be one of {', '.join(as_game.MACRO_MODES)}"}
 
 
 def load_config(path, command: str) -> dict:
+    """The command's sections with defaults merged and every field checked
+    against its kind, as plain YAML values; a ConfigError otherwise."""
     if path is None:
         cfg = {}
     else:
@@ -103,136 +106,129 @@ def load_config(path, command: str) -> dict:
                 raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config root must be a mapping, got {type(cfg)}")
-
-    sections = {
-        "calibrate": {"calibrate"},
-        "solve": {"grid", "lq", "outer"},
-        "mm": {"as_model", "mm"},
-        "simulate": {"as_model", "sim"},
-    }[command]
+    sections = {"calibrate": ("calibrate",), "solve": ("grid", "lq", "outer"),
+                "mm": ("as_model", "mm"), "simulate": ("as_model", "sim")}[command]
     for key in cfg:
         if key not in sections:
             raise ConfigError(f"unknown section {key!r} for command {command!r}")
+    return {section: _resolve(section, cfg.get(section) or {}) for section in sections}
 
-    merged = {}
-    for section in sections:
-        given = cfg.get(section, {}) or {}
-        if not isinstance(given, dict):
-            raise ConfigError(f"section {section!r} must be a mapping")
-        if section in ALLOWED_KEYS:
-            _check_keys(section, given, section)
-        merged[section] = {**DEFAULTS.get(section, {}), **given}
-    return merged
+
+def _resolve(section: str, given) -> dict:
+    """One section's fields, nested sections included, defaults merged."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a mapping, got {given!r}")
+    fields = {path[len(section) + 1:]: spec for path, spec in FIELDS.items()
+              if path.rpartition(".")[0] == section}
+    for key in given:
+        if key not in fields:
+            raise ConfigError(f"unknown key {section}.{key}")
+    tree = {**{key: default for key, (_, default) in fields.items()
+               if default is not REQUIRED}, **given}
+    resolved = {}
+    for key, (kind, default) in fields.items():
+        if key not in tree:
+            raise ConfigError(f"{section}: missing {key!r}")
+        optional = tree[key] is None and default is None
+        resolved[key] = None if optional else _checked(tree, section, key, kind)
+    return resolved
+
+
+def _checked(tree: dict, section: str, key: str, kind: str):
+    """tree[key] as a plain YAML value of its kind, or a ConfigError."""
+    value, path = tree[key], f"{section}.{key}"
+    kind, _, low = kind.partition(">=")
+    if kind == "int":
+        value = config_int(tree, section, key)
+        if low and value < int(low):
+            raise ConfigError(f"{path} must be at least {low}, got {value}")
+        return value
+    if kind == "section":
+        return None if value == {} else _resolve(path, value)
+    if (kind == "bool" and isinstance(value, bool)
+            or kind == "mode" and value in as_game.MACRO_MODES):
+        return value
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if kind.startswith("number") and not isinstance(value, bool):
+            number = float(value)
+            if kind == "number" or np.isfinite(number) and number > 0:
+                return number
+        if kind in ("list", "matrix") and isinstance(value, list):
+            array = np.asarray(value, dtype=float)
+            if (array.ndim > 1) == (kind == "matrix"):  # a list has one axis
+                return array.tolist()
+    raise ConfigError(f"{path} {WANTS[kind]}, got {value!r}")
 
 
 def config_int(tree: dict, section: str, key: str) -> int:
-    """tree[key] if it is integer-valued; otherwise (NaN, inf, 2.7, "x") a
-    config error that names the field, never a silent truncation."""
-    if key not in tree:
-        raise ConfigError(f"{section}: missing {key!r}")
+    """tree[key] if it is integer-valued; otherwise (NaN, inf, 2.7, "x",
+    true) a config error that names the field, never a silent truncation."""
+    value = tree[key]
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if float(tree[key]) == int(tree[key]):
-            return int(tree[key])
-    raise ConfigError(f"{section}.{key} must be an integer, got {tree[key]!r}")
+        if not isinstance(value, bool) and float(value) == int(value):
+            return int(value)
+    raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
 
 
-def macro_affine(tree: dict, n_regimes: int):
-    """(mu0, lam_att, lam_stab) of mm.macro.affine, per day: each present,
-    numeric, (N, N) and finite, or a config error that names it."""
-    mats = []
-    for key in ("mu0", "lam_att", "lam_stab"):
-        if key not in tree:
-            raise ConfigError(f"mm.macro.affine: missing {key!r}")
-        try:
-            M = np.asarray(tree[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mm.macro.affine.{key} is not a numeric matrix") from exc
-        if M.shape != (n_regimes, n_regimes):
-            raise ConfigError(f"mm.macro.affine.{key} must be ({n_regimes}, {n_regimes}), "
-                              f"got {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ConfigError(f"mm.macro.affine.{key} must be finite")
-        mats.append(M)
-    return mats
+@contextlib.contextmanager
+def _config_errors(section: str):
+    """Report a domain object's ValueError as a config error of section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def build_as_model(tree: dict) -> ASModel:
-    _check_keys("as_model", tree, "as_model")
-    mu = np.asarray(tree["mu_per_day"], dtype=float) * 365.0
-    q_max = config_int(tree, "as_model", "q_max")
-    try:
+    with _config_errors("as_model"):
         return ASModel(
-            gamma=float(tree["gamma"]),
-            xi=float(tree["xi"]),
-            A=float(tree["A"]),
-            k=float(tree["k"]),
-            sigmas=np.asarray(tree["sigmas"], dtype=float),
-            q_max=q_max,
-            horizon=float(tree["horizon_hours"]) / HOURS_PER_YEAR,
-            rates=mu,
-            s0=float(tree["s0"]),
-            dt=float(tree["dt_seconds"]) / SECONDS_PER_YEAR,
+            gamma=tree["gamma"], xi=tree["xi"], A=tree["A"], k=tree["k"],
+            sigmas=np.asarray(tree["sigmas"], dtype=float), q_max=tree["q_max"],
+            horizon=tree["horizon_hours"] / HOURS_PER_YEAR,
+            rates=np.asarray(tree["mu_per_day"], dtype=float) * 365.0,
+            s0=tree["s0"], dt=tree["dt_seconds"] / SECONDS_PER_YEAR,
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"as_model: {exc}") from exc
 
 
 def build_grid(tree: dict) -> TimeGrid:
-    _check_keys("grid", tree, "grid")
-    n_steps = config_int(tree, "grid", "n_steps")
-    try:
-        return TimeGrid(t0=float(tree.get("t0", 0.0)), T=float(tree["T"]),
-                        n_steps=n_steps)
-    except KeyError as exc:
-        raise ConfigError(f"grid: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    with _config_errors("grid"):
+        return TimeGrid(t0=tree["t0"], T=tree["T"], n_steps=tree["n_steps"])
 
 
 def build_lq_model(tree: dict) -> mjls_inner.RegimeLQModel:
-    _check_keys("lq", tree, "lq")
-    try:
-        return mjls_inner.RegimeLQModel(
-            **{name: np.asarray(tree[name], dtype=float)
-               for name in ("A", "B", "D", "Sigma", "Q", "R", "S", "Q_T")}
-        )
-    except KeyError as exc:
-        raise ConfigError(f"lq: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lq: {exc}") from exc
+    with _config_errors("lq"):
+        return mjls_inner.RegimeLQModel(**tree)
 
 
-def build_outer_spec(tree: dict, flip=None, clamp=None) -> outer_layer.OuterGameSpec:
-    _check_keys("outer", tree, "outer")
-    kwargs = {
-        "rho_f": float(tree.get("rho_f", 1.0)),
-        "rho_g": float(tree.get("rho_g", 1.0)),
-        "clamp_efforts": bool(tree.get("clamp_efforts", True)),
-        "flip_bang_bang": bool(tree.get("flip_bang_bang", False)),
-    }
-    if flip is not None:
-        kwargs["flip_bang_bang"] = flip
-    if clamp is not None:
-        kwargs["clamp_efforts"] = clamp
-    try:
-        if "affine" in tree and tree["affine"]:
-            _check_keys("affine", tree["affine"], "outer.affine")
-            aff = tree["affine"]
-            return outer_layer.OuterGameSpec.from_affine(
-                np.asarray(aff["mu0"], dtype=float),
-                np.asarray(aff["lam_att"], dtype=float),
-                np.asarray(aff["lam_stab"], dtype=float),
-                **kwargs,
-            )
-        return outer_layer.OuterGameSpec(
-            mu_bar=np.asarray(tree["mu_bar"], dtype=float),
-            Lambda=np.asarray(tree["Lambda"], dtype=float),
-            **kwargs,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"outer: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"outer: {exc}") from exc
+def build_affine_spec(section: str, tree: dict, n_regimes: int, scale=1.0,
+                      **kwargs) -> outer_layer.OuterGameSpec:
+    """OuterGameSpec.from_affine on the section's mu0, lam_att and lam_stab
+    times scale, each (N, N) and finite."""
+    mats = {key: np.asarray(tree[key]) * scale for key in ("mu0", "lam_att", "lam_stab")}
+    for key, M in mats.items():
+        if M.shape != (n_regimes, n_regimes):
+            raise ConfigError(f"{section}.{key} must be ({n_regimes}, {n_regimes}), "
+                              f"got {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise ConfigError(f"{section}.{key} must be finite")
+    with _config_errors(section):
+        return outer_layer.OuterGameSpec.from_affine(**mats, **kwargs)
+
+
+def build_outer_spec(tree: dict, n_regimes=None) -> outer_layer.OuterGameSpec:
+    """The solve game from outer.affine when given, else from outer.mu_bar
+    and outer.Lambda; for n_regimes regimes when that is given."""
+    if tree["affine"]:
+        return build_affine_spec("outer.affine", tree["affine"],
+                                 n_regimes or len(tree["affine"]["mu0"]))
+    for key in ("mu_bar", "Lambda"):
+        if tree[key] is None:
+            raise ConfigError(f"outer: missing {key!r}")
+    with _config_errors("outer"):
+        spec = outer_layer.OuterGameSpec(mu_bar=tree["mu_bar"], Lambda=tree["Lambda"])
+    if n_regimes not in (None, spec.n_regimes):
+        raise ConfigError(f"outer.mu_bar has {spec.n_regimes} regimes, lq has {n_regimes}")
+    return spec
 
 
 # --------------------------------------------------------------- outputs ---
@@ -328,13 +324,7 @@ def expansion_report(model: ASModel, table: as_game.ThetaTable) -> dict:
 
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, "calibrate")["calibrate"]
-    series = calib.load_ohlcv_csv(args.csv)
-    result = calib.calibrate(
-        series,
-        window=config_int(cfg, "calibrate", "window"),
-        annualization=float(cfg["annualization"]),
-        n_regimes=config_int(cfg, "calibrate", "n_regimes"),
-    )
+    result = calib.calibrate(calib.load_ohlcv_csv(args.csv), **cfg)
     out = os.path.join(args.out, "calibration.json")
     write_json(out, result.to_dict())
     print(f"wrote {out}")
@@ -350,8 +340,7 @@ def cmd_calibrate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, "solve")
     model = build_lq_model(cfg["lq"])
-    spec = build_outer_spec(cfg["outer"], flip=args.flip_bangbang_orientation,
-                            clamp=args.clamp_efforts)
+    spec = build_outer_spec(cfg["outer"], model.n_regimes)
     grid = build_grid(cfg["grid"])
     sol = hierarchy.solve_hierarchy(model, spec, grid)
     report = hierarchy.turnpike_report(sol)
@@ -405,30 +394,21 @@ def cmd_mm(args) -> int:
     cfg = load_config(args.config, "mm")
     model = build_as_model(cfg["as_model"])
     mm_cfg = cfg["mm"]
-    n_steps = config_int(mm_cfg, "mm", "n_steps")
-    if args.steps is not None:
-        n_steps = args.steps
-    macro_cfg = mm_cfg["macro"]
-    if macro_cfg:
-        _check_keys("macro", macro_cfg, "mm.macro")
-        _check_keys("affine", macro_cfg.get("affine") or {}, "mm.macro.affine")
-        macro_cfg = {"inventory": 0, "n_steps": 200, **macro_cfg}
-        macro_inventory = config_int(macro_cfg, "mm.macro", "inventory")
-        macro_steps = config_int(macro_cfg, "mm.macro", "n_steps")
-    spec = None
-    if macro_cfg and macro_cfg.get("enabled"):
-        macro_mode = macro_cfg.get("mode", "affine")
-        if macro_mode not in as_game.MACRO_MODES:
-            raise ConfigError(f"mm.macro.mode must be one of {', '.join(as_game.MACRO_MODES)}, "
-                              f"got {macro_mode!r}")
-        mu0, lam_att, lam_stab = macro_affine(macro_cfg.get("affine") or {},
-                                              model.n_regimes)
-        spec = outer_layer.OuterGameSpec.from_affine(
-            mu0 * 365.0, lam_att * 365.0, lam_stab * 365.0,
-            clamp_efforts=bool(args.clamp_efforts)
-            if args.clamp_efforts is not None else True,
-            flip_bang_bang=bool(args.flip_bangbang_orientation),
-        )
+    macro = mm_cfg["macro"] if mm_cfg["macro"] and mm_cfg["macro"]["enabled"] else None
+    n_steps = mm_cfg["n_steps"] if args.steps is None else args.steps
+    with _config_errors("mm.xi_sweep"):
+        sweep = [dataclasses.replace(model, xi=xi) for xi in mm_cfg["xi_sweep"]]
+    if macro:
+        if not macro["affine"]:
+            raise ConfigError("mm.macro: missing 'affine'")
+        if abs(macro["inventory"]) > model.q_max:
+            raise ConfigError(f"mm.macro.inventory must be within as_model.q_max = "
+                              f"{model.q_max}, got {macro['inventory']}")
+        spec = build_affine_spec("mm.macro.affine", macro["affine"], model.n_regimes,
+                                 365.0, clamp_efforts=args.clamp_efforts,
+                                 flip_bang_bang=args.flip_bangbang_orientation)
+        with _config_errors("mm.macro"):
+            grid = TimeGrid(0.0, model.horizon, macro["n_steps"])
     table = as_game.build_theta_table(model, n_steps)
     ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
 
@@ -444,21 +424,20 @@ def cmd_mm(args) -> int:
         write_json(os.path.join(args.out, "expansion_report.json"),
                    expansion_report(model, table))
 
-    if mm_cfg["xi_sweep"]:
-        xis = np.array([float(xi) for xi in mm_cfg["xi_sweep"]])
+    if sweep:
+        xis = np.array(mm_cfg["xi_sweep"])
         spreads = np.empty_like(xis)
         mid = model.q_max  # q = 0
-        for n, xi in enumerate(xis):
-            m_xi = dataclasses.replace(model, xi=float(xi))
+        for n, m_xi in enumerate(sweep):
             t_xi = as_game.build_theta_table(m_xi, n_steps)
             a_xi, b_xi, _, _ = as_game.quote_surfaces(t_xi, m_xi)
             spreads[n] = a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
                   ["xi", "total_spread_q0_full_horizon"], [xis, spreads])
 
-    if spec is not None:
-        grid = TimeGrid(0.0, model.horizon, macro_steps)
-        sol = as_game.solve_macro_as(model, spec, macro_inventory, grid, mode=macro_mode)
+    if macro:
+        sol = as_game.solve_macro_as(model, spec, macro["inventory"], grid,
+                                     mode=macro["mode"])
         idx, i = _index_columns(sol.k.shape)
         write_csv(os.path.join(args.out, "macro_values.csv"),
                   ["t", "regime", "U", "f_act", "g_act"],
@@ -479,22 +458,19 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
     model = build_as_model(cfg["as_model"])
     sim_cfg = cfg["sim"]
-    n_paths = config_int(sim_cfg, "sim", "n_paths") if args.paths is None else args.paths
-    seed = config_int(sim_cfg, "sim", "seed") if args.seed is None else args.seed
+    n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
     n_steps = args.steps if args.steps is not None else int(
         round(model.horizon / model.dt)
     )
     if args.steps is not None:
         # keep n_steps * dt == horizon by rescaling the step
         model = dataclasses.replace(model, dt=model.horizon / n_steps)
-    config = sim.SimConfig(
-        model=model,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        predator=bool(sim_cfg["predator"]),
-        initial_regime=config_int(sim_cfg, "sim", "initial_regime"),
-    )
+    with _config_errors("sim"):
+        config = sim.SimConfig(
+            model=model, n_paths=n_paths, n_steps=n_steps,
+            seed=sim_cfg["seed"] if args.seed is None else args.seed,
+            predator=sim_cfg["predator"], initial_regime=sim_cfg["initial_regime"],
+        )
     report = sim.run_monte_carlo(config)
     out = os.path.join(args.out, "sim_report.json")
     write_json(out, report.to_dict())
@@ -503,7 +479,7 @@ def cmd_simulate(args) -> int:
         print(f"note: {note}")
 
     if sim_cfg["export_paths"]:
-        n_export = min(config_int(sim_cfg, "sim", "n_export_paths"), n_paths)
+        n_export = min(sim_cfg["n_export_paths"], n_paths)
         policy = sim.make_policy(model, "equilibrium", n_steps)
         for p in range(n_export):
             rec = sim.simulate_path(config, policy, path_index=p)
@@ -538,22 +514,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def outer_flags(p):
-        p.add_argument("--flip-bangbang-orientation", action="store_true",
-                       dest="flip_bangbang_orientation")
-        p.add_argument("--clamp-efforts", action=argparse.BooleanOptionalAction,
-                       default=None, dest="clamp_efforts")
+    def at_least(low):
+        def integer(text):
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+            return int(text)
+        return integer
 
     p_cal = command("calibrate", cmd_calibrate, "fit regimes from OHLCV CSV")
     p_cal.add_argument("csv", help="input OHLCV CSV path")
-    outer_flags(command("solve", cmd_solve, "solve the two-layer LQ hierarchy"))
+    command("solve", cmd_solve, "solve the two-layer LQ hierarchy")
     p_mm = command("mm", cmd_mm, "market-making tables and quotes")
-    p_mm.add_argument("--steps", type=int, default=None)
-    outer_flags(p_mm)
+    p_mm.add_argument("--steps", type=at_least(1))
+    p_mm.add_argument("--flip-bangbang-orientation", action="store_true")
+    p_mm.add_argument("--clamp-efforts", action=argparse.BooleanOptionalAction,
+                      default=True)
     p_sim = command("simulate", cmd_simulate, "Monte-Carlo strategy comparison")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--paths", type=int, default=None)
-    p_sim.add_argument("--steps", type=int, default=None)
+    p_sim.add_argument("--seed", type=at_least(0))
+    p_sim.add_argument("--paths", type=at_least(1))
+    p_sim.add_argument("--steps", type=at_least(1))
     return parser
 
 

@@ -66,7 +66,12 @@ class RegimeLQModel:
 
     def __post_init__(self):
         for name in ("A", "B", "D", "Sigma", "Q", "R", "S", "Q_T"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            M = np.asarray(getattr(self, name), dtype=float)
+            if M.ndim != 3:
+                raise ValueError(f"{name} must be a stack (N, ., .), got {M.shape}")
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, M)
         N, n = self.A.shape[0], self.A.shape[1]
         if self.A.shape != (N, n, n):
             raise ValueError(f"A must be (N, n, n), got {self.A.shape}")

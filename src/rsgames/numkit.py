@@ -27,8 +27,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.T > self.t0:
-            raise ValueError(f"need T > t0, got t0={self.t0}, T={self.T}")
+        if not (np.isfinite(self.T) and np.isfinite(self.t0) and self.T > self.t0):
+            raise ValueError(f"need finite T > t0, got t0={self.t0}, T={self.T}")
         if self.n_steps < 1:
             raise ValueError(f"need n_steps >= 1, got {self.n_steps}")
 

@@ -59,7 +59,7 @@ class SimConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not 0 <= self.initial_regime < self.model.n_regimes:
-            raise ValueError(f"initial regime {self.initial_regime} out of range")
+            raise ValueError(f"initial_regime {self.initial_regime} out of range")
         span = self.n_steps * self.model.dt
         if abs(span - self.model.horizon) > 1e-9 * max(1.0, self.model.horizon):
             raise ValueError(

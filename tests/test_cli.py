@@ -513,7 +513,7 @@ class TestFlags:
     OUTER = {"--flip-bangbang-orientation", "--clamp-efforts", "--no-clamp-efforts"}
     READS = {
         "calibrate": {"--config", "--out"},
-        "solve": {"--config", "--out"} | OUTER,
+        "solve": {"--config", "--out"},
         "mm": {"--config", "--out", "--steps"} | OUTER,
         "simulate": {"--config", "--out", "--seed", "--paths", "--steps"},
     }

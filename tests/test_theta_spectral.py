@@ -76,7 +76,7 @@ class TestSpectralMatchesPropagator:
         assert rel_err(table, theta_table_oracle(m, 16)) <= 1e-12
 
     def test_reference_market_tables(self):
-        model = cli.build_as_model(cli.DEFAULT_AS_MODEL)
+        model = cli.build_as_model(cli.load_config(None, "mm")["as_model"])
         for n_steps in (16, 512):
             table = as_game.build_theta_table(model, n_steps)
             assert table.method == "spectral"
@@ -85,7 +85,7 @@ class TestSpectralMatchesPropagator:
     def test_one_table_sized_buffer(self):
         # many more nodes than states: the table is the only (n_nodes x dim)
         # array, the exponentials come in blocks of SPECTRAL_CHUNK_NODES
-        model = cli.build_as_model(cli.DEFAULT_AS_MODEL)
+        model = cli.build_as_model(cli.load_config(None, "mm")["as_model"])
         as_game.build_theta_table(model, 8)
         tracemalloc.start()
         try:
