@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import game_core, numkit, outer_layer
 from .numkit import NumericalError, TimeGrid
@@ -197,6 +196,8 @@ def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray,
     rescaled to max 1 after every sub-segment, so arbitrarily stiff
     generators stay inside floating range.
     """
+    import scipy.linalg  # here, so that a reversible chain never loads it
+
     norm = float(np.abs(M).sum(axis=0).max())
     n_sub = max(1, int(math.ceil(norm * dtau / MAX_SEG_NORM)))
     E = scipy.linalg.expm(-M * (dtau / n_sub))
@@ -255,7 +256,7 @@ def _reversible_weights(Q: np.ndarray):
 def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
                     gamma: float, out: np.ndarray) -> bool:
     """Write theta at every tau into out (n_nodes, dim) from one eigh of the
-    symmetrized generator, overwriting M; return False, leaving the table
+    symmetrized generator, formed in M; return False, leaving the table
     to _propagate, when rounding may have spoilt it.
 
     With d = sqrt(pi) repeated over the levels and D = diag(d), S = D M D^-1
@@ -272,7 +273,7 @@ def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
     d = np.repeat(np.sqrt(pi), dim // pi.shape[0])
     M *= d[:, None]
     M /= d[None, :]
-    lam, U = scipy.linalg.eigh(M, overwrite_a=True, driver="evd")
+    lam, U = np.linalg.eigh(M)
     c = U.T @ d
     for first in range(0, len(taus), SPECTRAL_CHUNK_NODES):
         part = slice(first, first + SPECTRAL_CHUNK_NODES)
@@ -322,6 +323,8 @@ def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
     tau) pair goes through one stacked expm, which treats each slice
     exactly as it treats a single matrix.
     """
+    import scipy.linalg
+
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy.linalg
 
 COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")  # OhlcvSeries order
 VOL_BLOCK = 4096  # windows per std reduction: bounds the temporaries
@@ -213,6 +212,8 @@ def _generator_from_logm(counts, occupancy, bar_interval_days):
     eigs = np.linalg.eigvals(P)
     if np.any(eigs.real <= 1e-10) or np.any(np.abs(eigs.imag) > 1e-10):
         return None
+    import scipy.linalg  # here, so that only calibrate loads it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = scipy.linalg.logm(P)

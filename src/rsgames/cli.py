@@ -219,6 +219,10 @@ def build_outer_spec(tree: dict, n_regimes=None) -> outer_layer.OuterGameSpec:
     """The solve game from outer.affine when given, else from outer.mu_bar
     and outer.Lambda; for n_regimes regimes when that is given."""
     if tree["affine"]:
+        beside = [key for key in ("mu_bar", "Lambda") if tree[key] is not None]
+        if beside:
+            raise ConfigError(f"outer: give 'affine' or 'mu_bar' and 'Lambda', not "
+                              f"'affine' and {' and '.join(map(repr, beside))}")
         return build_affine_spec("outer.affine", tree["affine"],
                                  n_regimes or len(tree["affine"]["mu0"]))
     for key in ("mu_bar", "Lambda"):
@@ -459,11 +463,16 @@ def cmd_simulate(args) -> int:
     model = build_as_model(cfg["as_model"])
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
-    n_steps = args.steps if args.steps is not None else int(
-        round(model.horizon / model.dt)
-    )
-    if args.steps is not None:
+    if args.steps is None:
+        n_steps = round(model.horizon / model.dt)
+        if abs(n_steps * model.dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
+            tree = cfg["as_model"]
+            raise ConfigError(f"as_model: horizon_hours = {tree['horizon_hours']:g} is "
+                              f"not a whole number of dt_seconds = "
+                              f"{tree['dt_seconds']:g} steps")
+    else:
         # keep n_steps * dt == horizon by rescaling the step
+        n_steps = args.steps
         model = dataclasses.replace(model, dt=model.horizon / n_steps)
     with _config_errors("sim"):
         config = sim.SimConfig(

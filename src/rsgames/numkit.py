@@ -1,5 +1,6 @@
 """Dense linear-algebra and ODE primitives shared by the solver modules."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,3 +72,62 @@ def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
     k3 = rhs(t_mid, y + (0.5 * h) * k2)
     k4 = rhs(t_end, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# largest t^2 at which student_t_sf sums the series: where the worst errors
+# of the series and of the continued fraction meet, for nu <= 1e4
+SF_SERIES_T2 = 7.5
+
+
+def _log_gamma_ratio(b: float) -> float:
+    """log(Gamma(b + 1/2) / (Gamma(b) sqrt(b))), from its asymptotic series
+    at b + k >= 25 (error below 5e-16) and the recurrence down to b; a
+    difference of lgammas would lose about b log b ulps."""
+    top, shift = b, 0.0
+    while top < 25.0:
+        shift += math.log1p(0.5 / top)
+        top += 1.0
+    return (0.5 * math.log(top / b) - shift - 1 / (8 * top) + 1 / (192 * top**3)
+            - 1 / (640 * top**5) + 17 / (14336 * top**7))
+
+
+def student_t_sf(t: float, nu: float) -> float:
+    """P(T > t) for Student's t with nu >= 1 degrees of freedom.
+
+    For t > 0 that is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2).  When
+    t^2 <= SF_SERIES_T2 it is 1/2 - I_y(1/2, nu/2) / 2, y = 1 - x, from the
+    positive-term series of DLMF 8.17.22, whose difference from 1/2 loses
+    digits as t grows; otherwise the continued fraction of Numerical Recipes
+    6.4 (modified Lentz), which is ill-conditioned as x -> 1.  Their common
+    front factor x^(nu/2) y^(1/2) / B(nu/2, 1/2) is formed from t directly.
+    Against scipy.special.stdtr the relative error measured at most 6.5e-13
+    for nu <= 1e4 and 6.6e-11 for nu <= 1e6.
+    """
+    if not nu >= 1:
+        raise ValueError(f"need nu >= 1, got {nu}")
+    if not 0.0 < abs(t) < math.inf:  # 0, +-inf or NaN
+        return math.nan if math.isnan(t) else 0.5 if t == 0.0 else float(t < 0.0)
+    a, t2 = 0.5 * nu, t * t
+    front = math.exp(-(a + 0.5) * math.log1p(t2 / nu) + math.log(abs(t))
+                     - 0.5 * math.log(2.0 * math.pi) + _log_gamma_ratio(a))
+    if t2 <= SF_SERIES_T2:
+        y, term, total, n = t2 / (nu + t2), 1.0, 1.0, 0
+        while term > 1e-17 * total:
+            term *= (a + 0.5 + n) / (1.5 + n) * y
+            total += term
+            n += 1
+        upper = 0.5 - front * total  # I_y(1/2, a) = 2 front total
+    else:
+        x, h, c, d = nu / (nu + t2), 1.0, 1.0, 0.0
+        for m in range(200):
+            for step in (-(a + m) * (a + m + 0.5) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+                         -(m + 1) * (m + 0.5) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):
+                d = 1.0 / ((1.0 + step * d) or 1e-300)
+                c = (1.0 + step / c) or 1e-300
+                h *= c * d
+            if abs(c * d - 1.0) < 1e-16:
+                break
+        else:
+            raise NumericalError(f"t survival: no convergence at t={t}, nu={nu}")
+        upper = front / (2.0 * a * h)
+    return upper if t > 0 else 1.0 - upper

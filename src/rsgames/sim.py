@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from . import as_game
 from .as_game import ASModel
-from .numkit import NumericalError
+from .numkit import NumericalError, student_t_sf
 
 SCHEMA_VERSION = 1
 
@@ -384,8 +383,7 @@ def paired_one_sided(diffs: np.ndarray):
         return (math.inf if mean > 0 else (-math.inf if mean < 0 else 0.0),
                 0.0 if mean > 0 else 1.0)
     t = float(diffs.mean() / (sd / math.sqrt(n)))
-    p = float(scipy.special.stdtr(n - 1, -t))  # Student-t survival at t
-    return t, p
+    return t, student_t_sf(t, n - 1)
 
 
 @dataclass

@@ -26,6 +26,9 @@ its outputs must equal theirs exactly.  feedback_gains and
 equilibrium_rates are closed forms of the LQ layer that only tests use, and
 solve_outer is the standalone outer value sweep that the hierarchy runs
 inside its joint sweep.
+
+student_t_sf_oracle is the Student-t survival that `numkit.student_t_sf`
+replaced in the paired test, with the scipy routine it came from.
 """
 
 import csv
@@ -33,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from rsgames import as_game, calib, mjls_inner, outer_layer
 from rsgames.calib import OhlcvSeries
@@ -427,3 +431,18 @@ def riccati_sweep_oracle(model, rates, grid, norm_bound=1e8):
             worst = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
             raise BlowupError("Riccati flow escaped", time=nodes[k], regime=worst)
     return P, r
+
+
+def student_t_sf_oracle(t: float, nu: float) -> float:
+    """P(T > t) for Student's t: scipy.special.stdtr(nu, -t), except at
+    nu = 1, where stdtr loses digits as t -> 0 (3e-9 relative at t = 1e-14,
+    against 30-digit mpmath) and the Cauchy survival atan2(1, t) / pi is
+    exact to rounding."""
+    if nu == 1:
+        return math.atan2(1.0, t) / math.pi
+    return float(scipy.special.stdtr(nu, -t))
+
+
+def t_sf_error_bound(want: float, rel: float) -> float:
+    """rel * want, or 1e-300 where want is below the smallest normal float."""
+    return 1e-300 if want < np.finfo(float).tiny else rel * want

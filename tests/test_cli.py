@@ -531,12 +531,66 @@ class TestFlags:
                     cli.main(argv)
                 assert exc.value.code == 2, flag
 
-    def test_import_leaves_scipy_stats_out(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rsgames.cli; print('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+
+# Runs in one fresh interpreter: import rsgames.cli, then solve on the shipped
+# two-regime config, then simulate on the reference market; prints, as its
+# last line, the exit codes and the scipy modules loaded after each stage.
+COLD_START = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from rsgames import cli
+solve_config, simulate_config, out = sys.argv[1:]
+stages = {"import": [0, scipy_modules()]}
+for name, argv in (("solve", ["--config", solve_config]),
+                   ("simulate", ["--config", simulate_config, "--paths", "20",
+                                 "--steps", "400"])):
+    code = cli.main([name, *argv, "--out", out + "/" + name])
+    stages[name] = [code, scipy_modules()]
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START,
+         os.path.join(CONFIGS, "solve_two_regime.yaml"),
+         os.path.join(CONFIGS, "simulate_reference.yaml"),
+         str(tmp_path_factory.mktemp("cold"))],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """Import, solve and simulate on a reversible chain load no scipy."""
+
+    @pytest.mark.parametrize("stage", ["import", "solve", "simulate"])
+    def test_no_scipy_module_is_loaded(self, cold_start, stage):
+        assert cold_start[stage] == [cli.EXIT_OK, []]
+
+    def test_non_reversible_chain_runs_through_expm(self, tmp_path, monkeypatch):
+        # a cyclic three-regime chain breaks detailed balance, so simulate
+        # and mm step the penalty table with the lazily imported expm
+        import scipy.linalg
+
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda A: calls.append(A.shape) or expm(A))
+        config = write_yaml(tmp_path / "cyclic.yaml", {"as_model": {
+            "sigmas": [0.2, 0.4, 0.6],
+            "mu_per_day": [[0.0, 2.0, 0.5], [0.5, 0.0, 2.0], [2.0, 0.5, 0.0]]}})
+        sim_out, mm_out = tmp_path / "sim", tmp_path / "mm"
+        assert run(["simulate", "--config", config, "--paths", "4", "--steps", "40",
+                    "--out", str(sim_out)]) == cli.EXIT_OK
+        assert calls
+        calls.clear()
+        assert run(["mm", "--config", config, "--steps", "8",
+                    "--out", str(mm_out)]) == cli.EXIT_OK
+        assert calls
+        assert (sim_out / "sim_report.json").exists()
+        assert (mm_out / "theta_quotes.csv").exists()

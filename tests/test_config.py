@@ -125,6 +125,14 @@ class TestProbes:
         ("mm", {}, "mm.macro", False, "mm.macro must be a mapping"),
         ("simulate", {}, "as_model.s0", -1.0, "as_model: gamma, A, k and s0 must be positive"),
         ("simulate", {}, "as_model.sigmas", 0.3, "as_model.sigmas is not a numeric list"),
+        ("simulate", {}, "as_model.dt_seconds", 7,
+         "as_model: horizon_hours = 12 is not a whole number of dt_seconds = 7 steps"),
+        ("solve", SOLVE, "outer.mu_bar", [[0.0, 1.0], [1.0, 0.0]],
+         "outer: give 'affine' or 'mu_bar' and 'Lambda', not 'affine' and 'mu_bar'"),
+        ("solve", {**SOLVE, "outer": {**SOLVE["outer"], "mu_bar": [[0.0, 1.0], [1.0, 0.0]]}},
+         "outer.Lambda", [[[0.0, 0.0], [0.0, 0.0]]] * 2,
+         "outer: give 'affine' or 'mu_bar' and 'Lambda', not 'affine' and 'mu_bar' "
+         "and 'Lambda'"),
     ]
 
     @pytest.mark.parametrize("command,base,path,value,message", PROBES,

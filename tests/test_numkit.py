@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from rsgames import mjls_inner, numkit
 from rsgames.numkit import BlowupError, TimeGrid
 
@@ -102,3 +106,39 @@ class TestIntegrateBackward:
             numkit.rk4_step(lambda s, y: seen.append(s) or y, t, np.ones(1), h)
             start, mid, end = numkit.rk4_stage_times(t, h)
             assert seen == [start, mid, mid, end]
+
+
+def assert_t_sf_close(t, nu, rel):
+    want = oracles.student_t_sf_oracle(t, nu)
+    got = numkit.student_t_sf(t, nu)
+    assert abs(got - want) <= oracles.t_sf_error_bound(want, rel), (t, nu, got, want)
+
+
+class TestStudentTSurvival:
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.integers(1, 10_000), t=st.floats(-40.0, 40.0))
+    def test_within_1e_12_up_to_1e4_degrees(self, nu, t):
+        assert_t_sf_close(t, nu, 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.floats(1.0, 1e6), t=st.floats(-40.0, 40.0))
+    def test_within_1e_10_up_to_1e6_degrees(self, nu, t):
+        assert_t_sf_close(t, nu, 1e-10)
+
+    @pytest.mark.parametrize("t", [2.7386, 2.7387, -2.7387, 3.0, 38.8, 40.0, -40.0])
+    @pytest.mark.parametrize("nu", [1, 2, 49, 999, 10_000, 844_637, 1e6])
+    def test_series_and_fraction_edges(self, t, nu):
+        # either side of SF_SERIES_T2, and the deep tail, which underflows
+        # for large nu
+        assert_t_sf_close(t, nu, 1e-12 if nu <= 10_000 else 1e-10)
+
+    @pytest.mark.parametrize("nu", [1, 2, 7, 999, 1e6])
+    def test_exact_at_zero_and_infinity(self, nu):
+        assert numkit.student_t_sf(0.0, nu) == 0.5
+        assert numkit.student_t_sf(-0.0, nu) == 0.5
+        assert numkit.student_t_sf(math.inf, nu) == 0.0
+        assert numkit.student_t_sf(-math.inf, nu) == 1.0
+
+    def test_rejects_fewer_than_one_degree(self):
+        with pytest.raises(ValueError, match="nu >= 1"):
+            numkit.student_t_sf(1.0, 0.5)
