@@ -94,9 +94,25 @@ def load_ohlcv_csv(path) -> OhlcvSeries:
             raise _located(path, header, exc) from exc
     for name, values in zip(COLUMNS, data):
         bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:  # data row r is file line r + 2, blank lines not counted
-            raise ValueError(f"{path}:{bad[0] + 2}: {name} is not finite")
+        if bad.size:
+            raise ValueError(f"{path}:{_file_line(path, bad[0])}: {name} is not finite")
     return OhlcvSeries(*data)
+
+
+def _file_line(path, row: int) -> int:
+    """The file line on which data row `row` (from 0, blank lines skipped,
+    as np.loadtxt counts) starts; re-reads the file, for error messages."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        start = reader.line_num + 1
+        for record in reader:
+            if record:
+                if row == 0:
+                    break
+                row -= 1
+            start = reader.line_num + 1
+    return start
 
 
 def _located(path, header, exc) -> ValueError:
@@ -106,7 +122,7 @@ def _located(path, header, exc) -> ValueError:
     if at is None:
         return ValueError(f"{path}: {msg}")
     # numpy counts rows from 0 in conversion errors, from 1 in short-row ones
-    line = int(at[1]) + 2 - (at[2] is None)
+    line = _file_line(path, int(at[1]) - (at[2] is None))
     column = f"{header[int(at[2]) - 1]}: " if at[2] else ""
     return ValueError(f"{path}:{line}: {column}{msg[:at.start()]}{msg[at.end():]}")
 

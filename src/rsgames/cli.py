@@ -480,29 +480,27 @@ def cmd_simulate(args) -> int:
             seed=sim_cfg["seed"] if args.seed is None else args.seed,
             predator=sim_cfg["predator"], initial_regime=sim_cfg["initial_regime"],
         )
-    report = sim.run_monte_carlo(config)
+
+    def write_path(p, rec):
+        # a PathRecord marks the side that cannot quote at the inventory
+        # bound with NaN; such cells are written empty
+        write_csv(
+            os.path.join(args.out, f"path_{p:04d}.csv"),
+            ["step", "time", "price", "regime", "inventory", "cash",
+             "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
+            [np.arange(len(rec.time)), rec.time, rec.price, rec.regime,
+             rec.inventory, rec.cash, np.ma.masked_invalid(rec.ask),
+             np.ma.masked_invalid(rec.bid), rec.drift,
+             rec.ask_fill.astype(int), rec.bid_fill.astype(int)],
+        )
+
+    n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
+    report = sim.run_monte_carlo(config, n_export, write_path)
     out = os.path.join(args.out, "sim_report.json")
     write_json(out, report.to_dict())
     print(f"wrote {out}")
     for note in report.notes:
         print(f"note: {note}")
-
-    if sim_cfg["export_paths"]:
-        n_export = min(sim_cfg["n_export_paths"], n_paths)
-        policy = sim.make_policy(model, "equilibrium", n_steps)
-        for p in range(n_export):
-            rec = sim.simulate_path(config, policy, path_index=p)
-            # a PathRecord marks the side that cannot quote at the
-            # inventory bound with NaN; such cells are written empty
-            write_csv(
-                os.path.join(args.out, f"path_{p:04d}.csv"),
-                ["step", "time", "price", "regime", "inventory", "cash",
-                 "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
-                [np.arange(len(rec.time)), rec.time, rec.price, rec.regime,
-                 rec.inventory, rec.cash, np.ma.masked_invalid(rec.ask),
-                 np.ma.masked_invalid(rec.bid), rec.drift,
-                 rec.ask_fill.astype(int), rec.bid_fill.astype(int)],
-            )
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ the streams chunk by chunk (STREAM_CHUNK_BYTES) and replays every strategy
 on each chunk in one step loop (common random numbers), so fill comparisons
 differ only through the quote tables.  Report statistics are accumulated
 per path and reduced once, in path order, over all paths, so the report
-does not depend on the chunk size.
+does not depend on the chunk size.  Exported paths come from the same
+replay: run_paths records a chunk's first paths, handed out chunk by chunk.
 
 Step order (one step of size dt):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -199,21 +200,18 @@ def _path_means(per_path: dict, n_steps: int) -> dict:
 
 
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
-              normals: np.ndarray, predator: bool, record: bool = False):
+              normals: np.ndarray, predator: bool, record: int = 0):
     """Vectorized replay of all paths under a stack of quote policies.
 
     Every policy replays the same streams in one step loop; the regime path
     and the price noise are drawn once per step for all of them.  Returns
-    one dict per policy of per-path arrays (PER_PATH) and their aggregates;
-    with record=True also the per-step record of path 0.  A single
-    QuotePolicy gives a single dict.
+    one dict per policy of per-path arrays (PER_PATH), their aggregates and
+    "records", the per-step PathRecords of the first `record` paths.
     """
-    single = isinstance(policies, QuotePolicy)
-    if single:
-        policies = [policies]
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
     n_pol = len(policies)
+    n_rec = min(record, n_paths)
     dt = model.dt
     Q = model.q_max
     D = model.n_levels
@@ -256,11 +254,10 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     ua = np.empty((n_pol, n_paths))
     ub = np.empty((n_pol, n_paths))
 
-    if record:
-        rec = {name: np.zeros((n_pol, n_steps)) for name in
-               ("price", "inventory", "cash", "ask", "bid", "drift",
-                "ask_fill", "bid_fill")}
-        rec_regime = np.zeros(n_steps, dtype=np.int64)
+    # row s holds the (policy, path) values of the recorded paths at step s
+    rec = {name: np.zeros((n_steps, n_pol, n_rec)) for name in
+           ("price", "regime", "inventory", "cash", "ask", "bid", "drift",
+            "ask_fill", "bid_fill")}
 
     for s in range(n_steps):
         u_reg = uniforms[:, s, 0]
@@ -301,18 +298,14 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         spread_count += both
         abs_q_sum += np.abs(q)
 
-        if record:
-            rec["price"][:, s] = S[:, 0]
-            rec["inventory"][:, s] = q[:, 0]
-            rec["cash"][:, s] = m[:, 0]
-            rec["ask"][:, s] = ua[:, 0]
-            rec["bid"][:, s] = ub[:, 0]
-            rec["drift"][:, s] = w[:, 0]
-            rec["ask_fill"][:, s] = fill_a[:, 0]
-            rec["bid_fill"][:, s] = fill_b[:, 0]
-            rec_regime[s] = reg[0]
+        if n_rec:
+            for name, value in (("price", S), ("regime", reg), ("inventory", q),
+                                ("cash", m), ("ask", ua), ("bid", ub), ("drift", w),
+                                ("ask_fill", fill_a), ("bid_fill", fill_b)):
+                rec[name][s] = value[..., :n_rec]
 
     pnl = m + q * S
+    times = (np.arange(n_steps) + 1) * dt
     outs = []
     for k in range(n_pol):
         out = {"pnl": pnl[k], "fills_ask": fills_ask[k],
@@ -322,37 +315,27 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                "abs_inventory_sum": abs_q_sum[k],
                "price_increment_sum": increment_sum[k]}
         out.update(_path_means(out, n_steps))
-        if record:
+        out["records"] = []
+        for p in range(n_rec):
+            path = {name: values[:, k, p] for name, values in rec.items()}
             # a side that could not quote at the inventory held before the
             # step is recorded as NaN
-            held = np.concatenate(([0], rec["inventory"][k, :-1])).astype(np.int64) + Q
-            out["record"] = PathRecord(
-                time=(np.arange(n_steps) + 1) * dt,
-                price=rec["price"][k],
-                regime=rec_regime.astype(int),
-                inventory=rec["inventory"][k].astype(int),
-                cash=rec["cash"][k],
-                ask=np.where(ask_active[k, held], rec["ask"][k], np.nan),
-                bid=np.where(bid_active[k, held], rec["bid"][k], np.nan),
-                drift=rec["drift"][k],
-                ask_fill=rec["ask_fill"][k].astype(bool),
-                bid_fill=rec["bid_fill"][k].astype(bool),
-                pnl=float(pnl[k, 0]),
-            )
+            held = np.concatenate(([0], path["inventory"][:-1])).astype(np.int64) + Q
+            out["records"].append(PathRecord(
+                time=times,
+                price=path["price"],
+                regime=path["regime"].astype(int),
+                inventory=path["inventory"].astype(int),
+                cash=path["cash"],
+                ask=np.where(ask_active[k, held], path["ask"], np.nan),
+                bid=np.where(bid_active[k, held], path["bid"], np.nan),
+                drift=path["drift"],
+                ask_fill=path["ask_fill"].astype(bool),
+                bid_fill=path["bid_fill"].astype(bool),
+                pnl=float(pnl[k, p]),
+            ))
         outs.append(out)
-    return outs[0] if single else outs
-
-
-def simulate_path(config: SimConfig, policy: QuotePolicy = None,
-                  path_index: int = 0) -> PathRecord:
-    """Replay one path (by stream index) and return its full record."""
-    if policy is None:
-        policy = make_policy(config.model, "equilibrium", config.n_steps)
-    uniforms, normals = generate_streams(config.seed, 1, config.n_steps,
-                                         first=path_index)
-    out = run_paths(config, policy, uniforms, normals, config.predator,
-                    record=True)
-    return out["record"]
+    return outs
 
 
 def _strategy_stats(result: dict) -> dict:
@@ -399,25 +382,19 @@ class SimReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "predator": self.predator,
-            "strategies": self.strategies,
-            "ratios": self.ratios,
-            "paired": self.paired,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
 
-def run_monte_carlo(config: SimConfig) -> SimReport:
+def run_monte_carlo(config: SimConfig, n_export: int = 0,
+                    on_path=None) -> SimReport:
     """Run vanilla and equilibrium quoting on common random numbers.
 
     Streams are generated and replayed STREAM_CHUNK_BYTES at a time; the
     per-path results are joined in path order before any reduction, so the
-    report does not depend on the chunk size."""
+    report does not depend on the chunk size.  For each of the first
+    n_export paths p, in path order, on_path(p, record) receives the
+    equilibrium policy's PathRecord while p's chunk is live, so at most one
+    chunk's records are held at a time."""
     kinds = ("vanilla", "equilibrium")
     policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
     chunk = max(1, STREAM_CHUNK_BYTES // (STREAM_BYTES_PER_STEP * config.n_steps))
@@ -426,9 +403,13 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
         uniforms, normals = generate_streams(
             config.seed, min(chunk, config.n_paths - first), config.n_steps,
             first=first)
-        outs = run_paths(config, policies, uniforms, normals, config.predator)
+        outs = run_paths(config, policies, uniforms, normals, config.predator,
+                         record=max(0, n_export - first))
+        records = outs[kinds.index("equilibrium")]["records"]
+        for p in range(len(records)):
+            on_path(first + p, records[p])
         parts.append([{key: out[key] for key in PER_PATH} for out in outs])
-        del uniforms, normals, outs  # free this chunk before the next one
+        del uniforms, normals, outs, records  # free this chunk before the next one
     results = {}
     for k, kind in enumerate(kinds):
         per_path = {key: np.concatenate([part[k][key] for part in parts])

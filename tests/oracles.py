@@ -267,7 +267,8 @@ def load_ohlcv_csv_oracle(path) -> OhlcvSeries:
         missing = [c for c in required if c not in header]
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)} in {path}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the file line, blank lines counted
             try:
                 rows["timestamp"].append(calib._parse_timestamp(row["timestamp"]))
                 for name in required[1:]:

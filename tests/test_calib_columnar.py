@@ -128,8 +128,8 @@ def test_malformed_cell_names_its_line(tmp_path, capsys, column, cell):
 
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_short_row_line_as_the_oracle_counts(tmp_path, blank_lines):
-    # data row r is reported as line r + 2, blank lines not counted, as the
-    # row loader counted; numpy numbers short-row errors from 1, not 0
+    # the short row's true file line, blank lines counted; numpy numbers
+    # short-row errors from 1, not 0
     lines = bars_text(10).split("\n")
     lines[5] = ",".join(lines[5].split(",")[:4])
     lines[2:2] = [""] * blank_lines
@@ -139,9 +139,31 @@ def test_short_row_line_as_the_oracle_counts(tmp_path, blank_lines):
         calib.load_ohlcv_csv(path)
     with pytest.raises(ValueError) as old:
         oracles.load_ohlcv_csv_oracle(path)
-    prefix = f"{path}:6: "
+    prefix = f"{path}:{6 + blank_lines}: "
     assert str(new.value).startswith(prefix)
     assert str(old.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("line, column, cell, message", [
+    (6, "open", "x", "open: could not convert"),
+    (5, "close", "nan", "close is not finite"),
+])
+def test_error_names_the_file_line_past_blanks_and_quoted_newlines(
+        tmp_path, line, column, cell, message):
+    # two blank lines after the first bar, and a quoted volume cell that
+    # spans two lines; catches: reporting data row + 2
+    lines = bars_text(10).split("\n")
+    lines[2:2] = ["", ""]
+    text = replace_cell("\n".join(lines), line, column, cell)
+    path = tmp_path / "bars.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
+        calib.load_ohlcv_csv(path)
+    lines = text.split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0] + ',"1.5\n"'
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line + 1}: {message}')}"):
+        calib.load_ohlcv_csv(path)
 
 
 NON_FINITE = ["nan", "inf", "-inf"]

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import run_paths_oracle
 from rsgames import as_game, cli, hierarchy, outer_layer, sim
 from rsgames.numkit import NumericalError, TimeGrid
 
@@ -208,27 +209,68 @@ class TestCommandsMatchRowOracle:
         config = write_yaml(tmp_path / "sim.yaml", tree)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
-        cfg = cli.load_config(config, "simulate")
-        model = cli.build_as_model(cfg["as_model"])
-        n_steps = int(round(model.horizon / model.dt))
-        sim_config = sim.SimConfig(model=model, n_paths=3, n_steps=n_steps,
-                                   seed=int(cfg["sim"]["seed"]),
-                                   predator=bool(cfg["sim"]["predator"]),
-                                   initial_regime=int(cfg["sim"]["initial_regime"]))
-        policy = sim.make_policy(model, "equilibrium", n_steps)
+        sim_config = simulate_config(config, 3)
+        policy = sim.make_policy(sim_config.model, "equilibrium", sim_config.n_steps)
         for p in range(2):
-            rec = sim.simulate_path(sim_config, policy, path_index=p)
             name = f"path_{p:04d}.csv"
-            oracle_write_csv(
-                str(tmp_path / name),
-                ["step", "time", "price", "regime", "inventory", "cash",
-                 "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
-                [(s, rec.time[s], rec.price[s], rec.regime[s],
-                  rec.inventory[s], rec.cash[s], rec.ask[s], rec.bid[s],
-                  rec.drift[s], int(rec.ask_fill[s]), int(rec.bid_fill[s]))
-                 for s in range(len(rec.time))],
-            )
+            oracle_path_csv(tmp_path / name, sim_config, policy, p)
             assert same_bytes(out / name, tmp_path / name), name
+
+
+def simulate_config(config, n_paths, n_steps=None):
+    """The SimConfig that `simulate --config config` replays."""
+    cfg = cli.load_config(config, "simulate")
+    model = cli.build_as_model(cfg["as_model"])
+    if n_steps is None:
+        n_steps = int(round(model.horizon / model.dt))
+    else:
+        model = dataclasses.replace(model, dt=model.horizon / n_steps)
+    return sim.SimConfig(model=model, n_paths=n_paths, n_steps=n_steps,
+                         seed=int(cfg["sim"]["seed"]),
+                         predator=bool(cfg["sim"]["predator"]),
+                         initial_regime=int(cfg["sim"]["initial_regime"]))
+
+
+def oracle_path_csv(path, config, policy, p):
+    """path_NNNN.csv of path p from the single-policy oracle replaying p's
+    stream alone, written by the row writer."""
+    uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
+    rec = run_paths_oracle(config, policy, uniforms, normals, config.predator,
+                           record=True)["record"]
+    oracle_write_csv(
+        str(path),
+        ["step", "time", "price", "regime", "inventory", "cash",
+         "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
+        [(s, rec.time[s], rec.price[s], rec.regime[s],
+          rec.inventory[s], rec.cash[s], rec.ask[s], rec.bid[s],
+          rec.drift[s], int(rec.ask_fill[s]), int(rec.bid_fill[s]))
+         for s in range(len(rec.time))],
+    )
+
+
+@pytest.mark.parametrize("paths_per_chunk", [1, 2, 7])
+@pytest.mark.parametrize("market", ["simulate_lively", "simulate_reference"])
+def test_exported_paths_come_from_their_chunk(tmp_path, monkeypatch, market,
+                                              paths_per_chunk):
+    # catches: recording chunk-local row p for global path first + p, and
+    # exporting from the wrong policy or past n_export_paths
+    n_paths, n_steps, n_export = 7, 60, 5
+    monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
+                        sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+    tree = yaml.safe_load(open(os.path.join(CONFIGS, f"{market}.yaml")))
+    tree["sim"].update(export_paths=True, n_export_paths=n_export)
+    config = write_yaml(tmp_path / "sim.yaml", tree)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", config, "--out", str(out),
+                     "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
+    assert sorted(f.name for f in out.glob("path_*.csv")) == \
+        [f"path_{p:04d}.csv" for p in range(n_export)]
+    sim_config = simulate_config(config, n_paths, n_steps)
+    policy = sim.make_policy(sim_config.model, "equilibrium", n_steps)
+    for p in range(n_export):
+        name = f"path_{p:04d}.csv"
+        oracle_path_csv(tmp_path / name, sim_config, policy, p)
+        assert same_bytes(out / name, tmp_path / name), name
 
 
 def test_path_export_leaves_inactive_quotes_empty(tmp_path):

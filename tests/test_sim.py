@@ -15,6 +15,17 @@ def lively_config(lively_as_model):
     return SimConfig(model=lively_as_model, n_paths=400, n_steps=400, seed=7)
 
 
+def path_record(config, policy=None, p=0):
+    """The record of path p, replayed on its own stream (the equilibrium
+    policy by default)."""
+    if policy is None:
+        policy = sim.make_policy(config.model, "equilibrium", config.n_steps)
+    uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
+    out = sim.run_paths(config, [policy], uniforms, normals, config.predator,
+                        record=1)
+    return out[0]["records"][0]
+
+
 class TestDeterminism:
     def test_reports_bit_identical(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=40, n_steps=400, seed=99)
@@ -26,9 +37,9 @@ class TestDeterminism:
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400, seed=31)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(31, 5, 400)
-        batch = sim.run_paths(config, policy, uniforms, normals, True)
+        batch = sim.run_paths(config, [policy], uniforms, normals, True)[0]
         for p in (0, 3):
-            rec = sim.simulate_path(config, policy, path_index=p)
+            rec = path_record(config, policy, p)
             assert rec.pnl == pytest.approx(batch["pnl"][p], abs=1e-12)
 
     def test_seed_changes_output(self, lively_as_model):
@@ -55,13 +66,13 @@ class TestPathMechanics:
     def test_inventory_bound_never_violated(self, lively_config):
         policy = sim.make_policy(lively_config.model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(7, 100, 400)
-        out = sim.run_paths(lively_config, policy, uniforms, normals, True)
+        out = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
         assert np.abs(out["terminal_inventory"]).max() <= lively_config.model.q_max
-        rec = sim.simulate_path(lively_config, policy)
+        rec = path_record(lively_config, policy)
         assert np.abs(rec.inventory).max() <= lively_config.model.q_max
 
     def test_accounting_identity(self, lively_config):
-        rec = sim.simulate_path(lively_config)
+        rec = path_record(lively_config)
         assert rec.pnl == pytest.approx(
             rec.cash[-1] + rec.inventory[-1] * rec.price[-1], abs=1e-9
         )
@@ -81,7 +92,7 @@ class TestPathMechanics:
                         q_max=3, horizon=0.001, rates=np.zeros((1, 1)),
                         s0=10.0, dt=0.001 / 50)
         config = SimConfig(model=model, n_paths=1, n_steps=50, seed=11)
-        rec = sim.simulate_path(config)
+        rec = path_record(config)
         assert rec.ask_fill.all() and rec.bid_fill.all()
         np.testing.assert_array_equal(rec.inventory, 0)
         expected = np.sum(rec.ask + rec.bid)
@@ -92,7 +103,7 @@ class TestPathMechanics:
         config = SimConfig(model=model, n_paths=400, n_steps=400, seed=5)
         policy = sim.make_policy(model, "vanilla", 400)
         uniforms, normals = sim.generate_streams(5, 400, 400)
-        out = sim.run_paths(config, policy, uniforms, normals, True)
+        out = sim.run_paths(config, [policy], uniforms, normals, True)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
         se = sigma_bar * np.sqrt(model.dt) / np.sqrt(400 * 400)
         assert abs(out["mean_price_increment"]) <= 3.0 * se
@@ -129,8 +140,8 @@ class TestRegimeDraw:
 
         policy = sim.make_policy(model, "vanilla", 40)
         uniforms, normals = streams(5, 4, 40)
-        rec = sim.run_paths(config, policy, uniforms, normals, True,
-                            record=True)["record"]
+        rec = sim.run_paths(config, [policy], uniforms, normals, True,
+                            record=1)[0]["records"][0]
         # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
         np.testing.assert_array_equal(rec.regime, [2, 1] * 20)
 
@@ -203,8 +214,8 @@ class TestPredatorEffects:
         uniforms, normals = sim.generate_streams(
             lively_config.seed, lively_config.n_paths, lively_config.n_steps
         )
-        with_pred = sim.run_paths(lively_config, policy, uniforms, normals, True)
-        without = sim.run_paths(lively_config, policy, uniforms, normals, False)
+        with_pred = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
+        without = sim.run_paths(lively_config, [policy], uniforms, normals, False)[0]
         t, p = sim.paired_one_sided(without["pnl"] - with_pred["pnl"])
         assert p < 0.05
         assert without["pnl"].mean() > with_pred["pnl"].mean()
@@ -213,7 +224,7 @@ class TestPredatorEffects:
         policy = sim.make_policy(lively_config.model, "vanilla",
                                  lively_config.n_steps)
         uniforms, normals = sim.generate_streams(7, 100, 400)
-        out = sim.run_paths(lively_config, policy, uniforms, normals, True)
+        out = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
         m = lively_config.model
         expected = m.xi * m.gamma * out["mean_abs_inventory"]
         assert out["mean_abs_drift"] == pytest.approx(expected, rel=0.05)
@@ -246,7 +257,7 @@ class TestReport:
     def test_single_path_report(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=1, n_steps=400, seed=17)
         report = sim.run_monte_carlo(config)
-        rec = sim.simulate_path(
+        rec = path_record(
             config, sim.make_policy(lively_as_model, "vanilla", 400), 0
         )
         assert report.strategies["vanilla"]["mean_pnl"] == \

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from oracles import run_paths_oracle
-from rsgames import cli, sim
+from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
 from rsgames.sim import SimConfig
@@ -59,7 +59,7 @@ class TestAgainstOracle:
         config, uniforms, normals = case
         policies = _policies(config)
         outs = sim.run_paths(config, policies, uniforms, normals,
-                             config.predator, record=True)
+                             config.predator, record=1)
         for policy, out in zip(policies, outs):
             ref = run_paths_oracle(config, policy, uniforms, normals,
                                    config.predator, record=True)
@@ -67,32 +67,37 @@ class TestAgainstOracle:
                 assert out[key].dtype == ref[key].dtype
                 np.testing.assert_array_equal(out[key], ref[key])
             for field in RECORD_FIELDS:
-                got = getattr(out["record"], field)
+                got = getattr(out["records"][0], field)
                 want = getattr(ref["record"], field)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)  # NaN == NaN here
-            assert out["record"].pnl == ref["record"].pnl
+            assert out["records"][0].pnl == ref["record"].pnl
             for key in MEAN_FIELDS:
                 assert out[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
 
     @settings(max_examples=25, deadline=None)
     @given(sim_cases())
     def test_every_path_keeps_its_bound_and_cash_identity(self, case):
-        # each path replayed alone is path 0 of its own replay, so its full
-        # record is available; it must also equal its row of the batch
+        # each path replayed alone keeps the bound and the cash identity,
+        # and equals its row of the batch, record included (catches:
+        # recording one fixed row for every path)
         config, uniforms, normals = case
         policies = _policies(config)
-        batch = sim.run_paths(config, policies, uniforms, normals, config.predator)
+        batch = sim.run_paths(config, policies, uniforms, normals, config.predator,
+                              record=config.n_paths)
         q_max = config.model.q_max
         for p in range(config.n_paths):
             alone = sim.run_paths(config, policies, uniforms[p:p + 1],
-                                  normals[p:p + 1], config.predator, record=True)
+                                  normals[p:p + 1], config.predator, record=1)
             for out, full in zip(alone, batch):
-                rec = out["record"]
+                rec = out["records"][0]
                 assert np.abs(rec.inventory).max() <= q_max
                 assert rec.pnl == rec.cash[-1] + rec.inventory[-1] * rec.price[-1]
                 assert rec.pnl == full["pnl"][p]
                 assert rec.inventory[-1] == full["terminal_inventory"][p]
+                for field in RECORD_FIELDS:
+                    np.testing.assert_array_equal(getattr(full["records"][p], field),
+                                                  getattr(rec, field))
 
 
 class TestStreams:
@@ -111,9 +116,11 @@ class TestStreams:
         config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(12, 8, 400)
-        batch = sim.run_paths(config, policy, uniforms, normals, True)
+        batch = sim.run_paths(config, [policy], uniforms, normals, True)[0]
         for p in (0, 5, 7):
-            rec = sim.simulate_path(config, policy, path_index=p)
+            alone_u, alone_n = sim.generate_streams(12, 1, 400, first=p)
+            rec = sim.run_paths(config, [policy], alone_u, alone_n, True,
+                                record=1)[0]["records"][0]
             assert rec.pnl == batch["pnl"][p]
 
 
@@ -172,6 +179,65 @@ class TestChunks:
         assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
 
 
+class TestExport:
+    def test_simulate_replays_each_path_once(self, monkeypatch, tmp_path, capsys):
+        # catches: replaying the exported paths again after the report
+        calls = {"make_policy": 0, "build_theta_table": 0}
+        replayed = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(sim, "make_policy")
+        count(as_game, "build_theta_table")
+        real_run_paths = sim.run_paths
+
+        def run_paths(config, policies, uniforms, *args, **kwargs):
+            replayed.append(len(uniforms))
+            return real_run_paths(config, policies, uniforms, *args, **kwargs)
+        monkeypatch.setattr(sim, "run_paths", run_paths)
+        n_paths, n_steps = 10, 60
+        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
+                            sim.STREAM_BYTES_PER_STEP * n_steps * 4)
+        config = tmp_path / "sim.yaml"
+        config.write_text("sim:\n  export_paths: true\n  n_export_paths: 3\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
+        assert calls == {"make_policy": 2, "build_theta_table": 2}
+        assert sum(replayed) == n_paths
+        assert len(list(out.glob("path_*.csv"))) == 3
+
+    def test_records_are_freed_with_their_chunk(self, monkeypatch, lively_as_model):
+        # exporting every path; catches: holding every chunk's records
+        # until the end of the run
+        n_paths, n_steps = 80, 400
+        pnl = {}
+
+        def peak(paths_per_chunk):
+            monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
+                                sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+            config = SimConfig(model=lively_as_model, n_paths=n_paths,
+                               n_steps=n_steps, seed=4)
+            tracemalloc.start()
+            try:
+                sim.run_monte_carlo(config, n_paths,
+                                    lambda p, rec: pnl.setdefault(p, rec.pnl))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(n_paths)
+        four_chunks = peak(n_paths // 4)
+        assert sorted(pnl) == list(range(n_paths))
+        assert four_chunks < 0.5 * one_chunk, (one_chunk, four_chunks)
+
+
 class TestPolicyChecks:
     def test_policy_for_another_grid_is_rejected(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
@@ -179,7 +245,7 @@ class TestPolicyChecks:
         for steps in (64, 401, 800):
             policy = sim.make_policy(lively_as_model, "vanilla", steps)
             with pytest.raises(ValueError, match="expected"):
-                sim.run_paths(config, policy, uniforms, normals, True)
+                sim.run_paths(config, [policy], uniforms, normals, True)
 
     def test_nan_quote_is_a_numerical_error(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
@@ -188,7 +254,7 @@ class TestPolicyChecks:
             policy = sim.make_policy(lively_as_model, "vanilla", 400)
             getattr(policy, side)[200, 1, lively_as_model.q_max] = np.nan
             with pytest.raises(NumericalError):
-                sim.run_paths(config, policy, uniforms, normals, True)
+                sim.run_paths(config, [policy], uniforms, normals, True)
 
     @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3)])
     def test_cli_exit_codes(self, monkeypatch, tmp_path, capsys, fault, code):
