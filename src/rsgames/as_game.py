@@ -22,10 +22,10 @@ dv/dtau = -M v with a constant block generator M (assembled in
 piecewise-constant switching rates.  :func:`build_theta_table` evaluates it
 at every tau node at once from one eigendecomposition when the regime chain
 is reversible (then diag(sqrt(pi)) (x) I makes M symmetric); it steps dense
-exponentials with :func:`_propagate`, as :func:`solve_theta_exact` and
-:func:`solve_theta_piecewise` always do, when the chain is not reversible,
-its stationary law is near-degenerate, or the eigenvector sum may have lost
-accuracy to cancellation.  The nonlinear form above is kept only as an
+exponentials with :func:`_propagate`, as :func:`solve_theta_exact` always
+does, when the chain is not reversible, its stationary law is
+near-degenerate, or the eigenvector sum may have lost accuracy to
+cancellation.  The nonlinear form above is kept only as an
 independent test oracle.
 
 Quotes come from the per-side first-order condition against the stored
@@ -55,6 +55,9 @@ SPECTRAL_TOL = 1e-8
 MIN_WEIGHT = 1e-6
 # tau nodes per block of exponentials, so no second (n_nodes, dim) array exists
 SPECTRAL_CHUNK_NODES = 64
+# relative gap between a macro node's true bracket and its game value above
+# which solve_macro_as counts the node as non-bilinear
+NONBILINEAR_TOL = 1e-9
 
 
 class AccuracyError(NumericalError):
@@ -218,20 +221,12 @@ def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray,
 def solve_theta_exact(model: ASModel, rates=None, tau: float = 0.0) -> np.ndarray:
     """Penalty slice theta(tau) of shape (N, 2*q_max+1) via the matrix
     exponential, exact for rates constant on the interval."""
-    return solve_theta_piecewise(model, [(tau, rates)])
-
-
-def solve_theta_piecewise(model: ASModel, segments) -> np.ndarray:
-    """Compose constant-rate segments, listed from the horizon outward:
-    segments = [(tau_len_0, rates_0), (tau_len_1, rates_1), ...]."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     N, nq = model.n_regimes, model.n_levels
     v, log_scale = np.ones(N * nq), 0.0
-    for tau_len, rates in segments:
-        if tau_len < 0:
-            raise ValueError("segment lengths must be nonnegative")
-        if tau_len > 0:
-            M = build_generator(model, rates)
-            (v, log_scale), = _propagate(M, tau_len, 1, v, log_scale)
+    if tau > 0:
+        (v, log_scale), = _propagate(build_generator(model, rates), tau, 1, v)
     return (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
 
 
@@ -291,7 +286,7 @@ def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
     return True
 
 
-def build_theta_table(model: ASModel, n_steps: int, rates=None) -> ThetaTable:
+def build_theta_table(model: ASModel, n_steps: int) -> ThetaTable:
     """Penalty table on the uniform tau grid {0, dτ, ..., horizon}: one
     spectral evaluation for a reversible chain, else stepped by _propagate."""
     if n_steps < 1:
@@ -299,14 +294,14 @@ def build_theta_table(model: ASModel, n_steps: int, rates=None) -> ThetaTable:
     N, nq = model.n_regimes, model.n_levels
     taus = np.linspace(0.0, model.horizon, n_steps + 1)
     theta = np.zeros((n_steps + 1, N, nq))
-    pi = _reversible_weights(_as_generator(model.rates if rates is None else rates, N))
-    if pi is not None and _spectral_theta(build_generator(model, rates), pi, taus,
+    pi = _reversible_weights(model.rates)
+    if pi is not None and _spectral_theta(build_generator(model), pi, taus,
                                           model.gamma, theta.reshape(n_steps + 1, -1)):
         method = "spectral"
     else:
         method = "propagate"
         theta[0] = 0.0
-        steps = _propagate(build_generator(model, rates), model.horizon / n_steps,
+        steps = _propagate(build_generator(model), model.horizon / n_steps,
                            n_steps, np.ones(N * nq))
         for idx, (v, log_scale) in enumerate(steps, start=1):
             theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
@@ -368,8 +363,9 @@ def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.nda
 def quote_surfaces(table: ThetaTable, model: ASModel):
     """Vectorized quote arrays over the whole table.
 
-    Returns (ask, bid, ask_active, bid_active) with ask/bid of shape
-    (n_nodes, N, 2*q_max+1); entries of inactive sides are 0.
+    Returns (ask, bid), each of shape (n_nodes, N, 2*q_max+1).  The ask is
+    inactive at level 0 (q = -q_max) and the bid at level 2*q_max (q =
+    +q_max); their entries there are 0.
     """
     base = model.base_offset
     th = table.theta
@@ -377,12 +373,7 @@ def quote_surfaces(table: ThetaTable, model: ASModel):
     bid = np.zeros_like(th)
     ask[:, :, 1:] = np.maximum(base + th[:, :, :-1] - th[:, :, 1:], 0.0)
     bid[:, :, :-1] = np.maximum(base + th[:, :, 1:] - th[:, :, :-1], 0.0)
-    nq = model.n_levels
-    ask_active = np.ones(nq, dtype=bool)
-    bid_active = np.ones(nq, dtype=bool)
-    ask_active[0] = False
-    bid_active[-1] = False
-    return ask, bid, ask_active, bid_active
+    return ask, bid
 
 
 def _affine_generators(spec: OuterGameSpec, f_act, g_act) -> np.ndarray:
@@ -397,7 +388,7 @@ MACRO_MODES = ("affine", "quadratic", "bang_bang")
 
 
 def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
-                   mode: str = "affine", flag_tol: float = 1e-9) -> OuterSolution:
+                   mode: str = "affine") -> OuterSolution:
     """Backward macro sweep of U_i(t, q) for one inventory level.
 
     The node optimization is min over the stabilizer, max over the driver of
@@ -406,7 +397,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     (f, g).  In affine mode the four action vertices define a 2x2 game per
     regime; one game_core.solve_games call settles the node's N games, each
     regime adopts its mixed saddle, and regimes where the true bracket there
-    strays from the game value by more than flag_tol are counted in
+    strays from the game value by more than NONBILINEAR_TOL are counted in
     meta["nonbilinear_nodes"].  Quadratic mode plays the proportional
     efforts and charges both effort penalties to the flow; bang_bang mode
     plays the printed thresholds (honoring spec.flip_bang_bang).
@@ -460,8 +451,8 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
         if mode == "affine":
             value = np.einsum("ia,iab,ib->i", f_mix, games, g_mix)
             true_val = stage_costs[0] + np.vecdot(mu_rows, gaps)
-            flagged += int(np.count_nonzero(
-                np.abs(true_val - value) > flag_tol * np.maximum(1.0, np.abs(value))))
+            tol = NONBILINEAR_TOL * np.maximum(1.0, np.abs(value))
+            flagged += int(np.count_nonzero(np.abs(true_val - value) > tol))
         efforts[idx] = f, g
         mu[idx] = mu_rows - np.diag(mu_rows.sum(axis=1))
         if idx:

@@ -181,13 +181,13 @@ def kmeans_1d(values, k: int):
     return centers[order], remap[labels]
 
 
-def estimate_generator(labels, bar_interval_days: float, n_states: int = None,
-                       method: str = "auto") -> np.ndarray:
+def estimate_generator(labels, bar_interval_days: float,
+                       n_states: int = None) -> np.ndarray:
     """Switching generator (per day) from a per-bar label sequence.
 
-    method="auto" takes the matrix logarithm of the empirical one-bar
-    transition matrix when it admits a real generator (de-aliased
-    estimate), otherwise counts transitions directly:
+    Takes the matrix logarithm of the empirical one-bar transition matrix
+    when it admits a real generator (de-aliased estimate), otherwise counts
+    transitions directly:
     mu_ij = (# transitions i->j) / (time spent in state i).
     States never visited get zero rows with a warning.
     """
@@ -206,12 +206,9 @@ def estimate_generator(labels, bar_interval_days: float, n_states: int = None,
             f"states never visited: {missing.tolist()}; their rates are zero"
         )
 
-    if method not in ("auto", "counting"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        G = _generator_from_logm(counts, occupancy, bar_interval_days)
-        if G is not None:
-            return G
+    G = _generator_from_logm(counts, occupancy, bar_interval_days)
+    if G is not None:
+        return G
     off = np.zeros((n, n))
     visited = occupancy > 0
     off[visited] = counts[visited] / (occupancy[visited, None] * bar_interval_days)

@@ -414,15 +414,17 @@ def cmd_mm(args) -> int:
         with _config_errors("mm.macro"):
             grid = TimeGrid(0.0, model.horizon, macro["n_steps"])
     table = as_game.build_theta_table(model, n_steps)
-    ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
+    ask, bid = as_game.quote_surfaces(table, model)
 
+    # a side at its inventory bound (level 0 for the ask, the last level for
+    # the bid) does not quote; its cells are written empty
     idx, i, qi = _index_columns(table.theta.shape)
     write_csv(os.path.join(args.out, "theta_quotes.csv"),
               ["t", "regime", "q", "theta", "u_a", "u_b"],
               [(model.horizon - table.taus)[idx], i, model.q_levels()[qi],
                table.theta.ravel(),
-               np.ma.array(ask.ravel(), mask=~a_act[qi]),
-               np.ma.array(bid.ravel(), mask=~b_act[qi])])
+               np.ma.array(ask.ravel(), mask=qi == 0),
+               np.ma.array(bid.ravel(), mask=qi == model.n_levels - 1)])
 
     if mm_cfg["expansion_report"]:
         write_json(os.path.join(args.out, "expansion_report.json"),
@@ -434,7 +436,7 @@ def cmd_mm(args) -> int:
         mid = model.q_max  # q = 0
         for n, m_xi in enumerate(sweep):
             t_xi = as_game.build_theta_table(m_xi, n_steps)
-            a_xi, b_xi, _, _ = as_game.quote_surfaces(t_xi, m_xi)
+            a_xi, b_xi = as_game.quote_surfaces(t_xi, m_xi)
             spreads[n] = a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
                   ["xi", "total_spread_q0_full_horizon"], [xis, spreads])

@@ -7,7 +7,7 @@ through a pure saddle, the 2x2 closed form and the full-support equalizer
 of square games at once, and whatever is left goes to `solve_lp`, a
 self-contained dense simplex on the classical LP formulation whose answer
 is verified.  `solve_zero_sum` is the one-game entry point to the same
-rules.
+rules; `solve_lp` called directly is the cross-check of the closed forms.
 
 Tie-breaking is deterministic: among pure saddles the lowest (row, col)
 index pair wins, so degenerate games (e.g. the all-zero matrix) resolve to
@@ -236,14 +236,9 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
     return f, g, path, _gaps(M, f, g)
 
 
-def solve_zero_sum(game: MatrixGame, method: str = "auto") -> SaddlePoint:
-    """Mixed saddle point of one game: by the rules of solve_games with the
-    value f @ payoff @ g (method="auto"), or by the verified LP (method="lp",
-    the cross-check of the closed forms)."""
-    if method == "lp":
-        return solve_lp(game)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def solve_zero_sum(game: MatrixGame) -> SaddlePoint:
+    """Mixed saddle point of one game by the rules of solve_games, with the
+    value f @ payoff @ g."""
     f, g, _, _ = solve_games(game.payoff[None])
     return SaddlePoint(f[0], g[0], float(f[0] @ game.payoff @ g[0]))
 

@@ -17,6 +17,12 @@ from .mjls_inner import RegimeLQModel, RiccatiSolution
 from .numkit import TimeGrid
 from .outer_layer import OuterGameSpec, OuterSolution
 
+# turnpike_report fits log(residual) over taus in [FIT_LO, FIT_HI] * tau_max,
+# on residuals above RESIDUAL_FLOOR
+FIT_LO = 0.2
+FIT_HI = 0.7
+RESIDUAL_FLOOR = 1e-13
+
 
 @dataclass
 class HierarchySolution:
@@ -26,8 +32,7 @@ class HierarchySolution:
 
 
 def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
-                    saddle=game_core.solve_lp,
-                    norm_bound: float = 1e8) -> HierarchySolution:
+                    saddle=game_core.solve_lp) -> HierarchySolution:
     """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0.
 
     Shares the step functions and the blow-up guard of the standalone
@@ -60,7 +65,7 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
         G, coupled = mjls_inner.coupling_generators(mu[idx])
         mjls_inner.riccati_step(workspace, P[idx], r[idx], G if coupled else None,
                                 grid.step, P[idx - 1], r[idx - 1])
-        mjls_inner.check_escape(P[idx - 1], nodes[idx - 1], norm_bound)
+        mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
         phi_left = np.einsum("ijj->i", P[idx - 1])
         k[idx - 1] = outer_layer.k_step(
             k[idx], phi_right, phi_left, mu[idx], nodes[idx], grid.step
@@ -76,23 +81,23 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
         "saddle_paths": {name: stats[name] for name in game_core.SADDLE_PATHS},
         "max_best_response_gap": stats["max_gap"],
     }
-    riccati = RiccatiSolution(grid=grid, P=P, r=r, rates=mu)
+    riccati = RiccatiSolution(grid=grid, P=P, r=r)
     outer = OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)
     return HierarchySolution(riccati=riccati, outer=outer, diagnostics=diagnostics)
 
 
-def _fit_decay_rate(taus, residuals, fit_lo, fit_hi, floor):
+def _fit_decay_rate(taus, residuals):
     """Slope of log(residual) over the central tau window; None if degenerate."""
     taus = np.asarray(taus, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     scale = residuals.max()
-    if not np.isfinite(scale) or scale <= floor:
+    if not np.isfinite(scale) or scale <= RESIDUAL_FLOOR:
         return None, 0
     tau_max = taus.max()
     mask = (
-        (taus >= fit_lo * tau_max)
-        & (taus <= fit_hi * tau_max)
-        & (residuals > max(floor, scale * 1e-12))
+        (taus >= FIT_LO * tau_max)
+        & (taus <= FIT_HI * tau_max)
+        & (residuals > max(RESIDUAL_FLOOR, scale * 1e-12))
     )
     if mask.sum() < 5:
         return None, int(mask.sum())
@@ -100,8 +105,7 @@ def _fit_decay_rate(taus, residuals, fit_lo, fit_hi, floor):
     return float(-slope), int(mask.sum())
 
 
-def turnpike_report(sol: HierarchySolution, fit_lo: float = 0.2,
-                    fit_hi: float = 0.7, floor: float = 1e-13) -> dict:
+def turnpike_report(sol: HierarchySolution) -> dict:
     """Fitted exponential decay rates of both layers, next to their spectral
     references (2 rho_H inner, mean lambda_2 outer).  Diagnostic only.
 
@@ -118,13 +122,13 @@ def turnpike_report(sol: HierarchySolution, fit_lo: float = 0.2,
     disagreement = k - k.mean(axis=1, keepdims=True)
     e_outer = np.linalg.norm(disagreement - disagreement[-1], axis=1)
 
-    inner_rate, inner_pts = _fit_decay_rate(taus, e_inner, fit_lo, fit_hi, floor)
-    outer_rate, outer_pts = _fit_decay_rate(taus, e_outer, fit_lo, fit_hi, floor)
+    inner_rate, inner_pts = _fit_decay_rate(taus, e_inner)
+    outer_rate, outer_pts = _fit_decay_rate(taus, e_outer)
 
     warnings = []
     for name, resid in (("inner", e_inner), ("outer", e_outer)):
-        top = resid[taus >= fit_hi * taus.max()]
-        if resid.max() > floor and top.size and top.max() > 0.1 * resid.max():
+        top = resid[taus >= FIT_HI * taus.max()]
+        if resid.max() > RESIDUAL_FLOOR and top.size and top.max() > 0.1 * resid.max():
             warnings.append(
                 f"{name} residual has not flattened; horizon may be too short"
             )

@@ -28,12 +28,15 @@ linear in P), and stage values are sums of those.  The same symmetry turns
 tr(Sigma Sigma' P_i) into one row-wise dot product.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit
 from .numkit import BlowupError, TimeGrid
+
+# an entry of P beyond this in absolute value is a finite escape (check_escape)
+NORM_BOUND = 1e8
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -62,7 +65,6 @@ class RegimeLQModel:
     R: np.ndarray
     S: np.ndarray
     Q_T: np.ndarray
-    mu_bar: np.ndarray = None  # baseline switching rates, off-diagonal >= 0
 
     def __post_init__(self):
         for name in ("A", "B", "D", "Sigma", "Q", "R", "S", "Q_T"):
@@ -89,14 +91,6 @@ class RegimeLQModel:
             _check_sym_psd(self.Q_T[i], "Q_T", i)
             _check_sym_psd(self.R[i], "R", i, strict=True)
             _check_sym_psd(self.S[i], "S", i, strict=True)
-        if self.mu_bar is None:
-            self.mu_bar = np.zeros((N, N))
-        self.mu_bar = np.asarray(self.mu_bar, dtype=float)
-        if self.mu_bar.shape != (N, N):
-            raise ValueError(f"mu_bar must be (N, N), got {self.mu_bar.shape}")
-        off = self.mu_bar[~np.eye(N, dtype=bool)]
-        if np.any(off < 0):
-            raise ValueError("baseline rates must be nonnegative off-diagonal")
 
     @property
     def n_regimes(self) -> int:
@@ -122,7 +116,6 @@ class RiccatiSolution:
     grid: TimeGrid
     P: np.ndarray  # (n_nodes, N, n, n)
     r: np.ndarray  # (n_nodes, N)
-    rates: np.ndarray = field(repr=False, default=None)  # (n_nodes, N, N)
 
 
 class _FlowWorkspace:
@@ -225,28 +218,27 @@ def terminal_value(model: RegimeLQModel) -> np.ndarray:
     return 0.5 * (model.Q_T + np.swapaxes(model.Q_T, 1, 2))
 
 
-def check_escape(P: np.ndarray, t: float, norm_bound: float) -> None:
+def check_escape(P: np.ndarray, t: float) -> None:
     """Raise BlowupError when some entry of P (N, n, n) at time t leaves
-    [-norm_bound, norm_bound]; NaN and inf both count as an escape.  The
+    [-NORM_BOUND, NORM_BOUND]; NaN and inf both count as an escape.  The
     reported regime is the one with the largest Frobenius norm."""
-    if not (P.max() <= norm_bound and P.min() >= -norm_bound):
+    if not (P.max() <= NORM_BOUND and P.min() >= -NORM_BOUND):
         norms = np.linalg.norm(P, axis=(1, 2))
         worst = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
         raise BlowupError(
-            f"Riccati flow escaped (|P| > {norm_bound:g}) in regime {worst} "
+            f"Riccati flow escaped (|P| > {NORM_BOUND:g}) in regime {worst} "
             f"at t={t:.6g}",
             time=t,
             regime=worst,
         )
 
 
-def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
-                          norm_bound: float = 1e8) -> RiccatiSolution:
+def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid) -> RiccatiSolution:
     """Backward sweep of the coupled Riccati flow with P(T)=Q_T, r(T)=0.
 
     Rates may be a constant (N, N) matrix or per-node (n_nodes, N, N); the
     value at the right node of each step is frozen over that step.  An
-    entry of P above `norm_bound` in absolute value aborts with the
+    entry of P above NORM_BOUND in absolute value aborts with the
     finite-escape time (see check_escape).
     """
     N, n = model.n_regimes, model.n_states
@@ -261,8 +253,8 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid,
     P[-1] = terminal_value(model)
     for k in range(grid.n_steps - 1, -1, -1):
         riccati_step(workspace, P[k + 1], r[k + 1], G[k + 1], grid.step, P[k], r[k])
-        check_escape(P[k], nodes[k], norm_bound)
-    return RiccatiSolution(grid=grid, P=P, r=r, rates=rates)
+        check_escape(P[k], nodes[k])
+    return RiccatiSolution(grid=grid, P=P, r=r)
 
 
 def hamiltonian_matrix(model: RegimeLQModel, i: int) -> np.ndarray:

@@ -4,12 +4,14 @@ Randomness is a Philox counter stream per path: stream p is seeded by
 SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
 and draws, per step, three uniforms (regime transition, ask fill, bid fill)
 followed by one standard normal (price shock).  run_monte_carlo generates
-the streams chunk by chunk (STREAM_CHUNK_BYTES) and replays every strategy
-on each chunk in one step loop (common random numbers), so fill comparisons
-differ only through the quote tables.  Report statistics are accumulated
-per path and reduced once, in path order, over all paths, so the report
-does not depend on the chunk size.  Exported paths come from the same
-replay: run_paths records a chunk's first paths, handed out chunk by chunk.
+the streams chunk by chunk and replays every strategy on each chunk in one
+step loop (common random numbers), so fill comparisons differ only through
+the quote tables.  A chunk's streams and the records of its exported paths
+stay within STREAM_CHUNK_BYTES.  Report statistics are accumulated per path
+and reduced once, in path order, over all paths, so the report does not
+depend on the chunk size.  Exported paths come from the same replay:
+run_paths records a chunk's first paths under the last policy, handed out
+chunk by chunk.
 
 Step order (one step of size dt):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -17,8 +19,9 @@ Step order (one step of size dt):
     2. predator drift w = -xi*gamma*q (0 if the predator is disabled)
     3. price Euler update S += w dt + sigma_i sqrt(dt) Z
     4. per active side, fill with prob 1 - exp(-A exp(-k u) dt), at most
-       one unit per side per step; fills execute at S + u_a / S - u_b
-    5. cash and inventory update; a side is suppressed at its bound
+       one unit per side per step; fills execute at S + u_a / S - u_b; the
+       ask is inactive at q = -q_max and the bid at q = +q_max
+    5. cash and inventory update
 
 Terminal PnL is m_T + q_T S_T (mark-to-market at mid).
 """
@@ -35,12 +38,19 @@ from .numkit import NumericalError, student_t_sf
 
 SCHEMA_VERSION = 1
 
-# Streams take 32 bytes per path-step (three uniforms and one normal).
-# run_monte_carlo generates and replays them in chunks of at most
+# Streams take 32 bytes per path-step (three uniforms and one normal), and
+# a recorded path RECORD_BYTES_PER_STEP more.  run_monte_carlo generates and
+# replays paths in chunks whose streams and records take at most
 # STREAM_CHUNK_BYTES; 128 MiB holds the reference run (1000 paths x 2880
-# steps, 92 MB) in one chunk.
+# steps, 92 MB of streams) in one chunk.
 STREAM_BYTES_PER_STEP = 32
 STREAM_CHUNK_BYTES = 128 * 2**20
+
+# the per-step arrays of a PathRecord and their dtypes
+RECORD_DTYPES = {"price": np.float64, "regime": np.int64, "inventory": np.int64,
+                 "cash": np.float64, "ask": np.float64, "bid": np.float64,
+                 "drift": np.float64, "ask_fill": np.bool_, "bid_fill": np.bool_}
+RECORD_BYTES_PER_STEP = sum(np.dtype(t).itemsize for t in RECORD_DTYPES.values())
 
 
 @dataclass
@@ -51,7 +61,6 @@ class SimConfig:
     seed: int = 20251212
     predator: bool = True
     initial_regime: int = 0
-    s0: float = None
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -66,19 +75,17 @@ class SimConfig:
                 f"n_steps * dt = {span:.6g} does not match the horizon "
                 f"{self.model.horizon:.6g}"
             )
-        if self.s0 is None:
-            self.s0 = self.model.s0
 
 
 @dataclass
 class QuotePolicy:
-    """Per-node quote surfaces on the simulation grid (tau ascending)."""
+    """Per-node quote surfaces on the simulation grid (tau ascending).  The
+    ask does not quote at level 0 (q = -q_max), nor the bid at level
+    2*q_max (q = +q_max)."""
 
     name: str
     ask: np.ndarray          # (n_steps+1, N, 2*q_max+1)
     bid: np.ndarray
-    ask_active: np.ndarray   # (2*q_max+1,) bool
-    bid_active: np.ndarray
 
 
 @dataclass
@@ -109,9 +116,8 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
     else:
         raise ValueError(f"unknown policy kind {kind!r}")
     table = as_game.build_theta_table(table_model, n_steps)
-    ask, bid, a_act, b_act = as_game.quote_surfaces(table, table_model)
-    return QuotePolicy(name=kind, ask=ask, bid=bid, ask_active=a_act,
-                       bid_active=b_act)
+    ask, bid = as_game.quote_surfaces(table, table_model)
+    return QuotePolicy(name=kind, ask=ask, bid=bid)
 
 
 def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
@@ -134,11 +140,11 @@ def _replay_tables(model: ASModel, policies, n_steps: int):
     """Lookup tables of a stack of policies on the grid (n_steps+1, N,
     2*q_max+1).
 
-    Returns each policy's flat (ask, bid) quote tables; flat stacked
+    Returns each policy's flat (ask, bid) quote tables and flat stacked
     (n_policies, n_steps+1, N, 2*q_max+1) tables of the fill probability
-    1 - exp(-A exp(-k u) dt) per side and of whether both sides quote; and
-    the (n_policies, 2*q_max+1) activity of each side.  A side that cannot
-    quote gets fill probability -1, which no uniform draw falls below.
+    1 - exp(-A exp(-k u) dt) per side.  A side at its bound (the ask at
+    level 0, the bid at the last level) gets fill probability -1, which no
+    uniform draw falls below.
     """
     shape = (n_steps + 1, model.n_regimes, model.n_levels)
     for policy in policies:
@@ -147,11 +153,8 @@ def _replay_tables(model: ASModel, policies, n_steps: int):
                 f"policy {policy.name!r} has quote tables of shape "
                 f"{policy.ask.shape}, expected {shape} for {n_steps} steps"
             )
-    levels = np.arange(model.n_levels)
-    ask_active = np.stack([p.ask_active for p in policies]) & (levels > 0)
-    bid_active = np.stack([p.bid_active for p in policies]) & (levels < levels[-1])
     fill = []
-    for side, active in (("ask", ask_active), ("bid", bid_active)):
+    for side, bound in (("ask", 0), ("bid", -1)):
         # computed in place, so no table-sized temporary sits next to the
         # streams
         p = np.empty((len(policies),) + shape)
@@ -168,13 +171,10 @@ def _replay_tables(model: ASModel, policies, n_steps: int):
         np.subtract(1.0, p, out=p)
         if not np.isfinite(p).all():
             raise NumericalError(f"non-finite {side} fill probability")
-        for k in range(len(policies)):
-            p[k][..., ~active[k]] = -1.0
+        p[..., bound] = -1.0
         fill.append(p.ravel())
-    both = np.broadcast_to((ask_active & bid_active)[:, None, None],
-                           (len(policies),) + shape).ravel()
     quotes = [(p.ask.ravel(), p.bid.ravel()) for p in policies]
-    return quotes, fill[0], fill[1], both, ask_active, bid_active
+    return quotes, fill[0], fill[1]
 
 
 # per-path arrays of a replay; run_monte_carlo joins them across chunks
@@ -200,13 +200,14 @@ def _path_means(per_path: dict, n_steps: int) -> dict:
 
 
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
-              normals: np.ndarray, predator: bool, record: int = 0):
+              normals: np.ndarray, record: int = 0):
     """Vectorized replay of all paths under a stack of quote policies.
 
     Every policy replays the same streams in one step loop; the regime path
     and the price noise are drawn once per step for all of them.  Returns
-    one dict per policy of per-path arrays (PER_PATH), their aggregates and
-    "records", the per-step PathRecords of the first `record` paths.
+    one dict per policy of per-path arrays (PER_PATH) and their aggregates.
+    The last policy's dict also holds "records", the per-step PathRecords
+    of the first `record` paths under that policy.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -232,18 +233,18 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     noise_scale = model.sigmas * math.sqrt(dt)
     drift_coef = -model.xi * model.gamma
 
-    quotes, p_ask, p_bid, both_sides, ask_active, bid_active = _replay_tables(
-        model, policies, n_steps)
+    quotes, p_ask, p_bid = _replay_tables(model, policies, n_steps)
     # flat offset of (node = n_steps - s, regime 0, q = 0) in one policy's
     # table, and of each policy in the stacked tables
     node_offset = np.arange(n_steps, 0, -1) * (N * D) + Q
     policy_offset = np.arange(n_pol)[:, None] * ((n_steps + 1) * N * D)
 
     reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
-    S = np.full((n_pol, n_paths), config.s0, dtype=float)
+    S = np.full((n_pol, n_paths), model.s0, dtype=float)
     m = np.zeros((n_pol, n_paths))
     w = np.zeros((n_pol, n_paths))
     q = np.zeros((n_pol, n_paths), dtype=np.int64)
+    abs_q = np.zeros((n_pol, n_paths), dtype=np.int64)
     fills_ask = np.zeros((n_pol, n_paths), dtype=np.int64)
     fills_bid = np.zeros((n_pol, n_paths), dtype=np.int64)
     spread_sum = np.zeros((n_pol, n_paths))
@@ -254,10 +255,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     ua = np.empty((n_pol, n_paths))
     ub = np.empty((n_pol, n_paths))
 
-    # row s holds the (policy, path) values of the recorded paths at step s
-    rec = {name: np.zeros((n_steps, n_pol, n_rec)) for name in
-           ("price", "regime", "inventory", "cash", "ask", "bid", "drift",
-            "ask_fill", "bid_fill")}
+    # row s holds the last policy's values of the recorded paths at step s
+    rec = {name: np.zeros((n_steps, n_rec), dtype)
+           for name, dtype in RECORD_DTYPES.items()}
 
     for s in range(n_steps):
         u_reg = uniforms[:, s, 0]
@@ -272,7 +272,7 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                                     last_target[src])
         noise = noise_scale[reg] * normals[:, s]
 
-        if predator:
+        if config.predator:
             w = drift_coef * q
         dS = w * dt + noise
         S += dS
@@ -286,23 +286,30 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         idx += policy_offset
         fill_a = u_ask < p_ask.take(idx)
         fill_b = u_bid < p_bid.take(idx)
-        both = both_sides.take(idx)
+        # both sides quote inside the bounds of the inventory held
+        both = abs_q < Q
+        if n_rec:  # a side that cannot quote is recorded as NaN
+            held = q[-1, :n_rec]
+            rec["ask"][s] = np.where(held > -Q, ua[-1, :n_rec], np.nan)
+            rec["bid"][s] = np.where(held < Q, ub[-1, :n_rec], np.nan)
 
         m += fill_a * (S + ua)
         m -= fill_b * (S - ub)
         fills_ask += fill_a
         fills_bid += fill_b
         q = fills_bid - fills_ask
+        np.abs(q, out=abs_q)
 
         spread_sum += (ua + ub) * both
         spread_count += both
-        abs_q_sum += np.abs(q)
+        abs_q_sum += abs_q
 
         if n_rec:
-            for name, value in (("price", S), ("regime", reg), ("inventory", q),
-                                ("cash", m), ("ask", ua), ("bid", ub), ("drift", w),
-                                ("ask_fill", fill_a), ("bid_fill", fill_b)):
-                rec[name][s] = value[..., :n_rec]
+            rec["regime"][s] = reg[:n_rec]
+            for name, value in (("price", S), ("inventory", q), ("cash", m),
+                                ("drift", w), ("ask_fill", fill_a),
+                                ("bid_fill", fill_b)):
+                rec[name][s] = value[-1, :n_rec]
 
     pnl = m + q * S
     times = (np.arange(n_steps) + 1) * dt
@@ -315,26 +322,11 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                "abs_inventory_sum": abs_q_sum[k],
                "price_increment_sum": increment_sum[k]}
         out.update(_path_means(out, n_steps))
-        out["records"] = []
-        for p in range(n_rec):
-            path = {name: values[:, k, p] for name, values in rec.items()}
-            # a side that could not quote at the inventory held before the
-            # step is recorded as NaN
-            held = np.concatenate(([0], path["inventory"][:-1])).astype(np.int64) + Q
-            out["records"].append(PathRecord(
-                time=times,
-                price=path["price"],
-                regime=path["regime"].astype(int),
-                inventory=path["inventory"].astype(int),
-                cash=path["cash"],
-                ask=np.where(ask_active[k, held], path["ask"], np.nan),
-                bid=np.where(bid_active[k, held], path["bid"], np.nan),
-                drift=path["drift"],
-                ask_fill=path["ask_fill"].astype(bool),
-                bid_fill=path["bid_fill"].astype(bool),
-                pnl=float(pnl[k, p]),
-            ))
         outs.append(out)
+    outs[-1]["records"] = [
+        PathRecord(time=times, pnl=float(pnl[-1, p]),
+                   **{name: values[:, p] for name, values in rec.items()})
+        for p in range(n_rec)]
     return outs
 
 
@@ -385,31 +377,46 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
+def _chunk_paths(first: int, n_paths: int, n_export: int, n_steps: int) -> int:
+    """Paths in the chunk that starts at path `first`: as many as keep their
+    streams, and the records of those among the first n_export, within
+    STREAM_CHUNK_BYTES; at least one."""
+    budget = STREAM_CHUNK_BYTES // n_steps  # bytes per step
+    recorded = max(0, n_export - first)
+    with_record = STREAM_BYTES_PER_STEP + RECORD_BYTES_PER_STEP
+    if recorded * with_record >= budget:
+        count = budget // with_record
+    else:
+        count = recorded + (budget - recorded * with_record) // STREAM_BYTES_PER_STEP
+    return max(1, min(count, n_paths - first))
+
+
 def run_monte_carlo(config: SimConfig, n_export: int = 0,
                     on_path=None) -> SimReport:
     """Run vanilla and equilibrium quoting on common random numbers.
 
-    Streams are generated and replayed STREAM_CHUNK_BYTES at a time; the
+    Streams are generated and replayed chunk by chunk (_chunk_paths); the
     per-path results are joined in path order before any reduction, so the
     report does not depend on the chunk size.  For each of the first
     n_export paths p, in path order, on_path(p, record) receives the
     equilibrium policy's PathRecord while p's chunk is live, so at most one
     chunk's records are held at a time."""
-    kinds = ("vanilla", "equilibrium")
+    kinds = ("vanilla", "equilibrium")  # run_paths records the last one
     policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
-    chunk = max(1, STREAM_CHUNK_BYTES // (STREAM_BYTES_PER_STEP * config.n_steps))
     parts = []
-    for first in range(0, config.n_paths, chunk):
-        uniforms, normals = generate_streams(
-            config.seed, min(chunk, config.n_paths - first), config.n_steps,
-            first=first)
-        outs = run_paths(config, policies, uniforms, normals, config.predator,
+    first = 0
+    while first < config.n_paths:
+        count = _chunk_paths(first, config.n_paths, n_export, config.n_steps)
+        uniforms, normals = generate_streams(config.seed, count, config.n_steps,
+                                             first=first)
+        outs = run_paths(config, policies, uniforms, normals,
                          record=max(0, n_export - first))
-        records = outs[kinds.index("equilibrium")]["records"]
+        records = outs[-1]["records"]
         for p in range(len(records)):
             on_path(first + p, records[p])
         parts.append([{key: out[key] for key in PER_PATH} for out in outs])
         del uniforms, normals, outs, records  # free this chunk before the next one
+        first += count
     results = {}
     for k, kind in enumerate(kinds):
         per_path = {key: np.concatenate([part[k][key] for part in parts])

@@ -8,7 +8,9 @@ reference for the stacked replay; its mean_* fields sum in another order,
 so they are the reference to rounding only.
 
 theta_table_oracle is the node-by-node penalty table that the spectral
-`as_game.build_theta_table` replaced.  The market-making closed forms below
+`as_game.build_theta_table` replaced, and solve_theta_piecewise composes
+`as_game.solve_theta_exact` over constant-rate segments through the same
+propagator.  The market-making closed forms below
 are the paper's formulas that only tests use: the predator's drift, the
 integrated variance and its expansion, one entry of the short-horizon
 penalty, and quotes read off a penalty table at any clock time by linear
@@ -56,6 +58,19 @@ def theta_table_oracle(model, n_steps, rates=None):
         theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
     return theta
 
+
+def solve_theta_piecewise(model, segments):
+    """Compose constant-rate segments, listed from the horizon outward:
+    segments = [(tau_len_0, rates_0), (tau_len_1, rates_1), ...]."""
+    N, nq = model.n_regimes, model.n_levels
+    v, log_scale = np.ones(N * nq), 0.0
+    for tau_len, rates in segments:
+        if tau_len < 0:
+            raise ValueError("segment lengths must be nonnegative")
+        if tau_len > 0:
+            M = as_game.build_generator(model, rates)
+            (v, log_scale), = as_game._propagate(M, tau_len, 1, v, log_scale)
+    return (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
 
 
 def predator_drift(q, model):
@@ -155,7 +170,7 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
     last_target = N - 1 - np.argmax(target_probs[:, ::-1] > 0, axis=1)
     p_leave = 1.0 - np.exp(-exit_rates * dt)
 
-    S = np.full(n_paths, config.s0, dtype=float)
+    S = np.full(n_paths, model.s0, dtype=float)
     q = np.zeros(n_paths, dtype=np.int64)
     m = np.zeros(n_paths, dtype=float)
     reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
@@ -197,8 +212,8 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
         qi = q + Q
         ua = policy.ask[node, reg, qi]
         ub = policy.bid[node, reg, qi]
-        a_act = policy.ask_active[qi] & (q > -Q)
-        b_act = policy.bid_active[qi] & (q < Q)
+        a_act = q > -Q
+        b_act = q < Q
 
         p_fill_a = 1.0 - np.exp(-model.A * np.exp(-model.k * ua) * dt)
         p_fill_b = 1.0 - np.exp(-model.A * np.exp(-model.k * ub) * dt)

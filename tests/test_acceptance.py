@@ -66,7 +66,7 @@ def test_02_matrix_game_suite():
             game, sp.row_strategy, sp.col_strategy))
         if (m, n) == (2, 2):
             # dual route: LP value against the closed-form formula
-            via_lp = game_core.solve_zero_sum(game, method="lp")
+            via_lp = game_core.solve_lp(game)
             M = game.payoff
             pure = None
             for r in range(2):
@@ -211,8 +211,9 @@ def test_09_predator_law_and_harm(paper_as_model, lively_as_model):
                            seed=7)
     policy = sim.make_policy(lively_as_model, "vanilla", 400)
     uniforms, normals = sim.generate_streams(7, 400, 400)
-    with_pred = sim.run_paths(config, [policy], uniforms, normals, True)[0]
-    without = sim.run_paths(config, [policy], uniforms, normals, False)[0]
+    with_pred = sim.run_paths(config, [policy], uniforms, normals)[0]
+    without = sim.run_paths(dataclasses.replace(config, predator=False), [policy],
+                            uniforms, normals)[0]
     t_stat, p_val = sim.paired_one_sided(without["pnl"] - with_pred["pnl"])
     ok = exact and p_val < 0.05
     assert report(9, ok, f"w*(q) = -xi*gamma*q exact for all q: {exact}; "
@@ -233,7 +234,7 @@ def counterfactual_run():
     results = {}
     for kind in ("vanilla", "equilibrium"):
         policy = sim.make_policy(model, kind, 2880)
-        results[kind] = sim.run_paths(config, [policy], uniforms, normals, True)[0]
+        results[kind] = sim.run_paths(config, [policy], uniforms, normals)[0]
     elapsed = time.perf_counter() - t0
     return results, elapsed
 

@@ -143,7 +143,7 @@ class TestSolveThetaExact:
     def test_piecewise_composition(self):
         m = small_model()
         single = as_game.solve_theta_exact(m, None, 0.9)
-        composed = as_game.solve_theta_piecewise(
+        composed = oracles.solve_theta_piecewise(
             m, [(0.4, m.rates), (0.5, m.rates)]
         )
         np.testing.assert_allclose(composed, single, atol=1e-10)
@@ -152,7 +152,7 @@ class TestSolveThetaExact:
         m = small_model()
         fast = np.array([[0.0, 9.0], [9.0, 0.0]])
         # segment nearest the horizon uses the base rates
-        composed = as_game.solve_theta_piecewise(m, [(0.3, m.rates), (0.4, fast)])
+        composed = oracles.solve_theta_piecewise(m, [(0.3, m.rates), (0.4, fast)])
 
         # oracle: integrate the nonlinear system through both segments
         theta = theta_ode_oracle(m, m.rates, 0.3, 3000)
@@ -217,7 +217,7 @@ class TestPropagator:
             exact = as_game.solve_theta_exact(m, None, tau)
             assert np.abs(row - exact).max() <= 1e-10 * np.abs(exact).max()
         exact = as_game.solve_theta_exact(m, None, horizon)
-        two = as_game.solve_theta_piecewise(
+        two = oracles.solve_theta_piecewise(
             m, [(split * horizon, None), ((1.0 - split) * horizon, None)])
         assert np.abs(two - exact).max() <= 1e-10 * np.abs(exact).max()
 
@@ -443,7 +443,7 @@ class TestQuotes:
     def test_quotes_clamped_nonnegative(self):
         m = small_model(xi=0.0, sigmas=[2.5, 2.5], gamma=2.0, q_max=4)
         table = as_game.build_theta_table(m, 64)
-        ask, bid, a_act, b_act = as_game.quote_surfaces(table, m)
+        ask, bid = as_game.quote_surfaces(table, m)
         assert ask.min() >= 0.0 and bid.min() >= 0.0
 
     def test_monotone_widening(self):

@@ -153,8 +153,10 @@ class TestEstimateGenerator:
         # slow chain: counting is consistent and matches the log route
         bar_days = 0.5 / 24.0
         labels = simulate_ctmc_labels((2.0, 2.0), bar_days, 20_000, seed=9)
-        direct = estimate_generator(labels, bar_days, method="counting")
-        logm = estimate_generator(labels, bar_days, method="auto")
+        counts = np.zeros((2, 2))
+        np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
+        direct = counts / (counts.sum(axis=1, keepdims=True) * bar_days)
+        logm = estimate_generator(labels, bar_days)
         assert direct[0, 1] == pytest.approx(logm[0, 1], rel=0.05)
 
 

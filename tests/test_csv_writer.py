@@ -170,21 +170,21 @@ class TestCommandsMatchRowOracle:
         model = cli.build_as_model(cli.load_config(config, "mm")["as_model"])
 
         table = as_game.build_theta_table(model, 48)
-        ask, bid, a_act, b_act = as_game.quote_surfaces(table, model)
+        ask, bid = as_game.quote_surfaces(table, model)
         rows = []
         for idx, tau in enumerate(table.taus):
             for i in range(model.n_regimes):
                 for qi, q in enumerate(model.q_levels()):
                     rows.append((model.horizon - tau, i, q, table.theta[idx, i, qi],
-                                 ask[idx, i, qi] if a_act[qi] else "",
-                                 bid[idx, i, qi] if b_act[qi] else ""))
+                                 ask[idx, i, qi] if q > -model.q_max else "",
+                                 bid[idx, i, qi] if q < model.q_max else ""))
         oracle_write_csv(str(tmp_path / "theta_quotes.csv"),
                          ["t", "regime", "q", "theta", "u_a", "u_b"], rows)
 
         rows = []
         for xi in (0.0, 0.5, 2.0):
             m_xi = dataclasses.replace(model, xi=xi)
-            a_xi, b_xi, _, _ = as_game.quote_surfaces(
+            a_xi, b_xi = as_game.quote_surfaces(
                 as_game.build_theta_table(m_xi, 48), m_xi)
             rows.append((xi, float(a_xi[-1, :, 3].mean() + b_xi[-1, :, 3].mean())))
         oracle_write_csv(str(tmp_path / "xi_sweep.csv"),
@@ -255,8 +255,10 @@ def test_exported_paths_come_from_their_chunk(tmp_path, monkeypatch, market,
     # catches: recording chunk-local row p for global path first + p, and
     # exporting from the wrong policy or past n_export_paths
     n_paths, n_steps, n_export = 7, 60, 5
+    # a chunk of exported paths holds paths_per_chunk of them
     monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                        sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+                        (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP)
+                        * n_steps * paths_per_chunk)
     tree = yaml.safe_load(open(os.path.join(CONFIGS, f"{market}.yaml")))
     tree["sim"].update(export_paths=True, n_export_paths=n_export)
     config = write_yaml(tmp_path / "sim.yaml", tree)

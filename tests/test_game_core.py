@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rsgames import game_core, hierarchy, outer_layer
-from rsgames.game_core import MatrixGame, SaddlePoint, best_response_gap, solve_zero_sum
+from rsgames.game_core import (MatrixGame, SaddlePoint, best_response_gap, solve_lp,
+                               solve_zero_sum)
 
 
 def closed_form_2x2(M):
@@ -53,7 +54,7 @@ class TestSolveZeroSum:
         rng = np.random.default_rng(21)
         for _ in range(100):
             M = rng.normal(size=(2, 2)) * 5.0
-            via_lp = solve_zero_sum(MatrixGame(M), method="lp")
+            via_lp = solve_lp(MatrixGame(M))
             assert abs(via_lp.value - closed_form_2x2(M)) <= 1e-12
 
     @pytest.mark.parametrize("s", [10.0**-e for e in range(2, 13)])
@@ -66,7 +67,7 @@ class TestSolveZeroSum:
         bordered = np.block([[M.T, -np.ones((3, 1))], [np.ones((1, 3)), 0.0]])
         f_eq = np.linalg.solve(bordered, [0.0, 0.0, 0.0, 1.0])[:3]
         assert np.all(f_eq > 0.0)
-        sp = solve_zero_sum(MatrixGame(s * M), method="lp")
+        sp = solve_lp(MatrixGame(s * M))
         assert np.abs(sp.row_strategy - f_eq).max() <= 1e-12
 
     def test_random_games_saddle_gap(self):

@@ -173,8 +173,7 @@ class TestSolveCoupledRiccati:
         m = scalar_model(B=0.0, D=1.0)
         grid = TimeGrid(0.0, 2.0, 400)
         with pytest.raises(BlowupError) as err:
-            mjls_inner.solve_coupled_riccati(m, np.zeros((1, 1)), grid,
-                                             norm_bound=1e8)
+            mjls_inner.solve_coupled_riccati(m, np.zeros((1, 1)), grid)
         assert err.value.regime == 0
         escape_tau = 2.0 - err.value.time
         assert abs(escape_tau - np.pi / 2) < 0.1

@@ -9,6 +9,8 @@ sweeps must give the same (P, r) to rounding and escape at the same node
 in the same regime.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -67,12 +69,14 @@ class TestBufferedStepMatchesOracle:
             P_old, r_old = oracles.riccati_sweep_oracle(model, rates, grid, bound)
         except BlowupError as old:
             event("blow-up")
-            with pytest.raises(BlowupError) as new:
-                mjls_inner.solve_coupled_riccati(model, rates, grid, bound)
+            with mock.patch.object(mjls_inner, "NORM_BOUND", bound), \
+                    pytest.raises(BlowupError) as new:
+                mjls_inner.solve_coupled_riccati(model, rates, grid)
             assert (new.value.time, new.value.regime) == (old.time, old.regime)
             return
         event("bounded")
-        sol = mjls_inner.solve_coupled_riccati(model, rates, grid, bound)
+        with mock.patch.object(mjls_inner, "NORM_BOUND", bound):
+            sol = mjls_inner.solve_coupled_riccati(model, rates, grid)
         assert np.array_equal(sol.P, np.swapaxes(sol.P, 2, 3))
         assert rel_diff(sol.P, P_old) <= REL_TOL
         assert rel_diff(sol.r, r_old) <= REL_TOL
@@ -123,23 +127,27 @@ class TestCouplingGenerators:
 
 
 class TestCheckEscape:
+    @pytest.fixture(autouse=True)
+    def unit_bound(self, monkeypatch):
+        monkeypatch.setattr(mjls_inner, "NORM_BOUND", 1.0)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0, -2.0])
     def test_escape_values(self, value):
         P = np.zeros((3, 2, 2))
         P[1, 0, 1] = value
         with pytest.raises(BlowupError) as err:
-            mjls_inner.check_escape(P, 0.25, 1.0)
+            mjls_inner.check_escape(P, 0.25)
         assert (err.value.time, err.value.regime) == (0.25, 1)
 
     def test_bound_itself_is_inside(self):
         P = np.full((2, 2, 2), -1.0)
         P[0] = 1.0
-        mjls_inner.check_escape(P, 0.0, 1.0)
+        mjls_inner.check_escape(P, 0.0)
 
     def test_worst_regime_is_the_largest_norm(self):
         P = np.zeros((3, 2, 2))
         P[0, 0, 0] = 5.0
         P[2] = 4.0  # Frobenius norm 8
         with pytest.raises(BlowupError) as err:
-            mjls_inner.check_escape(P, 0.0, 1.0)
+            mjls_inner.check_escape(P, 0.0)
         assert err.value.regime == 2

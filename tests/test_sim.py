@@ -21,8 +21,7 @@ def path_record(config, policy=None, p=0):
     if policy is None:
         policy = sim.make_policy(config.model, "equilibrium", config.n_steps)
     uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
-    out = sim.run_paths(config, [policy], uniforms, normals, config.predator,
-                        record=1)
+    out = sim.run_paths(config, [policy], uniforms, normals, record=1)
     return out[0]["records"][0]
 
 
@@ -37,7 +36,7 @@ class TestDeterminism:
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400, seed=31)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(31, 5, 400)
-        batch = sim.run_paths(config, [policy], uniforms, normals, True)[0]
+        batch = sim.run_paths(config, [policy], uniforms, normals)[0]
         for p in (0, 3):
             rec = path_record(config, policy, p)
             assert rec.pnl == pytest.approx(batch["pnl"][p], abs=1e-12)
@@ -66,7 +65,7 @@ class TestPathMechanics:
     def test_inventory_bound_never_violated(self, lively_config):
         policy = sim.make_policy(lively_config.model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(7, 100, 400)
-        out = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
+        out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
         assert np.abs(out["terminal_inventory"]).max() <= lively_config.model.q_max
         rec = path_record(lively_config, policy)
         assert np.abs(rec.inventory).max() <= lively_config.model.q_max
@@ -103,7 +102,7 @@ class TestPathMechanics:
         config = SimConfig(model=model, n_paths=400, n_steps=400, seed=5)
         policy = sim.make_policy(model, "vanilla", 400)
         uniforms, normals = sim.generate_streams(5, 400, 400)
-        out = sim.run_paths(config, [policy], uniforms, normals, True)[0]
+        out = sim.run_paths(config, [policy], uniforms, normals)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
         se = sigma_bar * np.sqrt(model.dt) / np.sqrt(400 * 400)
         assert abs(out["mean_price_increment"]) <= 3.0 * se
@@ -140,8 +139,7 @@ class TestRegimeDraw:
 
         policy = sim.make_policy(model, "vanilla", 40)
         uniforms, normals = streams(5, 4, 40)
-        rec = sim.run_paths(config, [policy], uniforms, normals, True,
-                            record=1)[0]["records"][0]
+        rec = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]["records"][0]
         # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
         np.testing.assert_array_equal(rec.regime, [2, 1] * 20)
 
@@ -214,8 +212,9 @@ class TestPredatorEffects:
         uniforms, normals = sim.generate_streams(
             lively_config.seed, lively_config.n_paths, lively_config.n_steps
         )
-        with_pred = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
-        without = sim.run_paths(lively_config, [policy], uniforms, normals, False)[0]
+        with_pred = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
+        without = sim.run_paths(dataclasses.replace(lively_config, predator=False),
+                                [policy], uniforms, normals)[0]
         t, p = sim.paired_one_sided(without["pnl"] - with_pred["pnl"])
         assert p < 0.05
         assert without["pnl"].mean() > with_pred["pnl"].mean()
@@ -224,7 +223,7 @@ class TestPredatorEffects:
         policy = sim.make_policy(lively_config.model, "vanilla",
                                  lively_config.n_steps)
         uniforms, normals = sim.generate_streams(7, 100, 400)
-        out = sim.run_paths(lively_config, [policy], uniforms, normals, True)[0]
+        out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
         m = lively_config.model
         expected = m.xi * m.gamma * out["mean_abs_inventory"]
         assert out["mean_abs_drift"] == pytest.approx(expected, rel=0.05)

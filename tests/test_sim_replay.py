@@ -58,22 +58,27 @@ class TestAgainstOracle:
     def test_stacked_replay_equals_single_policy_loop(self, case):
         config, uniforms, normals = case
         policies = _policies(config)
-        outs = sim.run_paths(config, policies, uniforms, normals,
-                             config.predator, record=1)
-        for policy, out in zip(policies, outs):
-            ref = run_paths_oracle(config, policy, uniforms, normals,
-                                   config.predator, record=True)
-            for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
-                assert out[key].dtype == ref[key].dtype
-                np.testing.assert_array_equal(out[key], ref[key])
+        refs = {policy.name: run_paths_oracle(config, policy, uniforms, normals,
+                                              config.predator, record=True)
+                for policy in policies}
+        # run_paths records the last policy of the stack, so each order
+        # records one of the two
+        for stack in (policies, policies[::-1]):
+            outs = sim.run_paths(config, stack, uniforms, normals, record=1)
+            for policy, out in zip(stack, outs):
+                ref = refs[policy.name]
+                for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
+                    assert out[key].dtype == ref[key].dtype
+                    np.testing.assert_array_equal(out[key], ref[key])
+                for key in MEAN_FIELDS:
+                    assert out[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
+            ref = refs[stack[-1].name]
             for field in RECORD_FIELDS:
-                got = getattr(out["records"][0], field)
+                got = getattr(outs[-1]["records"][0], field)
                 want = getattr(ref["record"], field)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)  # NaN == NaN here
-            assert out["records"][0].pnl == ref["record"].pnl
-            for key in MEAN_FIELDS:
-                assert out[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
+            assert outs[-1]["records"][0].pnl == ref["record"].pnl
 
     @settings(max_examples=25, deadline=None)
     @given(sim_cases())
@@ -83,13 +88,16 @@ class TestAgainstOracle:
         # recording one fixed row for every path)
         config, uniforms, normals = case
         policies = _policies(config)
-        batch = sim.run_paths(config, policies, uniforms, normals, config.predator,
-                              record=config.n_paths)
         q_max = config.model.q_max
-        for p in range(config.n_paths):
-            alone = sim.run_paths(config, policies, uniforms[p:p + 1],
-                                  normals[p:p + 1], config.predator, record=1)
-            for out, full in zip(alone, batch):
+        # run_paths records the last policy of the stack, so each order
+        # records one of the two
+        for stack in (policies, policies[::-1]):
+            batch = sim.run_paths(config, stack, uniforms, normals,
+                                  record=config.n_paths)
+            for p in range(config.n_paths):
+                alone = sim.run_paths(config, stack, uniforms[p:p + 1],
+                                      normals[p:p + 1], record=1)
+                out, full = alone[-1], batch[-1]
                 rec = out["records"][0]
                 assert np.abs(rec.inventory).max() <= q_max
                 assert rec.pnl == rec.cash[-1] + rec.inventory[-1] * rec.price[-1]
@@ -116,10 +124,10 @@ class TestStreams:
         config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(12, 8, 400)
-        batch = sim.run_paths(config, [policy], uniforms, normals, True)[0]
+        batch = sim.run_paths(config, [policy], uniforms, normals)[0]
         for p in (0, 5, 7):
             alone_u, alone_n = sim.generate_streams(12, 1, 400, first=p)
-            rec = sim.run_paths(config, [policy], alone_u, alone_n, True,
+            rec = sim.run_paths(config, [policy], alone_u, alone_n,
                                 record=1)[0]["records"][0]
             assert rec.pnl == batch["pnl"][p]
 
@@ -220,8 +228,10 @@ class TestExport:
         pnl = {}
 
         def peak(paths_per_chunk):
+            # every path is exported, so each takes its record's bytes too
             monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                                sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+                                (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP)
+                                * n_steps * paths_per_chunk)
             config = SimConfig(model=lively_as_model, n_paths=n_paths,
                                n_steps=n_steps, seed=4)
             tracemalloc.start()
@@ -237,6 +247,26 @@ class TestExport:
         assert sorted(pnl) == list(range(n_paths))
         assert four_chunks < 0.5 * one_chunk, (one_chunk, four_chunks)
 
+    def test_export_peak_is_bounded_by_the_budget(self, monkeypatch, lively_as_model):
+        # exporting every path at a budget of 50 paths' streams and records;
+        # catches: sizing chunks by their streams alone (140 paths a chunk
+        # here, records not counted)
+        n_paths, n_steps = 200, 400
+        budget = (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP) * n_steps * 50
+        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES", budget)
+        config = SimConfig(model=lively_as_model, n_paths=n_paths, n_steps=n_steps,
+                           seed=4)
+        exported = []
+        tracemalloc.start()
+        try:
+            sim.run_monte_carlo(config, n_paths, lambda p, rec: exported.append(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exported == list(range(n_paths))
+        # the rest is the quote and fill tables, about 0.4 times the budget
+        assert peak < 2 * budget, (peak, budget)
+
 
 class TestPolicyChecks:
     def test_policy_for_another_grid_is_rejected(self, lively_as_model):
@@ -245,7 +275,7 @@ class TestPolicyChecks:
         for steps in (64, 401, 800):
             policy = sim.make_policy(lively_as_model, "vanilla", steps)
             with pytest.raises(ValueError, match="expected"):
-                sim.run_paths(config, [policy], uniforms, normals, True)
+                sim.run_paths(config, [policy], uniforms, normals)
 
     def test_nan_quote_is_a_numerical_error(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
@@ -254,7 +284,7 @@ class TestPolicyChecks:
             policy = sim.make_policy(lively_as_model, "vanilla", 400)
             getattr(policy, side)[200, 1, lively_as_model.q_max] = np.nan
             with pytest.raises(NumericalError):
-                sim.run_paths(config, [policy], uniforms, normals, True)
+                sim.run_paths(config, [policy], uniforms, normals)
 
     @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3)])
     def test_cli_exit_codes(self, monkeypatch, tmp_path, capsys, fault, code):
