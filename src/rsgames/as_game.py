@@ -70,11 +70,9 @@ def _as_generator(rates, N):
     rates = np.asarray(rates, dtype=float)
     if rates.shape[-2:] != (N, N):
         raise ValueError(f"rates must be (..., {N}, {N}), got {rates.shape}")
-    eye = np.eye(N)
-    off = rates - rates * eye
-    if np.any(off < 0):
+    if np.any((rates < 0) & ~np.eye(N, dtype=bool)):
         raise ValueError("switching rates must be nonnegative off-diagonal")
-    return off - eye * off.sum(axis=-1)[..., None]
+    return numkit.generator(rates)
 
 
 @dataclass
@@ -454,7 +452,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
             tol = NONBILINEAR_TOL * np.maximum(1.0, np.abs(value))
             flagged += int(np.count_nonzero(np.abs(true_val - value) > tol))
         efforts[idx] = f, g
-        mu[idx] = mu_rows - np.diag(mu_rows.sum(axis=1))
+        mu[idx] = numkit.generator(mu_rows)
         if idx:
             penalty = (0.5 * spec.rho_f * f**2 + 0.5 * spec.rho_g * g**2
                        if mode == "quadratic" else 0.0)
@@ -471,5 +469,5 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
         grid=grid, k=U,
         f=np.stack([1.0 - f_act, f_act], axis=2),
         g=np.stack([1.0 - g_act, g_act], axis=2), mu=mu,
-        meta={"mode": mode, "nonbilinear_nodes": flagged, "inventory": q},
+        meta={"mode": mode, "nonbilinear_nodes": flagged, "inventory": int(q)},
     )

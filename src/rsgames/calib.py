@@ -20,6 +20,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import numkit
+
 COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")  # OhlcvSeries order
 VOL_BLOCK = 4096  # windows per std reduction: bounds the temporaries
 
@@ -209,11 +211,10 @@ def estimate_generator(labels, bar_interval_days: float,
     G = _generator_from_logm(counts, occupancy, bar_interval_days)
     if G is not None:
         return G
-    off = np.zeros((n, n))
+    rates = np.zeros((n, n))
     visited = occupancy > 0
-    off[visited] = counts[visited] / (occupancy[visited, None] * bar_interval_days)
-    np.fill_diagonal(off, 0.0)
-    return off - np.diag(off.sum(axis=1))
+    rates[visited] = counts[visited] / (occupancy[visited, None] * bar_interval_days)
+    return numkit.generator(rates)
 
 
 def _generator_from_logm(counts, occupancy, bar_interval_days):
@@ -238,7 +239,7 @@ def _generator_from_logm(counts, occupancy, bar_interval_days):
         return None
     off = np.maximum(off, 0.0)
     off[~visited] = 0.0
-    return off - np.diag(off.sum(axis=1))
+    return numkit.generator(off)
 
 
 @dataclass

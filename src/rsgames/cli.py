@@ -347,7 +347,6 @@ def cmd_solve(args) -> int:
     spec = build_outer_spec(cfg["outer"], model.n_regimes)
     grid = build_grid(cfg["grid"])
     sol = hierarchy.solve_hierarchy(model, spec, grid)
-    report = hierarchy.turnpike_report(sol)
 
     nodes = grid.nodes()
     P = sol.riccati.P
@@ -373,22 +372,10 @@ def cmd_solve(args) -> int:
               ["t", "regime", "player", "action", "weight"],
               [nodes[idx], i, np.where(is_row, "row", "col"),
                np.where(is_row, a, a - n_row_actions), weights.ravel()])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "rho_H": report["rho_H"],
-        "lambda2_mean": report["lambda2_mean"],
-        "inner_fitted_rate": report["inner_fitted_rate"],
-        "inner_reference_rate": report["inner_reference_rate"],
-        "inner_degenerate": report["inner_degenerate"],
-        "outer_fitted_rate": report["outer_fitted_rate"],
-        "outer_reference_rate": report["outer_reference_rate"],
-        "outer_degenerate": report["outer_degenerate"],
-        "warnings": report["warnings"],
-        "saddle_paths": {name: int(count) for name, count
-                         in sol.diagnostics["saddle_paths"].items()},
-        "max_best_response_gap": float(sol.diagnostics["max_best_response_gap"]),
-    }
-    write_json(os.path.join(args.out, "turnpike.json"), payload)
+    write_json(os.path.join(args.out, "turnpike.json"), {
+        "schema_version": SCHEMA_VERSION, **hierarchy.turnpike_report(sol),
+        "saddle_paths": sol.diagnostics["saddle_paths"],
+        "max_best_response_gap": sol.diagnostics["max_best_response_gap"]})
     print(f"wrote riccati_p.csv, riccati_r.csv, outer_k.csv, rates.csv, "
           f"policies.csv, turnpike.json to {args.out}")
     return EXIT_OK
@@ -449,12 +436,8 @@ def cmd_mm(args) -> int:
                   ["t", "regime", "U", "f_act", "g_act"],
                   [grid.nodes()[idx], i, sol.k.ravel(),
                    sol.f[:, :, 1].ravel(), sol.g[:, :, 1].ravel()])
-        write_json(os.path.join(args.out, "macro_report.json"), {
-            "schema_version": SCHEMA_VERSION,
-            "mode": sol.meta["mode"],
-            "inventory": int(sol.meta["inventory"]),
-            "nonbilinear_nodes": int(sol.meta["nonbilinear_nodes"]),
-        })
+        write_json(os.path.join(args.out, "macro_report.json"),
+                   {"schema_version": SCHEMA_VERSION, **sol.meta})
 
     print(f"wrote market-making tables to {args.out}")
     return EXIT_OK

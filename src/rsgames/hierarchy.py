@@ -62,9 +62,8 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
         f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(
             k[idx], spec, saddle, stats=stats
         )
-        G, coupled = mjls_inner.coupling_generators(mu[idx])
-        mjls_inner.riccati_step(workspace, P[idx], r[idx], G if coupled else None,
-                                grid.step, P[idx - 1], r[idx - 1])
+        mjls_inner.riccati_step(workspace, P[idx], r[idx], mu[idx], grid.step,
+                                P[idx - 1], r[idx - 1])
         mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
         phi_left = np.einsum("ijj->i", P[idx - 1])
         k[idx - 1] = outer_layer.k_step(
@@ -87,12 +86,12 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
 
 
 def _fit_decay_rate(taus, residuals):
-    """Slope of log(residual) over the central tau window; None if degenerate."""
+    """Minus the slope of log(residual) over the central tau window, or None."""
     taus = np.asarray(taus, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     scale = residuals.max()
     if not np.isfinite(scale) or scale <= RESIDUAL_FLOOR:
-        return None, 0
+        return None
     tau_max = taus.max()
     mask = (
         (taus >= FIT_LO * tau_max)
@@ -100,17 +99,18 @@ def _fit_decay_rate(taus, residuals):
         & (residuals > max(RESIDUAL_FLOOR, scale * 1e-12))
     )
     if mask.sum() < 5:
-        return None, int(mask.sum())
+        return None
     slope = np.polyfit(taus[mask], np.log(residuals[mask]), 1)[0]
-    return float(-slope), int(mask.sum())
+    return float(-slope)
 
 
 def turnpike_report(sol: HierarchySolution) -> dict:
     """Fitted exponential decay rates of both layers, next to their spectral
     references (2 rho_H inner, mean lambda_2 outer).  Diagnostic only.
 
-    The inner residual is |P(tau) - P(tau_max)| and the outer residual is
-    the distance of the disagreement component of k from its long-horizon
+    These are the fields of turnpike.json besides the saddle counters.  The
+    inner residual is |P(tau) - P(tau_max)| and the outer residual is the
+    distance of the disagreement component of k from its long-horizon
     limit, both in backward time tau = T - t.
     """
     grid = sol.riccati.grid
@@ -122,8 +122,8 @@ def turnpike_report(sol: HierarchySolution) -> dict:
     disagreement = k - k.mean(axis=1, keepdims=True)
     e_outer = np.linalg.norm(disagreement - disagreement[-1], axis=1)
 
-    inner_rate, inner_pts = _fit_decay_rate(taus, e_inner)
-    outer_rate, outer_pts = _fit_decay_rate(taus, e_outer)
+    inner_rate = _fit_decay_rate(taus, e_inner)
+    outer_rate = _fit_decay_rate(taus, e_outer)
 
     warnings = []
     for name, resid in (("inner", e_inner), ("outer", e_outer)):
@@ -133,17 +133,14 @@ def turnpike_report(sol: HierarchySolution) -> dict:
                 f"{name} residual has not flattened; horizon may be too short"
             )
 
-    report = {
+    return {
         "rho_H": sol.diagnostics.get("rho_H"),
         "lambda2_mean": sol.diagnostics.get("lambda2_mean"),
         "inner_fitted_rate": inner_rate,
         "inner_reference_rate": 2.0 * sol.diagnostics.get("rho_H", np.nan),
         "inner_degenerate": inner_rate is None,
-        "inner_fit_points": inner_pts,
         "outer_fitted_rate": outer_rate,
         "outer_reference_rate": sol.diagnostics.get("lambda2_mean"),
         "outer_degenerate": outer_rate is None,
-        "outer_fit_points": outer_pts,
         "warnings": warnings,
     }
-    return report

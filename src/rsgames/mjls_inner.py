@@ -142,8 +142,9 @@ class _FlowWorkspace:
     def derivative(self, P, r, G, dP, dr):
         """Write (-dP/dt, -dr/dt) at the symmetric P into dP and dr.
 
-        G is the coupling generator of coupling_generators, or None for
-        uncoupled regimes.
+        G is the generator of the rates (numkit.generator), so that
+        (G P)_i = sum_{j != i} mu_ij (P_j - P_i), or None for uncoupled
+        regimes.
         """
         N = len(dr)
         np.matmul(self.half_sctrl, P, out=self.W)
@@ -158,18 +159,6 @@ class _FlowWorkspace:
             dr += G @ r
 
 
-def coupling_generators(rates):
-    """Generators G (..., N, N) with (G P)_i = sum_{j != i} mu_ij (P_j - P_i),
-    from rates (..., N, N) whose diagonal is ignored, and whether each has
-    a nonzero off-diagonal rate."""
-    G = np.array(rates, dtype=float)
-    diag = np.arange(G.shape[-1])
-    G[..., diag, diag] = 0.0
-    coupled = G.any(axis=(-2, -1))
-    G[..., diag, diag] = -G.sum(axis=-1)
-    return G, coupled
-
-
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
 
@@ -177,10 +166,13 @@ def riccati_step(ws, P_right, r_right, G, h, P_out, r_out):
     """One RK4 step of the joint (P, r) flow from the right node of a step
     of length h to its left node, written into P_out and r_out.
 
-    G (coupling_generators, or None) is held constant over the step.
-    Shared by the standalone solver and the hierarchy sweep so their flows
-    agree exactly.
+    The generator G (N, N) of the rates is held constant over the step;
+    when it is all zero the regimes are uncoupled and the coupling terms
+    are skipped.  Shared by the standalone solver and the hierarchy sweep
+    so their flows agree exactly.
     """
+    if not G.any():
+        G = None
     kP, kr, P, r = ws.kP, ws.kr_rows, ws.P, ws.r
     # classical RK4 in backward time tau = T - t, step +h, rhs = -d/dt
     ws.derivative(P_right, r_right, G, kP[0], kr[0])
@@ -205,7 +197,7 @@ def riccati_step(ws, P_right, r_right, G, h, P_out, r_out):
 def _rates_at_nodes(rates, n_nodes, N):
     rates = np.asarray(rates, dtype=float)
     if rates.shape == (N, N):
-        return np.broadcast_to(rates, (n_nodes, N, N)).copy()
+        return np.broadcast_to(rates, (n_nodes, N, N))
     if rates.shape == (n_nodes, N, N):
         return rates
     raise ValueError(
@@ -243,9 +235,7 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid) -> Riccat
     """
     N, n = model.n_regimes, model.n_states
     n_nodes = grid.n_steps + 1
-    rates = _rates_at_nodes(rates, n_nodes, N)
-    G, coupled = coupling_generators(rates)
-    G = [G_k if coupled_k else None for G_k, coupled_k in zip(G, coupled.tolist())]
+    G = numkit.generator(_rates_at_nodes(rates, n_nodes, N))
     workspace = _FlowWorkspace(model)
     nodes = grid.nodes()
     P = np.empty((n_nodes, N, n, n))

@@ -1,4 +1,5 @@
-"""Dense linear-algebra and ODE primitives shared by the solver modules."""
+"""Dense linear-algebra and ODE primitives shared by the solver modules,
+and the one rule that turns switching rates into a generator."""
 
 import math
 from dataclasses import dataclass
@@ -39,6 +40,17 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
+
+
+def generator(rates) -> np.ndarray:
+    """The generator of rates (..., N, N): their off-diagonal entries, and
+    on the diagonal 0.0 minus the off-diagonal row sum (a row with no exits
+    gets +0.0).  The diagonal of rates is ignored."""
+    G = np.array(rates, dtype=float)
+    diag = np.arange(G.shape[-1])
+    G[..., diag, diag] = 0.0
+    G[..., diag, diag] = 0.0 - G.sum(axis=-1)
+    return G
 
 
 def eigenvalues(M) -> np.ndarray:

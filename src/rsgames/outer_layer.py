@@ -125,21 +125,18 @@ def _local_games(k, spec: OuterGameSpec) -> np.ndarray:
     return np.einsum("ijab,ij->iab", spec.Lambda, stability_gaps(k))
 
 
-def _rate_rows(f, g, spec: OuterGameSpec, rows: np.ndarray) -> np.ndarray:
-    """Rate rows mu*_i. of regimes rows (B,) under strategies f (B, n_f),
-    g (B, n_g); the diagonal entry of each row is minus its sum."""
-    rates = spec.mu_bar[rows] + np.einsum("ba,bjac,bc->bj", f, spec.Lambda[rows], g)
-    diag = (np.arange(rows.size), rows)
-    rates[diag] = 0.0
+def _rate_rows(f, g, spec: OuterGameSpec) -> np.ndarray:
+    """The generator mu* (N, N) of every regime's rate row under its
+    strategies f (N, n_f), g (N, n_g)."""
+    rates = spec.mu_bar + np.einsum("ia,ijac,ic->ij", f, spec.Lambda, g)
+    np.fill_diagonal(rates, 0.0)
     if rates.min() < -1e-10:
-        b, j = np.unravel_index(np.argmin(rates), rates.shape)
+        i, j = np.unravel_index(np.argmin(rates), rates.shape)
         raise NumericalError(
-            f"computed rate mu[{rows[b]},{j}] = {rates[b, j]:.3g} < 0; the "
+            f"computed rate mu[{i},{j}] = {rates[i, j]:.3g} < 0; the "
             "OuterGameSpec construction invariant should have precluded this"
         )
-    rates = np.maximum(rates, 0.0)
-    rates[diag] = -rates.sum(axis=1)
-    return rates
+    return numkit.generator(np.maximum(rates, 0.0))
 
 
 def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
@@ -170,7 +167,7 @@ def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp,
     keeps the largest best-response gap under "max_gap".
     """
     f, g, path, gap = game_core.solve_games(_local_games(k, spec), saddle)
-    mu = _rate_rows(f, g, spec, np.arange(spec.n_regimes))
+    mu = _rate_rows(f, g, spec)
     if stats is not None:
         counts = np.bincount(path, minlength=len(game_core.SADDLE_PATHS))
         for name, count in zip(game_core.SADDLE_PATHS, counts):

@@ -183,31 +183,15 @@ PER_PATH = ("pnl", "fills_ask", "fills_bid", "terminal_inventory",
             "abs_inventory_sum", "price_increment_sum")
 
 
-def _path_means(per_path: dict, n_steps: int) -> dict:
-    """Aggregates of per-path accumulators, each reduced once in path order,
-    so they do not depend on how the paths were split into chunks."""
-    path_steps = per_path["pnl"].size * n_steps
-    return {
-        "mean_total_spread": float(per_path["spread_sum"].sum())
-        / max(int(per_path["spread_count"].sum()), 1),
-        "mean_abs_drift": float(per_path["abs_drift_sum"].sum()) / path_steps,
-        "mean_abs_inventory": int(per_path["abs_inventory_sum"].sum()) / path_steps,
-        "mean_terminal_abs_inventory":
-            float(np.abs(per_path["terminal_inventory"]).mean()),
-        "mean_price_increment":
-            float(per_path["price_increment_sum"].sum()) / path_steps,
-    }
-
-
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
               normals: np.ndarray, record: int = 0):
     """Vectorized replay of all paths under a stack of quote policies.
 
     Every policy replays the same streams in one step loop; the regime path
     and the price noise are drawn once per step for all of them.  Returns
-    one dict per policy of per-path arrays (PER_PATH) and their aggregates.
-    The last policy's dict also holds "records", the per-step PathRecords
-    of the first `record` paths under that policy.
+    one dict per policy of per-path arrays (PER_PATH), which
+    _strategy_stats reduces.  The last policy's dict also holds "records",
+    the per-step PathRecords of the first `record` paths under that policy.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -313,16 +297,10 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
 
     pnl = m + q * S
     times = (np.arange(n_steps) + 1) * dt
-    outs = []
-    for k in range(n_pol):
-        out = {"pnl": pnl[k], "fills_ask": fills_ask[k],
-               "fills_bid": fills_bid[k], "terminal_inventory": q[k],
-               "spread_sum": spread_sum[k], "spread_count": spread_count[k],
-               "abs_drift_sum": abs_drift_sum[k],
-               "abs_inventory_sum": abs_q_sum[k],
-               "price_increment_sum": increment_sum[k]}
-        out.update(_path_means(out, n_steps))
-        outs.append(out)
+    per_path = (pnl, fills_ask, fills_bid, q, spread_sum, spread_count,
+                abs_drift_sum, abs_q_sum, increment_sum)  # in PER_PATH order
+    outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
+            for k in range(n_pol)]
     outs[-1]["records"] = [
         PathRecord(time=times, pnl=float(pnl[-1, p]),
                    **{name: values[:, p] for name, values in rec.items()})
@@ -330,21 +308,28 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     return outs
 
 
-def _strategy_stats(result: dict) -> dict:
-    pnl = result["pnl"]
+def _strategy_stats(per_path: dict, n_steps: int) -> dict:
+    """A strategy's report statistics from its per-path arrays (PER_PATH),
+    each reduced once in path order, so they do not depend on how the paths
+    were split into chunks."""
+    pnl = per_path["pnl"]
+    path_steps = pnl.size * n_steps
     mean = float(pnl.mean())
     std = float(pnl.std(ddof=1)) if pnl.size > 1 else 0.0
     return {
         "mean_pnl": mean,
         "std_pnl": std,
         "sharpe": mean / std if std > 0 else None,
-        "mean_total_spread": result["mean_total_spread"],
-        "mean_abs_drift": result["mean_abs_drift"],
-        "mean_abs_inventory": result["mean_abs_inventory"],
-        "mean_terminal_abs_inventory": result["mean_terminal_abs_inventory"],
-        "mean_fills_ask": float(result["fills_ask"].mean()),
-        "mean_fills_bid": float(result["fills_bid"].mean()),
-        "mean_price_increment": result["mean_price_increment"],
+        "mean_total_spread": float(per_path["spread_sum"].sum())
+        / max(int(per_path["spread_count"].sum()), 1),
+        "mean_abs_drift": float(per_path["abs_drift_sum"].sum()) / path_steps,
+        "mean_abs_inventory": int(per_path["abs_inventory_sum"].sum()) / path_steps,
+        "mean_terminal_abs_inventory":
+            float(np.abs(per_path["terminal_inventory"]).mean()),
+        "mean_fills_ask": float(per_path["fills_ask"].mean()),
+        "mean_fills_bid": float(per_path["fills_bid"].mean()),
+        "mean_price_increment":
+            float(per_path["price_increment_sum"].sum()) / path_steps,
     }
 
 
@@ -411,18 +396,15 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
                                              first=first)
         outs = run_paths(config, policies, uniforms, normals,
                          record=max(0, n_export - first))
-        records = outs[-1]["records"]
+        records = outs[-1].pop("records")
         for p in range(len(records)):
             on_path(first + p, records[p])
-        parts.append([{key: out[key] for key in PER_PATH} for out in outs])
-        del uniforms, normals, outs, records  # free this chunk before the next one
+        parts.append(outs)  # the per-path arrays only
+        del uniforms, normals, records  # free this chunk before the next one
         first += count
-    results = {}
-    for k, kind in enumerate(kinds):
-        per_path = {key: np.concatenate([part[k][key] for part in parts])
-                    for key in PER_PATH}
-        results[kind] = {**per_path, **_path_means(per_path, config.n_steps)}
-    stats = {kind: _strategy_stats(res) for kind, res in results.items()}
+    results = {kind: {key: np.concatenate([part[k][key] for part in parts])
+                      for key in PER_PATH} for k, kind in enumerate(kinds)}
+    stats = {kind: _strategy_stats(res, config.n_steps) for kind, res in results.items()}
 
     def ratio(num, den):
         return num / den if den not in (0, 0.0) else None

@@ -337,10 +337,13 @@ def feedback_gains(P, model, i):
 
 
 def equilibrium_rates(f, g, spec, i):
-    """Rate row mu*_i. for strategies (f, g); diagonal = -row sum."""
-    f = np.asarray(f, dtype=float)[None]
-    g = np.asarray(g, dtype=float)[None]
-    return outer_layer._rate_rows(f, g, spec, np.array([i]))[0]
+    """Rate row mu*_i. for strategies (f, g): mu_bar_ij + f' Lambda_ij g off
+    the diagonal, minus their sum on it."""
+    row = spec.mu_bar[i] + np.einsum("a,jab,b->j", np.asarray(f, dtype=float),
+                                     spec.Lambda[i], np.asarray(g, dtype=float))
+    row[i] = 0.0
+    row[i] = -row.sum()
+    return row
 
 
 def solve_outer(phi, spec, grid):
@@ -370,14 +373,16 @@ def solve_outer(phi, spec, grid):
 
 
 class FlowWorkspaceOracle:
-    """Precomputed per-regime arrays for the vectorized Riccati flow."""
+    """Precomputed per-regime arrays for the vectorized Riccati flow, in
+    dtype; Sctrl is formed in float64, as both sweeps form it."""
 
-    def __init__(self, model):
-        self.A = model.A
-        self.At = np.ascontiguousarray(np.swapaxes(model.A, 1, 2))
-        self.Q = model.Q
-        self.sctrl = model.control_matrices()
-        self.noise = np.matmul(model.Sigma, np.swapaxes(model.Sigma, 1, 2))
+    def __init__(self, model, dtype=float):
+        self.A = np.asarray(model.A, dtype=dtype)
+        self.At = np.ascontiguousarray(np.swapaxes(self.A, 1, 2))
+        self.Q = np.asarray(model.Q, dtype=dtype)
+        self.sctrl = np.asarray(model.control_matrices(), dtype=dtype)
+        Sigma = np.asarray(model.Sigma, dtype=dtype)
+        self.noise = np.matmul(Sigma, np.swapaxes(Sigma, 1, 2))
         self.N = model.n_regimes
         self.n = model.n_states
 
@@ -396,6 +401,18 @@ class FlowWorkspaceOracle:
             dP -= outflow[:, None, None] * P
             dr += off @ r - outflow * r
         dP = 0.5 * (dP + np.swapaxes(dP, 1, 2))
+        return dP, dr
+
+    def slope_magnitudes(self, P, r, rates):
+        """backward_derivatives rebuilt from absolute values, term by term:
+        the scale of the rounding error of a computed slope."""
+        off, outflow, _ = self.split_rates(rates)
+        aP, ar, aoff = np.abs(P), np.abs(r), np.abs(off)
+        dP = (np.abs(self.Q) + np.abs(self.At) @ aP + aP @ np.abs(self.A)
+              + aP @ np.abs(self.sctrl) @ aP
+              + (aoff @ aP.reshape(self.N, -1)).reshape(P.shape)
+              + np.abs(outflow)[:, None, None] * aP)
+        dr = (np.abs(self.noise) * aP).sum(axis=(1, 2)) + aoff @ ar + np.abs(outflow) * ar
         return dP, dr
 
 

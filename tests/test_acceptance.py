@@ -256,8 +256,9 @@ def test_10a_counterfactual_pnl_direction(counterfactual_run):
 
 def test_10b_counterfactual_spread_gap(counterfactual_run):
     results, _ = counterfactual_run
-    ratio = (results["equilibrium"]["mean_total_spread"]
-             / results["vanilla"]["mean_total_spread"])
+    stats = {kind: sim._strategy_stats(out, 2880) for kind, out in results.items()}
+    ratio = (stats["equilibrium"]["mean_total_spread"]
+             / stats["vanilla"]["mean_total_spread"])
     ok = ratio >= 1.10
     # Known red: at this parameter set, risk terms perturb the penalty table
     # at ~1e-7 of the executed-flow scale, so table-driven quotes cannot
@@ -270,8 +271,9 @@ def test_10b_counterfactual_spread_gap(counterfactual_run):
 
 def test_10c_counterfactual_drift_direction(counterfactual_run):
     results, elapsed = counterfactual_run
-    drift_eq = results["equilibrium"]["mean_abs_drift"]
-    drift_van = results["vanilla"]["mean_abs_drift"]
+    stats = {kind: sim._strategy_stats(out, 2880) for kind, out in results.items()}
+    drift_eq = stats["equilibrium"]["mean_abs_drift"]
+    drift_van = stats["vanilla"]["mean_abs_drift"]
     ratio = drift_eq / drift_van if drift_van > 0 else 1.0
     ok = drift_eq >= drift_van and elapsed < 120.0
     assert report("10c", ok,

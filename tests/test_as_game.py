@@ -546,6 +546,16 @@ class TestMacroLayer:
             m, self.affine_spec(att=0.0, stab=1.5), 3, grid)
         assert np.all(stabilized.k <= base.k + 1e-9)
 
+    def test_meta_holds_plain_values(self):
+        # cli writes meta as macro_report.json as it is
+        m = small_model()
+        sol = as_game.solve_macro_as(m, self.affine_spec(), np.int64(-2),
+                                     TimeGrid(0.0, m.horizon, 20))
+        assert sol.meta == {"mode": "affine", "inventory": -2,
+                            "nonbilinear_nodes": sol.meta["nonbilinear_nodes"]}
+        assert type(sol.meta["inventory"]) is int
+        assert type(sol.meta["nonbilinear_nodes"]) is int
+
     def test_quadratic_mode_runs_and_orders(self):
         m = small_model()
         grid = TimeGrid(0.0, m.horizon, 60)

@@ -130,6 +130,33 @@ class TestSolveCommand:
             n_regimes * (tree["grid"]["n_steps"] + 1)
         assert 0.0 <= report["max_best_response_gap"] <= 1e-9
 
+    TURNPIKE_KEYS = {"schema_version", "rho_H", "lambda2_mean", "inner_fitted_rate",
+                     "inner_reference_rate", "inner_degenerate", "outer_fitted_rate",
+                     "outer_reference_rate", "outer_degenerate", "warnings",
+                     "saddle_paths", "max_best_response_gap"}
+
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "zero_rates"])
+    def test_turnpike_json_schema(self, tmp_path, coupled):
+        # the file is turnpike_report's nine fields, the saddle counters and
+        # the schema version, and nothing else; with every rate zero the
+        # generator's diagonal is +0.0, never -0.0
+        tree = yaml.safe_load(open(os.path.join(CONFIGS, "solve_two_regime.yaml")))
+        if not coupled:
+            for key in tree["outer"]["affine"]:
+                tree["outer"]["affine"][key] = [[0.0, 0.0], [0.0, 0.0]]
+        out = tmp_path / "out"
+        config = write_yaml(tmp_path / "solve.yaml", tree)
+        assert run(["solve", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "turnpike.json").read_text())
+        assert set(report) == self.TURNPIKE_KEYS
+        assert report["schema_version"] == cli.SCHEMA_VERSION
+        assert all(type(count) is int for count in report["saddle_paths"].values())
+        rows = (out / "rates.csv").read_text().splitlines()[1:]
+        rates = {row.rsplit(",", 1)[1] for row in rows}
+        assert "-0.0" not in rates
+        if not coupled:
+            assert rates == {"0.0"}
+
     def test_identical_regimes_uniform_outputs(self, tmp_path):
         eye = [[1.0]]
         zero = [[0.0]]
@@ -252,9 +279,12 @@ class TestMmCommand:
         assert run(["mm", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "macro_values.csv").exists()
         report = json.loads((out / "macro_report.json").read_text())
+        assert set(report) == {"schema_version", "mode", "inventory",
+                               "nonbilinear_nodes"}
         assert report["schema_version"] == cli.SCHEMA_VERSION
         assert report["mode"] == "affine"
         assert report["inventory"] == 2
+        assert isinstance(report["inventory"], int)
         assert isinstance(report["nonbilinear_nodes"], int)
         assert report["nonbilinear_nodes"] >= 0
 

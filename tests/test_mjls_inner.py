@@ -25,9 +25,8 @@ def backward_derivatives(model, P, r, rates):
     """(-dP/dt, -dr/dt) of every regime, from the right-hand side that
     riccati_step integrates."""
     P, r = np.asarray(P, dtype=float), np.asarray(r, dtype=float)
-    G, coupled = mjls_inner.coupling_generators(rates)
     dP, dr = np.empty_like(P), np.empty_like(r)
-    mjls_inner._FlowWorkspace(model).derivative(P, r, G if coupled else None, dP, dr)
+    mjls_inner._FlowWorkspace(model).derivative(P, r, numkit.generator(rates), dP, dr)
     return dP, dr
 
 

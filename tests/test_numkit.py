@@ -20,6 +20,22 @@ def integrate_backward(rhs, terminal, grid):
     return traj
 
 
+class TestGenerator:
+    def test_rows_sum_to_zero_and_diagonal_is_ignored(self):
+        rates = np.array([[7.0, 1.0, 2.0], [0.5, -4.0, 0.0], [3.0, 3.0, 0.0]])
+        G = numkit.generator(rates)
+        np.testing.assert_array_equal(G.sum(axis=1), 0.0)
+        np.testing.assert_array_equal(G - np.diag(np.diag(G)),
+                                      rates - np.diag(np.diag(rates)))
+        assert rates[0, 0] == 7.0  # the input is not written
+
+    def test_a_regime_without_exits_gets_plus_zero(self):
+        G = numkit.generator(np.stack([np.diag([2.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]]))
+        np.testing.assert_array_equal(G, [[[0.0, 0.0], [0.0, 0.0]],
+                                          [[-1.0, 1.0], [0.0, 0.0]]])
+        assert not np.signbit(G[G == 0.0]).any()  # no -0.0 on a diagonal
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         lam = numkit.eigenvalues(np.diag([3.0, 1.0, 2.0]))

@@ -3,39 +3,43 @@
 `mjls_inner.riccati_step` assembles the right-hand side from two batched
 matmuls per RK4 stage (P W + (P W)' with W = A - Sctrl P / 2) and writes
 every stage into preallocated buffers.  `oracles.riccati_step_oracle` is
-the four-matmul step with a fresh array per operation; on random models,
+the four-matmul step with a fresh array per operation.  On random models,
 coupled and uncoupled, with rates that change from node to node, both
-sweeps must give the same (P, r) to rounding and escape at the same node
-in the same regime.
+sweeps escape at the same node in the same regime, or every step of the
+buffered sweep is the oracle's step, run in long double from the same
+right node, to within a rounding bound (step_rounding_ratio).
+
+Two float64 sweeps of a stiff flow (P near 1e5) may differ by far more
+than the rounding of one step: on one N=2, n=8 draw they differ by 6.8e-13
+relative after 20 steps while each is within 3.5e-13 of the same sweep in
+long double.  So the check is made step by step, where no error carried
+from earlier steps enters it, and not on the whole sweep.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
-from rsgames import mjls_inner
+from rsgames import mjls_inner, numkit
 from rsgames.mjls_inner import RegimeLQModel
 from rsgames.numkit import BlowupError, TimeGrid
 
 REL_TOL = 1e-13
+EPS = np.finfo(float).eps
+# x87 extended precision on x86-64 Linux; plain float64 on some platforms
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < EPS
 
 
-@st.composite
-def riccati_flows(draw):
+def make_flow(N, n, n_steps, blowup, coupled, seed):
     """(model, per-node rates, grid, norm bound).  Blow-up cases give the
     disturbance the upper hand (Sctrl indefinite) and a low norm bound, so
     many of them escape before t0.  Steps are short enough for RK4 to
     resolve the flow: on a step of h = 0.5 a flow can swing from O(1) to
     O(1e4) in two steps, and rounding grows with it in both sweeps."""
-    N = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 8))
-    n_steps = draw(st.integers(16, 40))
-    blowup = draw(st.booleans())
-    coupled = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     d_u, d_w, d_s = rng.integers(1, 4, size=3)
     X = rng.normal(size=(N, n, n))
     Y = rng.normal(size=(N, n, n))
@@ -55,14 +59,70 @@ def riccati_flows(draw):
     return model, rates, grid, 1e3 if blowup else 1e8
 
 
+@st.composite
+def riccati_flows(draw):
+    return make_flow(N=draw(st.integers(1, 4)), n=draw(st.integers(1, 8)),
+                     n_steps=draw(st.integers(16, 40)), blowup=draw(st.booleans()),
+                     coupled=draw(st.booleans()),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
 def rel_diff(new, old):
     scale = np.abs(old).max()
     return np.abs(new - old).max() / scale if scale > 0 else np.abs(new).max()
 
 
+def step_rounding_ratio(model, rates, grid, P, r):
+    """Largest ratio, over every step of a float64 sweep (P, r) and every
+    entry, of the step's local error to its rounding bound.
+
+    Each step is redone by the oracle in long double from the sweep's own
+    right node.  The bound of an entry of P is C eps (|P| + h |slope|),
+    where |slope| is the slope rebuilt from absolute values
+    (FlowWorkspaceOracle.slope_magnitudes), the larger at the step's two
+    ends, and C = 2n + N + 12 counts the roundings in one slope entry (two
+    n-term matmul sums, N coupling terms and a few additions) and in the RK4
+    combination.  The bound of r adds what errors of that size in the P
+    stages feed into the slope of r.  On 2000 bounded draws of
+    riccati_flows the worst ratio was 0.07 for the buffered sweep and 0.11
+    for the oracle's float64 sweep; one wrong RK4 weight, even 1 + 1e-9 for
+    the last slope of P, gives above 1e4.
+    """
+    N, n = model.n_regimes, model.n_states
+    C = 2 * n + N + 12
+    rates = np.asarray(mjls_inner._rates_at_nodes(rates, grid.n_steps + 1, N),
+                       dtype=np.longdouble)
+    ws = oracles.FlowWorkspaceOracle(model, np.longdouble)
+    nodes, h = grid.nodes(), grid.step
+    worst = 0.0
+    for k in range(grid.n_steps - 1, -1, -1):
+        P_right = P[k + 1].astype(np.longdouble)
+        r_right = r[k + 1].astype(np.longdouble)
+        P_exact, r_exact = oracles.riccati_step_oracle(
+            P_right, r_right, rates[k + 1], model, nodes[k + 1], h, ws)
+        (mP_right, mr_right), (mP_left, mr_left) = (
+            ws.slope_magnitudes(P_right, r_right, rates[k + 1]),
+            ws.slope_magnitudes(P_exact, r_exact, rates[k + 1]))
+        bound_P = C * EPS * (np.abs(P_right) + h * np.maximum(mP_right, mP_left))
+        bound_r = C * EPS * np.abs(r_right) + h * (
+            C * EPS * np.maximum(mr_right, mr_left)
+            + (np.abs(ws.noise) * bound_P).sum(axis=(1, 2)))
+        for err, bound in ((np.abs(P[k] - P_exact), bound_P),
+                           (np.abs(r[k] - r_exact), bound_r)):
+            if err.any():
+                worst = max(worst, float((err / bound).max()))
+    return worst
+
+
 class TestBufferedStepMatchesOracle:
+    @pytest.mark.skipif(not LONG_DOUBLE_IS_WIDER,
+                        reason="np.longdouble is float64 here, so there is no "
+                               "reference more precise than the sweeps")
     @settings(max_examples=200, deadline=None)
     @given(flow=riccati_flows())
+    # the draw on which the two sweeps differ by 6.8e-13 relative
+    @example(flow=make_flow(N=2, n=8, n_steps=20, blowup=False, coupled=False,
+                            seed=3465899661))
     def test_random_models(self, flow):
         model, rates, grid, bound = flow
         try:
@@ -78,8 +138,9 @@ class TestBufferedStepMatchesOracle:
         with mock.patch.object(mjls_inner, "NORM_BOUND", bound):
             sol = mjls_inner.solve_coupled_riccati(model, rates, grid)
         assert np.array_equal(sol.P, np.swapaxes(sol.P, 2, 3))
-        assert rel_diff(sol.P, P_old) <= REL_TOL
-        assert rel_diff(sol.r, r_old) <= REL_TOL
+        assert step_rounding_ratio(model, rates, grid, sol.P, sol.r) <= 1.0
+        # the bound is one that the oracle's own sweep meets
+        assert step_rounding_ratio(model, rates, grid, P_old, r_old) <= 1.0
 
     @pytest.mark.parametrize("rates", [np.zeros((2, 2)), [[-3.0, 3.0], [0.5, 9.0]]],
                              ids=["uncoupled", "coupled"])
@@ -101,29 +162,12 @@ class TestBufferedStepMatchesOracle:
         r = np.array([0.5, -1.0])
         P_old, r_old = oracles.riccati_step_oracle(P, r, np.asarray(rates), model,
                                                    1.0, 0.01)
-        G, coupled = mjls_inner.coupling_generators(rates)
         P_new, r_new = np.empty_like(P), np.empty_like(r)
         mjls_inner.riccati_step(mjls_inner._FlowWorkspace(model), P, r,
-                                G if coupled else None, 0.01, P_new, r_new)
+                                numkit.generator(rates), 0.01, P_new, r_new)
         assert np.array_equal(P_new, np.swapaxes(P_new, 1, 2))
         assert rel_diff(P_new, P_old) <= REL_TOL
         assert rel_diff(r_new, r_old) <= REL_TOL
-
-
-class TestCouplingGenerators:
-    def test_rows_sum_to_zero_and_diagonal_is_ignored(self):
-        rates = np.array([[7.0, 1.0, 2.0], [0.5, -4.0, 0.0], [3.0, 3.0, 0.0]])
-        G, coupled = mjls_inner.coupling_generators(rates)
-        np.testing.assert_array_equal(G.sum(axis=1), 0.0)
-        np.testing.assert_array_equal(G - np.diag(np.diag(G)),
-                                      rates - np.diag(np.diag(rates)))
-        assert coupled
-
-    def test_diagonal_only_rates_are_uncoupled(self):
-        G, coupled = mjls_inner.coupling_generators(
-            np.stack([np.diag([2.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]]))
-        assert coupled.tolist() == [False, True]
-        np.testing.assert_array_equal(G[0], 0.0)
 
 
 class TestCheckEscape:

@@ -105,7 +105,8 @@ class TestPathMechanics:
         out = sim.run_paths(config, [policy], uniforms, normals)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
         se = sigma_bar * np.sqrt(model.dt) / np.sqrt(400 * 400)
-        assert abs(out["mean_price_increment"]) <= 3.0 * se
+        stats = sim._strategy_stats(out, 400)
+        assert abs(stats["mean_price_increment"]) <= 3.0 * se
 
 
 class TestRegimeDraw:
@@ -224,9 +225,10 @@ class TestPredatorEffects:
                                  lively_config.n_steps)
         uniforms, normals = sim.generate_streams(7, 100, 400)
         out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
+        stats = sim._strategy_stats(out, 400)
         m = lively_config.model
-        expected = m.xi * m.gamma * out["mean_abs_inventory"]
-        assert out["mean_abs_drift"] == pytest.approx(expected, rel=0.05)
+        expected = m.xi * m.gamma * stats["mean_abs_inventory"]
+        assert stats["mean_abs_drift"] == pytest.approx(expected, rel=0.05)
 
 
 class TestReport:
