@@ -19,14 +19,19 @@ ask is suppressed at q = -Q and the bid at q = +Q.
 The substitution v = exp(-gamma * theta) makes the system exactly linear,
 dv/dtau = -M v with a constant block generator M (assembled in
 :func:`build_generator`), so v(tau) = expm(-M tau) @ 1 is exact for
-piecewise-constant switching rates.  :func:`build_theta_table` evaluates it
-at every tau node at once from one eigendecomposition when the regime chain
-is reversible (then diag(sqrt(pi)) (x) I makes M symmetric); it steps dense
-exponentials with :func:`_propagate`, as :func:`solve_theta_exact` always
-does, when the chain is not reversible, its stationary law is
-near-degenerate, or the eigenvector sum may have lost accuracy to
-cancellation.  The nonlinear form above is kept only as an
-independent test oracle.
+piecewise-constant switching rates.  M commutes with the reflection q -> -q
+(the risk term goes as q^2, both sides fill at the same rate, the inactive
+sides at -+Q mirror each other) and v(0) = 1 is even, so theta is even in
+q.  :func:`build_theta_table` therefore solves the even half w(i, m) =
+v(i, +-m), m = 0..Q, whose generator (:func:`_fold`) has dimension N (Q+1),
+and mirrors it into the table.  It evaluates the half at every tau node at
+once from one eigendecomposition when the regime chain is reversible (then
+the weights sqrt(pi_i) c_m, c_0 = 1 and c_m = sqrt(2), make the folded
+generator symmetric); it steps dense exponentials of the folded generator
+with :func:`_propagate` when the chain is not reversible, its stationary law
+is near-degenerate, or the eigenvector sum may have lost accuracy to
+cancellation.  :func:`solve_theta_exact` steps the full system.  The
+nonlinear form above is kept only as an independent test oracle.
 
 Quotes come from the per-side first-order condition against the stored
 penalty table:
@@ -246,24 +251,50 @@ def _reversible_weights(Q: np.ndarray):
     return pi
 
 
-def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
-                    gamma: float, out: np.ndarray) -> bool:
-    """Write theta at every tau into out (n_nodes, dim) from one eigh of the
-    symmetrized generator, formed in M; return False, leaving the table
-    to _propagate, when rounding may have spoilt it.
+def _fold(M: np.ndarray, N: int, Q: int) -> np.ndarray:
+    """The generator on the even half w(i, m) = v(i, +-m), m = 0..Q, of
+    shape (N (Q+1), N (Q+1)): rows q >= 0 of M, with the column of each -m
+    added to the column of its +m.  Exact for even v, because M commutes with
+    the reflection q -> -q; row m = 0 gets -2 fill towards m = 1."""
+    nq = 2 * Q + 1
+    rows = M.reshape(N, nq, N, nq)[:, Q:]
+    half = rows[..., Q:].copy()
+    half[..., 1:] += rows[..., Q - 1::-1]
+    return half.reshape(N * (Q + 1), N * (Q + 1))
 
-    With d = sqrt(pi) repeated over the levels and D = diag(d), S = D M D^-1
-    is symmetric, S = U L U^T, and v(tau) = D^-1 U exp(-L tau) U^T d.  With
-    l0 the smallest eigenvalue, c = U^T d, E = exp(-(L - l0) tau) * c and
-    V = E U^T / d, the table is theta = -(log V - l0 tau) / gamma; the shift
-    keeps every exponential <= 1.  Entry x of E U^T sums terms whose sizes
-    add up to at most exp(-(L - l0) tau) @ |c|, so when eps * dim times that
-    exceeds SPECTRAL_TOL * d_x V_x (which also catches V <= 0 and NaN), the
-    sum may have cancelled.  The exponentials are formed
-    SPECTRAL_CHUNK_NODES tau nodes at a time.
+
+def _mirror(half: np.ndarray, out: np.ndarray) -> None:
+    """Write the even half (..., N, Q+1) into out (..., N, 2Q+1): level q of
+    out takes half[..., |q|], so out is reflection-symmetric bitwise."""
+    Q = half.shape[-1] - 1
+    out[..., Q:] = half
+    out[..., :Q] = half[..., :0:-1]
+
+
+def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
+                    gamma: float, theta: np.ndarray) -> bool:
+    """Write theta at every tau into theta (n_nodes, N, 2Q+1) from one eigh
+    of the symmetrized folded generator M (see _fold), formed in M; return
+    False, leaving the table to _propagate, when rounding may have spoilt it.
+
+    The fold doubles the fill from m = 0 to m = 1 only, so the weights d =
+    sqrt(pi_i) c_m with c_0 = 1 and c_m = sqrt(2) for m >= 1 make S = D M
+    D^-1 symmetric, S = U L U^T, and the even half is w(tau) = D^-1 U
+    exp(-L tau) U^T d.  With l0 the smallest eigenvalue, c = U^T d, E =
+    exp(-(L - l0) tau) * c and V = E U^T / d, the half table is -(log V - l0
+    tau) / gamma; the shift keeps every exponential <= 1.  Entry x of E U^T
+    sums terms whose sizes add up to at most exp(-(L - l0) tau) @ |c|, so
+    when eps * dim times that exceeds SPECTRAL_TOL * d_x V_x (which also
+    catches V <= 0 and NaN), the sum may have cancelled.  The exponentials
+    are formed SPECTRAL_CHUNK_NODES tau nodes at a time, and each block's
+    half is mirrored into theta before the next, so no second table-sized
+    array exists.
     """
+    N, half_levels = pi.shape[0], (theta.shape[-1] + 1) // 2
     dim = M.shape[0]
-    d = np.repeat(np.sqrt(pi), dim // pi.shape[0])
+    c_m = np.full(half_levels, math.sqrt(2.0))
+    c_m[0] = 1.0
+    d = np.multiply.outer(np.sqrt(pi), c_m).ravel()
     M *= d[:, None]
     M /= d[None, :]
     lam, U = np.linalg.eigh(M)
@@ -273,36 +304,44 @@ def _spectral_theta(M: np.ndarray, pi: np.ndarray, taus: np.ndarray,
         E = np.exp(np.multiply.outer(-taus[part], lam - lam[0]))
         bound = (np.finfo(float).eps * dim / SPECTRAL_TOL) * (E @ np.abs(c))
         E *= c
-        np.matmul(E, U.T, out=out[part])
-        if not np.all(out[part].min(axis=1) > bound):
+        half = E @ U.T
+        if not np.all(half.min(axis=1) > bound):
             return False
-    out /= d
-    np.log(out, out=out)
-    out -= (lam[0] * taus)[:, None]
-    out /= -gamma
-    out[0] = 0.0
+        half /= d
+        np.log(half, out=half)
+        half -= (lam[0] * taus[part])[:, None]
+        half /= -gamma
+        _mirror(half.reshape(-1, N, half_levels), theta[part])
+    theta[0] = 0.0
     return True
 
 
 def build_theta_table(model: ASModel, n_steps: int) -> ThetaTable:
-    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}: one
-    spectral evaluation for a reversible chain, else stepped by _propagate."""
+    """Penalty table on the uniform tau grid {0, dτ, ..., horizon}.
+
+    The generator commutes with the reflection q -> -q and v(0) = 1 is even,
+    so theta is even in q: the table is solved on the even half m = 0..q_max
+    (dimension N (q_max+1), see _fold) and mirrored.  The half comes from one
+    spectral evaluation for a reversible chain, else it is stepped by
+    _propagate.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    N, nq = model.n_regimes, model.n_levels
+    N, Q = model.n_regimes, model.q_max
     taus = np.linspace(0.0, model.horizon, n_steps + 1)
-    theta = np.zeros((n_steps + 1, N, nq))
+    theta = np.zeros((n_steps + 1, N, model.n_levels))
     pi = _reversible_weights(model.rates)
-    if pi is not None and _spectral_theta(build_generator(model), pi, taus,
-                                          model.gamma, theta.reshape(n_steps + 1, -1)):
+    if pi is not None and _spectral_theta(_fold(build_generator(model), N, Q), pi,
+                                          taus, model.gamma, theta):
         method = "spectral"
     else:
         method = "propagate"
         theta[0] = 0.0
-        steps = _propagate(build_generator(model), model.horizon / n_steps,
-                           n_steps, np.ones(N * nq))
+        steps = _propagate(_fold(build_generator(model), N, Q),
+                           model.horizon / n_steps, n_steps, np.ones(N * (Q + 1)))
         for idx, (v, log_scale) in enumerate(steps, start=1):
-            theta[idx] = (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
+            _mirror((-(np.log(v) + log_scale) / model.gamma).reshape(N, Q + 1),
+                    theta[idx])
     return ThetaTable(taus=taus, theta=theta, method=method)
 
 

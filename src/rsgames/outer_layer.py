@@ -144,15 +144,18 @@ def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
     return MatrixGame(_local_games(k, spec)[i])
 
 
-def metzler_apply(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(M(mu) z)_i = sum_{j != i} mu_ij (z_j - z_i); mu diagonal ignored."""
+def _metzler_parts(mu: np.ndarray):
+    """mu with its diagonal zeroed, and that matrix's row sums: (M(mu) z)_i =
+    sum_{j != i} mu_ij (z_j - z_i) is off @ z - out_rate * z."""
     off = mu - np.diag(np.diag(mu))
-    return off @ z - off.sum(axis=1) * z
+    return off, off.sum(axis=1)
 
 
 def outer_rhs(k, phi, mu) -> np.ndarray:
     """Backward-time derivative -dk/dt = phi + M(mu) k."""
-    return np.asarray(phi, dtype=float) + metzler_apply(np.asarray(mu), np.asarray(k))
+    off, out_rate = _metzler_parts(np.asarray(mu))
+    k = np.asarray(k)
+    return np.asarray(phi, dtype=float) + (off @ k - out_rate * k)
 
 
 def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp,
@@ -179,17 +182,19 @@ def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp,
 def k_step(k_right, phi_right, phi_left, mu, t_right, h):
     """One RK4 step of -dk/dt = phi(t) + M(mu) k from t_right to t_right - h.
 
-    mu is frozen over the step; phi is interpolated linearly between its
-    node values.
+    mu is frozen over the step, so its off-diagonal part and row sums are
+    taken once for the four stages; phi is interpolated linearly between
+    its node values.
     """
     phi_right = np.asarray(phi_right, dtype=float)
     phi_left = np.asarray(phi_left, dtype=float)
     t_left = t_right - h
+    off, out_rate = _metzler_parts(np.asarray(mu))
 
     def rhs(t, k):
         w = (t - t_left) / h
         phi = phi_left + (phi_right - phi_left) * w
-        return -outer_rhs(k, phi, mu)
+        return -(phi + (off @ k - out_rate * k))
 
     return numkit.rk4_step(rhs, t_right, k_right, -h)
 

@@ -48,8 +48,9 @@ from rsgames.sim import PathRecord
 
 def theta_table_oracle(model, n_steps, rates=None):
     """theta on the uniform tau grid of as_game.build_theta_table, stepped
-    node by node through as_game._propagate: the dense path that the
-    spectral table replaces, and the one it falls back to."""
+    node by node through as_game._propagate on the full system: the dense
+    path that the spectral table replaces, and the one its fallback runs on
+    the folded half (as_game._fold)."""
     N, nq = model.n_regimes, model.n_levels
     theta = np.zeros((n_steps + 1, N, nq))
     steps = as_game._propagate(as_game.build_generator(model, rates),

@@ -99,9 +99,12 @@ class TestSpectralMatchesPropagator:
 
 class TestForcedFallbacks:
     def check_fallback(self, model, n_steps):
+        # the fallback steps the folded system of half the dimension, the
+        # oracle the full one: the same propagator on different matrices, so
+        # they agree to rounding, not bitwise
         table = as_game.build_theta_table(model, n_steps)
         assert table.method == "propagate"
-        np.testing.assert_array_equal(table.theta, theta_table_oracle(model, n_steps))
+        assert rel_err(table, theta_table_oracle(model, n_steps)) <= 1e-13
 
     def test_non_reversible_cycle(self):
         # 0 -> 1 -> 2 -> 0 only: the flow never balances
