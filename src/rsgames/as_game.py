@@ -192,10 +192,10 @@ def build_generator(model: ASModel, rates=None) -> np.ndarray:
     return M
 
 
-def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray,
-               log_scale: float = 0.0):
-    """Step dv/dtau = -M v from the state v * exp(log_scale) through n_steps
-    intervals of length dtau, yielding (v, log_scale) after each interval.
+def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray):
+    """Step dv/dtau = -M v from the state v through n_steps intervals of
+    length dtau, yielding (v, log_scale), the state v * exp(log_scale),
+    after each interval.
 
     One expm(-M dtau / n_sub) is built and applied n_sub times per interval,
     with n_sub chosen to keep |M| per sub-segment below MAX_SEG_NORM.  v is
@@ -207,6 +207,7 @@ def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray,
     norm = float(np.abs(M).sum(axis=0).max())
     n_sub = max(1, int(math.ceil(norm * dtau / MAX_SEG_NORM)))
     E = scipy.linalg.expm(-M * (dtau / n_sub))
+    log_scale = 0.0
     for step in range(1, n_steps + 1):
         for _ in range(n_sub):
             v = E @ v
@@ -440,7 +441,9 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     plays the printed thresholds (honoring spec.flip_bang_bang).
 
     phi comes from stacked exponentials: the four vertex generators over all
-    node taus once, each node's N adopted generators over its stage taus.
+    node taus once, each node's N adopted generators over its RK4 stage
+    taus; outer_layer.k_step takes U one step back with those and the
+    node's adopted rates.
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -465,7 +468,6 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
         vertex_costs = theta_expansions(model, vertex_rates, grid.T - nodes, [q])[..., 0]
 
     for idx in range(grid.n_steps, -1, -1):
-        t = nodes[idx]
         gaps = outer_layer.stability_gaps(U[idx])
         if mode == "quadratic":
             f, g = outer_layer.proportional_policy(
@@ -481,7 +483,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
             f, g = f_mix[:, 1], g_mix[:, 1]
         rates = _affine_generators(spec, f, g)
         mu_rows = rates[regimes, regimes]
-        stage_ts = numkit.rk4_stage_times(t, h) if idx else (t,)
+        stage_ts = numkit.rk4_stage_times(nodes[idx], h) if idx else (nodes[0],)
         # phi_i(q) of regime i under its adopted generator rates[i]
         stage_costs = theta_expansions(model, rates, grid.T - np.array(stage_ts),
                                        [q])[regimes, :, regimes, 0].T
@@ -495,13 +497,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
         if idx:
             penalty = (0.5 * spec.rho_f * f**2 + 0.5 * spec.rho_g * g**2
                        if mode == "quadratic" else 0.0)
-            cost_at = dict(zip(stage_ts, stage_costs))
-
-            def rhs(s, U_s):
-                gaps_s = outer_layer.stability_gaps(U_s)
-                return -(cost_at[s] + np.vecdot(mu_rows, gaps_s) - penalty)
-
-            U[idx - 1] = numkit.rk4_step(rhs, t, U[idx], h)
+            U[idx - 1] = outer_layer.k_step(U[idx], stage_costs, mu_rows, h, penalty)
 
     f_act, g_act = efforts[:, 0], efforts[:, 1]
     return OuterSolution(

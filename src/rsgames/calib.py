@@ -254,7 +254,6 @@ class RegimeCalibration:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "sigmas": self.sigmas.tolist(),
             "generator_per_day": self.generator_per_day.tolist(),
             "centers": self.centers.tolist(),

@@ -258,8 +258,10 @@ def _atomic_open(path: str):
 
 
 def write_json(path: str, payload: dict):
+    """Write payload and a schema_version field as sorted, indented JSON."""
     with _atomic_open(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                                indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str, header, columns):
@@ -319,11 +321,7 @@ def expansion_report(model: ASModel, table: as_game.ThetaTable) -> dict:
     if not np.all(np.isfinite(err)):
         raise NumericalError("expansion report: the penalty table or its "
                              "expansion is not finite")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "max_abs_error": float(err.max()),
-        "n_points": int(err.size),
-    }
+    return {"max_abs_error": float(err.max()), "n_points": int(err.size)}
 
 
 def cmd_calibrate(args) -> int:
@@ -373,7 +371,7 @@ def cmd_solve(args) -> int:
               [nodes[idx], i, np.where(is_row, "row", "col"),
                np.where(is_row, a, a - n_row_actions), weights.ravel()])
     write_json(os.path.join(args.out, "turnpike.json"), {
-        "schema_version": SCHEMA_VERSION, **hierarchy.turnpike_report(sol),
+        **hierarchy.turnpike_report(sol),
         "saddle_paths": sol.diagnostics["saddle_paths"],
         "max_best_response_gap": sol.diagnostics["max_best_response_gap"]})
     print(f"wrote riccati_p.csv, riccati_r.csv, outer_k.csv, rates.csv, "
@@ -436,8 +434,7 @@ def cmd_mm(args) -> int:
                   ["t", "regime", "U", "f_act", "g_act"],
                   [grid.nodes()[idx], i, sol.k.ravel(),
                    sol.f[:, :, 1].ravel(), sol.g[:, :, 1].ravel()])
-        write_json(os.path.join(args.out, "macro_report.json"),
-                   {"schema_version": SCHEMA_VERSION, **sol.meta})
+        write_json(os.path.join(args.out, "macro_report.json"), sol.meta)
 
     print(f"wrote market-making tables to {args.out}")
     return EXIT_OK

@@ -3,7 +3,8 @@
 One pass, right to left: at each node the local rate games are solved from
 the current outer values k, the equilibrium generator is frozen over the
 step, and both flows advance one step with it -- P (and r) first, then k
-driven by phi_i = tr(P_i) at the step's endpoints.  The instantaneous
+through outer_layer.k_step, driven by phi_i = tr(P_i) at the step's ends
+and its linear interpolation at the midpoint.  The instantaneous
 saddle depends only on the current (k, P), so no fixed-point iteration
 between full solves is needed.
 """
@@ -54,31 +55,30 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
     f = np.zeros((n_nodes, N, spec.n_row_actions))
     g = np.zeros((n_nodes, N, spec.n_col_actions))
     mu = np.zeros((n_nodes, N, N))
+    paths = np.zeros((n_nodes, N), dtype=int)  # game_core.SADDLE_PATHS indices
+    gaps = np.zeros((n_nodes, N))  # best-response gaps
     P[-1] = mjls_inner.terminal_value(model)
 
-    stats = {}
-    phi_right = np.einsum("ijj->i", P[-1])
-    for idx in range(grid.n_steps, 0, -1):
-        f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(
-            k[idx], spec, saddle, stats=stats
-        )
+    for idx in range(n_nodes - 1, -1, -1):
+        f[idx], g[idx], mu[idx], paths[idx], gaps[idx] = outer_layer.node_equilibrium(
+            k[idx], spec, saddle)
+        if idx == 0:
+            break
         mjls_inner.riccati_step(workspace, P[idx], r[idx], mu[idx], grid.step,
                                 P[idx - 1], r[idx - 1])
         mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
-        phi_left = np.einsum("ijj->i", P[idx - 1])
-        k[idx - 1] = outer_layer.k_step(
-            k[idx], phi_right, phi_left, mu[idx], nodes[idx], grid.step
-        )
-        phi_right = phi_left
-    f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec, saddle, stats=stats)
+        phi = np.einsum("tijj->ti", P[idx - 1:idx + 1])  # tr P at the step's ends
+        forcing = (phi[1], 0.5 * (phi[0] + phi[1]), phi[0])
+        k[idx - 1] = outer_layer.k_step(k[idx], forcing, mu[idx], -grid.step)
 
     lam2 = outer_layer.laplacian_spectral_gap(mu)
     diagnostics = {
         "rho_H": mjls_inner.hamiltonian_spectral_gap(model),
         "lambda2_trajectory": lam2,
         "lambda2_mean": float(lam2.mean()),
-        "saddle_paths": {name: stats[name] for name in game_core.SADDLE_PATHS},
-        "max_best_response_gap": stats["max_gap"],
+        "saddle_paths": dict(zip(game_core.SADDLE_PATHS, np.bincount(
+            paths.ravel(), minlength=len(game_core.SADDLE_PATHS)).tolist())),
+        "max_best_response_gap": float(gaps.max()),
     }
     riccati = RiccatiSolution(grid=grid, P=P, r=r)
     outer = OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)

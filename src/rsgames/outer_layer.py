@@ -10,6 +10,10 @@ toward costly regimes (maximizer) and the column player g stabilizing
 
 where mu*(t) comes from a mixed saddle of the local game
 M_i(t) = sum_{j != i} Lambda_ij (k_j(t) - k_i(t)) solved at each node.
+:func:`k_step` is the one RK4 step of this flow, with mu* frozen over the
+step and phi given at the step's RK4 stage times; the LQ hierarchy feeds it
+tr P_i, and the market-making macro game its short-horizon inventory
+penalty, with the effort costs as `penalty` in quadratic mode.
 
 The binary-action affine family mu_ij = mu0_ij + f*lam_att_ij -
 g*lam_stab_ij is a special case of the bilinear tensor (actions ordered
@@ -144,59 +148,34 @@ def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
     return MatrixGame(_local_games(k, spec)[i])
 
 
-def _metzler_parts(mu: np.ndarray):
-    """mu with its diagonal zeroed, and that matrix's row sums: (M(mu) z)_i =
-    sum_{j != i} mu_ij (z_j - z_i) is off @ z - out_rate * z."""
-    off = mu - np.diag(np.diag(mu))
-    return off, off.sum(axis=1)
-
-
-def outer_rhs(k, phi, mu) -> np.ndarray:
-    """Backward-time derivative -dk/dt = phi + M(mu) k."""
-    off, out_rate = _metzler_parts(np.asarray(mu))
-    k = np.asarray(k)
-    return np.asarray(phi, dtype=float) + (off @ k - out_rate * k)
-
-
-def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp,
-                     stats=None):
+def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp):
     """Solve every regime's local game at one time node, all at once.
 
     The games go to game_core.solve_games, which settles pure saddles, 2x2
     closed forms and full-support equalizers batched and hands only the
-    rest to `saddle` (the verified LP by default).  Returns (f, g, mu) with
-    f: (N, n_f), g: (N, n_g), mu: (N, N) generator.  A dict `stats` gains
-    the count of games settled by each game_core.SADDLE_PATHS entry and
-    keeps the largest best-response gap under "max_gap".
+    rest to `saddle` (the verified LP by default).  Returns (f, g, mu, path,
+    gap) with f: (N, n_f), g: (N, n_g), mu: (N, N) generator, and per
+    regime the index into game_core.SADDLE_PATHS of the path that settled
+    its game and its best-response gap.
     """
     f, g, path, gap = game_core.solve_games(_local_games(k, spec), saddle)
-    mu = _rate_rows(f, g, spec)
-    if stats is not None:
-        counts = np.bincount(path, minlength=len(game_core.SADDLE_PATHS))
-        for name, count in zip(game_core.SADDLE_PATHS, counts):
-            stats[name] = stats.get(name, 0) + int(count)
-        stats["max_gap"] = max(stats.get("max_gap", 0.0), float(gap.max()))
-    return f, g, mu
+    return f, g, _rate_rows(f, g, spec), path, gap
 
 
-def k_step(k_right, phi_right, phi_left, mu, t_right, h):
-    """One RK4 step of -dk/dt = phi(t) + M(mu) k from t_right to t_right - h.
+def k_step(k, phi, mu, h, penalty=0.0):
+    """One RK4 step of size h (h < 0 steps backward) of the switching-value
+    flow -dk_i/dt = phi_i + sum_j mu_ij (k_j - k_i) - penalty_i.
 
-    mu is frozen over the step, so its off-diagonal part and row sums are
-    taken once for the four stages; phi is interpolated linearly between
-    its node values.
+    phi holds the forcing at the step's start, midpoint and end, the times
+    at which numkit.rk4_step evaluates the flow; mu, frozen over the step,
+    may be a generator or its off-diagonal part.
     """
-    phi_right = np.asarray(phi_right, dtype=float)
-    phi_left = np.asarray(phi_left, dtype=float)
-    t_left = t_right - h
-    off, out_rate = _metzler_parts(np.asarray(mu))
+    forcing = dict(zip(numkit.rk4_stage_times(0.0, h), phi))
 
-    def rhs(t, k):
-        w = (t - t_left) / h
-        phi = phi_left + (phi_right - phi_left) * w
-        return -(phi + (off @ k - out_rate * k))
+    def rhs(s, k_s):
+        return -(forcing[s] + np.vecdot(mu, stability_gaps(k_s)) - penalty)
 
-    return numkit.rk4_step(rhs, t_right, k_right, -h)
+    return numkit.rk4_step(rhs, 0.0, k, h)
 
 
 def bang_bang_policy(gaps, lam_att, lam_stab, flip: bool = False):

@@ -36,8 +36,6 @@ from . import as_game
 from .as_game import ASModel
 from .numkit import NumericalError, student_t_sf
 
-SCHEMA_VERSION = 1
-
 # Streams take 32 bytes per path-step (three uniforms and one normal), and
 # a recorded path RECORD_BYTES_PER_STEP more.  run_monte_carlo generates and
 # replays paths in chunks whose streams and records take at most
@@ -356,7 +354,6 @@ class SimReport:
     n_steps: int
     predator: bool
     notes: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

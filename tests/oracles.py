@@ -27,7 +27,10 @@ the per-row and per-bar loops that the columnar `calib` pipeline replaced;
 its outputs must equal theirs exactly.  feedback_gains and
 equilibrium_rates are closed forms of the LQ layer that only tests use, and
 solve_outer is the standalone outer value sweep that the hierarchy runs
-inside its joint sweep.
+inside its joint sweep.  k_step_oracle is the switching-value step that the
+hierarchy took before `outer_layer.k_step` served both outer sweeps: the
+Metzler form of the flow (outer_rhs) with its forcing interpolated linearly
+between the step's nodes.  The shared step must agree with it to rounding.
 
 student_t_sf_oracle is the Student-t survival that `numkit.student_t_sf`
 replaced in the paired test, with the scipy routine it came from.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from rsgames import as_game, calib, mjls_inner, outer_layer
+from rsgames import as_game, calib, mjls_inner, numkit, outer_layer
 from rsgames.calib import OhlcvSeries
 from rsgames.numkit import BlowupError
 from rsgames.sim import PathRecord
@@ -70,7 +73,8 @@ def solve_theta_piecewise(model, segments):
             raise ValueError("segment lengths must be nonnegative")
         if tau_len > 0:
             M = as_game.build_generator(model, rates)
-            (v, log_scale), = as_game._propagate(M, tau_len, 1, v, log_scale)
+            (v, seg_scale), = as_game._propagate(M, tau_len, 1, v)
+            log_scale += seg_scale
     return (-(np.log(v) + log_scale) / model.gamma).reshape(N, nq)
 
 
@@ -347,29 +351,62 @@ def equilibrium_rates(f, g, spec, i):
     return row
 
 
+def _metzler_parts(mu: np.ndarray):
+    """mu with its diagonal zeroed, and that matrix's row sums: (M(mu) z)_i =
+    sum_{j != i} mu_ij (z_j - z_i) is off @ z - out_rate * z."""
+    off = mu - np.diag(np.diag(mu))
+    return off, off.sum(axis=1)
+
+
+def outer_rhs(k, phi, mu) -> np.ndarray:
+    """Backward-time derivative -dk/dt = phi + M(mu) k."""
+    off, out_rate = _metzler_parts(np.asarray(mu))
+    k = np.asarray(k)
+    return np.asarray(phi, dtype=float) + (off @ k - out_rate * k)
+
+
+def k_step_oracle(k_right, phi_right, phi_left, mu, t_right, h):
+    """One RK4 step of -dk/dt = phi(t) + M(mu) k from t_right to t_right - h.
+
+    mu is frozen over the step, so its off-diagonal part and row sums are
+    taken once for the four stages; phi is interpolated linearly between
+    its node values.
+    """
+    phi_right = np.asarray(phi_right, dtype=float)
+    phi_left = np.asarray(phi_left, dtype=float)
+    t_left = t_right - h
+    off, out_rate = _metzler_parts(np.asarray(mu))
+
+    def rhs(t, k):
+        w = (t - t_left) / h
+        phi = phi_left + (phi_right - phi_left) * w
+        return -(phi + (off @ k - out_rate * k))
+
+    return numkit.rk4_step(rhs, t_right, k_right, -h)
+
+
 def solve_outer(phi, spec, grid):
     """Backward sweep of the switching-value flow with k(T) = 0.
 
     phi: (n_nodes, N) running cost at every grid node.  At each node the
     local games are solved from the current k, the equilibrium generator is
-    frozen over the step, and k is stepped backward.
+    frozen over the step, and k is stepped backward with phi interpolated
+    linearly between the step's nodes, as the hierarchy steps it.
     """
     phi = np.asarray(phi, dtype=float)
     N = spec.n_regimes
     n_nodes = grid.n_steps + 1
     if phi.shape != (n_nodes, N):
         raise ValueError(f"phi must be (n_nodes, N) = {(n_nodes, N)}, got {phi.shape}")
-    nodes = grid.nodes()
     k = np.zeros((n_nodes, N))
     f = np.zeros((n_nodes, N, spec.n_row_actions))
     g = np.zeros((n_nodes, N, spec.n_col_actions))
     mu = np.zeros((n_nodes, N, N))
-    for idx in range(grid.n_steps, 0, -1):
-        f[idx], g[idx], mu[idx] = outer_layer.node_equilibrium(k[idx], spec)
-        k[idx - 1] = outer_layer.k_step(
-            k[idx], phi[idx], phi[idx - 1], mu[idx], nodes[idx], grid.step
-        )
-    f[0], g[0], mu[0] = outer_layer.node_equilibrium(k[0], spec)
+    for idx in range(grid.n_steps, -1, -1):
+        f[idx], g[idx], mu[idx], _, _ = outer_layer.node_equilibrium(k[idx], spec)
+        if idx:
+            forcing = (phi[idx], 0.5 * (phi[idx] + phi[idx - 1]), phi[idx - 1])
+            k[idx - 1] = outer_layer.k_step(k[idx], forcing, mu[idx], -grid.step)
     return outer_layer.OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsgames import calib
+from rsgames import calib, cli
 from rsgames.calib import OhlcvSeries, estimate_generator, kmeans_1d, rolling_volatility
 
 
@@ -246,11 +246,12 @@ class TestCalibratePipeline:
         assert sum(length for _, length in result.run_lengths) == \
             result.labels.size
 
-    def test_to_dict_serializable(self):
+    def test_to_dict_serializable(self, tmp_path):
         import json
 
         series, _ = self.synthetic_series(n=1200)
         result = calib.calibrate(series, window=12, annualization=17520.0)
-        payload = json.loads(json.dumps(result.to_dict()))
+        cli.write_json(tmp_path / "calibration.json", result.to_dict())
+        payload = json.loads((tmp_path / "calibration.json").read_text())
         assert payload["schema_version"] == 1
         assert len(payload["sigmas"]) == 2

@@ -71,6 +71,13 @@ def oracle_node_equilibrium(k, spec, saddle=oracle_saddle):
     return f, g, mu
 
 
+def path_stats(path, gap):
+    """The count of games settled by each game_core.SADDLE_PATHS entry, and
+    the largest best-response gap under "max_gap"."""
+    counts = np.bincount(path, minlength=len(game_core.SADDLE_PATHS))
+    return {**dict(zip(game_core.SADDLE_PATHS, counts)), "max_gap": gap.max()}
+
+
 def off_diagonal(N):
     return ~np.eye(N, dtype=bool)
 
@@ -131,8 +138,8 @@ class TestDifferential:
     def test_batched_matches_oracle_loop(self, case):
         k, spec = case
         N = spec.n_regimes
-        stats = {}
-        f, g, mu = outer_layer.node_equilibrium(k, spec, stats=stats)
+        f, g, mu, path, gap = outer_layer.node_equilibrium(k, spec)
+        stats = path_stats(path, gap)
         f_ref, g_ref, mu_ref = oracle_node_equilibrium(k, spec)
 
         for i in range(N):
@@ -171,8 +178,8 @@ class TestSaddlePaths:
     def test_rps_games_take_the_equalizer(self):
         spec = rps_spec()
         k = np.random.default_rng(1).normal(size=5) * 10.0
-        stats = {}
-        f, g, mu = outer_layer.node_equilibrium(k, spec, stats=stats)
+        f, g, mu, path, gap = outer_layer.node_equilibrium(k, spec)
+        stats = path_stats(path, gap)
         assert stats["equalizer"] == 5 and stats["lp"] == 0
         assert (f > 0).all() and (g > 0).all()
         f_ref, g_ref, mu_ref = oracle_node_equilibrium(k, spec)
@@ -193,9 +200,9 @@ class TestSaddlePaths:
             calls.append(game.shape)
             return oracle_saddle(game)
 
-        stats = {}
-        f, g, _ = outer_layer.node_equilibrium(np.array([0.0, 1.0]), spec,
-                                               counting_saddle, stats=stats)
+        f, g, _, path, gap = outer_layer.node_equilibrium(np.array([0.0, 1.0]), spec,
+                                                          counting_saddle)
+        stats = path_stats(path, gap)
         assert calls == [(2, 3), (2, 3)]
         assert stats["lp"] == 2
         np.testing.assert_allclose(f, 0.5, atol=1e-12)
@@ -209,8 +216,8 @@ class TestSaddlePaths:
         Lam[1, 0] = -Lam[0, 1]
         spec = spec_from(Lam, 1.0)
         k = np.array([0.0, 1.0])
-        stats = {}
-        f, g, mu = outer_layer.node_equilibrium(k, spec, stats=stats)
+        f, g, mu, path, gap = outer_layer.node_equilibrium(k, spec)
+        stats = path_stats(path, gap)
         assert stats["equalizer"] == 0
         f_ref, g_ref, mu_ref = oracle_node_equilibrium(k, spec)
         np.testing.assert_allclose(f, f_ref, atol=1e-12)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import equilibrium_rates, solve_outer
-from rsgames import game_core, outer_layer
+from oracles import equilibrium_rates, k_step_oracle, outer_rhs, solve_outer
+from rsgames import game_core, numkit, outer_layer
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import (
     OuterGameSpec,
     bang_bang_policy,
     laplacian_spectral_gap,
     local_game_matrix,
-    outer_rhs,
     proportional_policy,
     stability_gaps,
 )
@@ -122,6 +122,86 @@ class TestOuterRhs:
         assert out[0] == pytest.approx(21.0)
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def step_cases(draw):
+    """(k, phi_right, phi_left, mu, t_right, h) for 1-5 regimes: a generator
+    with exponentially spread rates, some of them zero, values and forcing
+    of mixed scales, and a step of either sign with |h| * (largest exit
+    rate) <= 2."""
+    N = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.exp(rng.uniform(-3.0, 3.0, (N, N))) * (rng.random((N, N)) < 0.7)
+    mu = numkit.generator(rates)
+    k = rng.normal(size=N) * np.exp(rng.uniform(-2.0, 4.0, N))
+    phi_right, phi_left = rng.normal(size=(2, N)) * np.exp(rng.uniform(-2.0, 4.0, 2))[:, None]
+    exit_rate = max(1.0, -mu.diagonal().min())
+    h = draw(st.floats(0.01, 2.0)) / exit_rate * draw(st.sampled_from([-1.0, 1.0]))
+    return k, phi_right, phi_left, mu, draw(st.floats(-5.0, 5.0)), h
+
+
+def step_bound(k, k_new, phi_right, phi_left, mu, t_right, h):
+    """Rounding bound of k_step against k_step_oracle on one step: C eps
+    (|k_new| + |h| S growth).  S bounds the rounding scale of a slope entry:
+    the largest forcing, plus the largest value times |mu| (the largest
+    absolute row sum), plus the forcing jump |phi_right - phi_left| times
+    (|t_right| + |h|) / |h|, the relative error of the oracle's
+    interpolation weight w = (t - t_left) / h.  growth = (1 + |h| |mu|)^3
+    bounds how the stages carry a slope error forward, and C = 4 (N + 8)
+    counts the roundings of a slope entry (the N-term sum over regimes, the
+    forcing) and of the step's final sum."""
+    N = k.size
+    mu_norm = np.abs(mu).sum(axis=1).max()
+    S = (max(np.abs(phi_right).max(), np.abs(phi_left).max())
+         + np.abs(phi_right - phi_left).max() * (abs(t_right) + abs(h)) / abs(h)
+         + mu_norm * max(np.abs(k).max(), np.abs(k_new).max()))
+    growth = (1.0 + abs(h) * mu_norm) ** 3
+    return 4 * (N + 8) * EPS * (np.abs(k_new) + abs(h) * S * growth)
+
+
+class TestKStep:
+    """k_step against k_step_oracle, the Metzler-form step with linearly
+    interpolated forcing that the hierarchy ran before the macro game's step
+    took its place.  The differential test catches midpoint and end forcing
+    swapped, start and end swapped, a penalty with the wrong sign, a stage
+    that drops the switching term, mu transposed (the draws' generators are
+    not symmetric) and a step taken with -h.  The cubic test catches a
+    midpoint forcing that is ignored or misplaced, which a forcing linear
+    in time would not show."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases(), st.booleans())
+    def test_matches_the_oracle(self, case, with_penalty):
+        k, phi_right, phi_left, mu, t_right, h = case
+        penalty = (np.linspace(0.5, 2.0, k.size) * np.abs(phi_right).max()
+                   if with_penalty else 0.0)
+        forcing = (phi_right, 0.5 * (phi_right + phi_left), phi_left)
+        got = outer_layer.k_step(k, forcing, mu, h, penalty)
+        phi_right, phi_left = phi_right - penalty, phi_left - penalty
+        want = k_step_oracle(k, phi_right, phi_left, mu, t_right, -h)
+        bound = step_bound(k, want, phi_right, phi_left, mu, t_right, h)
+        assert np.all(np.abs(got - want) <= bound), (got - want, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_cubic_forcing_is_simpson_exact(self, N, seed, step, sign):
+        # with mu = 0 the step is Simpson's rule, exact for a cubic in time
+        rng = np.random.default_rng(seed)
+        a, b, c, d = rng.normal(size=(4, N))
+        h = sign * step
+        cubic = lambda s: a + b * s + c * s**2 + d * s**3  # noqa: E731
+        k = rng.normal(size=N)
+        got = outer_layer.k_step(k, [cubic(0.0), cubic(0.5 * h), cubic(h)],
+                                 np.zeros((N, N)), h)
+        want = k - (a * h + b * h**2 / 2 + c * h**3 / 3 + d * h**4 / 4)
+        scale = np.abs(a) + np.abs(b * h) + np.abs(c * h**2) + np.abs(d * h**3)
+        bound = 16 * EPS * (np.abs(want) + np.abs(k) + abs(h) * scale)
+        assert np.all(np.abs(got - want) <= bound), (got - want, bound)
+
+
 class TestSolveOuter:
     def test_zero_cost_keeps_baseline(self):
         spec = affine_spec()
@@ -185,8 +265,7 @@ class TestSolveOuter:
         k = np.array([1.0, 0.0])
         taus, resid = [], []
         for step in range(1200):
-            k = outer_layer.k_step(k, np.zeros(2), np.zeros(2), mu,
-                                   12.0 - step * h, h)
+            k = outer_layer.k_step(k, np.zeros((3, 2)), mu, -h)
             taus.append((step + 1) * h)
             resid.append(np.linalg.norm(k - k.mean()))
         taus = np.array(taus)

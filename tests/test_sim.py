@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rsgames import as_game, sim
+from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.sim import SimConfig
 
@@ -243,9 +243,10 @@ class TestReport:
                 want = oracles.student_t_sf_oracle(t, n - 1)
                 assert abs(p - want) <= oracles.t_sf_error_bound(want, 1e-12), (n, t, p)
 
-    def test_report_fields(self, lively_as_model):
+    def test_report_fields(self, lively_as_model, tmp_path):
         config = SimConfig(model=lively_as_model, n_paths=30, n_steps=400, seed=13)
-        report = sim.run_monte_carlo(config).to_dict()
+        cli.write_json(tmp_path / "sim_report.json", sim.run_monte_carlo(config).to_dict())
+        report = json.loads((tmp_path / "sim_report.json").read_text())
         for key in ("schema_version", "strategies", "ratios", "paired", "seed"):
             assert key in report
         for strat in ("vanilla", "equilibrium"):
