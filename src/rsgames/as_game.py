@@ -175,21 +175,14 @@ def build_generator(model: ASModel, rates=None) -> np.ndarray:
     Q = _as_generator(model.rates if rates is None else rates, N)
     fill = model.A * model.fill_constant
     gamma = model.gamma
-    M = np.zeros((N * nq, N * nq))
-    qs = model.q_levels()
-    for i in range(N):
-        risk = 0.5 * gamma**2 * (model.sigmas[i] ** 2 + model.xi * gamma)
-        for qi, q in enumerate(qs):
-            row = i * nq + qi
-            M[row, row] = risk * q * q - Q[i, i]
-            if q > -model.q_max:  # ask active: fill moves q -> q - 1
-                M[row, i * nq + qi - 1] = -fill
-            if q < model.q_max:  # bid active: fill moves q -> q + 1
-                M[row, i * nq + qi + 1] = -fill
-            for j in range(N):
-                if j != i:
-                    M[row, j * nq + qi] = -Q[i, j]
-    return M
+    risk = 0.5 * gamma**2 * (model.sigmas**2 + model.xi * gamma)
+    qs, level, regime = model.q_levels(), np.arange(nq), np.arange(N)[:, None]
+    M = np.zeros((N, nq, N, nq))  # M[i, q + q_max, j, q' + q_max]
+    M[:, level, :, level] = -Q  # the diagonal j = i is overwritten next
+    M[regime, level, regime, level] = risk[:, None] * qs * qs - Q.diagonal()[:, None]
+    M[regime, level[1:], regime, level[:-1]] = -fill  # ask active: q -> q - 1
+    M[regime, level[:-1], regime, level[1:]] = -fill  # bid active: q -> q + 1
+    return M.reshape(N * nq, N * nq)
 
 
 def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray):

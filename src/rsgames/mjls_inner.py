@@ -40,17 +40,8 @@ NORM_BOUND = 1e8
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
-def _check_sym_psd(M, name, regime, strict=False):
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError(f"{name}[{regime}] is not symmetric")
-    w = np.linalg.eigvalsh(_sym(M))
-    if strict and w.min() <= 0:
-        raise ValueError(f"{name}[{regime}] must be positive definite")
-    if not strict and w.min() < -1e-10:
-        raise ValueError(f"{name}[{regime}] must be positive semidefinite")
+    """Symmetric part of M, or of each matrix of a stack (..., n, n)."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 @dataclass
@@ -86,11 +77,21 @@ class RegimeLQModel:
             raise ValueError("R/S dimensions inconsistent with B/D")
         if self.Q.shape != (N, n, n) or self.Q_T.shape != (N, n, n):
             raise ValueError("Q/Q_T must be (N, n, n)")
-        for i in range(N):
-            _check_sym_psd(self.Q[i], "Q", i)
-            _check_sym_psd(self.Q_T[i], "Q_T", i)
-            _check_sym_psd(self.R[i], "R", i, strict=True)
-            _check_sym_psd(self.S[i], "S", i, strict=True)
+        # symmetric to 1e-10 and positive (semi)definite, per regime; the first
+        # failure in regime-major order is raised
+        names, failures = ("Q", "Q_T", "R", "S"), []
+        for name in names:
+            M = getattr(self, name)
+            low = np.linalg.eigvalsh(_sym(M)).min(axis=-1)
+            definite = name in ("R", "S")  # Q and Q_T may be singular
+            bad = np.where(low <= 0 if definite else low < -1e-10,
+                           f"must be positive {'' if definite else 'semi'}definite", "")
+            asym = ~np.isclose(M, np.swapaxes(M, 1, 2), atol=1e-10).all(axis=(1, 2))
+            failures.append(np.where(asym, "is not symmetric", bad))
+        failed = np.argwhere(np.stack(failures, axis=1) != "")
+        if failed.size:
+            i, k = failed[0]
+            raise ValueError(f"{names[k]}[{i}] {failures[k][i]}")
 
     @property
     def n_regimes(self) -> int:
@@ -100,15 +101,12 @@ class RegimeLQModel:
     def n_states(self) -> int:
         return self.A.shape[1]
 
-    def control_matrix(self, i: int) -> np.ndarray:
-        """Sctrl_i = B R^{-1} B' - D S^{-1} D' (symmetric by construction)."""
-        B, D = self.B[i], self.D[i]
-        gain_u = B @ np.linalg.solve(self.R[i], B.T)
-        gain_w = D @ np.linalg.solve(self.S[i], D.T)
-        return _sym(gain_u - gain_w)
-
     def control_matrices(self) -> np.ndarray:
-        return np.stack([self.control_matrix(i) for i in range(self.n_regimes)])
+        """Sctrl_i = B_i R_i^{-1} B_i' - D_i S_i^{-1} D_i', stacked (N, n, n)
+        and symmetric by construction."""
+        gain_u = self.B @ np.linalg.solve(self.R, np.swapaxes(self.B, 1, 2))
+        gain_w = self.D @ np.linalg.solve(self.S, np.swapaxes(self.D, 1, 2))
+        return _sym(gain_u - gain_w)
 
 
 @dataclass
@@ -128,7 +126,7 @@ class _FlowWorkspace:
     def __init__(self, model: RegimeLQModel):
         N, n = model.n_regimes, model.n_states
         self.A = model.A
-        self.Q = 0.5 * (model.Q + np.swapaxes(model.Q, 1, 2))
+        self.Q = _sym(model.Q)
         self.half_sctrl = 0.5 * model.control_matrices()
         self.noise = np.matmul(model.Sigma, np.swapaxes(model.Sigma, 1, 2)).reshape(N, -1)
         self.W = np.empty((N, n, n))       # A - Sctrl P / 2, then G P
@@ -207,7 +205,7 @@ def _rates_at_nodes(rates, n_nodes, N):
 
 def terminal_value(model: RegimeLQModel) -> np.ndarray:
     """P(T) = Q_T, symmetrized, stacked (N, n, n)."""
-    return 0.5 * (model.Q_T + np.swapaxes(model.Q_T, 1, 2))
+    return _sym(model.Q_T)
 
 
 def check_escape(P: np.ndarray, t: float) -> None:
@@ -247,21 +245,12 @@ def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid) -> Riccat
     return RiccatiSolution(grid=grid, P=P, r=r)
 
 
-def hamiltonian_matrix(model: RegimeLQModel, i: int) -> np.ndarray:
-    """Block matrix [[A, -Sctrl], [-Q, -A']] of regime i."""
-    n = model.n_states
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = model.A[i]
-    H[:n, n:] = -model.control_matrix(i)
-    H[n:, :n] = -model.Q[i]
-    H[n:, n:] = -model.A[i].T
-    return H
+def hamiltonian_matrices(model: RegimeLQModel) -> np.ndarray:
+    """Block matrices [[A_i, -Sctrl_i], [-Q_i, -A_i']], stacked (N, 2n, 2n)."""
+    return np.block([[model.A, -model.control_matrices()],
+                     [-model.Q, -np.swapaxes(model.A, 1, 2)]])
 
 
 def hamiltonian_spectral_gap(model: RegimeLQModel) -> float:
     """min over regimes of min |Re lambda| over the Hamiltonian spectrum."""
-    gaps = []
-    for i in range(model.n_regimes):
-        lam = numkit.eigenvalues(hamiltonian_matrix(model, i))
-        gaps.append(np.abs(lam.real).min())
-    return float(min(gaps))
+    return float(np.abs(numkit.eigenvalues(hamiltonian_matrices(model)).real).min())

@@ -29,8 +29,15 @@ equilibrium_rates are closed forms of the LQ layer that only tests use, and
 solve_outer is the standalone outer value sweep that the hierarchy runs
 inside its joint sweep.  k_step_oracle is the switching-value step that the
 hierarchy took before `outer_layer.k_step` served both outer sweeps: the
-Metzler form of the flow (outer_rhs) with its forcing interpolated linearly
-between the step's nodes.  The shared step must agree with it to rounding.
+Metzler form of the flow with its forcing interpolated linearly between the
+step's nodes.  The shared step must agree with it to rounding.
+
+build_generator_oracle, control_matrix_oracle, hamiltonian_matrix_oracle,
+hamiltonian_spectral_gap_oracle and check_lq_stacks_oracle are the loops
+over regimes and inventory levels that the stacked assembly of
+`as_game.build_generator` and of the `mjls_inner` model matrices replaced;
+the stacks must equal them bitwise, and validation must raise their
+message.
 
 student_t_sf_oracle is the Student-t survival that `numkit.student_t_sf`
 replaced in the paired test, with the scipy routine it came from.
@@ -47,6 +54,29 @@ from rsgames import as_game, calib, mjls_inner, numkit, outer_layer
 from rsgames.calib import OhlcvSeries
 from rsgames.numkit import BlowupError
 from rsgames.sim import PathRecord
+
+
+def build_generator_oracle(model, rates=None):
+    """Block generator M of the penalty system, one state at a time."""
+    N, nq = model.n_regimes, model.n_levels
+    Q = as_game._as_generator(model.rates if rates is None else rates, N)
+    fill = model.A * model.fill_constant
+    gamma = model.gamma
+    M = np.zeros((N * nq, N * nq))
+    qs = model.q_levels()
+    for i in range(N):
+        risk = 0.5 * gamma**2 * (model.sigmas[i] ** 2 + model.xi * gamma)
+        for qi, q in enumerate(qs):
+            row = i * nq + qi
+            M[row, row] = risk * q * q - Q[i, i]
+            if q > -model.q_max:  # ask active: fill moves q -> q - 1
+                M[row, i * nq + qi - 1] = -fill
+            if q < model.q_max:  # bid active: fill moves q -> q + 1
+                M[row, i * nq + qi + 1] = -fill
+            for j in range(N):
+                if j != i:
+                    M[row, j * nq + qi] = -Q[i, j]
+    return M
 
 
 def theta_table_oracle(model, n_steps, rates=None):
@@ -341,6 +371,57 @@ def feedback_gains(P, model, i):
     return K_u, K_w
 
 
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def control_matrix_oracle(model, i):
+    """Sctrl_i = B R^{-1} B' - D S^{-1} D' (symmetric by construction)."""
+    B, D = model.B[i], model.D[i]
+    gain_u = B @ np.linalg.solve(model.R[i], B.T)
+    gain_w = D @ np.linalg.solve(model.S[i], D.T)
+    return _sym(gain_u - gain_w)
+
+
+def hamiltonian_matrix_oracle(model, i):
+    """Block matrix [[A, -Sctrl], [-Q, -A']] of regime i."""
+    n = model.n_states
+    H = np.zeros((2 * n, 2 * n))
+    H[:n, :n] = model.A[i]
+    H[:n, n:] = -control_matrix_oracle(model, i)
+    H[n:, :n] = -model.Q[i]
+    H[n:, n:] = -model.A[i].T
+    return H
+
+
+def hamiltonian_spectral_gap_oracle(model):
+    """min over regimes of min |Re lambda| over the Hamiltonian spectrum."""
+    gaps = []
+    for i in range(model.n_regimes):
+        lam = numkit.eigenvalues(hamiltonian_matrix_oracle(model, i))
+        gaps.append(np.abs(lam.real).min())
+    return float(min(gaps))
+
+
+def _check_sym_psd(M, name, regime, strict=False):
+    if not np.allclose(M, M.T, atol=1e-10):
+        raise ValueError(f"{name}[{regime}] is not symmetric")
+    w = np.linalg.eigvalsh(_sym(M))
+    if strict and w.min() <= 0:
+        raise ValueError(f"{name}[{regime}] must be positive definite")
+    if not strict and w.min() < -1e-10:
+        raise ValueError(f"{name}[{regime}] must be positive semidefinite")
+
+
+def check_lq_stacks_oracle(Q, Q_T, R, S):
+    """The per-regime symmetry and definiteness checks of RegimeLQModel."""
+    for i in range(Q.shape[0]):
+        _check_sym_psd(Q[i], "Q", i)
+        _check_sym_psd(Q_T[i], "Q_T", i)
+        _check_sym_psd(R[i], "R", i, strict=True)
+        _check_sym_psd(S[i], "S", i, strict=True)
+
+
 def equilibrium_rates(f, g, spec, i):
     """Rate row mu*_i. for strategies (f, g): mu_bar_ij + f' Lambda_ij g off
     the diagonal, minus their sum on it."""
@@ -356,13 +437,6 @@ def _metzler_parts(mu: np.ndarray):
     sum_{j != i} mu_ij (z_j - z_i) is off @ z - out_rate * z."""
     off = mu - np.diag(np.diag(mu))
     return off, off.sum(axis=1)
-
-
-def outer_rhs(k, phi, mu) -> np.ndarray:
-    """Backward-time derivative -dk/dt = phi + M(mu) k."""
-    off, out_rate = _metzler_parts(np.asarray(mu))
-    k = np.asarray(k)
-    return np.asarray(phi, dtype=float) + (off @ k - out_rate * k)
 
 
 def k_step_oracle(k_right, phi_right, phi_left, mu, t_right, h):

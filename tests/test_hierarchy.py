@@ -151,7 +151,7 @@ def brute_force_hierarchy_sweep(model, spec, grid, resolution=200):
     F = np.stack([1.0 - fgrid, fgrid], axis=1)
     k = np.zeros(N)
     P = np.array([model.Q_T[i, 0, 0] for i in range(N)])
-    sctrl = np.array([model.control_matrix(i)[0, 0] for i in range(N)])
+    sctrl = model.control_matrices()[:, 0, 0]
     Q = np.array([model.Q[i, 0, 0] for i in range(N)])
     A = np.array([model.A[i, 0, 0] for i in range(N)])
 

@@ -249,17 +249,17 @@ class TestHamiltonian:
     def test_zero_blocks(self):
         m = scalar_model(Q=0.0, B=1.0, R=1.0, S=1.0, D=1.0)  # Sctrl = 0
         np.testing.assert_allclose(
-            mjls_inner.hamiltonian_matrix(m, 0), np.zeros((2, 2)), atol=1e-14
+            mjls_inner.hamiltonian_matrices(m)[0], np.zeros((2, 2)), atol=1e-14
         )
 
     def test_scalar_assembly(self):
         m = scalar_model(A=1.0, Q=2.0, B=np.sqrt(3.0))
-        H = mjls_inner.hamiltonian_matrix(m, 0)
+        H = mjls_inner.hamiltonian_matrices(m)[0]
         np.testing.assert_allclose(H, [[1.0, -3.0], [-2.0, -1.0]], atol=1e-12)
 
     def test_scalar_spectrum(self):
         m = scalar_model(A=1.0, Q=2.0, B=np.sqrt(3.0))
-        lam = numkit.eigenvalues(mjls_inner.hamiltonian_matrix(m, 0))
+        lam = numkit.eigenvalues(mjls_inner.hamiltonian_matrices(m)[0])
         np.testing.assert_allclose(
             sorted(lam.real), [-np.sqrt(7.0), np.sqrt(7.0)], atol=1e-10
         )

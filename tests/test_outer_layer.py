@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import equilibrium_rates, k_step_oracle, outer_rhs, solve_outer
+from oracles import equilibrium_rates, k_step_oracle, solve_outer
 from rsgames import game_core, numkit, outer_layer
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import (
@@ -106,20 +106,24 @@ class TestEquilibriumRates:
         assert row.sum() == pytest.approx(0.0, abs=1e-14)
 
 
-class TestOuterRhs:
+class TestKStepHandValues:
     def test_uniform_values_no_cost(self):
         mu = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        out = outer_rhs(np.array([4.0, 4.0]), np.zeros(2), mu)
-        np.testing.assert_allclose(out, 0.0, atol=1e-14)
+        out = outer_layer.k_step(np.array([4.0, 4.0]), (0.0,) * 3, mu, -0.3)
+        assert out.tolist() == [4.0, 4.0]
 
     def test_pure_cost(self):
-        out = outer_rhs(np.zeros(2), np.array([1.0, 4.0]), np.zeros((2, 2)))
-        np.testing.assert_allclose(out, [1.0, 4.0])
+        phi = (np.array([1.0, 4.0]),) * 3
+        out = outer_layer.k_step(np.zeros(2), phi, np.zeros((2, 2)), -0.5)
+        assert out.tolist() == [0.5, 2.0]
 
     def test_hand_value(self):
+        # -dk0/dt = 1 + 2 (k1 - k0) with k1 = 10 frozen: RK4 is the quartic
+        # Taylor polynomial of the exact flow, 10.5 - 10.5 * 0.375
         mu = np.array([[-2.0, 2.0], [0.0, 0.0]])
-        out = outer_rhs(np.array([0.0, 10.0]), np.array([1.0, 0.0]), mu)
-        assert out[0] == pytest.approx(21.0)
+        phi = (np.array([1.0, 0.0]),) * 3
+        out = outer_layer.k_step(np.array([0.0, 10.0]), phi, mu, -0.5)
+        assert out.tolist() == [6.5625, 10.0]
 
 
 EPS = np.finfo(float).eps
