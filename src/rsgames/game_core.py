@@ -212,7 +212,8 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
     rows = np.arange(B)
     f = np.zeros((B, m))
     g = np.zeros((B, n))
-    path = np.full(B, SADDLE_PATHS.index("lp"))
+    equalizer, lp = SADDLE_PATHS.index("equalizer"), SADDLE_PATHS.index("lp")
+    path = np.full(B, lp)
 
     found, r, c = _pure_saddles(M)
     f[rows[found], r[found]] = 1.0
@@ -227,13 +228,18 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
         ok = ((fe > 0.0).all(axis=1) & (ge > 0.0).all(axis=1)
               & (np.abs(fe.sum(axis=1) - 1.0) <= 1e-12)
               & (np.abs(ge.sum(axis=1) - 1.0) <= 1e-12))
-        ok[ok] = _gaps(M[rest[ok]], fe[ok], ge[ok]) <= SADDLE_GAP_TOL
         f[rest[ok]], g[rest[ok]] = fe[ok], ge[ok]
-        path[rest[ok]] = SADDLE_PATHS.index("equalizer")
-    for b in np.nonzero(path == SADDLE_PATHS.index("lp"))[0]:
+        path[rest[ok]] = equalizer
+    gap = _gaps(M, f, g)
+    # an equalizer that is not a saddle goes to the LP with the rest
+    path[(path == equalizer) & (gap > SADDLE_GAP_TOL)] = lp
+    to_lp = np.nonzero(path == lp)[0]
+    for b in to_lp:
         sp = fallback(MatrixGame(M[b]))
         f[b], g[b] = sp.row_strategy, sp.col_strategy
-    return f, g, path, _gaps(M, f, g)
+    if to_lp.size:
+        gap[to_lp] = _gaps(M[to_lp], f[to_lp], g[to_lp])
+    return f, g, path, gap
 
 
 def solve_zero_sum(game: MatrixGame) -> SaddlePoint:

@@ -77,13 +77,24 @@ class SimConfig:
 
 @dataclass
 class QuotePolicy:
-    """Per-node quote surfaces on the simulation grid (tau ascending).  The
-    ask does not quote at level 0 (q = -q_max), nor the bid at level
-    2*q_max (q = +q_max)."""
+    """A strategy's replay lookups on the simulation grid (tau ascending),
+    priced on the market `market` = (A, k, dt).  table[0] and table[1] are
+    the ask and bid quotes, table[2] and table[3] the fill probability
+    1 - exp(-A exp(-k u) dt) of each side.  The ask does not quote at level
+    0 (q = -q_max), nor the bid at level 2*q_max (q = +q_max): their fill
+    probability there is -1, which no uniform draw falls below."""
 
     name: str
-    ask: np.ndarray          # (n_steps+1, N, 2*q_max+1)
-    bid: np.ndarray
+    table: np.ndarray        # (4, n_steps+1, N, 2*q_max+1)
+    market: tuple
+
+    @property
+    def ask(self) -> np.ndarray:
+        return self.table[0]
+
+    @property
+    def bid(self) -> np.ndarray:
+        return self.table[1]
 
 
 @dataclass
@@ -113,9 +124,20 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
         table_model = model
     else:
         raise ValueError(f"unknown policy kind {kind!r}")
-    table = as_game.build_theta_table(table_model, n_steps)
-    ask, bid = as_game.quote_surfaces(table, table_model)
-    return QuotePolicy(name=kind, ask=ask, bid=bid)
+    theta = as_game.build_theta_table(table_model, n_steps)
+    table = np.empty((4,) + theta.theta.shape)
+    table[0], table[1] = as_game.quote_surfaces(theta, table_model)
+    # computed in place, so no table-sized temporary is made
+    p = table[2:]
+    np.multiply(-model.k, table[:2], out=p)
+    np.exp(p, out=p)
+    np.multiply(-model.A, p, out=p)
+    np.multiply(p, model.dt, out=p)
+    np.exp(p, out=p)
+    np.subtract(1.0, p, out=p)
+    p[0, ..., 0] = -1.0
+    p[1, ..., -1] = -1.0
+    return QuotePolicy(name=kind, table=table, market=(model.A, model.k, model.dt))
 
 
 def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
@@ -134,47 +156,6 @@ def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
     return uniforms, normals
 
 
-def _replay_tables(model: ASModel, policies, n_steps: int):
-    """Lookup tables of a stack of policies on the grid (n_steps+1, N,
-    2*q_max+1).
-
-    Returns each policy's flat (ask, bid) quote tables and flat stacked
-    (n_policies, n_steps+1, N, 2*q_max+1) tables of the fill probability
-    1 - exp(-A exp(-k u) dt) per side.  A side at its bound (the ask at
-    level 0, the bid at the last level) gets fill probability -1, which no
-    uniform draw falls below.
-    """
-    shape = (n_steps + 1, model.n_regimes, model.n_levels)
-    for policy in policies:
-        if policy.ask.shape != shape or policy.bid.shape != shape:
-            raise ValueError(
-                f"policy {policy.name!r} has quote tables of shape "
-                f"{policy.ask.shape}, expected {shape} for {n_steps} steps"
-            )
-    fill = []
-    for side, bound in (("ask", 0), ("bid", -1)):
-        # computed in place, so no table-sized temporary sits next to the
-        # streams
-        p = np.empty((len(policies),) + shape)
-        for k, policy in enumerate(policies):
-            quotes = getattr(policy, side)
-            if not np.isfinite(quotes).all():
-                raise NumericalError(f"policy {policy.name!r} has a non-finite "
-                                     f"{side} quote")
-            np.multiply(-model.k, quotes, out=p[k])
-        np.exp(p, out=p)
-        np.multiply(-model.A, p, out=p)
-        np.multiply(p, model.dt, out=p)
-        np.exp(p, out=p)
-        np.subtract(1.0, p, out=p)
-        if not np.isfinite(p).all():
-            raise NumericalError(f"non-finite {side} fill probability")
-        p[..., bound] = -1.0
-        fill.append(p.ravel())
-    quotes = [(p.ask.ravel(), p.bid.ravel()) for p in policies]
-    return quotes, fill[0], fill[1]
-
-
 # per-path arrays of a replay; run_monte_carlo joins them across chunks
 PER_PATH = ("pnl", "fills_ask", "fills_bid", "terminal_inventory",
             "spread_sum", "spread_count", "abs_drift_sum",
@@ -190,6 +171,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     one dict per policy of per-path arrays (PER_PATH), which
     _strategy_stats reduces.  The last policy's dict also holds "records",
     the per-step PathRecords of the first `record` paths under that policy.
+    A policy made for another grid, or priced on another (A, k, dt) than
+    config.model, is a ValueError; a non-finite table entry is a
+    NumericalError.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -215,11 +199,19 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     noise_scale = model.sigmas * math.sqrt(dt)
     drift_coef = -model.xi * model.gamma
 
-    quotes, p_ask, p_bid = _replay_tables(model, policies, n_steps)
-    # flat offset of (node = n_steps - s, regime 0, q = 0) in one policy's
-    # table, and of each policy in the stacked tables
+    shape, market = (n_steps + 1, N, D), (model.A, model.k, dt)
+    for policy in policies:
+        if policy.ask.shape != shape:
+            raise ValueError(f"policy {policy.name!r} has quote tables of shape "
+                             f"{policy.ask.shape}, expected {shape} for {n_steps} steps")
+        if policy.market != market:
+            raise ValueError(f"policy {policy.name!r} was priced on (A, k, dt) = "
+                             f"{policy.market}, not on {market}")
+        if not np.isfinite(policy.table).all():
+            raise NumericalError(f"policy {policy.name!r} has a non-finite entry")
+    # flat offset of (node = n_steps - s, regime 0, q = 0) in a table row
     node_offset = np.arange(n_steps, 0, -1) * (N * D) + Q
-    policy_offset = np.arange(n_pol)[:, None] * ((n_steps + 1) * N * D)
+    lookups = [policy.table.reshape(4, -1) for policy in policies]
 
     reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
     S = np.full((n_pol, n_paths), model.s0, dtype=float)
@@ -234,8 +226,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     abs_drift_sum = np.zeros((n_pol, n_paths))
     abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
     increment_sum = np.zeros((n_pol, n_paths))
-    ua = np.empty((n_pol, n_paths))
-    ub = np.empty((n_pol, n_paths))
+    # one row of each policy's table per path: ask, bid, p_ask, p_bid
+    looked_up = np.empty((n_pol, 4, n_paths))
+    ua, ub, p_ask, p_bid = looked_up.swapaxes(0, 1)
 
     # row s holds the last policy's values of the recorded paths at step s
     rec = {name: np.zeros((n_steps, n_rec), dtype)
@@ -243,8 +236,6 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
 
     for s in range(n_steps):
         u_reg = uniforms[:, s, 0]
-        u_ask = uniforms[:, s, 1]
-        u_bid = uniforms[:, s, 2]
 
         leave = u_reg < p_leave[reg]
         if leave.any():
@@ -262,12 +253,10 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         abs_drift_sum += np.abs(w)
 
         idx = (node_offset[s] + reg * D) + q
-        for k, (ask, bid) in enumerate(quotes):
-            ask.take(idx[k], out=ua[k])
-            bid.take(idx[k], out=ub[k])
-        idx += policy_offset
-        fill_a = u_ask < p_ask.take(idx)
-        fill_b = u_bid < p_bid.take(idx)
+        for k, table in enumerate(lookups):
+            table.take(idx[k], axis=1, out=looked_up[k])
+        fill_a = uniforms[:, s, 1] < p_ask
+        fill_b = uniforms[:, s, 2] < p_bid
         # both sides quote inside the bounds of the inventory held
         both = abs_q < Q
         if n_rec:  # a side that cannot quote is recorded as NaN
@@ -404,16 +393,12 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
     stats = {kind: _strategy_stats(res, config.n_steps) for kind, res in results.items()}
 
     def ratio(num, den):
-        return num / den if den not in (0, 0.0) else None
+        return None if num is None or den is None or den == 0 else num / den
 
     van, eq = stats["vanilla"], stats["equilibrium"]
     ratios = {
         "pnl_ratio": ratio(eq["mean_pnl"], van["mean_pnl"]),
-        "sharpe_ratio": (
-            ratio(eq["sharpe"], van["sharpe"])
-            if eq["sharpe"] is not None and van["sharpe"] not in (None, 0.0)
-            else None
-        ),
+        "sharpe_ratio": ratio(eq["sharpe"], van["sharpe"]),
         "spread_ratio": ratio(eq["mean_total_spread"], van["mean_total_spread"]),
         "drift_ratio": ratio(eq["mean_abs_drift"], van["mean_abs_drift"]),
     }

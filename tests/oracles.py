@@ -2,10 +2,11 @@
 
 run_paths_oracle is the single-policy Monte-Carlo step loop that
 `sim.run_paths` replaced: it replays one quote policy, recomputes the fill
-probabilities at every step and reduces the report statistics over paths
-at every step.  Its per-path arrays and path record are the exact
-reference for the stacked replay; its mean_* fields sum in another order,
-so they are the reference to rounding only.
+probabilities at every step (fill_probability_oracle, from the quotes and
+the config's market) and reduces the report statistics over paths at every
+step.  Its per-path arrays and path record are the exact reference for the
+stacked replay; its mean_* fields sum in another order, so they are the
+reference to rounding only.
 
 theta_table_oracle is the node-by-node penalty table that the spectral
 `as_game.build_theta_table` replaced, and solve_theta_piecewise composes
@@ -65,7 +66,9 @@ def build_generator_oracle(model, rates=None):
     M = np.zeros((N * nq, N * nq))
     qs = model.q_levels()
     for i in range(N):
-        risk = 0.5 * gamma**2 * (model.sigmas[i] ** 2 + model.xi * gamma)
+        # sigma squared by one multiplication, as numpy squares an array; a
+        # scalar ** 2 goes through libm pow, one ulp off near a rounding tie
+        risk = 0.5 * gamma**2 * (model.sigmas[i] * model.sigmas[i] + model.xi * gamma)
         for qi, q in enumerate(qs):
             row = i * nq + qi
             M[row, row] = risk * q * q - Q[i, i]
@@ -186,6 +189,12 @@ def optimal_quotes(table, model, i, q, t):
     return quote_from_slice(slice_at(table, max(tau, 0.0)), model, i, q)
 
 
+def fill_probability_oracle(model, quotes):
+    """Fill probability 1 - exp(-A exp(-k u) dt) of each quote u, whether or
+    not its side quotes."""
+    return 1.0 - np.exp(-model.A * np.exp(-model.k * quotes) * model.dt)
+
+
 def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -250,10 +259,8 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
         a_act = q > -Q
         b_act = q < Q
 
-        p_fill_a = 1.0 - np.exp(-model.A * np.exp(-model.k * ua) * dt)
-        p_fill_b = 1.0 - np.exp(-model.A * np.exp(-model.k * ub) * dt)
-        fill_a = a_act & (u_ask < p_fill_a)
-        fill_b = b_act & (u_bid < p_fill_b)
+        fill_a = a_act & (u_ask < fill_probability_oracle(model, ua))
+        fill_b = b_act & (u_bid < fill_probability_oracle(model, ub))
 
         m = m + fill_a * (S + ua) - fill_b * (S - ub)
         q = q - fill_a.astype(np.int64) + fill_b.astype(np.int64)

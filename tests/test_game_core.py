@@ -159,6 +159,31 @@ class TestOneSaddlePath:
         assert len(lp_games) == 1 and np.array_equal(lp_games[0], twin)
         assert gap.max() <= 1e-7
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4)])
+    def test_one_gap_pass_without_lp_games(self, monkeypatch, shape):
+        # pure saddles plus 2x2 or equalizer games; catches: a second
+        # best-response-gap pass when no game reaches the LP
+        rng = np.random.default_rng(5)
+        m, n = shape
+        pure = np.add.outer(np.arange(m, 0, -1.0), np.arange(n, 0, -1.0))
+        stack = [pure + rng.uniform(0.0, 0.1) for _ in range(3)]
+        if m == n:  # perturbed matching pennies and rock-paper-scissors
+            base = np.array([[1.0, -1.0], [-1.0, 1.0]]) if m == 2 else (
+                np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]))
+            stack += [base + rng.uniform(-0.2, 0.2, shape) for _ in range(3)]
+        calls = []
+        real_gaps = game_core._gaps
+
+        def counting_gaps(M, f, g):
+            calls.append(len(M))
+            return real_gaps(M, f, g)
+
+        monkeypatch.setattr(game_core, "_gaps", counting_gaps)
+        _, _, path, gap = game_core.solve_games(np.stack(stack))
+        assert (path != game_core.SADDLE_PATHS.index("lp")).all()
+        assert calls == [len(stack)]
+        assert gap.max() <= game_core.SADDLE_GAP_TOL
+
     def test_pure_saddle_value_is_the_entry(self):
         M = np.array([[3.0, 1.0, 4.0], [0.5, 0.25, 9.0]])
         assert solve_zero_sum(MatrixGame(M)).value == 1.0

@@ -1,7 +1,8 @@
 """The stacked, chunked Monte-Carlo replay against the single-policy oracle,
-its invariants, chunk-size independence, bounded memory, and the checks on
-the policies it is given."""
+its invariants, chunk-size independence, bounded memory, the lookups each
+policy carries, and the checks on the policies it is given."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from oracles import run_paths_oracle
+from oracles import fill_probability_oracle, run_paths_oracle
 from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
@@ -269,6 +270,34 @@ class TestExport:
         assert peak < 2 * budget, (peak, budget)
 
 
+class TestLookups:
+    @settings(max_examples=30, deadline=None)
+    @given(sim_cases())
+    def test_fill_rows_are_the_intensity_of_the_quotes(self, case):
+        # catches: dt dropped from the fill probability
+        config = case[0]
+        for policy in _policies(config):
+            np.testing.assert_array_equal(
+                policy.table[2, ..., 1:],
+                fill_probability_oracle(config.model, policy.ask[..., 1:]))
+            np.testing.assert_array_equal(
+                policy.table[3, ..., :-1],
+                fill_probability_oracle(config.model, policy.bid[..., :-1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sim_cases())
+    def test_only_the_bound_sides_never_fill(self, case):
+        # catches: the bid's bound written at level 0 instead of the last
+        # level
+        policies = _policies(case[0])
+        bound = np.zeros((2,) + policies[0].ask.shape, dtype=bool)
+        bound[0, ..., 0] = True  # no ask at q = -q_max
+        bound[1, ..., -1] = True  # no bid at q = +q_max
+        for policy in policies:
+            np.testing.assert_array_equal(policy.table[2:] == -1.0, bound)
+            assert (policy.table[2:][~bound] >= 0.0).all()
+
+
 class TestPolicyChecks:
     def test_policy_for_another_grid_is_rejected(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
@@ -277,6 +306,18 @@ class TestPolicyChecks:
             policy = sim.make_policy(lively_as_model, "vanilla", steps)
             with pytest.raises(ValueError, match="expected"):
                 sim.run_paths(config, [policy], uniforms, normals)
+
+    @pytest.mark.parametrize("field", ["A", "k", "dt"])
+    def test_policy_for_another_market_is_rejected(self, lively_as_model, field):
+        # catches: the market check removed, which would replay fills at the
+        # policy's intensity instead of the config's
+        config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
+        uniforms, normals = sim.generate_streams(2, 3, 400)
+        other = dataclasses.replace(
+            lively_as_model, **{field: 1.5 * getattr(lively_as_model, field)})
+        policy = sim.make_policy(other, "vanilla", 400)
+        with pytest.raises(ValueError, match="priced on"):
+            sim.run_paths(config, [policy], uniforms, normals)
 
     def test_nan_quote_is_a_numerical_error(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
