@@ -434,9 +434,9 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     plays the printed thresholds (honoring spec.flip_bang_bang).
 
     phi comes from stacked exponentials: the four vertex generators over all
-    node taus once, each node's N adopted generators over its RK4 stage
-    taus; outer_layer.k_step takes U one step back with those and the
-    node's adopted rates.
+    node taus once, each node's N adopted generators at the taus of the
+    step's start, midpoint and end; outer_layer.k_step takes U one step back
+    with those and the node's adopted rates.
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -476,7 +476,8 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
             f, g = f_mix[:, 1], g_mix[:, 1]
         rates = _affine_generators(spec, f, g)
         mu_rows = rates[regimes, regimes]
-        stage_ts = numkit.rk4_stage_times(nodes[idx], h) if idx else (nodes[0],)
+        t = nodes[idx]
+        stage_ts = (t, t + 0.5 * h, t + h) if idx else (t,)
         # phi_i(q) of regime i under its adopted generator rates[i]
         stage_costs = theta_expansions(model, rates, grid.T - np.array(stage_ts),
                                        [q])[regimes, :, regimes, 0].T

@@ -223,8 +223,10 @@ def _generator_from_logm(counts, occupancy, bar_interval_days):
     P = np.eye(n)
     visited = occupancy > 0
     P[visited] = counts[visited] / occupancy[visited, None]
+    # the principal logarithm is real unless an eigenvalue lies on the
+    # closed negative real axis
     eigs = np.linalg.eigvals(P)
-    if np.any(eigs.real <= 1e-10) or np.any(np.abs(eigs.imag) > 1e-10):
+    if np.any((eigs.real <= 1e-10) & (np.abs(eigs.imag) <= 1e-10)):
         return None
     import scipy.linalg  # here, so that only calibrate loads it
 

@@ -1,5 +1,6 @@
-"""Dense linear-algebra and ODE primitives shared by the solver modules,
-and the one rule that turns switching rates into a generator."""
+"""Numerical primitives shared by the solver modules: the time grid, the
+error types, eigenvalues, the one rule that turns switching rates into a
+generator, and the Student t tail of the simulation report's test."""
 
 import math
 from dataclasses import dataclass
@@ -68,22 +69,6 @@ def eigenvalues(M) -> np.ndarray:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def rk4_stage_times(t: float, h: float) -> tuple:
-    """The distinct times at which rk4_step(rhs, t, y, h) evaluates rhs:
-    the start, the midpoint (used by two stages) and the end."""
-    return t, t + 0.5 * h, t + h
-
-
-def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size h (h may be negative)."""
-    t_start, t_mid, t_end = rk4_stage_times(t, h)
-    k1 = rhs(t_start, y)
-    k2 = rhs(t_mid, y + (0.5 * h) * k1)
-    k3 = rhs(t_mid, y + (0.5 * h) * k2)
-    k4 = rhs(t_end, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # largest t^2 at which student_t_sf sums the series: where the worst errors

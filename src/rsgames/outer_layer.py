@@ -11,9 +11,9 @@ toward costly regimes (maximizer) and the column player g stabilizing
 where mu*(t) comes from a mixed saddle of the local game
 M_i(t) = sum_{j != i} Lambda_ij (k_j(t) - k_i(t)) solved at each node.
 :func:`k_step` is the one RK4 step of this flow, with mu* frozen over the
-step and phi given at the step's RK4 stage times; the LQ hierarchy feeds it
-tr P_i, and the market-making macro game its short-horizon inventory
-penalty, with the effort costs as `penalty` in quadratic mode.
+step and phi given at the step's start, midpoint and end; the LQ hierarchy
+feeds it tr P_i, and the market-making macro game its short-horizon
+inventory penalty, with the effort costs as `penalty` in quadratic mode.
 
 The binary-action affine family mu_ij = mu0_ij + f*lam_att_ij -
 g*lam_stab_ij is a special case of the bilinear tensor (actions ordered
@@ -163,19 +163,21 @@ def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp):
 
 
 def k_step(k, phi, mu, h, penalty=0.0):
-    """One RK4 step of size h (h < 0 steps backward) of the switching-value
-    flow -dk_i/dt = phi_i + sum_j mu_ij (k_j - k_i) - penalty_i.
+    """One classical RK4 step of size h (h < 0 steps backward) of the
+    switching-value flow -dk_i/dt = phi_i + sum_j mu_ij (k_j - k_i) - penalty_i.
 
-    phi holds the forcing at the step's start, midpoint and end, the times
-    at which numkit.rk4_step evaluates the flow; mu, frozen over the step,
-    may be a generator or its off-diagonal part.
+    phi holds the forcing at the step's start, midpoint (read by both middle
+    stages) and end; mu, frozen over the step, may be a generator or its
+    off-diagonal part.
     """
-    forcing = dict(zip(numkit.rk4_stage_times(0.0, h), phi))
+    def slope(phi_s, k_s):
+        return -(phi_s + np.vecdot(mu, stability_gaps(k_s)) - penalty)
 
-    def rhs(s, k_s):
-        return -(forcing[s] + np.vecdot(mu, stability_gaps(k_s)) - penalty)
-
-    return numkit.rk4_step(rhs, 0.0, k, h)
+    k1 = slope(phi[0], k)
+    k2 = slope(phi[1], k + (0.5 * h) * k1)
+    k3 = slope(phi[1], k + (0.5 * h) * k2)
+    k4 = slope(phi[2], k + h * k3)
+    return k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def bang_bang_policy(gaps, lam_att, lam_stab, flip: bool = False):

@@ -185,12 +185,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     rates = model.rates
     N = model.n_regimes
     exit_rates = -np.diag(rates)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        target_probs = np.where(
-            exit_rates[:, None] > 0,
-            (rates - np.diag(np.diag(rates))) / np.where(exit_rates, exit_rates, 1.0)[:, None],
-            0.0,
-        )
+    # a regime without exits has no off-diagonal rate: its row stays 0
+    target_probs = ((rates - np.diag(np.diag(rates)))
+                    / np.where(exit_rates, exit_rates, 1.0)[:, None])
     target_cum = np.cumsum(target_probs, axis=1)
     # a cumsum row may end just below 1.0; a draw past its end takes the
     # last regime with a positive rate instead of the out-of-range index N
@@ -259,10 +256,6 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         fill_b = uniforms[:, s, 2] < p_bid
         # both sides quote inside the bounds of the inventory held
         both = abs_q < Q
-        if n_rec:  # a side that cannot quote is recorded as NaN
-            held = q[-1, :n_rec]
-            rec["ask"][s] = np.where(held > -Q, ua[-1, :n_rec], np.nan)
-            rec["bid"][s] = np.where(held < Q, ub[-1, :n_rec], np.nan)
 
         m += fill_a * (S + ua)
         m -= fill_b * (S - ub)
@@ -275,7 +268,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         spread_count += both
         abs_q_sum += abs_q
 
-        if n_rec:
+        if n_rec:  # a side that cannot quote (fill probability -1) is NaN
+            rec["ask"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan, ua[-1, :n_rec])
+            rec["bid"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan, ub[-1, :n_rec])
             rec["regime"][s] = reg[:n_rec]
             for name, value in (("price", S), ("inventory", q), ("cash", m),
                                 ("drift", w), ("ask_fill", fill_a),

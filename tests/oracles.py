@@ -31,7 +31,8 @@ solve_outer is the standalone outer value sweep that the hierarchy runs
 inside its joint sweep.  k_step_oracle is the switching-value step that the
 hierarchy took before `outer_layer.k_step` served both outer sweeps: the
 Metzler form of the flow with its forcing interpolated linearly between the
-step's nodes.  The shared step must agree with it to rounding.
+step's nodes, integrated by rk4_step, the generic stepper it was written
+with.  The shared step must agree with it to rounding.
 
 build_generator_oracle, control_matrix_oracle, hamiltonian_matrix_oracle,
 hamiltonian_spectral_gap_oracle and check_lq_stacks_oracle are the loops
@@ -446,6 +447,16 @@ def _metzler_parts(mu: np.ndarray):
     return off, off.sum(axis=1)
 
 
+def rk4_step(rhs, t, y, h):
+    """One classical Runge-Kutta step of y' = rhs(t, y) of size h (h may be
+    negative)."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def k_step_oracle(k_right, phi_right, phi_left, mu, t_right, h):
     """One RK4 step of -dk/dt = phi(t) + M(mu) k from t_right to t_right - h.
 
@@ -463,7 +474,7 @@ def k_step_oracle(k_right, phi_right, phi_left, mu, t_right, h):
         phi = phi_left + (phi_right - phi_left) * w
         return -(phi + (off @ k - out_rate * k))
 
-    return numkit.rk4_step(rhs, t_right, k_right, -h)
+    return rk4_step(rhs, t_right, k_right, -h)
 
 
 def solve_outer(phi, spec, grid):

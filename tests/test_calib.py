@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from rsgames import calib, cli
+from rsgames import calib, cli, numkit
 from rsgames.calib import OhlcvSeries, estimate_generator, kmeans_1d, rolling_volatility
 
 
@@ -121,6 +122,32 @@ class TestEstimateGenerator:
         # half-hour holding times: 48 switches per day each way
         assert gen[0, 1] == pytest.approx(48.0)
         assert gen[1, 0] == pytest.approx(48.0)
+
+    def test_cycle_with_complex_eigenvalues_falls_back_to_counting(self):
+        # P_hat is the 3-cycle (eigenvalues 1 and -1/2 +- i sqrt(3)/2): its
+        # real logarithm has negative off-diagonal rates, so counting wins;
+        # catches the check on those rates dropped
+        labels = np.arange(300) % 3
+        gen = estimate_generator(labels, bar_interval_days=0.5 / 24.0)
+        cycle = np.roll(np.eye(3), 1, axis=1) - np.eye(3)
+        np.testing.assert_allclose(gen, 48.0 * cycle, rtol=1e-12)
+
+    @pytest.mark.parametrize("rates", [
+        [[0.0, 3.0], [0.5, 0.0]],
+        # not reversible: G has the eigenvalues -1.025 +- 0.171i
+        [[0.0, 0.5, 0.2], [0.1, 0.0, 0.3], [0.9, 0.05, 0.0]],
+    ], ids=["two_asymmetric", "three_complex"])
+    def test_logm_recovers_the_generator_from_exact_counts(self, rates):
+        # counts occupancy * expm(G dt) are what an infinite sample gives;
+        # catches a rejected complex eigenvalue, a lost 1/dt and transposed
+        # counts
+        G = numkit.generator(rates)
+        bar_days = 0.5 / 24.0
+        occupancy = np.linspace(900.0, 1100.0, G.shape[0])
+        counts = occupancy[:, None] * scipy.linalg.expm(G * bar_days)
+        got = calib._generator_from_logm(counts, occupancy, bar_days)
+        assert got is not None
+        np.testing.assert_allclose(got, G, rtol=0.0, atol=1e-10)
 
     def test_holding_time_rate_conversion(self):
         # 48-minute mean holding <-> 30 transitions per day, exactly

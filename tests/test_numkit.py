@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from rsgames import mjls_inner, numkit
+from rsgames import mjls_inner, numkit, outer_layer
 from rsgames.numkit import BlowupError, TimeGrid
 
 
-def integrate_backward(rhs, terminal, grid):
-    """y' = rhs(t, y) from y(T) = terminal back to t0, one numkit.rk4_step
-    per grid interval; the trajectory at every node, index 0 = t0."""
-    nodes = grid.nodes()
+def integrate_backward(phi, mu, terminal, grid):
+    """-dk/dt = phi + sum_j mu_ij (k_j - k_i) with constant forcing phi, from
+    k(T) = terminal back to t0, one outer_layer.k_step per grid interval; the
+    trajectory at every node, index 0 = t0."""
     traj = np.empty((grid.n_steps + 1,) + np.shape(terminal))
     traj[-1] = terminal
     for k in range(grid.n_steps - 1, -1, -1):
-        traj[k] = numkit.rk4_step(rhs, nodes[k + 1], traj[k + 1], -grid.step)
+        traj[k] = outer_layer.k_step(traj[k + 1], (phi,) * 3, mu, -grid.step)
     return traj
 
 
@@ -67,36 +67,14 @@ class TestIntegrateBackward:
     def test_zero_rhs(self):
         grid = TimeGrid(0.0, 1.0, 16)
         terminal = np.array([2.0, -3.0])
-        traj = integrate_backward(lambda t, y: 0.0 * y, terminal, grid)
+        traj = integrate_backward(np.zeros(2), np.zeros((2, 2)), terminal, grid)
         np.testing.assert_allclose(traj, np.tile(terminal, (17, 1)), atol=0.0)
 
     def test_linear_exact(self):
         # -y' = 1 with y(1) = 0 has y(t) = 1 - t
         grid = TimeGrid(0.0, 1.0, 10)
-        traj = integrate_backward(
-            lambda t, y: -np.ones_like(y), np.zeros(1), grid
-        )
+        traj = integrate_backward(np.ones(1), np.zeros((1, 1)), np.zeros(1), grid)
         np.testing.assert_allclose(traj[:, 0], 1.0 - grid.nodes(), atol=1e-12)
-
-    def test_scalar_riccati_tanh(self):
-        # -p' = 1 - p^2 with p(1) = 0 gives p(0) = tanh(1)
-        grid = TimeGrid(0.0, 1.0, 1000)
-        traj = integrate_backward(
-            lambda t, y: -(1.0 - y**2), np.zeros(1), grid
-        )
-        assert abs(traj[0, 0] - np.tanh(1.0)) <= 1e-8
-
-    def test_convergence_order(self):
-        def solve(n):
-            grid = TimeGrid(0.0, 1.0, n)
-            traj = integrate_backward(
-                lambda t, y: -(1.0 - y**2), np.zeros(1), grid
-            )
-            return traj[0, 0]
-
-        errs = [abs(solve(n) - np.tanh(1.0)) for n in (8, 16, 32, 64)]
-        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(orders > 3.7) and np.all(orders < 4.3)
 
     def test_blowup_reports_time(self):
         # the program's backward flow: with B = 0 and D = S = 1 the scalar
@@ -117,11 +95,17 @@ class TestIntegrateBackward:
             TimeGrid(0.0, 1.0, 0)
 
     def test_rk4_evaluates_at_stage_times(self):
-        for t, h in ((0.7, -0.1), (0.0, 1.0 / 3.0)):
+        # phi holds the forcing at the step's start, midpoint and end; the
+        # four RK4 stages read them as start, midpoint, midpoint, end
+        class Forcing:
+            def __getitem__(self, stage):
+                seen.append(stage)
+                return np.zeros(1)
+
+        for h in (-0.1, 1.0 / 3.0):
             seen = []
-            numkit.rk4_step(lambda s, y: seen.append(s) or y, t, np.ones(1), h)
-            start, mid, end = numkit.rk4_stage_times(t, h)
-            assert seen == [start, mid, mid, end]
+            outer_layer.k_step(np.ones(1), Forcing(), np.zeros((1, 1)), h)
+            assert seen == [0, 1, 1, 2]
 
 
 def assert_t_sf_close(t, nu, rel):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from oracles import equilibrium_rates, k_step_oracle, solve_outer
@@ -124,6 +125,26 @@ class TestKStepHandValues:
         phi = (np.array([1.0, 0.0]),) * 3
         out = outer_layer.k_step(np.array([0.0, 10.0]), phi, mu, -0.5)
         assert out.tolist() == [6.5625, 10.0]
+
+    def test_fourth_order_on_a_coupled_flow(self):
+        # with constant forcing, -dk/dt = phi + mu k from k(1) = k_T has
+        # (k(0), 1) = expm(A) (k_T, 1), A = [[mu, phi], [0, 0]]; a third
+        # stage started from k1 gives order 2, weights (1, 2, 1, 2) order 1
+        mu = numkit.generator([[0.0, 2.0, 0.5], [1.0, 0.0, 3.0], [0.2, 1.5, 0.0]])
+        phi, k_T = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.0, -1.0])
+        A = np.zeros((4, 4))
+        A[:3, :3], A[:3, 3] = mu, phi
+        exact = scipy.linalg.expm(A)[:3] @ np.append(k_T, 1.0)
+
+        def solve(n):
+            k = k_T
+            for _ in range(n):
+                k = outer_layer.k_step(k, (phi,) * 3, mu, -1.0 / n)
+            return k
+
+        errs = [np.abs(solve(n) - exact).max() for n in (8, 16, 32, 64)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders > 3.7) & (orders < 4.3)), orders
 
 
 EPS = np.finfo(float).eps
