@@ -1,7 +1,7 @@
 """Solvers for two-layer switching games over regime-modulated diffusions.
 
 Layout:
-    numkit       dense linear algebra, RK4 steps and time grids
+    numkit       time grids, error types, the generator rule, Student t tail
     game_core    zero-sum matrix games (closed form + simplex LP)
     mjls_inner   coupled Riccati flows for Markov-jump LQ games
     outer_layer  scalar switching-value flow and local rate games

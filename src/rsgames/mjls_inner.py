@@ -253,4 +253,4 @@ def hamiltonian_matrices(model: RegimeLQModel) -> np.ndarray:
 
 def hamiltonian_spectral_gap(model: RegimeLQModel) -> float:
     """min over regimes of min |Re lambda| over the Hamiltonian spectrum."""
-    return float(np.abs(numkit.eigenvalues(hamiltonian_matrices(model)).real).min())
+    return float(np.abs(np.linalg.eigvals(hamiltonian_matrices(model)).real).min())

@@ -1,6 +1,6 @@
 """Numerical primitives shared by the solver modules: the time grid, the
-error types, eigenvalues, the one rule that turns switching rates into a
-generator, and the Student t tail of the simulation report's test."""
+error types, the one rule that turns switching rates into a generator, and
+the Student t tail of the simulation report's test."""
 
 import math
 from dataclasses import dataclass
@@ -52,23 +52,6 @@ def generator(rates) -> np.ndarray:
     G[..., diag, diag] = 0.0
     G[..., diag, diag] = 0.0 - G.sum(axis=-1)
     return G
-
-
-def eigenvalues(M) -> np.ndarray:
-    """All eigenvalues of M (with multiplicity), as a complex array.
-
-    M may also be a stack (..., n, n); the result is then (..., n), from
-    one batched call.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 # largest t^2 at which student_t_sf sums the series: where the worst errors

@@ -222,7 +222,7 @@ def laplacian_spectral_gap(mu: np.ndarray):
     Returns 0.0 where no eigenvalue has real part above 1e-12: a float for
     one generator, an array of the stack's shape for a stack.
     """
-    lam = numkit.eigenvalues(-np.asarray(mu, dtype=float)).real
+    lam = np.linalg.eigvals(-np.asarray(mu, dtype=float)).real
     smallest = np.where(lam > 1e-12, lam, np.inf).min(axis=-1)
     gap = np.where(np.isfinite(smallest), smallest, 0.0)
     return float(gap) if gap.ndim == 0 else gap

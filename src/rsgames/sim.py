@@ -189,9 +189,10 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     target_probs = ((rates - np.diag(np.diag(rates)))
                     / np.where(exit_rates, exit_rates, 1.0)[:, None])
     target_cum = np.cumsum(target_probs, axis=1)
-    # a cumsum row may end just below 1.0; a draw past its end takes the
-    # last regime with a positive rate instead of the out-of-range index N
+    # a cumsum row may end just below 1.0: it is inf from its last positive
+    # rate on, so a draw past its end takes that regime, not the index N
     last_target = N - 1 - np.argmax(target_probs[:, ::-1] > 0, axis=1)
+    target_cum[np.arange(N) >= last_target[:, None]] = np.inf
     p_leave = 1.0 - np.exp(-exit_rates * dt)
     noise_scale = model.sigmas * math.sqrt(dt)
     drift_coef = -model.xi * model.gamma
@@ -238,8 +239,7 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         if leave.any():
             src = reg[leave]
             frac = (u_reg[leave] / p_leave[src])[:, None]
-            reg[leave] = np.minimum((frac >= target_cum[src]).sum(axis=1),
-                                    last_target[src])
+            reg[leave] = (frac >= target_cum[src]).sum(axis=1)
         noise = noise_scale[reg] * normals[:, s]
 
         if config.predator:

@@ -259,7 +259,7 @@ class TestHamiltonian:
 
     def test_scalar_spectrum(self):
         m = scalar_model(A=1.0, Q=2.0, B=np.sqrt(3.0))
-        lam = numkit.eigenvalues(mjls_inner.hamiltonian_matrices(m)[0])
+        lam = np.linalg.eigvals(mjls_inner.hamiltonian_matrices(m)[0])
         np.testing.assert_allclose(
             sorted(lam.real), [-np.sqrt(7.0), np.sqrt(7.0)], atol=1e-10
         )

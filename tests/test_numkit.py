@@ -36,33 +36,6 @@ class TestGenerator:
         assert not np.signbit(G[G == 0.0]).any()  # no -0.0 on a diagonal
 
 
-class TestEigenvalues:
-    def test_diagonal(self):
-        lam = numkit.eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(sorted(lam.real), [1.0, 2.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(lam.imag, 0.0, atol=1e-12)
-
-    def test_rotation_generator(self):
-        lam = numkit.eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        np.testing.assert_allclose(sorted(lam.imag), [-1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(lam.real, 0.0, atol=1e-12)
-
-    def test_two_state_chain_laplacian(self):
-        # generator with symmetric rate 30; L = -generator has spectrum {0, 60}
-        gen = np.array([[-30.0, 30.0], [30.0, -30.0]])
-        lam = np.sort(numkit.eigenvalues(-gen).real)
-        np.testing.assert_allclose(lam, [0.0, 60.0], atol=1e-10)
-
-    def test_residual_bound(self):
-        rng = np.random.default_rng(14)
-        M = rng.normal(size=(6, 6))
-        lams = numkit.eigenvalues(M)
-        for lam in lams:
-            # each eigenvalue admits a unit eigenvector with small residual
-            sigma = np.linalg.svd(M - lam * np.eye(6), compute_uv=False)[-1]
-            assert sigma <= 1e-8 * np.linalg.norm(M)
-
-
 class TestIntegrateBackward:
     def test_zero_rhs(self):
         grid = TimeGrid(0.0, 1.0, 16)

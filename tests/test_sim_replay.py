@@ -2,8 +2,11 @@
 its invariants, chunk-size independence, bounded memory, the lookups each
 policy carries, and the checks on the policies it is given."""
 
+import csv
 import dataclasses
 import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,8 @@ from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
 from rsgames.sim import SimConfig
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 MEAN_FIELDS = ("mean_total_spread", "mean_abs_drift", "mean_abs_inventory",
                "mean_terminal_abs_inventory", "mean_price_increment")
@@ -268,6 +273,47 @@ class TestExport:
         assert exported == list(range(n_paths))
         # the rest is the quote and fill tables, about 0.4 times the budget
         assert peak < 2 * budget, (peak, budget)
+
+    @settings(max_examples=6, deadline=None)
+    @given(q_max=st.integers(1, 2), A=st.sampled_from((2e4, 2e5, 1e6)),
+           seed=st.integers(0, 10_000))
+    def test_row_quotes_belong_to_the_inventory_before_the_fills(self, q_max, A, seed):
+        # u_a and u_b are posted at the inventory held when the step starts;
+        # inventory is the step's end value, after ask_fill and bid_fill.
+        # In the runs measured the quotes kept q_max 2 off its bounds, so
+        # empty sides come from q_max 1 (138 of 1200 rows at A = 1e6)
+        for row in _exported_rows(q_max, seed, A):
+            before = int(row["inventory"]) - int(row["bid_fill"]) + int(row["ask_fill"])
+            assert (row["u_b"] == "") == (before == q_max), row
+            assert (row["u_a"] == "") == (before == -q_max), row
+
+    def test_a_row_can_show_an_empty_bid_inside_the_bounds(self):
+        # the lively market at q_max 1, where a bound is reached often: some
+        # rows leave the bound by this step's ask fill, so an empty bid sits
+        # next to an end-of-step inventory 0
+        rows = _exported_rows(1, 7)
+        assert len(rows) == 1200
+        assert any(row["u_b"] == "" and row["inventory"] == "0" for row in rows)
+
+
+def _exported_rows(q_max, seed, A=20000.0):
+    """Every row of the 3 paths that `rsgames simulate` exports for the
+    lively market at this q_max and order-flow scale A, over 400 steps."""
+    with open(os.path.join(CONFIGS, "simulate_lively.yaml")) as fh:
+        tree = yaml.safe_load(fh)
+    tree["as_model"].update(q_max=q_max, A=A)
+    tree["sim"].update(seed=seed, export_paths=True, n_export_paths=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "sim.yaml"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            yaml.safe_dump(tree, fh)
+        assert cli.main(["simulate", "--config", config, "--out", out,
+                         "--paths", "3", "--steps", "400"]) == 0
+        rows = []
+        for p in range(3):
+            with open(os.path.join(out, f"path_{p:04d}.csv"), newline="") as fh:
+                rows += list(csv.DictReader(fh))
+    return rows
 
 
 class TestLookups:
