@@ -415,7 +415,8 @@ def _affine_generators(spec: OuterGameSpec, f_act, g_act) -> np.ndarray:
     return np.maximum(off, 0.0)
 
 
-MACRO_MODES = ("affine", "quadratic", "bang_bang")
+MACRO_MODES = ("affine", "quadratic", "quadratic_unclamped", "bang_bang",
+               "bang_bang_flipped")
 
 
 def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
@@ -429,9 +430,10 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     regime; one game_core.solve_games call settles the node's N games, each
     regime adopts its mixed saddle, and regimes where the true bracket there
     strays from the game value by more than NONBILINEAR_TOL are counted in
-    meta["nonbilinear_nodes"].  Quadratic mode plays the proportional
-    efforts and charges both effort penalties to the flow; bang_bang mode
-    plays the printed thresholds (honoring spec.flip_bang_bang).
+    meta["nonbilinear_nodes"].  The quadratic modes play the proportional
+    efforts (cut to [0, 1] unless quadratic_unclamped) and charge both
+    effort penalties to the flow; the bang_bang modes play the printed
+    thresholds (trigger reversed in bang_bang_flipped).
 
     phi comes from stacked exponentials: the four vertex generators over all
     node taus once, each node's N adopted generators at the taus of the
@@ -448,6 +450,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     nodes = grid.nodes()
     h = -grid.step
     regimes = np.arange(N)
+    quadratic = mode.startswith("quadratic")
 
     U = np.zeros((grid.n_steps + 1, N))
     efforts = np.zeros((grid.n_steps + 1, 2, N))
@@ -462,13 +465,13 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
 
     for idx in range(grid.n_steps, -1, -1):
         gaps = outer_layer.stability_gaps(U[idx])
-        if mode == "quadratic":
+        if quadratic:
             f, g = outer_layer.proportional_policy(
                 gaps, spec.lam_att, spec.lam_stab, spec.rho_f, spec.rho_g,
-                clamp=spec.clamp_efforts)
-        elif mode == "bang_bang":
+                clamp=(mode == "quadratic"))
+        elif mode.startswith("bang_bang"):
             f, g = outer_layer.bang_bang_policy(gaps, spec.lam_att, spec.lam_stab,
-                                                flip=spec.flip_bang_bang)
+                                                flip=(mode == "bang_bang_flipped"))
         else:
             H = vertex_costs[:, idx] + np.vecdot(vertex_rates, gaps)
             games = H.T.reshape(N, 2, 2)
@@ -490,7 +493,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
         mu[idx] = numkit.generator(mu_rows)
         if idx:
             penalty = (0.5 * spec.rho_f * f**2 + 0.5 * spec.rho_g * g**2
-                       if mode == "quadratic" else 0.0)
+                       if quadratic else 0.0)
             U[idx - 1] = outer_layer.k_step(U[idx], stage_costs, mu_rows, h, penalty)
 
     f_act, g_act = efforts[:, 0], efforts[:, 1]

@@ -200,8 +200,8 @@ def build_lq_model(tree: dict) -> mjls_inner.RegimeLQModel:
         return mjls_inner.RegimeLQModel(**tree)
 
 
-def build_affine_spec(section: str, tree: dict, n_regimes: int, scale=1.0,
-                      **kwargs) -> outer_layer.OuterGameSpec:
+def build_affine_spec(section: str, tree: dict, n_regimes: int,
+                      scale=1.0) -> outer_layer.OuterGameSpec:
     """OuterGameSpec.from_affine on the section's mu0, lam_att and lam_stab
     times scale, each (N, N) and finite."""
     mats = {key: np.asarray(tree[key]) * scale for key in ("mu0", "lam_att", "lam_stab")}
@@ -212,7 +212,7 @@ def build_affine_spec(section: str, tree: dict, n_regimes: int, scale=1.0,
         if not np.all(np.isfinite(M)):
             raise ConfigError(f"{section}.{key} must be finite")
     with _config_errors(section):
-        return outer_layer.OuterGameSpec.from_affine(**mats, **kwargs)
+        return outer_layer.OuterGameSpec.from_affine(**mats)
 
 
 def build_outer_spec(tree: dict, n_regimes=None) -> outer_layer.OuterGameSpec:
@@ -394,8 +394,7 @@ def cmd_mm(args) -> int:
             raise ConfigError(f"mm.macro.inventory must be within as_model.q_max = "
                               f"{model.q_max}, got {macro['inventory']}")
         spec = build_affine_spec("mm.macro.affine", macro["affine"], model.n_regimes,
-                                 365.0, clamp_efforts=args.clamp_efforts,
-                                 flip_bang_bang=args.flip_bangbang_orientation)
+                                 365.0)
         with _config_errors("mm.macro"):
             grid = TimeGrid(0.0, model.horizon, macro["n_steps"])
     table = as_game.build_theta_table(model, n_steps)
@@ -515,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("solve", cmd_solve, "solve the two-layer LQ hierarchy")
     p_mm = command("mm", cmd_mm, "market-making tables and quotes")
     p_mm.add_argument("--steps", type=at_least(1))
-    p_mm.add_argument("--flip-bangbang-orientation", action="store_true")
-    p_mm.add_argument("--clamp-efforts", action=argparse.BooleanOptionalAction,
-                      default=True)
     p_sim = command("simulate", cmd_simulate, "Monte-Carlo strategy comparison")
     p_sim.add_argument("--seed", type=at_least(0))
     p_sim.add_argument("--paths", type=at_least(1))

@@ -6,8 +6,9 @@ place that decides how a game is settled: stacks of same-shape games go
 through a pure saddle, the 2x2 closed form and the full-support equalizer
 of square games at once, and whatever is left goes to `solve_lp`, a
 self-contained dense simplex on the classical LP formulation whose answer
-is verified.  `solve_zero_sum` is the one-game entry point to the same
-rules; `solve_lp` called directly is the cross-check of the closed forms.
+is verified; every saddle gap is judged against its game's payoff spread.
+`solve_zero_sum` is the one-game entry point to the same rules; `solve_lp`
+called directly is the cross-check of the closed forms.
 
 Tie-breaking is deterministic: among pure saddles the lowest (row, col)
 index pair wins, so degenerate games (e.g. the all-zero matrix) resolve to
@@ -166,7 +167,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
 def solve_lp(game: MatrixGame) -> SaddlePoint:
     """Any m x n game via the LP and its duals, on payoffs mapped to [1, 2]
     so that the simplex tolerances are relative to the payoff spread.  The
-    answer is verified: a best-response gap above 1e-7 is a NumericalError."""
+    answer is verified: a gap above 1e-7 of that spread is a NumericalError."""
     M = game.payoff
     low = M.min()
     scale = (M.max() - low) or 1.0
@@ -184,7 +185,7 @@ def solve_lp(game: MatrixGame) -> SaddlePoint:
         raise NumericalError("degenerate dual solution in matrix-game solve")
     f /= f.sum()
     gap = best_response_gap(game, f, g)
-    if gap > 1e-7:
+    if gap > 1e-7 * scale:
         raise NumericalError(f"matrix-game LP left a saddle gap of {gap:.3e}")
     return SaddlePoint(f, g, float(low + (1.0 / total - 1.0) * scale))
 
@@ -198,8 +199,8 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
     `fallback` (MatrixGame -> SaddlePoint, the verified LP by default) one
     game at a time.  An equalizer is accepted only if both strategies are
     strictly positive, sum to 1 and leave a best-response gap <=
-    SADDLE_GAP_TOL; strict positivity makes that saddle the game's only
-    one, so it is the one the LP would find.
+    SADDLE_GAP_TOL of the game's payoff spread; strict positivity makes that
+    saddle the game's only one, so it is the one the LP would find.
 
     Returns (f, g, path, gap): strategies (B, m) and (B, n), the index into
     SADDLE_PATHS of the path that settled each game, and each game's
@@ -232,7 +233,7 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
         path[rest[ok]] = equalizer
     gap = _gaps(M, f, g)
     # an equalizer that is not a saddle goes to the LP with the rest
-    path[(path == equalizer) & (gap > SADDLE_GAP_TOL)] = lp
+    path[(path == equalizer) & (gap > SADDLE_GAP_TOL * np.ptp(M, axis=(1, 2)))] = lp
     to_lp = np.nonzero(path == lp)[0]
     for b in to_lp:
         sp = fallback(MatrixGame(M[b]))

@@ -13,7 +13,7 @@ M_i(t) = sum_{j != i} Lambda_ij (k_j(t) - k_i(t)) solved at each node.
 :func:`k_step` is the one RK4 step of this flow, with mu* frozen over the
 step and phi given at the step's start, midpoint and end; the LQ hierarchy
 feeds it tr P_i, and the market-making macro game its short-horizon
-inventory penalty, with the effort costs as `penalty` in quadratic mode.
+inventory penalty, with the effort costs as `penalty` in the quadratic modes.
 
 The binary-action affine family mu_ij = mu0_ij + f*lam_att_ij -
 g*lam_stab_ij is a special case of the bilinear tensor (actions ordered
@@ -37,7 +37,8 @@ class OuterGameSpec:
     mu_bar: (N, N) baseline rates, off-diagonal entries used.
     Lambda: (N, N, n_f, n_g) per ordered regime pair; Lambda[i, i] ignored.
     Rates must stay nonnegative over the strategy simplices, which by
-    bilinearity it suffices to check at the vertex pairs.
+    bilinearity it suffices to check at the vertex pairs.  The macro game's
+    policy is the `mode` of as_game.solve_macro_as, not a field here.
     """
 
     mu_bar: np.ndarray
@@ -46,8 +47,6 @@ class OuterGameSpec:
     lam_stab: np.ndarray = None
     rho_f: float = 1.0
     rho_g: float = 1.0
-    clamp_efforts: bool = True
-    flip_bang_bang: bool = False
 
     def __post_init__(self):
         self.mu_bar = np.asarray(self.mu_bar, dtype=float)

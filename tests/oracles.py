@@ -621,21 +621,24 @@ def regime_path_integrals(values, generator, h, start, n_paths, seed):
     theta_k], along n_paths paths theta of the chain with this generator
     that start in regime `start` at node 0; values is (n_nodes, N).
 
-    The paths step from node to node with the exact transition matrix
-    expm(h * generator), one uniform per path and step from a Philox stream
-    keyed by (seed, start).  So the mean of the integrals is the trapezoid
-    rule on the smooth mean path, with an O(h^2) bias and none from the
-    step.
+    generator is one (N, N) generator, or a stack (n_nodes, N, N) whose
+    entry k is the rate frozen over the step from node k - 1 to node k (the
+    node at which a backward sweep starts that step).  The paths step from
+    node to node with the exact transition matrix expm(h * generator), one
+    uniform per path and step from a Philox stream keyed by (seed, start).
+    So the mean of the integrals is the trapezoid rule on the smooth mean
+    path, with an O(h^2) bias and none from the step.
     """
     n_nodes, N = values.shape
-    cum = np.cumsum(scipy.linalg.expm(h * np.asarray(generator, dtype=float)), axis=1)
+    cum = np.cumsum(scipy.linalg.expm(h * np.asarray(generator, dtype=float)), axis=-1)
+    cum = np.broadcast_to(cum, (n_nodes, N, N))
     stream = np.random.SeedSequence(seed, spawn_key=(start,))
     uniforms = np.random.Generator(np.random.Philox(stream)).random((n_nodes - 1, n_paths))
     theta = np.full(n_paths, start)
     total = 0.5 * values[0, theta]
     for k in range(1, n_nodes):
         # a cumsum row may end just below 1.0: a draw past it stays in range
-        theta = np.minimum((uniforms[k - 1, :, None] >= cum[theta]).sum(axis=1), N - 1)
+        theta = np.minimum((uniforms[k - 1, :, None] >= cum[k, theta]).sum(axis=1), N - 1)
         total += values[k, theta]
     total -= 0.5 * values[-1, theta]
     return h * total

@@ -567,17 +567,40 @@ class TestMacroLayer:
         # generator rows stay valid
         assert np.abs(sol.mu.sum(axis=2)).max() <= 1e-10
 
-    def test_bang_bang_mode_and_flip(self):
+    POLICIES = {
+        "quadratic": lambda gaps, s: outer_layer.proportional_policy(
+            gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g),
+        "quadratic_unclamped": lambda gaps, s: outer_layer.proportional_policy(
+            gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g, clamp=False),
+        "bang_bang": lambda gaps, s: outer_layer.bang_bang_policy(
+            gaps, s.lam_att, s.lam_stab),
+        "bang_bang_flipped": lambda gaps, s: outer_layer.bang_bang_policy(
+            gaps, s.lam_att, s.lam_stab, flip=True),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(POLICIES))
+    def test_a_policy_mode_plays_its_policy(self, mode):
+        # every node's efforts are the mode's policy on that node's gaps;
+        # catches: a mode that drops its clamp or its flip
         m = small_model()
+        spec = self.affine_spec(rho_f=1e-3, rho_g=1e-3)
+        sol = as_game.solve_macro_as(m, spec, 3, TimeGrid(0.0, m.horizon, 60), mode=mode)
+        assert sol.meta["mode"] == mode
+        for U, f, g in zip(sol.k, sol.f[:, :, 1], sol.g[:, :, 1]):
+            want_f, want_g = self.POLICIES[mode](outer_layer.stability_gaps(U), spec)
+            np.testing.assert_array_equal(f, want_f)
+            np.testing.assert_array_equal(g, want_g)
+
+    def test_each_modifier_changes_its_mode(self):
+        m = small_model()
+        spec = self.affine_spec(rho_f=1e-3, rho_g=1e-3)
         grid = TimeGrid(0.0, m.horizon, 60)
-        plain = as_game.solve_macro_as(m, self.affine_spec(), 3, grid,
-                                       mode="bang_bang")
-        flipped_spec = self.affine_spec(flip_bang_bang=True)
-        flipped = as_game.solve_macro_as(m, flipped_spec, 3, grid,
-                                         mode="bang_bang")
+        f = {mode: as_game.solve_macro_as(m, spec, 3, grid, mode=mode).f[:, :, 1]
+             for mode in self.POLICIES}
+        # uncut efforts pass 1 where the cut ones stop at it
+        assert f["quadratic"].max() == 1.0 and f["quadratic_unclamped"].max() > 1.0
         # the two orientations commit to different efforts somewhere
-        assert plain.meta["mode"] == "bang_bang"
-        assert np.abs(plain.f[:, :, 1] - flipped.f[:, :, 1]).max() == 1.0
+        assert np.abs(f["bang_bang"] - f["bang_bang_flipped"]).max() == 1.0
 
     @pytest.mark.parametrize("case", MACRO_REFERENCE["cases"],
                              ids=lambda c: f"{c['mode']}-q{c['q']}")
@@ -610,7 +633,7 @@ class TestMacroLayer:
             mixed = (sol.f[:, :, 1] > 0.0) & (sol.f[:, :, 1] < 1.0)
             assert mixed.any() and case["nonbilinear_nodes"] > 0
 
-    @pytest.mark.parametrize("mode", ["affine", "quadratic", "bang_bang"])
+    @pytest.mark.parametrize("mode", as_game.MACRO_MODES)
     def test_one_game_batch_and_one_exponential_per_node(self, monkeypatch, mode):
         case = MACRO_REFERENCE["three_regime_cases"][0]
         m = small_model(sigmas=case["sigmas"], rates=case["rates"])

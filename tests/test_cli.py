@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rsgames import cli
+from rsgames import as_game, cli
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -288,11 +288,24 @@ class TestMmCommand:
         assert isinstance(report["nonbilinear_nodes"], int)
         assert report["nonbilinear_nodes"] >= 0
 
+    @pytest.mark.parametrize("mode", as_game.MACRO_MODES)
+    def test_macro_report_names_the_mode(self, tmp_path, mode):
+        # each policy runs from the config alone, and the report records
+        # which one ran
+        cfg = self.mm_config(tmp_path, macro={
+            "enabled": True, "inventory": 2, "n_steps": 10, "mode": mode,
+            "affine": self.GOOD_AFFINE})
+        out = tmp_path / "out"
+        assert run(["mm", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "macro_report.json").read_text())["mode"] == mode
+        assert (out / "macro_values.csv").exists()
+
     GOOD_AFFINE = {"mu0": [[0.0, 3.0], [3.0, 0.0]],
                    "lam_att": [[0.0, 1.0], [1.0, 0.0]],
                    "lam_stab": [[0.0, 1.0], [1.0, 0.0]]}
     BAD_MACRO = [
-        ({"mode": "affin"}, "mm.macro.mode must be one of affine, quadratic, bang_bang"),
+        ({"mode": "affin"}, "mm.macro.mode must be one of affine, quadratic, "
+                            "quadratic_unclamped, bang_bang, bang_bang_flipped"),
         ({"affine": {"lam_att": GOOD_AFFINE["lam_att"],
                      "lam_stab": GOOD_AFFINE["lam_stab"]}},
          "mm.macro.affine: missing 'mu0'"),
@@ -540,11 +553,12 @@ class TestFlags:
               "--paths": ["4"], "--steps": ["5"],
               "--flip-bangbang-orientation": [], "--clamp-efforts": [],
               "--no-clamp-efforts": []}
-    OUTER = {"--flip-bangbang-orientation", "--clamp-efforts", "--no-clamp-efforts"}
+    # the macro game's policy is mm.macro.mode, never a flag: every
+    # command rejects the three macro flags
     READS = {
         "calibrate": {"--config", "--out"},
         "solve": {"--config", "--out"},
-        "mm": {"--config", "--out", "--steps"} | OUTER,
+        "mm": {"--config", "--out", "--steps"},
         "simulate": {"--config", "--out", "--seed", "--paths", "--steps"},
     }
 

@@ -99,6 +99,32 @@ class TestWriter:
         assert path.read_text() == "before\n"
         assert os.listdir(tmp_path) == ["x.csv"]
 
+    def test_a_write_that_fails_midway_leaves_nothing_behind(self, tmp_path,
+                                                             monkeypatch):
+        # the second chunk fails after the first is written to the
+        # temporary file; catches: dropping the os.unlink of that file,
+        # which left a *.tmp next to the target
+        calls = []
+        real_format = cli._format_cells
+
+        def failing_format(part):
+            calls.append(len(part))
+            if len(calls) > 1:
+                raise RuntimeError("formatting failed")
+            return real_format(part)
+
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)
+        monkeypatch.setattr(cli, "_format_cells", failing_format)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("before\n")
+        for path in (old, new):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                cli.write_csv(str(path), ["a"], [np.arange(5.0)])
+            assert calls == [2, 2]
+        assert old.read_text() == "before\n"
+        assert os.listdir(tmp_path) == ["old.csv"]
+
     def test_masked_non_finite_is_not_written(self, tmp_path):
         path = tmp_path / "x.csv"
         cli.write_csv(str(path), ["a"],

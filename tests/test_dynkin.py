@@ -18,6 +18,19 @@ Mutations of the solver that these checks catch: the generator transposed
 in `_FlowWorkspace.derivative` (r: z = 21.5, -28.6, 7.2), mu transposed in
 `outer_layer.k_step` (k: z = 12.8, -26.2, 11.7), and the noise trace
 dropped from the r flow (r: |z| > 130).
+
+The model whose node games move (1.0 added to mu_bar off the diagonal,
+Lambda_ij drawn independently) has equilibrium rates that change at every
+one of the 200 steps; its games take 13 pure, 577 equalizer and 13 LP
+paths.  The chain there follows the solved generators, each step under the
+rates of its end node, as the backward sweep freezes them.  As solved at
+4000 paths: k z = 0.92, 0.26, -0.36 and r z = 1.28, -0.55, -0.36.  Mutations
+it catches: the Riccati step coupled by the terminal node's rates mu[-1]
+throughout (r: z = -3.05, -5.07, -4.47; invisible at Lambda = 0, where the
+rates never move) and mu transposed in `outer_layer.k_step` (k: z = 2.66,
+-11.68, 0.77).  A swap of f and g in `outer_layer._rate_rows` is not
+caught: the chain follows the same swapped rates.  The best-response-gap
+checks of the node games cover it.
 """
 
 import numpy as np
@@ -32,15 +45,15 @@ from rsgames.outer_layer import OuterGameSpec
 N_PATHS = 4000
 Z_BAND = 4.0
 SEED = 1
+LAMBDA_SEED = 4
 
 # a non-reversible cycle: mostly 0 -> 1 -> 2 -> 0
 MU_BAR = np.array([[0.0, 2.0, 0.1], [0.1, 0.0, 2.0], [2.0, 0.1, 0.0]])
 
 
-@pytest.fixture(scope="module")
-def solved():
+def lq_model():
     eye = np.eye(2)
-    model = RegimeLQModel(
+    return RegimeLQModel(
         A=np.array([[[0.2, 1.0], [0.0, -0.5]], [[-1.0, 0.3], [0.5, 0.1]],
                     [[0.5, 0.0], [0.2, 0.3]]]),
         B=np.stack([eye, eye, 0.5 * eye]),
@@ -51,17 +64,35 @@ def solved():
         S=np.stack([eye] * 3),
         Q_T=np.stack([eye, 0.0 * eye, 2.0 * eye]),
     )
+
+
+@pytest.fixture(scope="module")
+def solved():
     spec = OuterGameSpec(mu_bar=MU_BAR, Lambda=np.zeros((3, 3, 2, 2)))
-    grid = TimeGrid(0.0, 2.0, 200)
+    model, grid = lq_model(), TimeGrid(0.0, 2.0, 200)
     return model, grid, hierarchy.solve_hierarchy(model, spec, grid)
 
 
-def z_scores(values, targets, grid):
+@pytest.fixture(scope="module")
+def moving():
+    """The same model with 1.0 added to mu_bar off the diagonal and each
+    Lambda_ij drawn independently as U(0.2, 0.4) * (cyclic + U(-0.6,
+    0.6)^{3x3}), so the node games and their rates move along the sweep."""
+    rng = np.random.default_rng(LAMBDA_SEED)
+    cyclic = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    Lambda = np.zeros((3, 3, 3, 3))
+    for i, j in zip(*np.nonzero(~np.eye(3, dtype=bool))):
+        Lambda[i, j] = rng.uniform(0.2, 0.4) * (cyclic + rng.uniform(-0.6, 0.6, (3, 3)))
+    spec = OuterGameSpec(mu_bar=MU_BAR + 1.0 - np.eye(3), Lambda=Lambda)
+    model, grid = lq_model(), TimeGrid(0.0, 2.0, 200)
+    return model, grid, hierarchy.solve_hierarchy(model, spec, grid)
+
+
+def z_scores(values, targets, grid, generator):
     """(target - path mean) / standard error, per starting regime."""
     z = []
     for i, target in enumerate(targets):
-        x = oracles.regime_path_integrals(values, numkit.generator(MU_BAR),
-                                          grid.step, i, N_PATHS, SEED)
+        x = oracles.regime_path_integrals(values, generator, grid.step, i, N_PATHS, SEED)
         z.append((target - x.mean()) / (x.std(ddof=1) / np.sqrt(N_PATHS)))
     print("z-scores at", N_PATHS, "paths:", np.round(z, 2))
     return np.array(z)
@@ -70,10 +101,27 @@ def z_scores(values, targets, grid):
 def test_switching_value_is_the_expected_integral_of_trace_p(solved):
     _, grid, sol = solved
     trace_p = np.einsum("tijj->ti", sol.riccati.P)
-    assert np.abs(z_scores(trace_p, sol.outer.k[0], grid)).max() <= Z_BAND
+    z = z_scores(trace_p, sol.outer.k[0], grid, numkit.generator(MU_BAR))
+    assert np.abs(z).max() <= Z_BAND
 
 
 def test_noise_value_is_the_expected_integral_of_the_noise_trace(solved):
     model, grid, sol = solved
     noise = np.einsum("iab,icb,tica->ti", model.Sigma, model.Sigma, sol.riccati.P)
-    assert np.abs(z_scores(noise, sol.riccati.r[0], grid)).max() <= Z_BAND
+    z = z_scores(noise, sol.riccati.r[0], grid, numkit.generator(MU_BAR))
+    assert np.abs(z).max() <= Z_BAND
+
+
+def test_values_follow_the_chain_of_the_moving_equilibrium_rates(moving):
+    # the chain steps node k - 1 -> k under the rates the sweep froze over
+    # that step, the equilibrium generator of node k
+    model, grid, sol = moving
+    mu = sol.outer.mu
+    assert (np.abs(np.diff(mu, axis=0)) > 0.0).any(axis=(1, 2)).all()
+    paths = sol.diagnostics["saddle_paths"]
+    assert paths["equalizer"] > 0 and paths["lp"] > 0
+    trace_p = np.einsum("tijj->ti", sol.riccati.P)
+    noise = np.einsum("iab,icb,tica->ti", model.Sigma, model.Sigma, sol.riccati.P)
+    z = np.concatenate([z_scores(trace_p, sol.outer.k[0], grid, mu),
+                        z_scores(noise, sol.riccati.r[0], grid, mu)])
+    assert np.abs(z).max() <= Z_BAND

@@ -20,6 +20,18 @@ def closed_form_2x2(M):
     return float((a * d - b * c) / (a - b - c + d))
 
 
+def perturbed_rps():
+    """Rock-paper-scissors plus U(-0.3, 0.3) noise (seed 25) and its
+    row equalizer; the unique saddle is fully mixed at every scale."""
+    rng = np.random.default_rng(25)
+    M = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    M += rng.uniform(-0.3, 0.3, (3, 3))
+    bordered = np.block([[M.T, -np.ones((3, 1))], [np.ones((1, 3)), 0.0]])
+    f_eq = np.linalg.solve(bordered, [0.0, 0.0, 0.0, 1.0])[:3]
+    assert np.all(f_eq > 0.0)
+    return M, f_eq
+
+
 class TestSolveZeroSum:
     def test_matching_pennies(self):
         sp = solve_zero_sum(MatrixGame([[1.0, -1.0], [-1.0, 1.0]]))
@@ -59,16 +71,25 @@ class TestSolveZeroSum:
 
     @pytest.mark.parametrize("s", [10.0**-e for e in range(2, 13)])
     def test_lp_accurate_on_small_spread(self, s):
-        # perturbed rock-paper-scissors: the unique saddle is the fully
-        # mixed equalizer, the same for every positive scale s
-        rng = np.random.default_rng(25)
-        M = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
-        M += rng.uniform(-0.3, 0.3, (3, 3))
-        bordered = np.block([[M.T, -np.ones((3, 1))], [np.ones((1, 3)), 0.0]])
-        f_eq = np.linalg.solve(bordered, [0.0, 0.0, 0.0, 1.0])[:3]
-        assert np.all(f_eq > 0.0)
+        # the unique saddle is the fully mixed equalizer, the same for every
+        # positive scale s
+        M, f_eq = perturbed_rps()
         sp = solve_lp(MatrixGame(s * M))
         assert np.abs(sp.row_strategy - f_eq).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [10.0**e for e in range(-12, 13, 2)])
+    def test_saddle_verdict_is_relative_to_the_spread(self, s):
+        # catches: an absolute gap bound, under which the equalizer's gap of
+        # ~1e-16 of the spread failed it at s = 1e8 and the LP then raised
+        # "left a saddle gap of 9.537e-07" at s = 1e10
+        M, f_eq = perturbed_rps()
+        f, g, path, gap = game_core.solve_games((s * M)[None])
+        assert path.tolist() == [game_core.SADDLE_PATHS.index("equalizer")]
+        assert gap[0] <= game_core.SADDLE_GAP_TOL * s * np.ptp(M)
+        assert np.abs(f[0] - f_eq).max() <= 1e-12
+        if s >= 1e10:  # the verified LP alone passes as well
+            sp = solve_lp(MatrixGame(s * M))
+            assert np.abs(sp.row_strategy - f_eq).max() <= 1e-12
 
     def test_random_games_saddle_gap(self):
         rng = np.random.default_rng(22)
@@ -200,6 +221,18 @@ class TestOneSaddlePath:
                             lambda A, b, c: (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
         with pytest.raises(game_core.NumericalError, match="saddle gap"):
             game_core.solve_lp(MatrixGame([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def test_simplex_escapes_beales_cycle():
+    # Beale's (1955) LP cycles under the Dantzig rule with lowest-index
+    # ties; catches: dropping the switch to Bland's rule after 100 pivots,
+    # which made this call raise "simplex did not terminate"
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    x, duals = game_core._simplex_max(A, np.array([0.0, 0.0, 1.0]), c)
+    np.testing.assert_allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert abs(c @ x - 1.25) <= 1e-12
+    assert abs(duals @ [0.0, 0.0, 1.0] - 1.25) <= 1e-12  # strong duality
 
 
 class TestBestResponseGap:
