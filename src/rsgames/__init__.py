@@ -2,7 +2,7 @@
 
 Layout:
     numkit       time grids, error types, the generator rule, Student t tail
-    game_core    zero-sum matrix games (closed form + simplex LP)
+    game_core    zero-sum matrix games (pure saddle, equalizer, simplex LP)
     mjls_inner   coupled Riccati flows for Markov-jump LQ games
     outer_layer  scalar switching-value flow and local rate games
     hierarchy    synchronized inner/outer backward sweep + diagnostics

@@ -438,7 +438,8 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     phi comes from stacked exponentials: the four vertex generators over all
     node taus once, each node's N adopted generators at the taus of the
     step's start, midpoint and end; outer_layer.k_step takes U one step back
-    with those and the node's adopted rates.
+    with those and the node's adopted rates.  A step whose RK4 amplification
+    of the switching flow exceeds 1 raises NumericalError.
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -496,6 +497,15 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
                        if quadratic else 0.0)
             U[idx - 1] = outer_layer.k_step(U[idx], stage_costs, mu_rows, h, penalty)
 
+    # RK4's amplification of the switching flow per step, on each eigenvalue
+    # of the generator that the step froze
+    z = grid.step * np.linalg.eigvals(mu[1:])
+    amp = np.abs(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max(axis=1)
+    worst = int(np.argmax(amp))
+    if amp[worst] > 1.0 + 1e-9:
+        raise NumericalError(
+            f"macro sweep is unstable at t = {nodes[worst + 1]:.6g}: RK4 amplifies "
+            f"the switching flow by {amp[worst]:.4g} per step; raise mm.macro.n_steps")
     f_act, g_act = efforts[:, 0], efforts[:, 1]
     return OuterSolution(
         grid=grid, k=U,

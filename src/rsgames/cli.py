@@ -243,12 +243,16 @@ CSV_CHUNK_ROWS = 8192
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """A text handle on a temporary file next to path, renamed onto path
-    when the block exits cleanly and deleted when it raises."""
+    when the block exits cleanly and deleted when it raises.  The file gets
+    the mode open(path, "w") would create, not mkstemp's 0600."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     except BaseException:

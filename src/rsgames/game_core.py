@@ -3,12 +3,12 @@
 Orientation is fixed throughout the package: the row player (f) maximizes
 f @ payoff @ g, the column player (g) minimizes.  `solve_games` is the one
 place that decides how a game is settled: stacks of same-shape games go
-through a pure saddle, the 2x2 closed form and the full-support equalizer
-of square games at once, and whatever is left goes to `solve_lp`, a
-self-contained dense simplex on the classical LP formulation whose answer
-is verified; every saddle gap is judged against its game's payoff spread.
-`solve_zero_sum` is the one-game entry point to the same rules; `solve_lp`
-called directly is the cross-check of the closed forms.
+through a pure saddle and the full-support equalizer of square games at
+once, and whatever is left goes to `solve_lp`, a self-contained dense
+simplex on the classical LP formulation whose answer is verified.  The
+equalizer and every gap work on the game minus its smallest payoff, and a
+gap is judged against the game's payoff spread.  `solve_zero_sum` is the
+one-game entry point to the same rules; `solve_lp` cross-checks them.
 
 Tie-breaking is deterministic: among pure saddles the lowest (row, col)
 index pair wins, so degenerate games (e.g. the all-zero matrix) resolve to
@@ -24,7 +24,7 @@ from .numkit import NumericalError
 
 SADDLE_GAP_TOL = 1e-9
 # the ways solve_games settles a game, in the order it tries them
-SADDLE_PATHS = ("pure", "2x2", "equalizer", "lp")
+SADDLE_PATHS = ("pure", "equalizer", "lp")
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,6 @@ def _pure_saddles(M: np.ndarray):
     return cells.any(axis=1), first // M.shape[2], first % M.shape[2]
 
 
-def _mixed_2x2(M: np.ndarray):
-    """Closed-form saddles (f, g) of 2x2 games M (B, 2, 2).
-
-    Valid only for games without a pure saddle, where the denominator is
-    nonzero.
-    """
-    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-    den = a - b - c + d
-    f = np.clip(np.stack([(d - c) / den, (a - b) / den], axis=1), 0.0, 1.0)
-    g = np.clip(np.stack([(d - b) / den, (a - c) / den], axis=1), 0.0, 1.0)
-    f /= f.sum(axis=1, keepdims=True)
-    g /= g.sum(axis=1, keepdims=True)
-    return f, g
-
-
 def _equalizers(M: np.ndarray):
     """Full-support equalizer strategies (f, g) of square games M (B, m, m).
 
@@ -117,7 +102,9 @@ def _equalizers(M: np.ndarray):
 
 
 def _gaps(M: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """best_response_gap of each game in the stack M (B, m, n)."""
+    """best_response_gap of each game in the stack M (B, m, n), on the game
+    minus its smallest payoff so that rounding scales with the spread."""
+    M = M - M.min(axis=(1, 2), keepdims=True)
     Mg = np.einsum("bij,bj->bi", M, g)
     fM = np.einsum("bi,bij->bj", f, M)
     value = np.einsum("bi,bi->b", f, Mg)
@@ -194,13 +181,14 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
     """Mixed saddles of a stack of same-shape games M (B, m, n) at once.
 
     Each game is settled by the first path that applies, in the order of
-    SADDLE_PATHS: a pure saddle (row-major, lowest index first), the 2x2
-    closed form, the full-support equalizer of a square game, and last
-    `fallback` (MatrixGame -> SaddlePoint, the verified LP by default) one
-    game at a time.  An equalizer is accepted only if both strategies are
-    strictly positive, sum to 1 and leave a best-response gap <=
-    SADDLE_GAP_TOL of the game's payoff spread; strict positivity makes that
-    saddle the game's only one, so it is the one the LP would find.
+    SADDLE_PATHS: a pure saddle (row-major, lowest index first, exact ties
+    of the payoffs as given), the full-support equalizer of a square game,
+    solved on the game minus its smallest payoff, and last `fallback`
+    (MatrixGame -> SaddlePoint, the verified LP by default) on the game as
+    given, one game at a time.  An equalizer is accepted only if both
+    strategies are strictly positive, sum to 1 and leave a best-response gap
+    <= SADDLE_GAP_TOL of the game's payoff spread; strict positivity makes
+    that saddle the game's only one, so it is the one the LP would find.
 
     Returns (f, g, path, gap): strategies (B, m) and (B, n), the index into
     SADDLE_PATHS of the path that settled each game, and each game's
@@ -221,11 +209,8 @@ def solve_games(M: np.ndarray, fallback=solve_lp):
     g[rows[found], c[found]] = 1.0
     path[found] = SADDLE_PATHS.index("pure")
     rest = rows[~found]
-    if rest.size and (m, n) == (2, 2):
-        f[rest], g[rest] = _mixed_2x2(M[rest])
-        path[rest] = SADDLE_PATHS.index("2x2")
-    elif rest.size and m == n:
-        fe, ge = _equalizers(M[rest])
+    if rest.size and m == n:
+        fe, ge = _equalizers(M[rest] - M[rest].min(axis=(1, 2), keepdims=True))
         ok = ((fe > 0.0).all(axis=1) & (ge > 0.0).all(axis=1)
               & (np.abs(fe.sum(axis=1) - 1.0) <= 1e-12)
               & (np.abs(ge.sum(axis=1) - 1.0) <= 1e-12))

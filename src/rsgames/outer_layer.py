@@ -150,9 +150,9 @@ def local_game_matrix(k, spec: OuterGameSpec, i: int) -> MatrixGame:
 def node_equilibrium(k, spec: OuterGameSpec, saddle=game_core.solve_lp):
     """Solve every regime's local game at one time node, all at once.
 
-    The games go to game_core.solve_games, which settles pure saddles, 2x2
-    closed forms and full-support equalizers batched and hands only the
-    rest to `saddle` (the verified LP by default).  Returns (f, g, mu, path,
+    The games go to game_core.solve_games, which settles pure saddles and
+    full-support equalizers batched and hands only the rest to `saddle`
+    (the verified LP by default).  Returns (f, g, mu, path,
     gap) with f: (N, n_f), g: (N, n_g), mu: (N, N) generator, and per
     regime the index into game_core.SADDLE_PATHS of the path that settled
     its game and its best-response gap.

@@ -331,6 +331,36 @@ class TestMmCommand:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    STIFF_AFFINE = {"mu0": [[0.0, 30.0], [30.0, 0.0]],
+                    "lam_att": [[0.0, 2000.0], [2000.0, 0.0]],
+                    "lam_stab": [[0.0, 20.0], [20.0, 0.0]]}
+
+    @pytest.mark.parametrize("mode", ["affine", "bang_bang", "bang_bang_flipped"])
+    def test_an_unstable_macro_sweep_is_a_numerical_failure(self, tmp_path, capsys,
+                                                            mode):
+        # at lam_att 2000/day the default 200 macro steps leave RK4 an
+        # amplification of 14.98 per step; catches: writing U = -8.8e221
+        # to macro_values.csv and exiting 0
+        cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
+            "enabled": True, "inventory": 5, "mode": mode,
+            "affine": self.STIFF_AFFINE}}})
+        out = tmp_path / "out"
+        code = run(["mm", "--steps", "8", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "RK4 amplifies the switching flow by 14.98 per step" in err
+        assert "mm.macro.n_steps" in err
+        assert not (out / "macro_values.csv").exists()
+
+    def test_more_macro_steps_settle_the_stiff_sweep(self, tmp_path):
+        cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
+            "enabled": True, "inventory": 5, "n_steps": 1000, "mode": "affine",
+            "affine": self.STIFF_AFFINE}}})
+        out = tmp_path / "out"
+        assert run(["mm", "--steps", "8", "--config", cfg, "--out", str(out)]) == 0
+        U = np.loadtxt(out / "macro_values.csv", delimiter=",", skiprows=1, usecols=3)
+        assert np.abs(U).max() < 100.0
+
     def test_no_macro_report_without_macro(self, tmp_path):
         out = tmp_path / "out"
         assert run(["mm", "--config", self.mm_config(tmp_path), "--out", str(out)]) == 0

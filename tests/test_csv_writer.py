@@ -4,6 +4,7 @@ assembly of each command."""
 
 import dataclasses
 import os
+import stat
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestWriter:
             assert calls == [2, 2]
         assert old.read_text() == "before\n"
         assert os.listdir(tmp_path) == ["old.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask022", "umask027"])
+    def test_a_written_file_takes_its_mode_from_the_umask(self, tmp_path, umask, mode):
+        # catches: the temporary file's 0600 from mkstemp surviving the
+        # rename, which left every output owner-only
+        old = os.umask(umask)
+        try:
+            cli.write_csv(str(tmp_path / "x.csv"), ["a"], [np.arange(3)])
+            cli.write_json(str(tmp_path / "x.json"), {"a": 1})
+        finally:
+            os.umask(old)
+        for name in ("x.csv", "x.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
     def test_masked_non_finite_is_not_written(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -32,6 +32,13 @@ def perturbed_rps():
     return M, f_eq
 
 
+def perturbed_pennies():
+    """Matching pennies plus U(-0.3, 0.3) noise (seed 26): no pure saddle,
+    so its unique saddle is fully mixed."""
+    rng = np.random.default_rng(26)
+    return np.array([[1.0, -1.0], [-1.0, 1.0]]) + rng.uniform(-0.3, 0.3, (2, 2))
+
+
 class TestSolveZeroSum:
     def test_matching_pennies(self):
         sp = solve_zero_sum(MatrixGame([[1.0, -1.0], [-1.0, 1.0]]))
@@ -90,6 +97,22 @@ class TestSolveZeroSum:
         if s >= 1e10:  # the verified LP alone passes as well
             sp = solve_lp(MatrixGame(s * M))
             assert np.abs(sp.row_strategy - f_eq).max() <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    @pytest.mark.parametrize("s", [1e-6, 1e-9])
+    @pytest.mark.parametrize("base", ["rps", "pennies"])
+    def test_a_constant_offset_changes_no_verdict(self, base, s, c):
+        # a game of spread ~s offset by c: adding a constant changes no
+        # saddle, so it changes no verdict; catches: the equalizer or a gap
+        # taken on the raw payoffs, whose rounding of ~c * 1e-16 sent
+        # rock-paper-scissors to the LP, which raised "left a saddle gap"
+        M = s * (perturbed_rps()[0] if base == "rps" else perturbed_pennies()) + c
+        f, g, path, gap = game_core.solve_games(M[None])
+        assert path.tolist() == [game_core.SADDLE_PATHS.index("equalizer")]
+        assert gap[0] <= game_core.SADDLE_GAP_TOL * np.ptp(M)
+        sp = solve_lp(MatrixGame(M))
+        assert np.abs(sp.row_strategy - f[0]).max() <= 1e-12
+        assert np.abs(sp.col_strategy - g[0]).max() <= 1e-12
 
     def test_random_games_saddle_gap(self):
         rng = np.random.default_rng(22)
@@ -182,7 +205,7 @@ class TestOneSaddlePath:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4)])
     def test_one_gap_pass_without_lp_games(self, monkeypatch, shape):
-        # pure saddles plus 2x2 or equalizer games; catches: a second
+        # pure saddles plus equalizer games; catches: a second
         # best-response-gap pass when no game reaches the LP
         rng = np.random.default_rng(5)
         m, n = shape

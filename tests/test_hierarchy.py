@@ -131,7 +131,7 @@ class TestDiagnostics:
         paths = sol.diagnostics["saddle_paths"]
         assert set(paths) == set(game_core.SADDLE_PATHS)
         assert sum(paths.values()) == model.n_regimes * (grid.n_steps + 1)
-        assert paths["2x2"] > 0  # the mixed local games take the closed form
+        assert paths["equalizer"] > 0  # the mixed local games take the equalizer
         assert 0.0 <= sol.diagnostics["max_best_response_gap"] <= 1e-9
 
     def test_lambda2_trajectory_matches_per_node(self):
