@@ -93,7 +93,6 @@ class ASModel:
     horizon: trading horizon T
     rates: regime switching generator (off-diagonal rates per year)
     s0: initial mid price
-    dt: simulation step
     """
 
     gamma: float
@@ -105,11 +104,10 @@ class ASModel:
     horizon: float
     rates: np.ndarray = None
     s0: float = 90863.90
-    dt: float = 15.0 / SECONDS_PER_YEAR
 
     def __post_init__(self):
         self.sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
-        for name in ("gamma", "xi", "A", "k", "sigmas", "horizon", "dt", "s0", "rates"):
+        for name in ("gamma", "xi", "A", "k", "sigmas", "horizon", "s0", "rates"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -121,8 +119,8 @@ class ASModel:
             raise ValueError("sigmas must be positive")
         if self.q_max < 1:
             raise ValueError("q_max must be at least 1")
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("horizon and dt must be positive")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
         N = self.sigmas.shape[0]
         rates = np.zeros((N, N)) if self.rates is None else np.asarray(self.rates, float)
         if rates.ndim != 2:  # only the internal helpers take stacks of generators
@@ -419,9 +417,10 @@ MACRO_MODES = ("affine", "quadratic", "quadratic_unclamped", "bang_bang",
                "bang_bang_flipped")
 
 
-def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
+def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, n_steps: int,
                    mode: str = "affine") -> OuterSolution:
-    """Backward macro sweep of U_i(t, q) for one inventory level.
+    """Backward macro sweep of U_i(t, q) for one inventory level, on
+    n_steps uniform steps of the model's horizon [0, T].
 
     The node optimization is min over the stabilizer, max over the driver of
     phi_i(q; f, g) + sum_j mu_ij(f, g) (U_j - U_i), with phi evaluated under
@@ -440,6 +439,9 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     step's start, midpoint and end; outer_layer.k_step takes U one step back
     with those and the node's adopted rates.  A step whose RK4 amplification
     of the switching flow exceeds 1 raises NumericalError.
+
+    Order in time: first in the quadratic modes (efforts frozen over a step),
+    third in affine and bang_bang (measured on simulate_lively.yaml, q = 2).
     """
     if spec.lam_att is None or spec.lam_stab is None:
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
@@ -448,14 +450,15 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
     N = spec.n_regimes
     if N != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")
+    grid = TimeGrid(0.0, model.horizon, n_steps)
     nodes = grid.nodes()
     h = -grid.step
     regimes = np.arange(N)
     quadratic = mode.startswith("quadratic")
 
-    U = np.zeros((grid.n_steps + 1, N))
-    efforts = np.zeros((grid.n_steps + 1, 2, N))
-    mu = np.zeros((grid.n_steps + 1, N, N))
+    U = np.zeros((n_steps + 1, N))
+    efforts = np.zeros((n_steps + 1, 2, N))
+    mu = np.zeros((n_steps + 1, N, N))
     flagged = 0
 
     if mode == "affine":
@@ -464,7 +467,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, grid: TimeGrid,
                                           np.array([0.0, 1.0, 0.0, 1.0]))
         vertex_costs = theta_expansions(model, vertex_rates, grid.T - nodes, [q])[..., 0]
 
-    for idx in range(grid.n_steps, -1, -1):
+    for idx in range(n_steps, -1, -1):
         gaps = outer_layer.stability_gaps(U[idx])
         if quadratic:
             f, g = outer_layer.proportional_policy(

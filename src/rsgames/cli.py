@@ -52,7 +52,7 @@ FIELDS = {
     "as_model.sigmas": ("list", [0.2253, 0.5305]),
     "as_model.q_max": ("int", 10),
     "as_model.horizon_hours": ("number", 12.0),
-    "as_model.dt_seconds": ("number", 15.0),
+    "as_model.dt_seconds": ("number>0", 15.0),
     "as_model.mu_per_day": ("matrix", [[0.0, 30.0], [30.0, 0.0]]),
     "as_model.s0": ("number", 90863.90),
     "sim.n_paths": ("int", 1000),
@@ -70,7 +70,7 @@ FIELDS = {
     "mm.macro": ("section", None),
     "mm.macro.enabled": ("bool", False),
     "mm.macro.inventory": ("int", 0),
-    "mm.macro.n_steps": ("int", 200),
+    "mm.macro.n_steps": ("int>=1", 200),
     "mm.macro.mode": ("mode", "affine"),
     "mm.macro.affine": ("section", None),
     **{f"{section}.affine.{key}": ("matrix", REQUIRED)
@@ -186,7 +186,7 @@ def build_as_model(tree: dict) -> ASModel:
             sigmas=np.asarray(tree["sigmas"], dtype=float), q_max=tree["q_max"],
             horizon=tree["horizon_hours"] / HOURS_PER_YEAR,
             rates=np.asarray(tree["mu_per_day"], dtype=float) * 365.0,
-            s0=tree["s0"], dt=tree["dt_seconds"] / SECONDS_PER_YEAR,
+            s0=tree["s0"],
         )
 
 
@@ -399,10 +399,22 @@ def cmd_mm(args) -> int:
                               f"{model.q_max}, got {macro['inventory']}")
         spec = build_affine_spec("mm.macro.affine", macro["affine"], model.n_regimes,
                                  365.0)
-        with _config_errors("mm.macro"):
-            grid = TimeGrid(0.0, model.horizon, macro["n_steps"])
+    # every output is computed before any is written, so a failure leaves none
     table = as_game.build_theta_table(model, n_steps)
     ask, bid = as_game.quote_surfaces(table, model)
+    report = expansion_report(model, table) if mm_cfg["expansion_report"] else None
+    if sweep:
+        xis = np.array(mm_cfg["xi_sweep"])
+        spreads = np.empty_like(xis)
+        mid = model.q_max  # q = 0
+        for n, m_xi in enumerate(sweep):
+            t_xi = as_game.build_theta_table(m_xi, n_steps)
+            a_xi, b_xi = as_game.quote_surfaces(t_xi, m_xi)
+            spreads[n] = a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()
+        del t_xi, a_xi, b_xi  # not held through the writes
+    if macro:
+        sol = as_game.solve_macro_as(model, spec, macro["inventory"], macro["n_steps"],
+                                     mode=macro["mode"])
 
     # a side at its inventory bound (level 0 for the ask, the last level for
     # the bid) does not quote; its cells are written empty
@@ -413,29 +425,16 @@ def cmd_mm(args) -> int:
                table.theta.ravel(),
                np.ma.array(ask.ravel(), mask=qi == 0),
                np.ma.array(bid.ravel(), mask=qi == model.n_levels - 1)])
-
-    if mm_cfg["expansion_report"]:
-        write_json(os.path.join(args.out, "expansion_report.json"),
-                   expansion_report(model, table))
-
+    if report is not None:
+        write_json(os.path.join(args.out, "expansion_report.json"), report)
     if sweep:
-        xis = np.array(mm_cfg["xi_sweep"])
-        spreads = np.empty_like(xis)
-        mid = model.q_max  # q = 0
-        for n, m_xi in enumerate(sweep):
-            t_xi = as_game.build_theta_table(m_xi, n_steps)
-            a_xi, b_xi = as_game.quote_surfaces(t_xi, m_xi)
-            spreads[n] = a_xi[-1, :, mid].mean() + b_xi[-1, :, mid].mean()
         write_csv(os.path.join(args.out, "xi_sweep.csv"),
                   ["xi", "total_spread_q0_full_horizon"], [xis, spreads])
-
     if macro:
-        sol = as_game.solve_macro_as(model, spec, macro["inventory"], grid,
-                                     mode=macro["mode"])
         idx, i = _index_columns(sol.k.shape)
         write_csv(os.path.join(args.out, "macro_values.csv"),
                   ["t", "regime", "U", "f_act", "g_act"],
-                  [grid.nodes()[idx], i, sol.k.ravel(),
+                  [sol.grid.nodes()[idx], i, sol.k.ravel(),
                    sol.f[:, :, 1].ravel(), sol.g[:, :, 1].ravel()])
         write_json(os.path.join(args.out, "macro_report.json"), sol.meta)
 
@@ -448,17 +447,15 @@ def cmd_simulate(args) -> int:
     model = build_as_model(cfg["as_model"])
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
-    if args.steps is None:
-        n_steps = round(model.horizon / model.dt)
-        if abs(n_steps * model.dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
-            tree = cfg["as_model"]
+    n_steps = args.steps
+    if n_steps is None:
+        tree = cfg["as_model"]
+        dt = tree["dt_seconds"] / SECONDS_PER_YEAR
+        n_steps = round(model.horizon / dt)
+        if abs(n_steps * dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
             raise ConfigError(f"as_model: horizon_hours = {tree['horizon_hours']:g} is "
                               f"not a whole number of dt_seconds = "
                               f"{tree['dt_seconds']:g} steps")
-    else:
-        # keep n_steps * dt == horizon by rescaling the step
-        n_steps = args.steps
-        model = dataclasses.replace(model, dt=model.horizon / n_steps)
     with _config_errors("sim"):
         config = sim.SimConfig(
             model=model, n_paths=n_paths, n_steps=n_steps,

@@ -92,9 +92,9 @@ class OuterGameSpec:
         mu_ij(f, g) = mu0_ij + f * lam_att_ij - g * lam_stab_ij with scalar
         efforts f, g in [0, 1] read as the mixing weight on action "act".
         """
-        mu0 = np.asarray(mu0, dtype=float)
-        lam_att = np.asarray(lam_att, dtype=float)
-        lam_stab = np.asarray(lam_stab, dtype=float)
+        mu0, lam_att, lam_stab = (np.asarray(M, float) for M in (mu0, lam_att, lam_stab))
+        if not (np.isfinite(lam_att).all() and np.isfinite(lam_stab).all()):
+            raise ValueError("lam_att and lam_stab must be finite")
         Lam = np.zeros(mu0.shape + (2, 2))
         Lam[..., 0, 1] = -lam_stab
         Lam[..., 1, 0] = lam_att

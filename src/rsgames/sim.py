@@ -13,7 +13,7 @@ depend on the chunk size.  Exported paths come from the same replay:
 run_paths records a chunk's first paths under the last policy, handed out
 chunk by chunk.
 
-Step order (one step of size dt):
+Step order (one step of size dt = horizon / n_steps):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
        uniform is rescaled to pick the target proportionally to mu_ij
     2. predator drift w = -xi*gamma*q (0 if the predator is disabled)
@@ -67,12 +67,10 @@ class SimConfig:
             raise ValueError("n_steps must be at least 1")
         if not 0 <= self.initial_regime < self.model.n_regimes:
             raise ValueError(f"initial_regime {self.initial_regime} out of range")
-        span = self.n_steps * self.model.dt
-        if abs(span - self.model.horizon) > 1e-9 * max(1.0, self.model.horizon):
-            raise ValueError(
-                f"n_steps * dt = {span:.6g} does not match the horizon "
-                f"{self.model.horizon:.6g}"
-            )
+
+    @property
+    def dt(self) -> float:
+        return self.model.horizon / self.n_steps
 
 
 @dataclass
@@ -113,7 +111,7 @@ class PathRecord:
 
 
 def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
-    """Quote surfaces for a strategy.
+    """Quote surfaces for a strategy, priced at dt = horizon / n_steps.
 
     vanilla     penalty table built blind to the predator (xi = 0)
     equilibrium penalty table built with the true xi
@@ -127,17 +125,18 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
     theta = as_game.build_theta_table(table_model, n_steps)
     table = np.empty((4,) + theta.theta.shape)
     table[0], table[1] = as_game.quote_surfaces(theta, table_model)
+    dt = model.horizon / n_steps
     # computed in place, so no table-sized temporary is made
     p = table[2:]
     np.multiply(-model.k, table[:2], out=p)
     np.exp(p, out=p)
     np.multiply(-model.A, p, out=p)
-    np.multiply(p, model.dt, out=p)
+    np.multiply(p, dt, out=p)
     np.exp(p, out=p)
     np.subtract(1.0, p, out=p)
     p[0, ..., 0] = -1.0
     p[1, ..., -1] = -1.0
-    return QuotePolicy(name=kind, table=table, market=(model.A, model.k, model.dt))
+    return QuotePolicy(name=kind, table=table, market=(model.A, model.k, dt))
 
 
 def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
@@ -172,14 +171,14 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     _strategy_stats reduces.  The last policy's dict also holds "records",
     the per-step PathRecords of the first `record` paths under that policy.
     A policy made for another grid, or priced on another (A, k, dt) than
-    config.model, is a ValueError; a non-finite table entry is a
+    config's, is a ValueError; a non-finite table entry is a
     NumericalError.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
     n_pol = len(policies)
     n_rec = min(record, n_paths)
-    dt = model.dt
+    dt = config.dt
     Q = model.q_max
     D = model.n_levels
     rates = model.rates

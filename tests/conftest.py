@@ -44,5 +44,4 @@ def lively_as_model():
         horizon=0.02,
         rates=[[0.0, 50.0], [50.0, 0.0]],
         s0=100.0,
-        dt=0.02 / 400,
     )

@@ -44,9 +44,10 @@ message.
 student_t_sf_oracle is the Student-t survival that `numkit.student_t_sf`
 replaced in the paired test, with the scipy routine it came from.
 
-regime_path_integrals simulates the regime chain of a generator and
-integrates a per-regime value along each path, the Monte-Carlo side of the
-Dynkin checks on the LQ hierarchy's switching values.
+regime_paths simulates the regime chain of a generator.  Along its paths
+regime_path_integrals integrates a per-regime value, and closed_loop_costs
+runs the LQ state under the saddle feedback with noise and sums its cost:
+the Monte-Carlo side of the Dynkin checks on the LQ hierarchy's values.
 """
 
 import csv
@@ -195,16 +196,16 @@ def optimal_quotes(table, model, i, q, t):
     return quote_from_slice(slice_at(table, max(tau, 0.0)), model, i, q)
 
 
-def fill_probability_oracle(model, quotes):
+def fill_probability_oracle(model, quotes, dt):
     """Fill probability 1 - exp(-A exp(-k u) dt) of each quote u, whether or
     not its side quotes."""
-    return 1.0 - np.exp(-model.A * np.exp(-model.k * quotes) * model.dt)
+    return 1.0 - np.exp(-model.A * np.exp(-model.k * quotes) * dt)
 
 
 def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
-    dt = model.dt
+    dt = model.horizon / n_steps
     sqrt_dt = math.sqrt(dt)
     Q = model.q_max
     rates = model.rates
@@ -265,8 +266,8 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
         a_act = q > -Q
         b_act = q < Q
 
-        fill_a = a_act & (u_ask < fill_probability_oracle(model, ua))
-        fill_b = b_act & (u_bid < fill_probability_oracle(model, ub))
+        fill_a = a_act & (u_ask < fill_probability_oracle(model, ua, dt))
+        fill_b = b_act & (u_bid < fill_probability_oracle(model, ub, dt))
 
         m = m + fill_a * (S + ua) - fill_b * (S - ub)
         q = q - fill_a.astype(np.int64) + fill_b.astype(np.int64)
@@ -616,29 +617,87 @@ def t_sf_error_bound(want: float, rel: float) -> float:
     return 1e-300 if want < np.finfo(float).tiny else rel * want
 
 
-def regime_path_integrals(values, generator, h, start, n_paths, seed):
-    """Trapezoid integrals h * sum_k (v_k + v_{k+1}) / 2, v_k = values[k,
-    theta_k], along n_paths paths theta of the chain with this generator
-    that start in regime `start` at node 0; values is (n_nodes, N).
+def regime_paths(generator, h, n_nodes, start, n_paths, rng):
+    """Regimes (n_nodes, n_paths) at the nodes of n_paths paths of the chain
+    with this generator that start in regime `start` at node 0.
 
     generator is one (N, N) generator, or a stack (n_nodes, N, N) whose
     entry k is the rate frozen over the step from node k - 1 to node k (the
     node at which a backward sweep starts that step).  The paths step from
     node to node with the exact transition matrix expm(h * generator), one
-    uniform per path and step from a Philox stream keyed by (seed, start).
-    So the mean of the integrals is the trapezoid rule on the smooth mean
-    path, with an O(h^2) bias and none from the step.
+    uniform of rng per path and step, drawn as one (n_nodes - 1, n_paths)
+    block.
     """
-    n_nodes, N = values.shape
-    cum = np.cumsum(scipy.linalg.expm(h * np.asarray(generator, dtype=float)), axis=-1)
-    cum = np.broadcast_to(cum, (n_nodes, N, N))
-    stream = np.random.SeedSequence(seed, spawn_key=(start,))
-    uniforms = np.random.Generator(np.random.Philox(stream)).random((n_nodes - 1, n_paths))
-    theta = np.full(n_paths, start)
-    total = 0.5 * values[0, theta]
+    generator = np.asarray(generator, dtype=float)
+    N = generator.shape[-1]
+    cum = np.broadcast_to(np.cumsum(scipy.linalg.expm(h * generator), axis=-1),
+                          (n_nodes, N, N))
+    uniforms = rng.random((n_nodes - 1, n_paths))
+    theta = np.empty((n_nodes, n_paths), dtype=np.int64)
+    theta[0] = start
     for k in range(1, n_nodes):
         # a cumsum row may end just below 1.0: a draw past it stays in range
-        theta = np.minimum((uniforms[k - 1, :, None] >= cum[k, theta]).sum(axis=1), N - 1)
-        total += values[k, theta]
-    total -= 0.5 * values[-1, theta]
-    return h * total
+        drawn = (uniforms[k - 1, :, None] >= cum[k, theta[k - 1]]).sum(axis=1)
+        theta[k] = np.minimum(drawn, N - 1)
+    return theta
+
+
+def _philox(seed, start):
+    stream = np.random.SeedSequence(seed, spawn_key=(start,))
+    return np.random.Generator(np.random.Philox(stream))
+
+
+def regime_path_integrals(values, generator, h, start, n_paths, seed):
+    """Trapezoid integrals h * sum_k (v_k + v_{k+1}) / 2, v_k = values[k,
+    theta_k], along the n_paths regime_paths theta of the generator that
+    start in regime `start` at node 0; values is (n_nodes, N).  The regime
+    uniforms come from a Philox stream keyed by (seed, start).  So the mean
+    of the integrals is the trapezoid rule on the smooth mean path, with an
+    O(h^2) bias and none from the step.
+    """
+    theta = regime_paths(generator, h, values.shape[0], start, n_paths,
+                         _philox(seed, start))
+    v = np.take_along_axis(values, theta, axis=1)
+    return h * (v.sum(axis=0) - 0.5 * (v[0] + v[-1]))
+
+
+def closed_loop_costs(model, P, generator, h, x0, start, n_paths, seed):
+    """Costs int_0^T (x'Qx + u'Ru - w'Sw) dt + x_T' Q_T x_T of n_paths
+    closed-loop paths of the LQ state from x0 at t = 0 in regime `start`.
+
+    The regimes follow regime_paths of the generator, and the state takes
+    one Euler-Maruyama step per grid step of length h,
+
+        x <- x + (A x + B u + D w) h + Sigma sqrt(h) Z,
+
+    with the regime, the saddle feedback u = -R^{-1} B' P x, w = S^{-1} D' P
+    x (feedback_gains on the solved P (n_nodes, N, n, n)) and the running
+    cost all taken at the step's start node.  The terminal cost uses the
+    regime at the last node.  The regime uniforms, then the standard normals
+    Z (n_nodes - 1, n_paths, Sigma's columns), come from one Philox stream
+    keyed by (seed, start).
+    """
+    n_nodes, N = P.shape[:2]
+    rng = _philox(seed, start)
+    theta = regime_paths(generator, h, n_nodes, start, n_paths, rng)
+    noise = rng.standard_normal((n_nodes - 1, n_paths, model.Sigma.shape[2]))
+    gains = [[feedback_gains(P[k, i], model, i) for i in range(N)]
+             for k in range(n_nodes - 1)]
+    K_u = np.array([[g[0] for g in row] for row in gains])
+    K_w = np.array([[g[1] for g in row] for row in gains])
+
+    def quad(M, y):  # y' M y per path
+        return np.einsum("pa,pab,pb->p", y, M, y)
+
+    def mv(M, y):  # M y per path
+        return np.einsum("pab,pb->pa", M, y)
+
+    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    cost = np.zeros(n_paths)
+    for k in range(n_nodes - 1):
+        i = theta[k]
+        u, w = mv(K_u[k, i], x), mv(K_w[k, i], x)
+        cost += h * (quad(model.Q[i], x) + quad(model.R[i], u) - quad(model.S[i], w))
+        drift = mv(model.A[i], x) + mv(model.B[i], u) + mv(model.D[i], w)
+        x = x + h * drift + math.sqrt(h) * mv(model.Sigma[i], noise[k])
+    return cost + quad(model.Q_T[theta[-1]], x)

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from rsgames import as_game, game_core, outer_layer
 from rsgames.as_game import ASModel
-from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import OuterGameSpec
 
 
@@ -507,50 +506,42 @@ class TestMacroLayer:
         # U_i' = -phi_i is Simpson's rule on the penalty expansion
         m = small_model()
         spec = self.affine_spec(att=0.0, stab=0.0, mu0=0.0)
-        grid = TimeGrid(0.0, m.horizon, 20)
-        h = grid.step
+        n_steps = 20
+        h = m.horizon / n_steps
         no_switching = np.zeros((2, 2))
         for q in (-3, 0, 2):
-            sol = as_game.solve_macro_as(m, spec, q, grid)
+            sol = as_game.solve_macro_as(m, spec, q, n_steps)
             for i in range(2):
                 phi = [oracles.theta_expansion(m, no_switching, i, q, tau)
-                       for tau in np.linspace(0.0, m.horizon, 2 * grid.n_steps + 1)]
+                       for tau in np.linspace(0.0, m.horizon, 2 * n_steps + 1)]
                 simpson = np.concatenate([[0.0], np.cumsum(
                     [(h / 6.0) * (phi[2 * k] + 4.0 * phi[2 * k + 1] + phi[2 * k + 2])
-                     for k in range(grid.n_steps)])])
+                     for k in range(n_steps)])])
                 assert np.allclose(sol.k[::-1, i], simpson, rtol=1e-12, atol=1e-14)
 
     def test_indifferent_when_symmetric(self):
         m = small_model(sigmas=[0.4, 0.4], xi=0.0)
         spec = self.affine_spec()
-        grid = TimeGrid(0.0, m.horizon, 50)
-        sol = as_game.solve_macro_as(m, spec, 2, grid)
+        sol = as_game.solve_macro_as(m, spec, 2, 50)
         assert np.abs(sol.k[:, 0] - sol.k[:, 1]).max() <= 1e-10
 
     def test_attacker_raises_value(self):
         m = small_model()
-        grid = TimeGrid(0.0, m.horizon, 80)
-        base = as_game.solve_macro_as(m, self.affine_spec(att=0.0, stab=0.0),
-                                      3, grid)
-        attacked = as_game.solve_macro_as(m, self.affine_spec(att=2.0, stab=0.0),
-                                          3, grid)
+        base = as_game.solve_macro_as(m, self.affine_spec(att=0.0, stab=0.0), 3, 80)
+        attacked = as_game.solve_macro_as(m, self.affine_spec(att=2.0, stab=0.0), 3, 80)
         assert np.all(attacked.k >= base.k - 1e-9)
         assert attacked.k[0].max() > base.k[0].max()
 
     def test_stabilizer_lowers_value(self):
         m = small_model()
-        grid = TimeGrid(0.0, m.horizon, 80)
-        base = as_game.solve_macro_as(m, self.affine_spec(att=0.0, stab=0.0),
-                                      3, grid)
-        stabilized = as_game.solve_macro_as(
-            m, self.affine_spec(att=0.0, stab=1.5), 3, grid)
+        base = as_game.solve_macro_as(m, self.affine_spec(att=0.0, stab=0.0), 3, 80)
+        stabilized = as_game.solve_macro_as(m, self.affine_spec(att=0.0, stab=1.5), 3, 80)
         assert np.all(stabilized.k <= base.k + 1e-9)
 
     def test_meta_holds_plain_values(self):
         # cli writes meta as macro_report.json as it is
         m = small_model()
-        sol = as_game.solve_macro_as(m, self.affine_spec(), np.int64(-2),
-                                     TimeGrid(0.0, m.horizon, 20))
+        sol = as_game.solve_macro_as(m, self.affine_spec(), np.int64(-2), 20)
         assert sol.meta == {"mode": "affine", "inventory": -2,
                             "nonbilinear_nodes": sol.meta["nonbilinear_nodes"]}
         assert type(sol.meta["inventory"]) is int
@@ -558,9 +549,8 @@ class TestMacroLayer:
 
     def test_quadratic_mode_runs_and_orders(self):
         m = small_model()
-        grid = TimeGrid(0.0, m.horizon, 60)
         spec = self.affine_spec(rho_f=0.5, rho_g=0.5)
-        sol = as_game.solve_macro_as(m, spec, 3, grid, mode="quadratic")
+        sol = as_game.solve_macro_as(m, spec, 3, 60, mode="quadratic")
         assert sol.meta["mode"] == "quadratic"
         # efforts stay in [0, 1] when clamped (default)
         assert sol.f[:, :, 1].min() >= 0.0 and sol.f[:, :, 1].max() <= 1.0
@@ -584,7 +574,7 @@ class TestMacroLayer:
         # catches: a mode that drops its clamp or its flip
         m = small_model()
         spec = self.affine_spec(rho_f=1e-3, rho_g=1e-3)
-        sol = as_game.solve_macro_as(m, spec, 3, TimeGrid(0.0, m.horizon, 60), mode=mode)
+        sol = as_game.solve_macro_as(m, spec, 3, 60, mode=mode)
         assert sol.meta["mode"] == mode
         for U, f, g in zip(sol.k, sol.f[:, :, 1], sol.g[:, :, 1]):
             want_f, want_g = self.POLICIES[mode](outer_layer.stability_gaps(U), spec)
@@ -594,8 +584,7 @@ class TestMacroLayer:
     def test_each_modifier_changes_its_mode(self):
         m = small_model()
         spec = self.affine_spec(rho_f=1e-3, rho_g=1e-3)
-        grid = TimeGrid(0.0, m.horizon, 60)
-        f = {mode: as_game.solve_macro_as(m, spec, 3, grid, mode=mode).f[:, :, 1]
+        f = {mode: as_game.solve_macro_as(m, spec, 3, 60, mode=mode).f[:, :, 1]
              for mode in self.POLICIES}
         # uncut efforts pass 1 where the cut ones stop at it
         assert f["quadratic"].max() == 1.0 and f["quadratic_unclamped"].max() > 1.0
@@ -610,8 +599,8 @@ class TestMacroLayer:
         # for bit
         m = small_model()
         spec = self.affine_spec(rho_f=0.5, rho_g=0.5)
-        grid = TimeGrid(0.0, m.horizon, MACRO_REFERENCE["n_steps"])
-        sol = as_game.solve_macro_as(m, spec, case["q"], grid, mode=case["mode"])
+        sol = as_game.solve_macro_as(m, spec, case["q"], MACRO_REFERENCE["n_steps"],
+                                     mode=case["mode"])
         for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
             np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
         assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
@@ -624,8 +613,8 @@ class TestMacroLayer:
         m = small_model(sigmas=case["sigmas"], rates=case["rates"])
         spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
                                          np.array(case["lam_stab"]), rho_f=0.5, rho_g=0.5)
-        grid = TimeGrid(0.0, m.horizon, MACRO_REFERENCE["n_steps"])
-        sol = as_game.solve_macro_as(m, spec, case["q"], grid, mode=case["mode"])
+        sol = as_game.solve_macro_as(m, spec, case["q"], MACRO_REFERENCE["n_steps"],
+                                     mode=case["mode"])
         for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
             np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
         assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
@@ -652,9 +641,8 @@ class TestMacroLayer:
 
         monkeypatch.setattr(game_core, "solve_games", counting_games)
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        grid = TimeGrid(0.0, m.horizon, 9)
-        as_game.solve_macro_as(m, spec, 1, grid, mode=mode)
-        n_nodes = grid.n_steps + 1
+        as_game.solve_macro_as(m, spec, 1, 9, mode=mode)
+        n_nodes = 9 + 1
         if mode == "affine":  # plus the vertex generators over all nodes
             assert calls == {"games": [(3, 2, 2)] * n_nodes, "expm": n_nodes + 1}
         else:
@@ -665,4 +653,4 @@ class TestMacroLayer:
         spec = OuterGameSpec(mu_bar=np.zeros((2, 2)),
                              Lambda=np.zeros((2, 2, 2, 2)))
         with pytest.raises(ValueError):
-            as_game.solve_macro_as(m, spec, 0, TimeGrid(0.0, 1.0, 10))
+            as_game.solve_macro_as(m, spec, 0, 10)

@@ -340,7 +340,8 @@ class TestMmCommand:
                                                             mode):
         # at lam_att 2000/day the default 200 macro steps leave RK4 an
         # amplification of 14.98 per step; catches: writing U = -8.8e221
-        # to macro_values.csv and exiting 0
+        # to macro_values.csv and exiting 0, and writing theta_quotes.csv
+        # and expansion_report.json before the sweep fails
         cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
             "enabled": True, "inventory": 5, "mode": mode,
             "affine": self.STIFF_AFFINE}}})
@@ -350,7 +351,7 @@ class TestMmCommand:
         err = capsys.readouterr().err
         assert "RK4 amplifies the switching flow by 14.98 per step" in err
         assert "mm.macro.n_steps" in err
-        assert not (out / "macro_values.csv").exists()
+        assert not out.exists() or not any(out.iterdir())
 
     def test_more_macro_steps_settle_the_stiff_sweep(self, tmp_path):
         cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
@@ -378,8 +379,11 @@ class TestMmCommand:
         out = tmp_path / "out"
         code = run(["mm", "--config", self.mm_config(tmp_path), "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
-        assert "non-finite" in capsys.readouterr().err
-        assert not (out / "theta_quotes.csv").exists()
+        # the expansion report is computed before any file is written, and
+        # it meets the NaN first
+        assert ("expansion report: the penalty table or its expansion is not "
+                "finite") in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_expansion_report_rejects_nan(self, tmp_path):
         model = cli.build_as_model(
@@ -475,35 +479,38 @@ class TestConfigHandling:
         assert model.A == 250000.0
         assert model.q_max == 10
         assert model.s0 == 90863.90
-        assert round(model.horizon / model.dt) == 2880
+        dt = cfg["as_model"]["dt_seconds"] / as_game.SECONDS_PER_YEAR
+        assert round(model.horizon / dt) == 2880
         assert cfg["sim"]["n_paths"] == 1000
 
-    # config key, value, the ASModel field the error names
+    # config key, value, the error: the ASModel field's, or the config's
+    # for dt_seconds, which is no ASModel field
     NON_FINITE = [
-        ("gamma", float("nan"), "gamma"),
-        ("xi", float("nan"), "xi"),
-        ("A", float("nan"), "A"),
-        ("A", float("inf"), "A"),
-        ("k", float("nan"), "k"),
-        ("sigmas", [0.3, float("nan")], "sigmas"),
-        ("mu_per_day", [[0.0, float("nan")], [3.0, 0.0]], "rates"),
-        ("horizon_hours", float("nan"), "horizon"),
-        ("dt_seconds", float("inf"), "dt"),
-        ("s0", float("nan"), "s0"),
+        ("gamma", float("nan"), "gamma must be finite"),
+        ("xi", float("nan"), "xi must be finite"),
+        ("A", float("nan"), "A must be finite"),
+        ("A", float("inf"), "A must be finite"),
+        ("k", float("nan"), "k must be finite"),
+        ("sigmas", [0.3, float("nan")], "sigmas must be finite"),
+        ("mu_per_day", [[0.0, float("nan")], [3.0, 0.0]], "rates must be finite"),
+        ("horizon_hours", float("nan"), "horizon must be finite"),
+        ("dt_seconds", float("inf"),
+         "as_model.dt_seconds must be a finite number above 0"),
+        ("s0", float("nan"), "s0 must be finite"),
     ]
 
     @pytest.mark.parametrize("command,output", [("mm", "theta_quotes.csv"),
                                                 ("simulate", "sim_report.json")])
-    @pytest.mark.parametrize("key,value,field", NON_FINITE,
+    @pytest.mark.parametrize("key,value,message", NON_FINITE,
                              ids=[f"{k}={v}" for k, v, _ in NON_FINITE])
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys, command,
-                                                    output, key, value, field):
+                                                    output, key, value, message):
         tree = cli.load_config(None, command)
         tree["as_model"].update({"q_max": 3, key: value})
         cfg = write_yaml(tmp_path / "bad.yaml", tree)
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
-        assert f"{field} must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / output).exists()
 
 

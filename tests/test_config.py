@@ -119,7 +119,7 @@ class TestProbes:
         ("mm", {"mm": {"macro": {**MACRO, "affine": None}}}, "mm.macro.n_steps", 20,
          "mm.macro: missing 'affine'"),
         ("mm", {"mm": {"macro": MACRO}}, "mm.macro.n_steps", 0,
-         "mm.macro: need n_steps >= 1"),
+         "mm.macro.n_steps must be at least 1, got 0"),
         ("mm", {"mm": {"macro": MACRO}}, "mm.macro.affine.mu0", [[0.0, 3.0, 1.0]] * 3,
          "mm.macro.affine.mu0 must be (2, 2), got (3, 3)"),
         ("mm", {}, "mm.macro", False, "mm.macro must be a mapping"),
@@ -235,7 +235,7 @@ BASES = {
     "simulate_lively.yaml": ("simulate", shipped("simulate_lively.yaml")),
 }
 # the model field an as_model error names, where it is not the key
-MODEL_FIELD = {"horizon_hours": "horizon", "dt_seconds": "dt", "mu_per_day": "rates"}
+MODEL_FIELD = {"horizon_hours": "horizon", "mu_per_day": "rates"}
 
 
 def resolved_fields(tree, prefix=""):

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import run_paths_oracle
 from rsgames import as_game, cli, hierarchy, outer_layer, sim
-from rsgames.numkit import NumericalError, TimeGrid
+from rsgames.numkit import NumericalError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -233,9 +233,9 @@ class TestCommandsMatchRowOracle:
 
         spec = outer_layer.OuterGameSpec.from_affine(
             *(np.asarray(affine[key]) * 365.0 for key in ("mu0", "lam_att", "lam_stab")))
-        grid = TimeGrid(0.0, model.horizon, 40)
-        macro = as_game.solve_macro_as(model, spec, 2, grid)
-        rows = [(grid.nodes()[idx], i, macro.k[idx, i], macro.f[idx, i, 1],
+        macro = as_game.solve_macro_as(model, spec, 2, 40)
+        nodes = np.linspace(0.0, model.horizon, 41)
+        rows = [(nodes[idx], i, macro.k[idx, i], macro.f[idx, i, 1],
                  macro.g[idx, i, 1])
                 for idx in range(41) for i in range(model.n_regimes)]
         oracle_write_csv(str(tmp_path / "macro_values.csv"),
@@ -263,9 +263,8 @@ def simulate_config(config, n_paths, n_steps=None):
     cfg = cli.load_config(config, "simulate")
     model = cli.build_as_model(cfg["as_model"])
     if n_steps is None:
-        n_steps = int(round(model.horizon / model.dt))
-    else:
-        model = dataclasses.replace(model, dt=model.horizon / n_steps)
+        dt = cfg["as_model"]["dt_seconds"] / as_game.SECONDS_PER_YEAR
+        n_steps = int(round(model.horizon / dt))
     return sim.SimConfig(model=model, n_paths=n_paths, n_steps=n_steps,
                          seed=int(cfg["sim"]["seed"]),
                          predator=bool(cfg["sim"]["predator"]),

@@ -31,6 +31,21 @@ rates never move) and mu transposed in `outer_layer.k_step` (k: z = 2.66,
 -11.68, 0.77).  A swap of f and g in `outer_layer._rate_rows` is not
 caught: the chain follows the same swapped rates.  The best-response-gap
 checks of the node games cover it.
+
+The value itself, x'P_i(0)x + r_i(0), is the expected closed-loop cost
+E[int_0^T (x'Qx + u'Ru - w'Sw) dt + x_T'Q_T x_T | x_0 = X0, theta_0 = i]
+under the saddle feedback u = -R^{-1}B'P_theta x, w = S^{-1}D'P_theta x,
+with the noise Sigma dW.  oracles.closed_loop_costs runs the state by
+Euler-Maruyama, one step per grid step, along the same regime paths; the
+band is again |z| <= Z_BAND at N_PATHS paths per starting regime.  As
+solved at X0 = (1, -0.5): z = -1.03, -0.91, 1.14, in 1.3 s.  The Euler bias
+is below the test's resolution: at 40 000 paths z = 1.40, 1.41, -0.84, and
+with ten sub-steps per grid step (P linear between nodes) z = 0.48, 0.81,
+-2.00.  Mutations it catches: the noise trace dropped from the r flow (z =
+-41.5, -48.2, -41.3), the sign of D S^{-1} D' flipped in
+`RegimeLQModel.control_matrices` (z = -7.1, -8.6, -8.3), and the hierarchy
+solved on mu_bar transposed while the paths follow mu_bar (z = 9.1, -10.8,
+7.5).
 """
 
 import numpy as np
@@ -46,6 +61,7 @@ N_PATHS = 4000
 Z_BAND = 4.0
 SEED = 1
 LAMBDA_SEED = 4
+X0 = np.array([1.0, -0.5])
 
 # a non-reversible cycle: mostly 0 -> 1 -> 2 -> 0
 MU_BAR = np.array([[0.0, 2.0, 0.1], [0.1, 0.0, 2.0], [2.0, 0.1, 0.0]])
@@ -88,27 +104,33 @@ def moving():
     return model, grid, hierarchy.solve_hierarchy(model, spec, grid)
 
 
-def z_scores(values, targets, grid, generator):
-    """(target - path mean) / standard error, per starting regime."""
+def z_scores(targets, sample):
+    """(target - path mean) / standard error, per starting regime i, of the
+    N_PATHS path values sample(i)."""
     z = []
     for i, target in enumerate(targets):
-        x = oracles.regime_path_integrals(values, generator, grid.step, i, N_PATHS, SEED)
+        x = sample(i)
         z.append((target - x.mean()) / (x.std(ddof=1) / np.sqrt(N_PATHS)))
     print("z-scores at", N_PATHS, "paths:", np.round(z, 2))
     return np.array(z)
 
 
+def integral_z_scores(values, targets, grid, generator):
+    return z_scores(targets, lambda i: oracles.regime_path_integrals(
+        values, generator, grid.step, i, N_PATHS, SEED))
+
+
 def test_switching_value_is_the_expected_integral_of_trace_p(solved):
     _, grid, sol = solved
     trace_p = np.einsum("tijj->ti", sol.riccati.P)
-    z = z_scores(trace_p, sol.outer.k[0], grid, numkit.generator(MU_BAR))
+    z = integral_z_scores(trace_p, sol.outer.k[0], grid, numkit.generator(MU_BAR))
     assert np.abs(z).max() <= Z_BAND
 
 
 def test_noise_value_is_the_expected_integral_of_the_noise_trace(solved):
     model, grid, sol = solved
     noise = np.einsum("iab,icb,tica->ti", model.Sigma, model.Sigma, sol.riccati.P)
-    z = z_scores(noise, sol.riccati.r[0], grid, numkit.generator(MU_BAR))
+    z = integral_z_scores(noise, sol.riccati.r[0], grid, numkit.generator(MU_BAR))
     assert np.abs(z).max() <= Z_BAND
 
 
@@ -122,6 +144,15 @@ def test_values_follow_the_chain_of_the_moving_equilibrium_rates(moving):
     assert paths["equalizer"] > 0 and paths["lp"] > 0
     trace_p = np.einsum("tijj->ti", sol.riccati.P)
     noise = np.einsum("iab,icb,tica->ti", model.Sigma, model.Sigma, sol.riccati.P)
-    z = np.concatenate([z_scores(trace_p, sol.outer.k[0], grid, mu),
-                        z_scores(noise, sol.riccati.r[0], grid, mu)])
+    z = np.concatenate([integral_z_scores(trace_p, sol.outer.k[0], grid, mu),
+                        integral_z_scores(noise, sol.riccati.r[0], grid, mu)])
+    assert np.abs(z).max() <= Z_BAND
+
+
+def test_value_is_the_expected_closed_loop_cost_with_noise(solved):
+    model, grid, sol = solved
+    P, r = sol.riccati.P, sol.riccati.r
+    values = [X0 @ P[0, i] @ X0 + r[0, i] for i in range(3)]
+    z = z_scores(values, lambda i: oracles.closed_loop_costs(
+        model, P, numkit.generator(MU_BAR), grid.step, X0, i, N_PATHS, SEED))
     assert np.abs(z).max() <= Z_BAND

@@ -48,6 +48,17 @@ class TestSpec:
             # stabilizer can push the rate to 0.1 - 0.5 < 0
             OuterGameSpec.from_affine(0.1 * off, 0.0 * off, 0.5 * off)
 
+    @pytest.mark.parametrize("profile", ["lam_att", "lam_stab"])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_affine_profile_rejected(self, profile, where):
+        # catches: a NaN on the diagonal, zeroed in Lambda before its
+        # finiteness check, reaching solve_macro_as's expm and its triggers
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        mats = {"mu0": 0.3 * off, "lam_att": 0.6 * off, "lam_stab": 0.25 * off}
+        mats[profile][(0, 0) if where == "diagonal" else (0, 1)] = np.nan
+        with pytest.raises(ValueError, match=f"{profile}.* must be finite"):
+            OuterGameSpec.from_affine(**mats)
+
     def test_negative_baseline_rejected(self):
         with pytest.raises(ValueError):
             OuterGameSpec(mu_bar=np.array([[0.0, -1.0], [1.0, 0.0]]),

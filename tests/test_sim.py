@@ -54,7 +54,7 @@ class TestPathMechanics:
     def test_degenerate_market_is_flat(self):
         model = ASModel(gamma=0.5, xi=0.0, A=1e-12, k=8.0, sigmas=[1e-12],
                         q_max=3, horizon=0.01, rates=np.zeros((1, 1)),
-                        s0=50.0, dt=0.01 / 100)
+                        s0=50.0)
         config = SimConfig(model=model, n_paths=10, n_steps=100, seed=3)
         report = sim.run_monte_carlo(config)
         for stats in report.strategies.values():
@@ -89,7 +89,7 @@ class TestPathMechanics:
         # each round trip pays the full quoted spread
         model = ASModel(gamma=0.5, xi=0.0, A=1e9, k=8.0, sigmas=[1e-9],
                         q_max=3, horizon=0.001, rates=np.zeros((1, 1)),
-                        s0=10.0, dt=0.001 / 50)
+                        s0=10.0)
         config = SimConfig(model=model, n_paths=1, n_steps=50, seed=11)
         rec = path_record(config)
         assert rec.ask_fill.all() and rec.bid_fill.all()
@@ -104,7 +104,7 @@ class TestPathMechanics:
         uniforms, normals = sim.generate_streams(5, 400, 400)
         out = sim.run_paths(config, [policy], uniforms, normals)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
-        se = sigma_bar * np.sqrt(model.dt) / np.sqrt(400 * 400)
+        se = sigma_bar * np.sqrt(config.dt) / np.sqrt(400 * 400)
         stats = sim._strategy_stats(out, 400)
         assert abs(stats["mean_price_increment"]) <= 3.0 * se
 
@@ -115,14 +115,13 @@ class TestRegimeDraw:
         a, b = 0.1, 0.3
         model = ASModel(gamma=0.5, xi=2.0, A=2000.0, k=8.0,
                         sigmas=[0.3, 0.5, 0.8], q_max=3, horizon=0.02,
-                        rates=[[0.0, a, b], [a, 0.0, b], [a, b, 0.0]],
-                        dt=0.02 / 40)
+                        rates=[[0.0, a, b], [a, 0.0, b], [a, b, 0.0]])
         exit_rate = -model.rates[0, 0]
         np.testing.assert_array_equal(np.diag(model.rates), -exit_rate)
         cum_end = a / exit_rate + b / exit_rate
         assert cum_end < 1.0
         # every path leaves at every step, with the draw at the top of [0, 1)
-        p_leave = 1.0 - np.exp(-exit_rate * model.dt)
+        p_leave = 1.0 - np.exp(-exit_rate * model.horizon / 40)
         u_reg = np.nextafter(p_leave, 0.0)
         assert u_reg / p_leave >= cum_end
 
@@ -275,4 +274,7 @@ class TestReport:
         with pytest.raises(ValueError):
             SimConfig(model=lively_as_model, n_paths=0, n_steps=400, seed=1)
         with pytest.raises(ValueError):
-            SimConfig(model=lively_as_model, n_paths=1, n_steps=399, seed=1)
+            SimConfig(model=lively_as_model, n_paths=1, n_steps=0, seed=1)
+        # the step is the horizon's n_steps-th part, whatever n_steps is
+        config = SimConfig(model=lively_as_model, n_paths=1, n_steps=399, seed=1)
+        assert config.dt == lively_as_model.horizon / 399

@@ -43,7 +43,7 @@ def sim_cases(draw):
         gamma=draw(positive), xi=draw(st.floats(0.0, 4.0)),
         A=draw(st.floats(500.0, 20000.0)), k=draw(st.floats(2.0, 10.0)),
         sigmas=[draw(positive) for _ in range(n)], q_max=draw(st.integers(1, 6)),
-        horizon=0.02, rates=rates, s0=100.0, dt=0.02 / n_steps,
+        horizon=0.02, rates=rates, s0=100.0,
     )
     config = SimConfig(model=model, n_paths=draw(st.integers(1, 40)),
                        n_steps=n_steps, seed=draw(st.integers(0, 2**32 - 1)),
@@ -322,13 +322,14 @@ class TestLookups:
     def test_fill_rows_are_the_intensity_of_the_quotes(self, case):
         # catches: dt dropped from the fill probability
         config = case[0]
+        dt = config.model.horizon / config.n_steps
         for policy in _policies(config):
             np.testing.assert_array_equal(
                 policy.table[2, ..., 1:],
-                fill_probability_oracle(config.model, policy.ask[..., 1:]))
+                fill_probability_oracle(config.model, policy.ask[..., 1:], dt))
             np.testing.assert_array_equal(
                 policy.table[3, ..., :-1],
-                fill_probability_oracle(config.model, policy.bid[..., :-1]))
+                fill_probability_oracle(config.model, policy.bid[..., :-1], dt))
 
     @settings(max_examples=30, deadline=None)
     @given(sim_cases())
@@ -353,7 +354,8 @@ class TestPolicyChecks:
             with pytest.raises(ValueError, match="expected"):
                 sim.run_paths(config, [policy], uniforms, normals)
 
-    @pytest.mark.parametrize("field", ["A", "k", "dt"])
+    # a policy made on another horizon is priced on another dt
+    @pytest.mark.parametrize("field", ["A", "k", pytest.param("horizon", id="dt")])
     def test_policy_for_another_market_is_rejected(self, lively_as_model, field):
         # catches: the market check removed, which would replay fills at the
         # policy's intensity instead of the config's
