@@ -274,8 +274,11 @@ def write_csv(path: str, header, columns):
 
     Float cells are written with repr, other cells with str, and masked
     cells of a masked array as empty.  Rows are formatted and written
-    CSV_CHUNK_ROWS at a time.  A NaN or inf in an unmasked float cell
-    raises NumericalError and leaves no file behind.
+    CSV_CHUNK_ROWS at a time; within a chunk, each distinct value of a
+    dtype is formatted once and its text shared by every cell of that
+    dtype that holds it, floats keyed by their bits so that -0.0 and 0.0
+    stay apart.  A NaN or inf in an unmasked float cell raises
+    NumericalError and leaves no file behind.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
@@ -293,17 +296,27 @@ def write_csv(path: str, header, columns):
     with _atomic_open(path) as handle:
         handle.write(",".join(["schema_version"] + list(header)) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = [_format_cells(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
+            cells = _format_cells([col[start:start + CSV_CHUNK_ROWS] for col in columns])
             handle.write("\n".join(map(",".join, zip(itertools.repeat(schema), *cells))))
             handle.write("\n")
 
 
-def _format_cells(part) -> list:
-    data = np.ma.getdata(part)
-    text = repr if data.dtype.kind == "f" else str
-    cells = list(map(text, data.tolist()))
-    for k in np.flatnonzero(np.ma.getmaskarray(part)):
-        cells[k] = ""
+def _format_cells(parts) -> list:
+    """The cell texts of equal-length columns, a list per column."""
+    cells = [None] * len(parts)
+    groups = {}
+    for k, part in enumerate(parts):
+        groups.setdefault(part.dtype, []).append(k)
+    for dtype, members in groups.items():
+        data = np.concatenate([np.ma.getdata(parts[k]) for k in members])
+        keys = data.view(f"u{dtype.itemsize}") if dtype.kind == "f" else data
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        text = repr if dtype.kind == "f" else str
+        texts = np.array(list(map(text, distinct.view(dtype).tolist())), dtype=object)
+        group = texts[inverse]
+        group[np.concatenate([np.ma.getmaskarray(parts[k]) for k in members])] = ""
+        for k, column in zip(members, group.reshape(len(members), -1).tolist()):
+            cells[k] = column
     return cells
 
 
@@ -447,15 +460,28 @@ def cmd_simulate(args) -> int:
     model = build_as_model(cfg["as_model"])
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
-    n_steps = args.steps
+    n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
+    # one path's streams, and its record when paths are exported, must fit
+    # in one chunk of sim.STREAM_CHUNK_BYTES
+    max_steps = sim.STREAM_CHUNK_BYTES // (
+        sim.STREAM_BYTES_PER_STEP + (sim.RECORD_BYTES_PER_STEP if n_export else 0))
+    n_steps, key = args.steps, "--steps"
     if n_steps is None:
-        tree = cfg["as_model"]
+        tree, key = cfg["as_model"], "as_model.dt_seconds"
         dt = tree["dt_seconds"] / SECONDS_PER_YEAR
-        n_steps = round(model.horizon / dt)
-        if abs(n_steps * dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
-            raise ConfigError(f"as_model: horizon_hours = {tree['horizon_hours']:g} is "
-                              f"not a whole number of dt_seconds = "
-                              f"{tree['dt_seconds']:g} steps")
+        # a dt that underflows to 0, or a horizon / dt that overflows to
+        # inf, is over the limit and never reaches round()
+        n_steps = model.horizon / dt if dt > 0 else np.inf
+        if n_steps <= max_steps:
+            n_steps = round(n_steps)
+            if abs(n_steps * dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
+                raise ConfigError(f"as_model: horizon_hours = {tree['horizon_hours']:g} "
+                                  f"is not a whole number of dt_seconds = "
+                                  f"{tree['dt_seconds']:g} steps")
+    if n_steps > max_steps:
+        raise ConfigError(f"{key} gives {n_steps:.6g} steps per path; one path's "
+                          f"streams{' and record' if n_export else ''} fit in "
+                          f"{sim.STREAM_CHUNK_BYTES} bytes up to {max_steps} steps")
     with _config_errors("sim"):
         config = sim.SimConfig(
             model=model, n_paths=n_paths, n_steps=n_steps,
@@ -476,7 +502,6 @@ def cmd_simulate(args) -> int:
              rec.ask_fill.astype(int), rec.bid_fill.astype(int)],
         )
 
-    n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
     report = sim.run_monte_carlo(config, n_export, write_path)
     out = os.path.join(args.out, "sim_report.json")
     write_json(out, report.to_dict())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rsgames import as_game, cli
+from rsgames import as_game, cli, sim
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -450,6 +450,46 @@ class TestSimulateCommand:
         rows = (out / "path_0000.csv").read_text().strip().splitlines()
         assert rows[0].split(",")[0] == "schema_version"
         assert len(rows) == 1 + 120  # header + one row per step
+
+    @pytest.mark.parametrize("export", [False, True], ids=["streams", "with_record"])
+    def test_a_path_beyond_the_stream_chunk_is_a_config_error(self, tmp_path, capsys,
+                                                              monkeypatch,
+                                                              small_sim_config, export):
+        # a chunk that holds 119 steps of one path, with its record when
+        # paths are exported; the config's dt_seconds gives 120.  catches:
+        # a path larger than the chunk reaching the replay, whose
+        # _chunk_paths still gives it a chunk of its own, and a limit that
+        # counts the record when nothing is exported, or not when it is
+        per_step = sim.STREAM_BYTES_PER_STEP + (sim.RECORD_BYTES_PER_STEP if export else 0)
+        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES", per_step * 119)
+        tree = yaml.safe_load(open(small_sim_config))
+        tree["sim"].update(n_paths=2, export_paths=export)
+        cfg = write_yaml(tmp_path / "sim.yaml", tree)
+        for flags, key in (([], "as_model.dt_seconds"), (["--steps", "120"], "--steps")):
+            out = tmp_path / key
+            assert run(["simulate", "--config", cfg, "--out", str(out)] + flags) == \
+                cli.EXIT_CONFIG
+            assert f"config error: {key} gives 120 steps per path" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "fits"
+        assert run(["simulate", "--config", cfg, "--out", str(out),
+                    "--steps", "119"]) == 0
+        assert (out / "path_0000.csv").exists() == export
+
+    @pytest.mark.parametrize("dt_seconds", [1.0e-300, 1.0e-320],
+                             ids=["overflow", "underflow"])
+    def test_a_tiny_dt_seconds_is_a_config_error(self, tmp_path, capsys,
+                                                 small_sim_config, dt_seconds):
+        # catches: the 1e304 steps of 1e-300 s reaching numpy, whose
+        # "Maximum allowed size exceeded" names no key, and the step of
+        # 1e-320 s, which underflows to 0 years, reaching a division
+        tree = yaml.safe_load(open(small_sim_config))
+        tree["as_model"]["dt_seconds"] = dt_seconds
+        cfg = write_yaml(tmp_path / "tiny.yaml", tree)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config error: as_model.dt_seconds gives" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_and_paths_overrides(self, tmp_path, small_sim_config):
         out = tmp_path / "out"
