@@ -7,11 +7,16 @@ followed by one standard normal (price shock).  run_monte_carlo generates
 the streams chunk by chunk and replays every strategy on each chunk in one
 step loop (common random numbers), so fill comparisons differ only through
 the quote tables.  A chunk's streams and the records of its exported paths
-stay within STREAM_CHUNK_BYTES.  Report statistics are accumulated per path
-and reduced once, in path order, over all paths, so the report does not
-depend on the chunk size.  Exported paths come from the same replay:
-run_paths records a chunk's first paths under the last policy, handed out
-chunk by chunk.
+stay within STREAM_CHUNK_BYTES.  run_paths replays a chunk in blocks of
+REPLAY_BLOCK steps.  Per block it finds what no policy changes: the regime
+path of step 1 below (the block's candidate exits in one pass, then one
+table lookup per step), the price noise and each path's table offset.  So
+the step loop does only the work that depends on the policy, steps 2 to 5,
+and nothing run_paths returns depends on the block size.  Report statistics
+are accumulated per path and reduced once, in path order, over all paths,
+so the report does not depend on the chunk size.  Exported paths come from
+the same replay: run_paths records a chunk's first paths under the last
+policy, handed out chunk by chunk.
 
 Step order (one step of size dt = horizon / n_steps):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -49,6 +54,11 @@ RECORD_DTYPES = {"price": np.float64, "regime": np.int64, "inventory": np.int64,
                  "cash": np.float64, "ask": np.float64, "bid": np.float64,
                  "drift": np.float64, "ask_fill": np.bool_, "bid_fill": np.bool_}
 RECORD_BYTES_PER_STEP = sum(np.dtype(t).itemsize for t in RECORD_DTYPES.values())
+
+# run_paths finds the regime path, price noise and table offsets of this
+# many steps at a time, in buffers of 17 bytes per path-step (about 1 MB for
+# the reference run); blocks of 64 to 256 steps replayed it equally fast
+REPLAY_BLOCK = 64
 
 
 @dataclass
@@ -161,18 +171,57 @@ PER_PATH = ("pnl", "fills_ask", "fills_bid", "terminal_inventory",
             "abs_inventory_sum", "price_increment_sum")
 
 
+def _regime_block(reg, u, p_leave, target_cum, cand, out):
+    """The regime of every path at each step of a block: out[j, p] is path
+    p's regime after the transition of step j, drawn from u[p, j] by step 1
+    of the step order.  reg holds each path's regime before the block and
+    is left holding it after the block's last step.
+
+    A path leaves only at a candidate step, whose uniform is below
+    max(p_leave).  Each candidate's next regime is found at once for every
+    regime the path may hold there; then a step moves every path by one
+    lookup in that table."""
+    N = p_leave.size
+    np.less(u, p_leave.max(), out=cand)
+    # the candidates path by path, steps ascending; then 1.0, which no
+    # regime leaves on: the entry of a step without a candidate
+    x = np.append(u[cand], 1.0)
+    C = x.size - 1
+    # after[r, c]: the regime after candidate c met in regime r, times
+    # C + 1, the row length, so that it indexes its row; a regime without
+    # exits (p_leave 0) never leaves
+    frac = x / np.where(p_leave > 0, p_leave, 1.0)[:, None]
+    after = np.zeros((N, C + 1), dtype=np.int64)
+    for j in range(N):
+        after += frac >= target_cum[:, j, None]
+    np.copyto(after, np.arange(N)[:, None], where=x >= p_leave[:, None])
+    after = after.ravel() * (C + 1)
+    # out[j, p]: path p's candidate at step j, else C; then its regime
+    out.fill(C)
+    out.T[cand] = np.arange(C)
+    idx = np.empty(u.shape[0], dtype=np.int64)
+    now = reg * (C + 1)
+    for row in out:
+        now = np.take(after, np.add(row, now, out=idx), out=row)
+    out //= C + 1
+    reg[:] = out[-1]
+
+
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
               normals: np.ndarray, record: int = 0):
     """Vectorized replay of all paths under a stack of quote policies.
 
-    Every policy replays the same streams in one step loop; the regime path
-    and the price noise are drawn once per step for all of them.  Returns
-    one dict per policy of per-path arrays (PER_PATH), which
-    _strategy_stats reduces.  The last policy's dict also holds "records",
-    the per-step PathRecords of the first `record` paths under that policy.
-    A policy made for another grid, or priced on another (A, k, dt) than
-    config's, is a ValueError; a non-finite table entry is a
-    NumericalError.
+    Every policy replays the same streams in one step loop.  What no policy
+    changes, the regime path, the price noise and the table offset of each
+    path, is found for REPLAY_BLOCK steps at a time before the block's step
+    loop, which does only the work that depends on the policy; the outputs
+    do not depend on the block size.  Returns one dict per policy of
+    per-path arrays (PER_PATH), which _strategy_stats reduces.  The last
+    policy's dict also holds "records", the per-step PathRecords of the
+    first `record` paths under that policy.  uniforms and normals are read,
+    never written.  A policy made for another grid, or priced on another
+    (A, k, dt) than config's, is a ValueError; a non-finite table entry is
+    a NumericalError.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -214,71 +263,91 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     S = np.full((n_pol, n_paths), model.s0, dtype=float)
     m = np.zeros((n_pol, n_paths))
     w = np.zeros((n_pol, n_paths))
+    dS = np.empty((n_pol, n_paths))
     q = np.zeros((n_pol, n_paths), dtype=np.int64)
     abs_q = np.zeros((n_pol, n_paths), dtype=np.int64)
-    fills_ask = np.zeros((n_pol, n_paths), dtype=np.int64)
-    fills_bid = np.zeros((n_pol, n_paths), dtype=np.int64)
+    idx = np.empty((n_pol, n_paths), dtype=np.int64)
+    fills = np.zeros((2, n_pol, n_paths), dtype=np.int64)  # ask, bid
+    fill = np.empty((2, n_pol, n_paths), dtype=bool)
+    fill_a, fill_b = fill
+    both = np.empty((n_pol, n_paths), dtype=bool)
     spread_sum = np.zeros((n_pol, n_paths))
     spread_count = np.zeros((n_pol, n_paths), dtype=np.int64)
     abs_drift_sum = np.zeros((n_pol, n_paths))
     abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
     increment_sum = np.zeros((n_pol, n_paths))
+    scratch = np.empty((n_pol, n_paths))
     # one row of each policy's table per path: ask, bid, p_ask, p_bid
     looked_up = np.empty((n_pol, 4, n_paths))
-    ua, ub, p_ask, p_bid = looked_up.swapaxes(0, 1)
+    ua, ub, p_ask, p_bid = lanes = looked_up.swapaxes(0, 1)
+    p_fill = lanes[2:]
+
+    # row j of a block holds step s0 + j: its regime, then its table offset
+    block = min(REPLAY_BLOCK, n_steps)
+    offsets = np.empty((block, n_paths), dtype=np.int64)
+    noises = np.empty((block, n_paths))
+    candidates = np.empty((n_paths, block), dtype=bool)
 
     # row s holds the last policy's values of the recorded paths at step s
     rec = {name: np.zeros((n_steps, n_rec), dtype)
            for name, dtype in RECORD_DTYPES.items()}
 
-    for s in range(n_steps):
-        u_reg = uniforms[:, s, 0]
+    for s0 in range(0, n_steps, block):
+        b = min(block, n_steps - s0)
+        offset, noise = offsets[:b], noises[:b]
+        _regime_block(reg, uniforms[:, s0:s0 + b, 0], p_leave, target_cum,
+                      candidates[:, :b], offset)
+        rec["regime"][s0:s0 + b] = offset[:, :n_rec]
+        # every index here and in the lookups is in range: mode "clip" only
+        # skips the copy that a bounds-checked take makes of its output
+        np.take(noise_scale, offset, out=noise, mode="clip")
+        noise *= normals[:, s0:s0 + b].T
+        offset *= D
+        offset += node_offset[s0:s0 + b, None]
+        # (b, 2, 1, n_paths): the ask and bid fill uniforms of each step
+        u_fill = uniforms[:, s0:s0 + b, 1:].transpose(1, 2, 0)[:, :, None]
 
-        leave = u_reg < p_leave[reg]
-        if leave.any():
-            src = reg[leave]
-            frac = (u_reg[leave] / p_leave[src])[:, None]
-            reg[leave] = (frac >= target_cum[src]).sum(axis=1)
-        noise = noise_scale[reg] * normals[:, s]
+        for j in range(b):
+            if config.predator:
+                np.multiply(drift_coef, q, out=w)
+            np.multiply(w, dt, out=dS)
+            dS += noise[j]
+            S += dS
+            increment_sum += dS
+            abs_drift_sum += np.abs(w, out=scratch)
 
-        if config.predator:
-            w = drift_coef * q
-        dS = w * dt + noise
-        S += dS
-        increment_sum += dS
-        abs_drift_sum += np.abs(w)
+            np.add(offset[j], q, out=idx)
+            for k, table in enumerate(lookups):
+                table.take(idx[k], axis=1, out=looked_up[k], mode="clip")
+            np.less(u_fill[j], p_fill, out=fill)
+            # both sides quote inside the bounds of the inventory held
+            np.less(abs_q, Q, out=both)
 
-        idx = (node_offset[s] + reg * D) + q
-        for k, table in enumerate(lookups):
-            table.take(idx[k], axis=1, out=looked_up[k])
-        fill_a = uniforms[:, s, 1] < p_ask
-        fill_b = uniforms[:, s, 2] < p_bid
-        # both sides quote inside the bounds of the inventory held
-        both = abs_q < Q
+            np.add(m, np.add(S, ua, out=scratch), out=m, where=fill_a)
+            np.subtract(m, np.subtract(S, ub, out=scratch), out=m, where=fill_b)
+            fills += fill
+            np.subtract(fills[1], fills[0], out=q)
+            np.abs(q, out=abs_q)
 
-        m += fill_a * (S + ua)
-        m -= fill_b * (S - ub)
-        fills_ask += fill_a
-        fills_bid += fill_b
-        q = fills_bid - fills_ask
-        np.abs(q, out=abs_q)
+            np.add(spread_sum, np.add(ua, ub, out=scratch), out=spread_sum,
+                   where=both)
+            spread_count += both
+            abs_q_sum += abs_q
 
-        spread_sum += (ua + ub) * both
-        spread_count += both
-        abs_q_sum += abs_q
-
-        if n_rec:  # a side that cannot quote (fill probability -1) is NaN
-            rec["ask"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan, ua[-1, :n_rec])
-            rec["bid"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan, ub[-1, :n_rec])
-            rec["regime"][s] = reg[:n_rec]
-            for name, value in (("price", S), ("inventory", q), ("cash", m),
-                                ("drift", w), ("ask_fill", fill_a),
-                                ("bid_fill", fill_b)):
-                rec[name][s] = value[-1, :n_rec]
+            if n_rec:  # a side that cannot quote (fill probability -1) is NaN
+                s = s0 + j
+                rec["ask"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan,
+                                         ua[-1, :n_rec])
+                rec["bid"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan,
+                                         ub[-1, :n_rec])
+                for name, value in (("price", S), ("inventory", q), ("cash", m),
+                                    ("drift", w), ("ask_fill", fill_a),
+                                    ("bid_fill", fill_b)):
+                    rec[name][s] = value[-1, :n_rec]
 
     pnl = m + q * S
     times = (np.arange(n_steps) + 1) * dt
-    per_path = (pnl, fills_ask, fills_bid, q, spread_sum, spread_count,
+    per_path = (pnl, fills[0], fills[1], q, spread_sum, spread_count,
                 abs_drift_sum, abs_q_sum, increment_sum)  # in PER_PATH order
     outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
             for k in range(n_pol)]

@@ -115,6 +115,83 @@ class TestAgainstOracle:
                                                   getattr(rec, field))
 
 
+@st.composite
+def block_cases(draw):
+    """A market whose regime path crosses several replay blocks: 1 to 3
+    regimes with distinct sigmas, rates from none to stiff (at 2e5 a path
+    leaves at almost every step), its replay config, streams and the number
+    of paths to record."""
+    n = draw(st.integers(1, 3))
+    rates = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rates[i, j] = draw(st.sampled_from([0.0, 50.0, 5e3, 2e5]))
+    if n > 1 and draw(st.booleans()):
+        rates[draw(st.integers(0, n - 1))] = 0.0  # a regime without exits
+    n_steps = draw(st.integers(15, 45))
+    model = ASModel(
+        gamma=draw(st.floats(0.1, 1.0)), xi=draw(st.floats(0.0, 4.0)),
+        A=draw(st.floats(500.0, 20000.0)), k=draw(st.floats(2.0, 10.0)),
+        sigmas=[0.2 + 0.3 * i for i in range(n)], q_max=draw(st.integers(1, 4)),
+        horizon=0.02, rates=rates, s0=100.0,
+    )
+    config = SimConfig(model=model, n_paths=draw(st.integers(1, 6)),
+                       n_steps=n_steps, seed=draw(st.integers(0, 2**32 - 1)),
+                       predator=draw(st.booleans()),
+                       initial_regime=draw(st.integers(0, n - 1)))
+    uniforms, normals = sim.generate_streams(config.seed, config.n_paths, n_steps)
+    return config, uniforms, normals, draw(st.integers(1, config.n_paths))
+
+
+class TestBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(block_cases())
+    def test_replay_across_blocks_equals_single_policy_loop(self, case):
+        # blocks of 1, 3 and 7 steps, so every case crosses several; catches
+        # the regime carried into the next block from one step early, and
+        # noise scaled by the regime held before the step's transition
+        config, uniforms, normals, record = case
+        policies = _policies(config)
+        refs = [[run_paths_oracle(config, policy, uniforms[p:p + 1],
+                                  normals[p:p + 1], config.predator, record=True)
+                 for p in range(config.n_paths)] for policy in policies]
+        for block in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "REPLAY_BLOCK", block)
+                outs = sim.run_paths(config, policies, uniforms, normals,
+                                     record=record)
+            for out, ref in zip(outs, refs):
+                for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
+                    np.testing.assert_array_equal(
+                        out[key], np.concatenate([path[key] for path in ref]))
+            for rec, path in zip(outs[-1]["records"], refs[-1]):
+                for field in RECORD_FIELDS:
+                    np.testing.assert_array_equal(getattr(rec, field),
+                                                  getattr(path["record"], field))
+
+    @settings(max_examples=10, deadline=None)
+    @given(block_cases())
+    def test_replay_leaves_its_streams_as_they_were(self, case):
+        # the stacked replay and the export reuse one chunk's streams, so
+        # run_paths must only read them; a second replay gives the same
+        config, uniforms, normals, record = case
+        policies = _policies(config)
+        before = uniforms.tobytes(), normals.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "REPLAY_BLOCK", 7)
+            first, second = (sim.run_paths(config, policies, uniforms, normals,
+                                           record=record) for _ in range(2))
+        assert (uniforms.tobytes(), normals.tobytes()) == before
+        for one, two in zip(first, second):
+            for key in sim.PER_PATH:
+                np.testing.assert_array_equal(one[key], two[key])
+        assert len(first[-1]["records"]) == record
+        for one, two in zip(first[-1]["records"], second[-1]["records"]):
+            for field in RECORD_FIELDS + ("pnl",):
+                np.testing.assert_array_equal(getattr(one, field), getattr(two, field))
+
+
 class TestStreams:
     def test_stream_depends_only_on_seed_and_path(self):
         seed, n_steps = 41, 30
