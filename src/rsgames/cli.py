@@ -489,18 +489,15 @@ def cmd_simulate(args) -> int:
             predator=sim_cfg["predator"], initial_regime=sim_cfg["initial_regime"],
         )
 
-    def write_path(p, rec):
-        # a PathRecord marks the side that cannot quote at the inventory
-        # bound with NaN; such cells are written empty
-        write_csv(
-            os.path.join(args.out, f"path_{p:04d}.csv"),
-            ["step", "time", "price", "regime", "inventory", "cash",
-             "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
-            [np.arange(len(rec.time)), rec.time, rec.price, rec.regime,
-             rec.inventory, rec.cash, np.ma.masked_invalid(rec.ask),
-             np.ma.masked_invalid(rec.bid), rec.drift,
-             rec.ask_fill.astype(int), rec.bid_fill.astype(int)],
-        )
+    steps = np.arange(config.n_steps)
+    times = (steps + 1) * config.dt  # step s ends at time (s + 1) dt
+
+    def write_path(p, record):
+        # a quote is NaN where its side cannot quote; its cell is written empty
+        quotes = {side: np.ma.masked_invalid(record[side]) for side in ("u_a", "u_b")}
+        write_csv(os.path.join(args.out, f"path_{p:04d}.csv"),
+                  ["step", "time", *record],
+                  [steps, times, *{**record, **quotes}.values()])
 
     report = sim.run_monte_carlo(config, n_export, write_path)
     out = os.path.join(args.out, "sim_report.json")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import game_core, mjls_inner, outer_layer
 from .mjls_inner import RegimeLQModel, RiccatiSolution
-from .numkit import TimeGrid
+from .numkit import BlowupError, TimeGrid
 from .outer_layer import OuterGameSpec, OuterSolution
 
 # turnpike_report fits log(residual) over taus in [FIT_LO, FIT_HI] * tau_max,
@@ -37,10 +37,11 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
     """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0.
 
     Shares the step functions and the blow-up guard of the standalone
-    solvers.  diagnostics holds the turnpike references (rho_H, the
-    lambda_2 trajectory and its mean), the number of local games settled
-    by each game_core.SADDLE_PATHS entry ("saddle_paths") and the largest
-    best-response gap over all of them.
+    solvers; a blow-up on steps too long for the rates frozen so far is
+    named as such (outer_layer.check_step_growth).  diagnostics holds the
+    turnpike references (rho_H, the lambda_2 trajectory and its mean), the
+    number of local games settled by each game_core.SADDLE_PATHS entry
+    ("saddle_paths") and the largest best-response gap over all of them.
     """
     if spec.n_regimes != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")
@@ -66,7 +67,11 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
             break
         mjls_inner.riccati_step(workspace, P[idx], r[idx], mu[idx], grid.step,
                                 P[idx - 1], r[idx - 1])
-        mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
+        try:
+            mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
+        except BlowupError:
+            outer_layer.check_step_growth(mu[idx:], grid.step, nodes[idx:], "grid.n_steps")
+            raise
         phi = np.einsum("tijj->ti", P[idx - 1:idx + 1])  # tr P at the step's ends
         forcing = (phi[1], 0.5 * (phi[0] + phi[1]), phi[0])
         k[idx - 1] = outer_layer.k_step(k[idx], forcing, mu[idx], -grid.step)

@@ -16,7 +16,7 @@ and nothing run_paths returns depends on the block size.  Report statistics
 are accumulated per path and reduced once, in path order, over all paths,
 so the report does not depend on the chunk size.  Exported paths come from
 the same replay: run_paths records a chunk's first paths under the last
-policy, handed out chunk by chunk.
+policy as {column: values} over RECORD_DTYPES, handed out chunk by chunk.
 
 Step order (one step of size dt = horizon / n_steps):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -49,10 +49,10 @@ from .numkit import NumericalError, student_t_sf
 STREAM_BYTES_PER_STEP = 32
 STREAM_CHUNK_BYTES = 128 * 2**20
 
-# the per-step arrays of a PathRecord and their dtypes
+# the columns of path_NNNN.csv after step and time, and their dtypes
 RECORD_DTYPES = {"price": np.float64, "regime": np.int64, "inventory": np.int64,
-                 "cash": np.float64, "ask": np.float64, "bid": np.float64,
-                 "drift": np.float64, "ask_fill": np.bool_, "bid_fill": np.bool_}
+                 "cash": np.float64, "u_a": np.float64, "u_b": np.float64,
+                 "drift": np.float64, "ask_fill": np.int8, "bid_fill": np.int8}
 RECORD_BYTES_PER_STEP = sum(np.dtype(t).itemsize for t in RECORD_DTYPES.values())
 
 # run_paths finds the regime path, price noise and table offsets of this
@@ -103,21 +103,6 @@ class QuotePolicy:
     @property
     def bid(self) -> np.ndarray:
         return self.table[1]
-
-
-@dataclass
-class PathRecord:
-    time: np.ndarray
-    price: np.ndarray
-    regime: np.ndarray
-    inventory: np.ndarray
-    cash: np.ndarray
-    ask: np.ndarray
-    bid: np.ndarray
-    drift: np.ndarray
-    ask_fill: np.ndarray
-    bid_fill: np.ndarray
-    pnl: float
 
 
 def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
@@ -217,11 +202,11 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     loop, which does only the work that depends on the policy; the outputs
     do not depend on the block size.  Returns one dict per policy of
     per-path arrays (PER_PATH), which _strategy_stats reduces.  The last
-    policy's dict also holds "records", the per-step PathRecords of the
-    first `record` paths under that policy.  uniforms and normals are read,
-    never written.  A policy made for another grid, or priced on another
-    (A, k, dt) than config's, is a ValueError; a non-finite table entry is
-    a NumericalError.
+    policy's dict also holds "records": {column: values} over RECORD_DTYPES
+    for each of the first `record` paths under that policy.  uniforms and
+    normals are read, never written.  A policy made for another grid, or
+    priced on another (A, k, dt) than config's, is a ValueError; a
+    non-finite table entry is a NumericalError.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -336,9 +321,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
 
             if n_rec:  # a side that cannot quote (fill probability -1) is NaN
                 s = s0 + j
-                rec["ask"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan,
+                rec["u_a"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan,
                                          ua[-1, :n_rec])
-                rec["bid"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan,
+                rec["u_b"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan,
                                          ub[-1, :n_rec])
                 for name, value in (("price", S), ("inventory", q), ("cash", m),
                                     ("drift", w), ("ask_fill", fill_a),
@@ -346,15 +331,12 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                     rec[name][s] = value[-1, :n_rec]
 
     pnl = m + q * S
-    times = (np.arange(n_steps) + 1) * dt
     per_path = (pnl, fills[0], fills[1], q, spread_sum, spread_count,
                 abs_drift_sum, abs_q_sum, increment_sum)  # in PER_PATH order
     outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
             for k in range(n_pol)]
-    outs[-1]["records"] = [
-        PathRecord(time=times, pnl=float(pnl[-1, p]),
-                   **{name: values[:, p] for name, values in rec.items()})
-        for p in range(n_rec)]
+    outs[-1]["records"] = [{name: values[:, p] for name, values in rec.items()}
+                           for p in range(n_rec)]
     return outs
 
 
@@ -432,9 +414,9 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
     Streams are generated and replayed chunk by chunk (_chunk_paths); the
     per-path results are joined in path order before any reduction, so the
     report does not depend on the chunk size.  For each of the first
-    n_export paths p, in path order, on_path(p, record) receives the
-    equilibrium policy's PathRecord while p's chunk is live, so at most one
-    chunk's records are held at a time."""
+    n_export paths p, in path order, on_path(p, record) receives p's
+    {column: values} over RECORD_DTYPES under the equilibrium policy while
+    p's chunk is live, so at most one chunk's records are held at a time."""
     kinds = ("vanilla", "equilibrium")  # run_paths records the last one
     policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
     parts = []

@@ -4,7 +4,8 @@ run_paths_oracle is the single-policy Monte-Carlo step loop that
 `sim.run_paths` replaced: it replays one quote policy, recomputes the fill
 probabilities at every step (fill_probability_oracle, from the quotes and
 the config's market) and reduces the report statistics over paths at every
-step.  Its per-path arrays and path record are the exact reference for the
+step.  Its per-path arrays and the record of its first path, {column:
+values} in the order of `sim.RECORD_DTYPES`, are the exact reference for the
 stacked replay; its mean_* fields sum in another order, so they are the
 reference to rounding only.
 
@@ -61,7 +62,6 @@ import scipy.special
 from rsgames import as_game, calib, mjls_inner, outer_layer
 from rsgames.calib import OhlcvSeries
 from rsgames.numkit import BlowupError
-from rsgames.sim import PathRecord
 
 
 def build_generator_oracle(model, rates=None):
@@ -237,7 +237,7 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
     rec = None
     if record:
         rec = {name: np.zeros(n_steps) for name in
-               ("price", "inventory", "cash", "ask", "bid", "drift",
+               ("price", "inventory", "cash", "u_a", "u_b", "drift",
                 "ask_fill", "bid_fill", "regime")}
 
     for s in range(n_steps):
@@ -284,8 +284,8 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
             rec["price"][s] = S[0]
             rec["inventory"][s] = q[0]
             rec["cash"][s] = m[0]
-            rec["ask"][s] = ua[0] if a_act[0] else np.nan
-            rec["bid"][s] = ub[0] if b_act[0] else np.nan
+            rec["u_a"][s] = ua[0] if a_act[0] else np.nan
+            rec["u_b"][s] = ub[0] if b_act[0] else np.nan
             rec["drift"][s] = w[0]
             rec["ask_fill"][s] = float(fill_a[0])
             rec["bid_fill"][s] = float(fill_b[0])
@@ -304,20 +304,17 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
         "mean_price_increment": price_increments_sum / (n_paths * n_steps),
     }
     if record:
-        times = (np.arange(n_steps) + 1) * dt
-        out["record"] = PathRecord(
-            time=times,
-            price=rec["price"],
-            regime=rec["regime"].astype(int),
-            inventory=rec["inventory"].astype(int),
-            cash=rec["cash"],
-            ask=rec["ask"],
-            bid=rec["bid"],
-            drift=rec["drift"],
-            ask_fill=rec["ask_fill"].astype(bool),
-            bid_fill=rec["bid_fill"].astype(bool),
-            pnl=float(pnl[0]),
-        )
+        out["record"] = {
+            "price": rec["price"],
+            "regime": rec["regime"].astype(np.int64),
+            "inventory": rec["inventory"].astype(np.int64),
+            "cash": rec["cash"],
+            "u_a": rec["u_a"],
+            "u_b": rec["u_b"],
+            "drift": rec["drift"],
+            "ask_fill": rec["ask_fill"].astype(np.int8),
+            "bid_fill": rec["bid_fill"].astype(np.int8),
+        }
     return out
 
 

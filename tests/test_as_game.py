@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from rsgames import as_game, game_core, outer_layer
 from rsgames.as_game import ASModel
+from rsgames.numkit import NumericalError
 from rsgames.outer_layer import OuterGameSpec
 
 
@@ -225,6 +226,17 @@ class TestPropagator:
         M = np.array([[0.0, 5.0], [5.0, 0.0]])
         with pytest.raises(as_game.AccuracyError):
             list(as_game._propagate(M, 1.0, 3, np.array([1.0, 2.0])))
+
+    def test_sub_segment_limit(self, monkeypatch):
+        # |M| = 2, so dtau 60 takes 4 sub-segments of norm 30; a dtau past
+        # it, and an |M| dtau that overflows, are refused before any step
+        monkeypatch.setattr(as_game, "MAX_SUB_SEGMENTS", 4)
+        M, v = np.diag([1.0, 2.0]), np.ones(2)
+        (w, log_scale), = as_game._propagate(M, 60.0, 1, v)
+        np.testing.assert_allclose(np.log(w) + log_scale, [-60.0, -120.0], rtol=1e-12)
+        for big, dtau in ((M, 60.000001), (1e300 * M, 1e10)):
+            with pytest.raises(NumericalError, match="sub-segments per interval"):
+                next(as_game._propagate(big, dtau, 1, v))
 
 
 class TestThetaTable:

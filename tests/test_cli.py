@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +205,31 @@ class TestSolveCommand:
         code = run(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("n_steps", [200, 2000])
+    def test_a_step_too_long_for_the_rates_is_named(self, tmp_path, capsys, n_steps):
+        # configs/solve_two_regime.yaml with every outer.affine matrix x1000:
+        # at 200 steps RK4 grows the switching flow 2233-fold per step and P
+        # passes 1e8 at t = 1.4775; at 2000 steps the same model solves with
+        # max |P| = 1.63.  catches: reporting the long step as a finite escape
+        tree = yaml.safe_load(open(os.path.join(CONFIGS, "solve_two_regime.yaml")))
+        affine = tree["outer"]["affine"]
+        for key in affine:
+            affine[key] = (1000.0 * np.array(affine[key])).tolist()
+        tree["grid"]["n_steps"] = n_steps
+        cfg = write_yaml(tmp_path / "stiff.yaml", tree)
+        out = tmp_path / "out"
+        code = run(["solve", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if n_steps == 200:
+            assert code == cli.EXIT_NUMERICAL
+            assert err.endswith("RK4 amplifies the switching flow by 2233 per step; "
+                                "raise grid.n_steps\n"), err
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert code == cli.EXIT_OK, err
+            P = np.loadtxt(out / "riccati_p.csv", delimiter=",", skiprows=1, usecols=5)
+            assert 1.0 < np.abs(P).max() < 2.0
+
     def test_linalg_error_exit_code(self, tmp_path, solve_config, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -353,6 +381,24 @@ class TestMmCommand:
         assert "mm.macro.n_steps" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_an_overflowing_unclamped_sweep_names_its_step(self, tmp_path, capsys):
+        # at 8 macro steps the unclamped efforts drive the rates to inf;
+        # catches: scipy's overflow warnings and "Array must not contain infs
+        # or NaNs" from the check after the sweep, in place of the step count
+        cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
+            "enabled": True, "inventory": 10, "n_steps": 8,
+            "mode": "quadratic_unclamped", "affine": self.STIFF_AFFINE}}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["mm", "--steps", "8", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: step too long for the switching "
+                              "rates") and err.endswith("raise mm.macro.n_steps\n"), err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_more_macro_steps_settle_the_stiff_sweep(self, tmp_path):
         cfg = write_yaml(tmp_path / "stiff.yaml", {"mm": {"macro": {
             "enabled": True, "inventory": 5, "n_steps": 1000, "mode": "affine",
@@ -395,6 +441,45 @@ class TestMmCommand:
         table.theta[3, 0, 1] = np.nan
         with pytest.raises(cli.NumericalError):
             cli.expansion_report(model, table)
+
+
+class TimeLimit(Exception):
+    """Raised in the main thread when a time_limit block runs too long."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeLimit, which cli.main does not catch, if the block takes
+    longer than `seconds`, so a command that spins fails its test."""
+    def expire(signum, frame):
+        raise TimeLimit(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestStiffPenaltySystem:
+    @pytest.mark.parametrize("as_model", [
+        {"A": 1e300}, {"mu_per_day": [[0.0, 1e300], [1e300, 0.0]]}], ids=["A", "rates"])
+    @pytest.mark.parametrize("command", [["mm", "--steps", "4"],
+                                         ["simulate", "--paths", "3", "--steps", "10"]])
+    def test_a_system_too_stiff_to_propagate_is_refused(self, tmp_path, capsys,
+                                                        as_model, command):
+        # both markets fall back to the propagator, which asked for 1.3e295
+        # (A) or 8.3e297 (rates) sub-segments per interval and never returned
+        cfg = write_yaml(tmp_path / "stiff.yaml", {"as_model": as_model})
+        out = tmp_path / "out"
+        with time_limit(2.0):
+            code = run([*command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "|M| dtau = " in err and "sub-segments per interval" in err, err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSimulateCommand:

@@ -299,6 +299,10 @@ class TestCommandsMatchRowOracle:
             name = f"path_{p:04d}.csv"
             oracle_path_csv(tmp_path / name, sim_config, policy, p)
             assert same_bytes(out / name, tmp_path / name), name
+        # the columns after step and time are the record's, in its order
+        header = (out / "path_0000.csv").read_text().split("\n", 1)[0]
+        assert header.split(",") == ["schema_version", "step", "time",
+                                     *sim.RECORD_DTYPES]
 
 
 def simulate_config(config, n_paths, n_steps=None):
@@ -320,14 +324,17 @@ def oracle_path_csv(path, config, policy, p):
     uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
     rec = run_paths_oracle(config, policy, uniforms, normals, config.predator,
                            record=True)["record"]
+    # a side that does not quote is NaN in the record and empty in the file
+    quote = {side: ["" if np.isnan(u) else u for u in rec[side]]
+             for side in ("u_a", "u_b")}
     oracle_write_csv(
         str(path),
         ["step", "time", "price", "regime", "inventory", "cash",
          "u_a", "u_b", "drift", "ask_fill", "bid_fill"],
-        [(s, rec.time[s], rec.price[s], rec.regime[s],
-          rec.inventory[s], rec.cash[s], rec.ask[s], rec.bid[s],
-          rec.drift[s], int(rec.ask_fill[s]), int(rec.bid_fill[s]))
-         for s in range(len(rec.time))],
+        [(s, (s + 1) * config.dt, rec["price"][s], rec["regime"][s],
+          rec["inventory"][s], rec["cash"][s], quote["u_a"][s], quote["u_b"][s],
+          rec["drift"][s], rec["ask_fill"][s], rec["bid_fill"][s])
+         for s in range(config.n_steps)],
     )
 
 

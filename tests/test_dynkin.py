@@ -45,14 +45,38 @@ with ten sub-steps per grid step (P linear between nodes) z = 0.48, 0.81,
 -41.5, -48.2, -41.3), the sign of D S^{-1} D' flipped in
 `RegimeLQModel.control_matrices` (z = -7.1, -8.6, -8.3), and the hierarchy
 solved on mu_bar transposed while the paths follow mu_bar (z = 9.1, -10.8,
-7.5).
+7.5).  On the moving model, with the paths following its solved
+generators, the same check gives z = -0.95, -0.99, 1.26.  There it catches
+the sign flip of D S^{-1} D' (z = -7.67, -8.66, -8.21) and the Riccati
+step of `solve_hierarchy` coupled by mu transposed (z = 1.93, -4.06,
+5.30), but not the Riccati step coupled by mu[-1] throughout (z = -2.51,
+-2.68, -0.38), which the moving model's r check catches.
+
+The market-making macro game obeys the same formula: with phi_i(t) the
+short-horizon penalty (`as_game.theta_expansions`) of regime i under the
+rates its efforts adopt at node t, recomputed from the solution's f and g,
+
+    U_i(0) = E[ int_0^T phi_theta(s)(s) ds | theta_0 = i ]
+
+along the chain of the sweep's generators.  The market has regime 1 the
+riskier and asymmetric rates, so transposed rates show; in affine mode at
+q = 3 and MACRO_STEPS steps the efforts are pure (both act in regime 0,
+neither in regime 1) except at the terminal node.  As solved: z = 0.59,
+-0.00, in 0.1 s.  At 200 000 paths z was (-0.65, 0.10), (-0.87, -0.37)
+and (-0.83, -0.88) at 50, 100 and 200 steps: the trapezoid's bias is
+below 0.13 standard errors at N_PATHS.  Mutations it catches: the adopted
+rates transposed in `solve_macro_as`'s k_step call (z = 30.0, 28.2) and
+every regime's flow payoff taken under regime 0's generator (z = 6.8,
+19.0).  The step's end payoff taken at its midpoint is not caught (z =
+0.09, -0.45).
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from rsgames import hierarchy, numkit
+from rsgames import as_game, hierarchy, numkit
+from rsgames.as_game import ASModel
 from rsgames.mjls_inner import RegimeLQModel
 from rsgames.numkit import TimeGrid
 from rsgames.outer_layer import OuterGameSpec
@@ -62,6 +86,7 @@ Z_BAND = 4.0
 SEED = 1
 LAMBDA_SEED = 4
 X0 = np.array([1.0, -0.5])
+MACRO_STEPS = 100
 
 # a non-reversible cycle: mostly 0 -> 1 -> 2 -> 0
 MU_BAR = np.array([[0.0, 2.0, 0.1], [0.1, 0.0, 2.0], [2.0, 0.1, 0.0]])
@@ -149,10 +174,33 @@ def test_values_follow_the_chain_of_the_moving_equilibrium_rates(moving):
     assert np.abs(z).max() <= Z_BAND
 
 
-def test_value_is_the_expected_closed_loop_cost_with_noise(solved):
-    model, grid, sol = solved
+@pytest.mark.parametrize("case", ["solved", "moving"])
+def test_value_is_the_expected_closed_loop_cost_with_noise(case, request):
+    model, grid, sol = request.getfixturevalue(case)
     P, r = sol.riccati.P, sol.riccati.r
+    generator = numkit.generator(MU_BAR) if case == "solved" else sol.outer.mu
     values = [X0 @ P[0, i] @ X0 + r[0, i] for i in range(3)]
     z = z_scores(values, lambda i: oracles.closed_loop_costs(
-        model, P, numkit.generator(MU_BAR), grid.step, X0, i, N_PATHS, SEED))
+        model, P, generator, grid.step, X0, i, N_PATHS, SEED))
+    assert np.abs(z).max() <= Z_BAND
+
+
+def test_macro_value_is_the_expected_integral_of_its_flow_payoff():
+    # U_i(0) = E[int_0^T phi_theta(s)(s) ds | theta_0 = i] along the chain
+    # of the sweep's generators, phi_i(t) being regime i's short-horizon
+    # penalty under the rates its efforts adopt at node t
+    model = ASModel(gamma=0.5, xi=0.5, A=1.0, k=8.0, sigmas=[0.2, 1.0], q_max=3,
+                    horizon=1.0, rates=[[0.0, 4.0], [4.0, 0.0]])
+    spec = OuterGameSpec.from_affine(mu0=[[0.0, 1.0], [3.0, 0.0]],
+                                     lam_att=[[0.0, 2.0], [2.0, 0.0]],
+                                     lam_stab=[[0.0, 0.8], [1.5, 0.0]])
+    q = 3
+    sol = as_game.solve_macro_as(model, spec, q, MACRO_STEPS)
+    f, g = sol.f[:, :, 1, None, None], sol.g[:, :, 1, None, None]
+    rates = np.maximum(spec.mu_bar + f * spec.lam_att - g * spec.lam_stab, 0.0)
+    taus = model.horizon - sol.grid.nodes()
+    phi = np.array([  # phi[t, i]: regime i's penalty under rates[t, i]
+        np.diagonal(as_game.theta_expansions(model, rates[t], [tau], [q])[:, 0, :, 0])
+        for t, tau in enumerate(taus)])
+    z = integral_z_scores(phi, sol.k[0], sol.grid, sol.mu)
     assert np.abs(z).max() <= Z_BAND

@@ -16,13 +16,13 @@ def lively_config(lively_as_model):
 
 
 def path_record(config, policy=None, p=0):
-    """The record of path p, replayed on its own stream (the equilibrium
-    policy by default)."""
+    """The record of path p, {column: values}, and its PnL, replayed on its
+    own stream (the equilibrium policy by default)."""
     if policy is None:
         policy = sim.make_policy(config.model, "equilibrium", config.n_steps)
     uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
-    out = sim.run_paths(config, [policy], uniforms, normals, record=1)
-    return out[0]["records"][0]
+    out = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]
+    return out["records"][0], out["pnl"][0]
 
 
 class TestDeterminism:
@@ -38,8 +38,8 @@ class TestDeterminism:
         uniforms, normals = sim.generate_streams(31, 5, 400)
         batch = sim.run_paths(config, [policy], uniforms, normals)[0]
         for p in (0, 3):
-            rec = path_record(config, policy, p)
-            assert rec.pnl == pytest.approx(batch["pnl"][p], abs=1e-12)
+            _, pnl = path_record(config, policy, p)
+            assert pnl == pytest.approx(batch["pnl"][p], abs=1e-12)
 
     def test_seed_changes_output(self, lively_as_model):
         base = SimConfig(model=lively_as_model, n_paths=20, n_steps=400, seed=1)
@@ -67,22 +67,22 @@ class TestPathMechanics:
         uniforms, normals = sim.generate_streams(7, 100, 400)
         out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
         assert np.abs(out["terminal_inventory"]).max() <= lively_config.model.q_max
-        rec = path_record(lively_config, policy)
-        assert np.abs(rec.inventory).max() <= lively_config.model.q_max
+        rec, _ = path_record(lively_config, policy)
+        assert np.abs(rec["inventory"]).max() <= lively_config.model.q_max
 
     def test_accounting_identity(self, lively_config):
-        rec = path_record(lively_config)
-        assert rec.pnl == pytest.approx(
-            rec.cash[-1] + rec.inventory[-1] * rec.price[-1], abs=1e-9
+        rec, pnl = path_record(lively_config)
+        assert pnl == pytest.approx(
+            rec["cash"][-1] + rec["inventory"][-1] * rec["price"][-1], abs=1e-9
         )
         # cash is exactly the sum of signed fill proceeds
         cash = 0.0
-        for s in range(len(rec.time)):
-            if rec.ask_fill[s]:
-                cash += rec.price[s] + rec.ask[s]
-            if rec.bid_fill[s]:
-                cash -= rec.price[s] - rec.bid[s]
-        assert cash == pytest.approx(rec.cash[-1], abs=1e-9)
+        for s in range(lively_config.n_steps):
+            if rec["ask_fill"][s]:
+                cash += rec["price"][s] + rec["u_a"][s]
+            if rec["bid_fill"][s]:
+                cash -= rec["price"][s] - rec["u_b"][s]
+        assert cash == pytest.approx(rec["cash"][-1], abs=1e-9)
 
     def test_double_fill_cash_arithmetic(self):
         # giant order flow, negligible noise: both sides fill every step and
@@ -91,11 +91,11 @@ class TestPathMechanics:
                         q_max=3, horizon=0.001, rates=np.zeros((1, 1)),
                         s0=10.0)
         config = SimConfig(model=model, n_paths=1, n_steps=50, seed=11)
-        rec = path_record(config)
-        assert rec.ask_fill.all() and rec.bid_fill.all()
-        np.testing.assert_array_equal(rec.inventory, 0)
-        expected = np.sum(rec.ask + rec.bid)
-        assert rec.pnl == pytest.approx(expected, abs=1e-9)
+        rec, pnl = path_record(config)
+        assert rec["ask_fill"].all() and rec["bid_fill"].all()
+        np.testing.assert_array_equal(rec["inventory"], 0)
+        expected = np.sum(rec["u_a"] + rec["u_b"])
+        assert pnl == pytest.approx(expected, abs=1e-9)
 
     def test_martingale_sanity(self, lively_as_model):
         model = dataclasses.replace(lively_as_model, xi=0.0)
@@ -141,7 +141,7 @@ class TestRegimeDraw:
         uniforms, normals = streams(5, 4, 40)
         rec = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]["records"][0]
         # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
-        np.testing.assert_array_equal(rec.regime, [2, 1] * 20)
+        np.testing.assert_array_equal(rec["regime"], [2, 1] * 20)
 
 
 class TestPolicies:
@@ -258,11 +258,11 @@ class TestReport:
     def test_single_path_report(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=1, n_steps=400, seed=17)
         report = sim.run_monte_carlo(config)
-        rec = path_record(
+        _, pnl = path_record(
             config, sim.make_policy(lively_as_model, "vanilla", 400), 0
         )
         assert report.strategies["vanilla"]["mean_pnl"] == \
-            pytest.approx(rec.pnl, abs=1e-12)
+            pytest.approx(pnl, abs=1e-12)
 
     def test_predator_off_note(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400,

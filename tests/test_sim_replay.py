@@ -24,8 +24,20 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 MEAN_FIELDS = ("mean_total_spread", "mean_abs_drift", "mean_abs_inventory",
                "mean_terminal_abs_inventory", "mean_price_increment")
-RECORD_FIELDS = ("time", "price", "regime", "inventory", "cash", "ask", "bid",
-                 "drift", "ask_fill", "bid_fill")
+
+
+def assert_same_record(got, want):
+    """Two path records hold the columns of sim.RECORD_DTYPES, in order,
+    with equal dtypes and values (NaN equal to NaN)."""
+    assert list(got) == list(want) == list(sim.RECORD_DTYPES)
+    for name, dtype in sim.RECORD_DTYPES.items():
+        assert got[name].dtype == want[name].dtype == dtype, name
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+def record_pnl(record):
+    """A recorded path's terminal PnL, m_T + q_T S_T, from its last row."""
+    return record["cash"][-1] + record["inventory"][-1] * record["price"][-1]
 
 
 @st.composite
@@ -79,13 +91,7 @@ class TestAgainstOracle:
                 stats = sim._strategy_stats(out, config.n_steps)
                 for key in MEAN_FIELDS:
                     assert stats[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
-            ref = refs[stack[-1].name]
-            for field in RECORD_FIELDS:
-                got = getattr(outs[-1]["records"][0], field)
-                want = getattr(ref["record"], field)
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)  # NaN == NaN here
-            assert outs[-1]["records"][0].pnl == ref["record"].pnl
+            assert_same_record(outs[-1]["records"][0], refs[stack[-1].name]["record"])
 
     @settings(max_examples=25, deadline=None)
     @given(sim_cases())
@@ -106,13 +112,10 @@ class TestAgainstOracle:
                                       normals[p:p + 1], record=1)
                 out, full = alone[-1], batch[-1]
                 rec = out["records"][0]
-                assert np.abs(rec.inventory).max() <= q_max
-                assert rec.pnl == rec.cash[-1] + rec.inventory[-1] * rec.price[-1]
-                assert rec.pnl == full["pnl"][p]
-                assert rec.inventory[-1] == full["terminal_inventory"][p]
-                for field in RECORD_FIELDS:
-                    np.testing.assert_array_equal(getattr(full["records"][p], field),
-                                                  getattr(rec, field))
+                assert np.abs(rec["inventory"]).max() <= q_max
+                assert out["pnl"][0] == record_pnl(rec) == full["pnl"][p]
+                assert rec["inventory"][-1] == full["terminal_inventory"][p]
+                assert_same_record(full["records"][p], rec)
 
 
 @st.composite
@@ -166,9 +169,7 @@ class TestBlocks:
                     np.testing.assert_array_equal(
                         out[key], np.concatenate([path[key] for path in ref]))
             for rec, path in zip(outs[-1]["records"], refs[-1]):
-                for field in RECORD_FIELDS:
-                    np.testing.assert_array_equal(getattr(rec, field),
-                                                  getattr(path["record"], field))
+                assert_same_record(rec, path["record"])
 
     @settings(max_examples=10, deadline=None)
     @given(block_cases())
@@ -188,8 +189,7 @@ class TestBlocks:
                 np.testing.assert_array_equal(one[key], two[key])
         assert len(first[-1]["records"]) == record
         for one, two in zip(first[-1]["records"], second[-1]["records"]):
-            for field in RECORD_FIELDS + ("pnl",):
-                np.testing.assert_array_equal(getattr(one, field), getattr(two, field))
+            assert_same_record(one, two)
 
 
 class TestStreams:
@@ -213,7 +213,7 @@ class TestStreams:
             alone_u, alone_n = sim.generate_streams(12, 1, 400, first=p)
             rec = sim.run_paths(config, [policy], alone_u, alone_n,
                                 record=1)[0]["records"][0]
-            assert rec.pnl == batch["pnl"][p]
+            assert record_pnl(rec) == batch["pnl"][p]
 
 
 def _report_at_chunk(monkeypatch, tmp_path, config_path, paths_per_chunk, n_steps):
@@ -321,7 +321,7 @@ class TestExport:
             tracemalloc.start()
             try:
                 sim.run_monte_carlo(config, n_paths,
-                                    lambda p, rec: pnl.setdefault(p, rec.pnl))
+                                    lambda p, rec: pnl.setdefault(p, record_pnl(rec)))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
