@@ -507,9 +507,7 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, n_steps: int,
                        if quadratic else 0.0)
             U[idx - 1] = outer_layer.k_step(U[idx], stage_costs, mu_rows, h, penalty)
 
-    # an overflowed generator counts as no rates: the steps before it judge
-    frozen = np.where(np.isfinite(mu[1:]).all(axis=(1, 2), keepdims=True), mu[1:], 0.0)
-    outer_layer.check_step_growth(frozen, grid.step, nodes[1:], "mm.macro.n_steps")
+    numkit.check_step_growth(mu[1:], grid.step, nodes[1:], "mm.macro.n_steps")
     f_act, g_act = efforts[:, 0], efforts[:, 1]
     return OuterSolution(
         grid=grid, k=U,

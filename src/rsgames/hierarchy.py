@@ -1,12 +1,12 @@
 """Synchronized backward sweep of the inner Riccati and outer switching layers.
 
-One pass, right to left: at each node the local rate games are solved from
-the current outer values k, the equilibrium generator is frozen over the
-step, and both flows advance one step with it -- P (and r) first, then k
-through outer_layer.k_step, driven by phi_i = tr(P_i) at the step's ends
-and its linear interpolation at the midpoint.  The instantaneous
-saddle depends only on the current (k, P), so no fixed-point iteration
-between full solves is needed.
+One pass, right to left, of mjls_inner.backward_sweep: at each node the
+local rate games are solved from the current outer values k, and the
+equilibrium generator is frozen over the step for both flows.  P (and r)
+step first, then k through outer_layer.k_step, driven by phi_i = tr(P_i) at
+the step's ends and its linear interpolation at the midpoint.  The
+instantaneous saddle depends only on the current (k, P), so no fixed-point
+iteration between full solves is needed.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import game_core, mjls_inner, outer_layer
 from .mjls_inner import RegimeLQModel, RiccatiSolution
-from .numkit import BlowupError, TimeGrid
+from .numkit import TimeGrid
 from .outer_layer import OuterGameSpec, OuterSolution
 
 # turnpike_report fits log(residual) over taus in [FIT_LO, FIT_HI] * tau_max,
@@ -36,46 +36,33 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
                     saddle=game_core.solve_lp) -> HierarchySolution:
     """Joint equilibrium sweep with terminal P = Q_T, r = 0, k = 0.
 
-    Shares the step functions and the blow-up guard of the standalone
-    solvers; a blow-up on steps too long for the rates frozen so far is
-    named as such (outer_layer.check_step_growth).  diagnostics holds the
+    P and r come from mjls_inner.backward_sweep, the loop of the standalone
+    solver, with its escape guard and RK4 step verdict; the generator it
+    freezes over each step is the node's equilibrium.  diagnostics holds the
     turnpike references (rho_H, the lambda_2 trajectory and its mean), the
     number of local games settled by each game_core.SADDLE_PATHS entry
     ("saddle_paths") and the largest best-response gap over all of them.
     """
     if spec.n_regimes != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")
-    N, n = model.n_regimes, model.n_states
-    n_nodes = grid.n_steps + 1
-    nodes = grid.nodes()
-    workspace = mjls_inner._FlowWorkspace(model)
-
-    P = np.empty((n_nodes, N, n, n))
-    r = np.zeros((n_nodes, N))
+    N, n_nodes = model.n_regimes, grid.n_steps + 1
     k = np.zeros((n_nodes, N))
     f = np.zeros((n_nodes, N, spec.n_row_actions))
     g = np.zeros((n_nodes, N, spec.n_col_actions))
     mu = np.zeros((n_nodes, N, N))
     paths = np.zeros((n_nodes, N), dtype=int)  # game_core.SADDLE_PATHS indices
     gaps = np.zeros((n_nodes, N))  # best-response gaps
-    P[-1] = mjls_inner.terminal_value(model)
 
-    for idx in range(n_nodes - 1, -1, -1):
+    def node_rates(idx, P):
+        if idx < grid.n_steps:  # k steps back to idx with tr P at the step's ends
+            phi = np.einsum("tijj->ti", P[idx:idx + 2])
+            forcing = (phi[1], 0.5 * (phi[0] + phi[1]), phi[0])
+            k[idx] = outer_layer.k_step(k[idx + 1], forcing, mu[idx + 1], -grid.step)
         f[idx], g[idx], mu[idx], paths[idx], gaps[idx] = outer_layer.node_equilibrium(
             k[idx], spec, saddle)
-        if idx == 0:
-            break
-        mjls_inner.riccati_step(workspace, P[idx], r[idx], mu[idx], grid.step,
-                                P[idx - 1], r[idx - 1])
-        try:
-            mjls_inner.check_escape(P[idx - 1], nodes[idx - 1])
-        except BlowupError:
-            outer_layer.check_step_growth(mu[idx:], grid.step, nodes[idx:], "grid.n_steps")
-            raise
-        phi = np.einsum("tijj->ti", P[idx - 1:idx + 1])  # tr P at the step's ends
-        forcing = (phi[1], 0.5 * (phi[0] + phi[1]), phi[0])
-        k[idx - 1] = outer_layer.k_step(k[idx], forcing, mu[idx], -grid.step)
+        return mu[idx]
 
+    riccati = mjls_inner.backward_sweep(model, grid, node_rates)
     lam2 = outer_layer.laplacian_spectral_gap(mu)
     diagnostics = {
         "rho_H": mjls_inner.hamiltonian_spectral_gap(model),
@@ -85,7 +72,6 @@ def solve_hierarchy(model: RegimeLQModel, spec: OuterGameSpec, grid: TimeGrid,
             paths.ravel(), minlength=len(game_core.SADDLE_PATHS)).tolist())),
         "max_best_response_gap": float(gaps.max()),
     }
-    riccati = RiccatiSolution(grid=grid, P=P, r=r)
     outer = OuterSolution(grid=grid, k=k, f=f, g=g, mu=mu)
     return HierarchySolution(riccati=riccati, outer=outer, diagnostics=diagnostics)
 

@@ -14,7 +14,8 @@ u = -R^{-1} B' P x, w = S^{-1} D' P x; the closed-loop cost of those gains
 reproduces x' P x exactly, which pins the normalization (see tests).
 
 Rates mu(t) are taken per grid node and held constant over each backward
-step, matching the synchronized sweep in :mod:`rsgames.hierarchy`.
+step of backward_sweep, the one loop of the flow, which the standalone
+solver and the synchronized sweep in :mod:`rsgames.hierarchy` share.
 
 The right-hand side costs two batched matmuls per RK4 stage.  With
 W_i = A_i - Sctrl_i P_i / 2,
@@ -166,8 +167,7 @@ def riccati_step(ws, P_right, r_right, G, h, P_out, r_out):
 
     The generator G (N, N) of the rates is held constant over the step;
     when it is all zero the regimes are uncoupled and the coupling terms
-    are skipped.  Shared by the standalone solver and the hierarchy sweep
-    so their flows agree exactly.
+    are skipped.  Both solvers step through it, in backward_sweep.
     """
     if not G.any():
         G = None
@@ -223,26 +223,39 @@ def check_escape(P: np.ndarray, t: float) -> None:
         )
 
 
-def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid) -> RiccatiSolution:
-    """Backward sweep of the coupled Riccati flow with P(T)=Q_T, r(T)=0.
+def backward_sweep(model: RegimeLQModel, grid: TimeGrid, node_rates) -> RiccatiSolution:
+    """The one backward RK4 sweep of the Riccati flow from P(T) = Q_T, r(T) = 0.
 
-    Rates may be a constant (N, N) matrix or per-node (n_nodes, N, N); the
-    value at the right node of each step is frozen over that step.  An
-    entry of P above NORM_BOUND in absolute value aborts with the
-    finite-escape time (see check_escape).
+    node_rates(idx, P), called right to left once P[idx] is known, returns
+    node idx's generator (N, N), frozen over the step to idx - 1.  An escape
+    of P (check_escape), and a finished sweep, are first judged by
+    numkit.check_step_growth over the generators frozen so far.
     """
     N, n = model.n_regimes, model.n_states
-    n_nodes = grid.n_steps + 1
-    G = numkit.generator(_rates_at_nodes(rates, n_nodes, N))
-    workspace = _FlowWorkspace(model)
     nodes = grid.nodes()
-    P = np.empty((n_nodes, N, n, n))
-    r = np.zeros((n_nodes, N))
+    workspace = _FlowWorkspace(model)
+    P = np.empty((len(nodes), N, n, n))
+    r = np.zeros((len(nodes), N))
+    G = np.empty((len(nodes), N, N))
     P[-1] = terminal_value(model)
-    for k in range(grid.n_steps - 1, -1, -1):
-        riccati_step(workspace, P[k + 1], r[k + 1], G[k + 1], grid.step, P[k], r[k])
-        check_escape(P[k], nodes[k])
+    G[-1] = node_rates(grid.n_steps, P)
+    for idx in range(grid.n_steps, 0, -1):
+        riccati_step(workspace, P[idx], r[idx], G[idx], grid.step, P[idx - 1], r[idx - 1])
+        try:
+            check_escape(P[idx - 1], nodes[idx - 1])
+        except BlowupError:
+            numkit.check_step_growth(G[idx:], grid.step, nodes[idx:], "grid.n_steps")
+            raise
+        G[idx - 1] = node_rates(idx - 1, P)
+    numkit.check_step_growth(G[1:], grid.step, nodes[1:], "grid.n_steps")
     return RiccatiSolution(grid=grid, P=P, r=r)
+
+
+def solve_coupled_riccati(model: RegimeLQModel, rates, grid: TimeGrid) -> RiccatiSolution:
+    """backward_sweep under rates (N, N), or per node (n_nodes, N, N), each
+    node's value frozen over the step to its left."""
+    G = numkit.generator(_rates_at_nodes(rates, grid.n_steps + 1, model.n_regimes))
+    return backward_sweep(model, grid, lambda idx, P: G[idx])
 
 
 def hamiltonian_matrices(model: RegimeLQModel) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Numerical primitives shared by the solver modules: the time grid, the
-error types, the one rule that turns switching rates into a generator, and
-the Student t tail of the simulation report's test."""
+error types, the one rule that turns switching rates into a generator, the
+RK4 step verdict of the backward sweeps, and the Student t tail of the
+simulation report's test."""
 
 import math
 from dataclasses import dataclass
@@ -52,6 +53,23 @@ def generator(rates) -> np.ndarray:
     G[..., diag, diag] = 0.0
     G[..., diag, diag] = 0.0 - G.sum(axis=-1)
     return G
+
+
+def check_step_growth(mu, h, nodes, setting: str) -> None:
+    """Raise NumericalError when an RK4 step of size h > 0 grows a mode of a
+    generator mu[j] (frozen at node nodes[j]) by more than rounding: its
+    growth per step is max |1 + z + z^2/2 + z^3/6 + z^4/24| over z = h eig(mu[j]).
+    The exact flow damps every mode, so the step is too long for the
+    switching rates; the message names `setting`, the step count to raise.
+    A non-finite mu[j] counts as no rates, so the steps before it judge."""
+    mu = np.where(np.isfinite(mu).all(axis=(-2, -1), keepdims=True), mu, 0.0)
+    z = h * np.linalg.eigvals(mu)
+    growth = np.abs(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max(axis=-1)
+    worst = int(np.argmax(growth))
+    if growth[worst] > 1.0 + 1e-9:
+        raise NumericalError(f"step too long for the switching rates at t = "
+                             f"{nodes[worst]:.6g}: RK4 amplifies the switching flow "
+                             f"by {growth[worst]:.4g} per step; raise {setting}")
 
 
 # largest t^2 at which student_t_sf sums the series: where the worst errors

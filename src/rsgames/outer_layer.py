@@ -179,21 +179,6 @@ def k_step(k, phi, mu, h, penalty=0.0):
     return k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def check_step_growth(mu, h, nodes, setting: str) -> None:
-    """Raise NumericalError when a k_step of size h > 0 grows a mode of a
-    generator mu[j] (frozen at node nodes[j]) by more than rounding: its
-    growth per step is max |1 + z + z^2/2 + z^3/6 + z^4/24| over z = h eig(mu[j]).
-    The exact flow damps every mode, so the step is too long for the
-    switching rates; the message names `setting`, the step count to raise."""
-    z = h * np.linalg.eigvals(mu)
-    growth = np.abs(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max(axis=-1)
-    worst = int(np.argmax(growth))
-    if growth[worst] > 1.0 + 1e-9:
-        raise NumericalError(f"step too long for the switching rates at t = "
-                             f"{nodes[worst]:.6g}: RK4 amplifies the switching flow "
-                             f"by {growth[worst]:.4g} per step; raise {setting}")
-
-
 def bang_bang_policy(gaps, lam_att, lam_stab, flip: bool = False):
     """Threshold efforts for the affine family, as printed:
     f = 1 iff sum_j lam_att_j * Delta_j < 0, same for g with lam_stab.

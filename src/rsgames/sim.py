@@ -2,8 +2,8 @@
 
 Randomness is a Philox counter stream per path: stream p is seeded by
 SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
-and draws, per step, three uniforms (regime transition, ask fill, bid fill)
-followed by one standard normal (price shock).  run_monte_carlo generates
+and draws all 3 n_steps uniforms (per step: regime, ask fill, bid fill),
+then all n_steps standard normals (price shocks).  run_monte_carlo generates
 the streams chunk by chunk and replays every strategy on each chunk in one
 step loop (common random numbers), so fill comparisons differ only through
 the quote tables.  A chunk's streams and the records of its exported paths

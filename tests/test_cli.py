@@ -230,6 +230,32 @@ class TestSolveCommand:
             P = np.loadtxt(out / "riccati_p.csv", delimiter=",", skiprows=1, usecols=5)
             assert 1.0 < np.abs(P).max() < 2.0
 
+    @pytest.mark.parametrize("n_steps", [200, 2000])
+    def test_a_step_too_long_is_named_before_any_escape(self, tmp_path, capsys, n_steps):
+        # configs/solve_two_regime.yaml with every outer.affine matrix x173:
+        # at 200 steps RK4 grows the switching flow 1.007-fold per step while
+        # max |P| stays 2.06, far from an escape, and P(0) reads
+        # [2.0633, 0.2432] against [1.6291, 1.6370] at 2000 steps.
+        # catches: judging the step only when P escapes
+        tree = yaml.safe_load(open(os.path.join(CONFIGS, "solve_two_regime.yaml")))
+        affine = tree["outer"]["affine"]
+        for key in affine:
+            affine[key] = (173.0 * np.array(affine[key])).tolist()
+        tree["grid"]["n_steps"] = n_steps
+        cfg = write_yaml(tmp_path / "x173.yaml", tree)
+        out = tmp_path / "out"
+        code = run(["solve", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if n_steps == 200:
+            assert code == cli.EXIT_NUMERICAL
+            assert err.endswith("RK4 amplifies the switching flow by 1.007 per step; "
+                                "raise grid.n_steps\n"), err
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert code == cli.EXIT_OK, err
+            P = np.loadtxt(out / "riccati_p.csv", delimiter=",", skiprows=1, usecols=5)
+            assert 1.6 < np.abs(P).max() < 1.7
+
     def test_linalg_error_exit_code(self, tmp_path, solve_config, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")

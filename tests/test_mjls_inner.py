@@ -177,6 +177,24 @@ class TestSolveCoupledRiccati:
         escape_tau = 2.0 - err.value.time
         assert abs(escape_tau - np.pi / 2) < 0.1
 
+    @pytest.mark.parametrize("n_steps", [200, 2000])
+    def test_a_step_too_long_for_the_rates_is_named(self, n_steps):
+        # configs/solve_two_regime.yaml's LQ model under constant rates of
+        # 1500/yr: at 200 steps RK4 grows the coupling 9012-fold per step and
+        # P passes 1e8 at t = 1.4775; at 2000 steps it solves with max |P|
+        # 1.554.  catches: reporting the long step as a finite escape
+        model = two_regime_scalar(Sigma=(0.3, 0.3))
+        rates = np.array([[0.0, 1500.0], [1500.0, 0.0]])
+        grid = TimeGrid(0.0, 1.5, n_steps)
+        if n_steps == 200:
+            with pytest.raises(numkit.NumericalError) as err:
+                mjls_inner.solve_coupled_riccati(model, rates, grid)
+            assert not isinstance(err.value, BlowupError)
+            assert str(err.value).endswith("9012 per step; raise grid.n_steps")
+        else:
+            P = mjls_inner.solve_coupled_riccati(model, rates, grid).P
+            assert 1.5 < np.abs(P).max() < 1.6
+
     def test_turnpike_rate_matches_hamiltonian_gap(self, scalar_lq_model):
         grid = TimeGrid(0.0, 12.0, 1200)
         sol = mjls_inner.solve_coupled_riccati(scalar_lq_model, np.zeros((1, 1)), grid)
