@@ -398,14 +398,14 @@ def theta_expansions(model: ASModel, rates=None, taus=(0.0,), qs=None) -> np.nda
 def quote_surfaces(table: ThetaTable, model: ASModel):
     """Vectorized quote arrays over the whole table.
 
-    Returns (ask, bid), each of shape (n_nodes, N, 2*q_max+1).  The ask is
-    inactive at level 0 (q = -q_max) and the bid at level 2*q_max (q =
-    +q_max); their entries there are 0.
+    Returns (ask, bid), each of shape (n_nodes, N, 2*q_max+1).  The ask does
+    not quote at level 0 (q = -q_max), nor the bid at level 2*q_max (q =
+    +q_max): their entries there are NaN; every other is clamped at 0.
     """
     base = model.base_offset
     th = table.theta
-    ask = np.zeros_like(th)
-    bid = np.zeros_like(th)
+    ask = np.full_like(th, np.nan)
+    bid = np.full_like(th, np.nan)
     ask[:, :, 1:] = np.maximum(base + th[:, :, :-1] - th[:, :, 1:], 0.0)
     bid[:, :, :-1] = np.maximum(base + th[:, :, 1:] - th[:, :, :-1], 0.0)
     return ask, bid

@@ -429,15 +429,13 @@ def cmd_mm(args) -> int:
         sol = as_game.solve_macro_as(model, spec, macro["inventory"], macro["n_steps"],
                                      mode=macro["mode"])
 
-    # a side at its inventory bound (level 0 for the ask, the last level for
-    # the bid) does not quote; its cells are written empty
+    # a quote is NaN where its side does not quote; its cell is written empty
     idx, i, qi = _index_columns(table.theta.shape)
     write_csv(os.path.join(args.out, "theta_quotes.csv"),
               ["t", "regime", "q", "theta", "u_a", "u_b"],
               [(model.horizon - table.taus)[idx], i, model.q_levels()[qi],
                table.theta.ravel(),
-               np.ma.array(ask.ravel(), mask=qi == 0),
-               np.ma.array(bid.ravel(), mask=qi == model.n_levels - 1)])
+               *(np.ma.array(u, mask=np.isnan(u)) for u in (ask.ravel(), bid.ravel()))])
     if report is not None:
         write_json(os.path.join(args.out, "expansion_report.json"), report)
     if sweep:
@@ -493,8 +491,9 @@ def cmd_simulate(args) -> int:
     times = (steps + 1) * config.dt  # step s ends at time (s + 1) dt
 
     def write_path(p, record):
-        # a quote is NaN where its side cannot quote; its cell is written empty
-        quotes = {side: np.ma.masked_invalid(record[side]) for side in ("u_a", "u_b")}
+        # a quote is NaN where its side does not quote; its cell is written empty
+        quotes = {side: np.ma.array(record[side], mask=np.isnan(record[side]))
+                  for side in ("u_a", "u_b")}
         write_csv(os.path.join(args.out, f"path_{p:04d}.csv"),
                   ["step", "time", *record],
                   [steps, times, *{**record, **quotes}.values()])

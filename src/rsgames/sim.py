@@ -25,7 +25,7 @@ Step order (one step of size dt = horizon / n_steps):
     3. price Euler update S += w dt + sigma_i sqrt(dt) Z
     4. per active side, fill with prob 1 - exp(-A exp(-k u) dt), at most
        one unit per side per step; fills execute at S + u_a / S - u_b; the
-       ask is inactive at q = -q_max and the bid at q = +q_max
+       ask (bid) quote is NaN at q = -q_max (+q_max) and never fills
     5. cash and inventory update
 
 Terminal PnL is m_T + q_T S_T (mark-to-market at mid).
@@ -89,8 +89,9 @@ class QuotePolicy:
     priced on the market `market` = (A, k, dt).  table[0] and table[1] are
     the ask and bid quotes, table[2] and table[3] the fill probability
     1 - exp(-A exp(-k u) dt) of each side.  The ask does not quote at level
-    0 (q = -q_max), nor the bid at level 2*q_max (q = +q_max): their fill
-    probability there is -1, which no uniform draw falls below."""
+    0 (q = -q_max), nor the bid at level 2*q_max (q = +q_max): their quote
+    and fill probability are NaN there, which no uniform draw falls below,
+    and finite elsewhere, as run_paths checks."""
 
     name: str
     table: np.ndarray        # (4, n_steps+1, N, 2*q_max+1)
@@ -129,8 +130,6 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
     np.multiply(p, dt, out=p)
     np.exp(p, out=p)
     np.subtract(1.0, p, out=p)
-    p[0, ..., 0] = -1.0
-    p[1, ..., -1] = -1.0
     return QuotePolicy(name=kind, table=table, market=(model.A, model.k, dt))
 
 
@@ -203,10 +202,10 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     do not depend on the block size.  Returns one dict per policy of
     per-path arrays (PER_PATH), which _strategy_stats reduces.  The last
     policy's dict also holds "records": {column: values} over RECORD_DTYPES
-    for each of the first `record` paths under that policy.  uniforms and
-    normals are read, never written.  A policy made for another grid, or
-    priced on another (A, k, dt) than config's, is a ValueError; a
-    non-finite table entry is a NumericalError.
+    for each of the first `record` paths under that policy, NaN where a
+    side does not quote.  uniforms and normals are read, never written.  A
+    policy for another grid or (A, k, dt) than config's is a ValueError;
+    one that breaks QuotePolicy's NaN encoding is a NumericalError.
     """
     model = config.model
     n_paths, n_steps = uniforms.shape[:2]
@@ -238,8 +237,12 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         if policy.market != market:
             raise ValueError(f"policy {policy.name!r} was priced on (A, k, dt) = "
                              f"{policy.market}, not on {market}")
-        if not np.isfinite(policy.table).all():
-            raise NumericalError(f"policy {policy.name!r} has a non-finite entry")
+        ask_rows, bid_rows = policy.table[0::2], policy.table[1::2]
+        if not (np.isnan(ask_rows[..., 0]).all() and np.isnan(bid_rows[..., -1]).all()
+                and np.isfinite(ask_rows[..., 1:]).all()
+                and np.isfinite(bid_rows[..., :-1]).all()):
+            raise NumericalError(f"policy {policy.name!r} has a non-finite entry where "
+                                 "a side quotes, or quotes a side at its bound")
     # flat offset of (node = n_steps - s, regime 0, q = 0) in a table row
     node_offset = np.arange(n_steps, 0, -1) * (N * D) + Q
     lookups = [policy.table.reshape(4, -1) for policy in policies]
@@ -250,7 +253,7 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     w = np.zeros((n_pol, n_paths))
     dS = np.empty((n_pol, n_paths))
     q = np.zeros((n_pol, n_paths), dtype=np.int64)
-    abs_q = np.zeros((n_pol, n_paths), dtype=np.int64)
+    abs_q = np.empty((n_pol, n_paths), dtype=np.int64)
     idx = np.empty((n_pol, n_paths), dtype=np.int64)
     fills = np.zeros((2, n_pol, n_paths), dtype=np.int64)  # ask, bid
     fill = np.empty((2, n_pol, n_paths), dtype=bool)
@@ -264,8 +267,8 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     scratch = np.empty((n_pol, n_paths))
     # one row of each policy's table per path: ask, bid, p_ask, p_bid
     looked_up = np.empty((n_pol, 4, n_paths))
-    ua, ub, p_ask, p_bid = lanes = looked_up.swapaxes(0, 1)
-    p_fill = lanes[2:]
+    lanes = looked_up.swapaxes(0, 1)
+    ua, ub, p_fill = lanes[0], lanes[1], lanes[2:]
 
     # row j of a block holds step s0 + j: its regime, then its table offset
     block = min(REPLAY_BLOCK, n_steps)
@@ -283,8 +286,9 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
         _regime_block(reg, uniforms[:, s0:s0 + b, 0], p_leave, target_cum,
                       candidates[:, :b], offset)
         rec["regime"][s0:s0 + b] = offset[:, :n_rec]
-        # every index here and in the lookups is in range: mode "clip" only
-        # skips the copy that a bounds-checked take makes of its output
+        # every index here and, as the policy check sees to, in the lookups
+        # is in range: mode "clip" only skips the copy that a bounds-checked
+        # take makes of its output
         np.take(noise_scale, offset, out=noise, mode="clip")
         noise *= normals[:, s0:s0 + b].T
         offset *= D
@@ -305,30 +309,23 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
             for k, table in enumerate(lookups):
                 table.take(idx[k], axis=1, out=looked_up[k], mode="clip")
             np.less(u_fill[j], p_fill, out=fill)
-            # both sides quote inside the bounds of the inventory held
-            np.less(abs_q, Q, out=both)
 
             np.add(m, np.add(S, ua, out=scratch), out=m, where=fill_a)
             np.subtract(m, np.subtract(S, ub, out=scratch), out=m, where=fill_b)
             fills += fill
             np.subtract(fills[1], fills[0], out=q)
-            np.abs(q, out=abs_q)
 
-            np.add(spread_sum, np.add(ua, ub, out=scratch), out=spread_sum,
-                   where=both)
+            # both sides quote where ask + bid is not NaN
+            np.isfinite(np.add(ua, ub, out=scratch), out=both)
+            np.add(spread_sum, scratch, out=spread_sum, where=both)
             spread_count += both
-            abs_q_sum += abs_q
+            abs_q_sum += np.abs(q, out=abs_q)
 
-            if n_rec:  # a side that cannot quote (fill probability -1) is NaN
-                s = s0 + j
-                rec["u_a"][s] = np.where(p_ask[-1, :n_rec] < 0.0, np.nan,
-                                         ua[-1, :n_rec])
-                rec["u_b"][s] = np.where(p_bid[-1, :n_rec] < 0.0, np.nan,
-                                         ub[-1, :n_rec])
+            if n_rec:
                 for name, value in (("price", S), ("inventory", q), ("cash", m),
-                                    ("drift", w), ("ask_fill", fill_a),
-                                    ("bid_fill", fill_b)):
-                    rec[name][s] = value[-1, :n_rec]
+                                    ("u_a", ua), ("u_b", ub), ("drift", w),
+                                    ("ask_fill", fill_a), ("bid_fill", fill_b)):
+                    rec[name][s0 + j] = value[-1, :n_rec]
 
     pnl = m + q * S
     per_path = (pnl, fills[0], fills[1], q, spread_sum, spread_count,
@@ -366,10 +363,13 @@ def _strategy_stats(per_path: dict, n_steps: int) -> dict:
 
 
 def paired_one_sided(diffs: np.ndarray):
-    """One-sided paired t test that mean(diffs) > 0; returns (t, p)."""
+    """One-sided paired t test that mean(diffs) > 0; returns (t, p), both
+    NaN for fewer than two differences, which give no variance."""
     diffs = np.asarray(diffs, dtype=float)
     n = diffs.size
-    sd = diffs.std(ddof=1) if n > 1 else 0.0
+    if n < 2:
+        return math.nan, math.nan
+    sd = diffs.std(ddof=1)
     if sd == 0.0:
         mean = diffs.mean()
         return (math.inf if mean > 0 else (-math.inf if mean < 0 else 0.0),
@@ -451,7 +451,7 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
         results["equilibrium"]["pnl"] - results["vanilla"]["pnl"]
     )
     paired = {"pnl_t_stat": t_stat if math.isfinite(t_stat) else None,
-              "pnl_p_one_sided": p_val}
+              "pnl_p_one_sided": p_val if math.isfinite(p_val) else None}
     notes = []
     if not config.predator:
         notes.append(

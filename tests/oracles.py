@@ -269,7 +269,9 @@ def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):
         fill_a = a_act & (u_ask < fill_probability_oracle(model, ua, dt))
         fill_b = b_act & (u_bid < fill_probability_oracle(model, ub, dt))
 
-        m = m + fill_a * (S + ua) - fill_b * (S - ub)
+        # a side that does not quote has a NaN quote, which a fill of 0
+        # would still carry into the cash
+        m = m + np.where(fill_a, S + ua, 0.0) - np.where(fill_b, S - ub, 0.0)
         q = q - fill_a.astype(np.int64) + fill_b.astype(np.int64)
         fills_ask += fill_a
         fills_bid += fill_b

@@ -455,7 +455,10 @@ class TestQuotes:
         m = small_model(xi=0.0, sigmas=[2.5, 2.5], gamma=2.0, q_max=4)
         table = as_game.build_theta_table(m, 64)
         ask, bid = as_game.quote_surfaces(table, m)
-        assert ask.min() >= 0.0 and bid.min() >= 0.0
+        # every side that quotes is at least 0; the ask does not quote at
+        # q = -q_max, nor the bid at q = +q_max, and is NaN there
+        assert ask[..., 1:].min() >= 0.0 and bid[..., :-1].min() >= 0.0
+        assert np.isnan(ask[..., 0]).all() and np.isnan(bid[..., -1]).all()
 
     def test_monotone_widening(self):
         base = dict(gamma=0.5, A=5.0, k=8.0, q_max=4, horizon=0.5,

@@ -602,6 +602,15 @@ class TestSimulateCommand:
         assert "config error: as_model.dt_seconds gives" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_path_gives_no_paired_test(self, tmp_path):
+        # one PnL difference has no variance: both paired fields are null.
+        # catches: the one difference read as zero variance, p = 0.0
+        out = tmp_path / "out"
+        assert run(["simulate", "--out", str(out), "--paths", "1",
+                    "--steps", "50"]) == 0
+        payload = json.loads((out / "sim_report.json").read_text())
+        assert payload["paired"] == {"pnl_t_stat": None, "pnl_p_one_sided": None}
+
     def test_seed_and_paths_overrides(self, tmp_path, small_sim_config):
         out = tmp_path / "out"
         assert run(["simulate", "--config", small_sim_config, "--out", str(out),

@@ -167,8 +167,9 @@ class TestPolicies:
         )
         p_direct = sim.make_policy(m, "equilibrium", 64)
         p_iso = sim.make_policy(iso, "vanilla", 64)
-        assert np.abs(p_direct.ask - p_iso.ask).max() <= 1e-12
-        assert np.abs(p_direct.bid - p_iso.bid).max() <= 1e-12
+        # NaN, where a side does not quote, in the same cells of both
+        np.testing.assert_allclose(p_direct.ask, p_iso.ask, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_direct.bid, p_iso.bid, rtol=0, atol=1e-12)
 
     def test_equilibrium_wider_than_vanilla(self, lively_as_model):
         p_v = sim.make_policy(lively_as_model, "vanilla", 64)
@@ -220,14 +221,21 @@ class TestPredatorEffects:
         assert without["pnl"].mean() > with_pred["pnl"].mean()
 
     def test_drift_magnitude_tracks_inventory(self, lively_config):
-        policy = sim.make_policy(lively_config.model, "vanilla",
-                                 lively_config.n_steps)
-        uniforms, normals = sim.generate_streams(7, 100, 400)
-        out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
-        stats = sim._strategy_stats(out, 400)
+        # the drift reads the inventory at the start of a step, the
+        # inventory mean its value at the step's end, so they differ by the
+        # terminal inventory.  catches: a drift taken from the inventory
+        # after the step's fills (about 0.5 % off here)
+        policies = [sim.make_policy(lively_config.model, kind, lively_config.n_steps)
+                    for kind in ("vanilla", "equilibrium")]
         m = lively_config.model
-        expected = m.xi * m.gamma * stats["mean_abs_inventory"]
-        assert stats["mean_abs_drift"] == pytest.approx(expected, rel=0.05)
+        for seed in (7, 8):
+            uniforms, normals = sim.generate_streams(seed, 100, 400)
+            for out in sim.run_paths(lively_config, policies, uniforms, normals):
+                stats = sim._strategy_stats(out, 400)
+                expected = m.xi * m.gamma * (
+                    stats["mean_abs_inventory"]
+                    - stats["mean_terminal_abs_inventory"] / 400)
+                assert stats["mean_abs_drift"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestReport:

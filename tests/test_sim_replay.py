@@ -412,13 +412,15 @@ class TestLookups:
     @given(sim_cases())
     def test_only_the_bound_sides_never_fill(self, case):
         # catches: the bid's bound written at level 0 instead of the last
-        # level
+        # level.  A side that does not quote has a NaN quote and fill
+        # probability, which no uniform draw falls below
         policies = _policies(case[0])
         bound = np.zeros((2,) + policies[0].ask.shape, dtype=bool)
         bound[0, ..., 0] = True  # no ask at q = -q_max
         bound[1, ..., -1] = True  # no bid at q = +q_max
         for policy in policies:
-            np.testing.assert_array_equal(policy.table[2:] == -1.0, bound)
+            for rows in (policy.table[:2], policy.table[2:]):
+                np.testing.assert_array_equal(np.isnan(rows), bound)
             assert (policy.table[2:][~bound] >= 0.0).all()
 
 
@@ -453,7 +455,25 @@ class TestPolicyChecks:
             with pytest.raises(NumericalError):
                 sim.run_paths(config, [policy], uniforms, normals)
 
-    @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3)])
+    @pytest.mark.parametrize("row, level", [(0, 0), (1, -1), (2, 0), (3, -1)],
+                             ids=["ask", "bid", "p_ask", "p_bid"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, np.inf])
+    def test_a_side_quoted_at_its_bound_is_a_numerical_error(
+            self, lively_as_model, row, level, value):
+        # catches: a policy check that refuses only NaN or inf, which lets a
+        # finite entry at a bound reach the clipped lookups.  There, an ask
+        # fill probability of 1 on every cell fills the ask at every step
+        # and, from q = -q_max on, reads cells of other (node, regime) rows:
+        # on this market, 5 paths of 400 steps at seed 2 ended at
+        # inventories -381 to -387 with no error
+        config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
+        uniforms, normals = sim.generate_streams(2, 3, 400)
+        policy = sim.make_policy(lively_as_model, "vanilla", 400)
+        policy.table[row, ..., level] = value
+        with pytest.raises(NumericalError, match="at its bound"):
+            sim.run_paths(config, [policy], uniforms, normals)
+
+    @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3), ("bound", 3)])
     def test_cli_exit_codes(self, monkeypatch, tmp_path, capsys, fault, code):
         real_make_policy = sim.make_policy
 
@@ -461,7 +481,10 @@ class TestPolicyChecks:
             if fault == "grid":
                 return real_make_policy(model, kind, n_steps + 1)
             policy = real_make_policy(model, kind, n_steps)
-            policy.ask[1, 0, model.q_max] = np.nan
+            if fault == "nan":
+                policy.ask[1, 0, model.q_max] = np.nan
+            else:  # an ask that fills on every cell, its bound included
+                policy.table[2] = 1.0
             return policy
 
         monkeypatch.setattr(sim, "make_policy", faulty)
