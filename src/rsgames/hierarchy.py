@@ -24,6 +24,10 @@ FIT_LO = 0.2
 FIT_HI = 0.7
 RESIDUAL_FLOOR = 1e-13
 
+# turnpike_report takes |P(tau) - P(tau_max)| this many nodes at a time, so
+# its temporaries stay small instead of two the size of P
+RESIDUAL_BLOCK = 64
+
 
 @dataclass
 class HierarchySolution:
@@ -109,7 +113,10 @@ def turnpike_report(sol: HierarchySolution) -> dict:
     P = sol.riccati.P[::-1]
     k = sol.outer.k[::-1]
 
-    e_inner = np.linalg.norm(P - P[-1], axis=(2, 3)).max(axis=1)
+    e_inner = np.empty(len(P))
+    for a in range(0, len(P), RESIDUAL_BLOCK):
+        e_inner[a:a + RESIDUAL_BLOCK] = np.linalg.norm(
+            P[a:a + RESIDUAL_BLOCK] - P[-1], axis=(2, 3)).max(axis=1)
     disagreement = k - k.mean(axis=1, keepdims=True)
     e_outer = np.linalg.norm(disagreement - disagreement[-1], axis=1)
 

@@ -3,20 +3,25 @@
 Randomness is a Philox counter stream per path: stream p is seeded by
 SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
 and draws all 3 n_steps uniforms (per step: regime, ask fill, bid fill),
-then all n_steps standard normals (price shocks).  run_monte_carlo generates
-the streams chunk by chunk and replays every strategy on each chunk in one
-step loop (common random numbers), so fill comparisons differ only through
-the quote tables.  A chunk's streams and the records of its exported paths
-stay within STREAM_CHUNK_BYTES.  run_paths replays a chunk in blocks of
-REPLAY_BLOCK steps.  Per block it finds what no policy changes: the regime
-path of step 1 below (the block's candidate exits in one pass, then one
-table lookup per step), the price noise and each path's table offset.  So
-the step loop does only the work that depends on the policy, steps 2 to 5,
-and nothing run_paths returns depends on the block size.  Report statistics
-are accumulated per path and reduced once, in path order, over all paths,
-so the report does not depend on the chunk size.  Exported paths come from
-the same replay: run_paths records a chunk's first paths under the last
-policy as {column: values} over RECORD_DTYPES, handed out chunk by chunk.
+then all n_steps standard normals (price shocks).  run_monte_carlo replays
+the paths chunk by chunk, and a chunk STREAM_BLOCK steps at a time: it
+draws the block's streams (generate_streams, from the chunk's PathStreams)
+and replays every strategy on them in one step loop (common random
+numbers) before it draws the next block, so fill comparisons differ only
+through the quote tables.  A chunk has as many paths as keep their whole
+streams, and the records of its exported paths, within STREAM_CHUNK_BYTES;
+it holds the records whole and the streams one block at a time.  run_paths
+carries the chunk's ReplayState from block to block and works through a
+block REPLAY_BLOCK steps at a time.  Per replay block it finds what no
+policy changes: the regime path of step 1 below (the block's candidate
+exits in one pass, then one table lookup per step), the price noise and
+each path's table offset.  So the step loop does only the work that
+depends on the policy, steps 2 to 5, and nothing run_paths returns depends
+on either block size.  Report statistics are accumulated per path and
+reduced once, in path order, over all paths, so the report does not depend
+on the chunk size.  Exported paths come from the same replay: the
+ReplayState records a chunk's first paths under the last policy as
+{column: values} over RECORD_DTYPES, handed out chunk by chunk.
 
 Step order (one step of size dt = horizon / n_steps):
     1. regime transition: leave with prob 1 - exp(-|mu_ii| dt), the single
@@ -42,10 +47,11 @@ from .as_game import ASModel
 from .numkit import NumericalError, student_t_sf
 
 # Streams take 32 bytes per path-step (three uniforms and one normal), and
-# a recorded path RECORD_BYTES_PER_STEP more.  run_monte_carlo generates and
-# replays paths in chunks whose streams and records take at most
+# a recorded path RECORD_BYTES_PER_STEP more.  run_monte_carlo replays paths
+# in chunks of as many as keep their whole streams and records within
 # STREAM_CHUNK_BYTES; 128 MiB holds the reference run (1000 paths x 2880
-# steps, 92 MB of streams) in one chunk.
+# steps, 92 MB of whole streams) in one chunk.  A chunk's streams are drawn
+# STREAM_BLOCK steps at a time, so it holds 18 MB of them for that run.
 STREAM_BYTES_PER_STEP = 32
 STREAM_CHUNK_BYTES = 128 * 2**20
 
@@ -56,9 +62,19 @@ RECORD_DTYPES = {"price": np.float64, "regime": np.int64, "inventory": np.int64,
 RECORD_BYTES_PER_STEP = sum(np.dtype(t).itemsize for t in RECORD_DTYPES.values())
 
 # run_paths finds the regime path, price noise and table offsets of this
-# many steps at a time, in buffers of 17 bytes per path-step (about 1 MB for
-# the reference run); blocks of 64 to 256 steps replayed it equally fast
+# many steps at a time, in buffers of 33 bytes per path-step (about 2 MB for
+# the reference run, the fill uniforms copied step-major included); blocks
+# of 64 to 256 steps replayed it equally fast
 REPLAY_BLOCK = 64
+
+# run_monte_carlo draws a chunk's streams this many steps at a time, a whole
+# number of REPLAY_BLOCKs, and replays each block before it draws the next.
+# A path's uniforms then take 13 824 bytes per block.  At 512 steps they
+# take 12 288, a multiple of 4 KiB: the replay's strided reads across paths
+# (the step-major copy, the regime and noise passes) then fall into the same
+# cache sets, and the reference run was a few per cent slower; 320 to 960
+# steps replayed it about equally fast
+STREAM_BLOCK = 9 * REPLAY_BLOCK
 
 
 @dataclass
@@ -133,19 +149,53 @@ def make_policy(model: ASModel, kind: str, n_steps: int) -> QuotePolicy:
     return QuotePolicy(name=kind, table=table, market=(model.A, model.k, dt))
 
 
-def generate_streams(seed: int, n_paths: int, n_steps: int, first: int = 0):
-    """Per-path variates for paths first .. first+n_paths-1: uniforms
-    (n_paths, n_steps, 3) ordered (regime, ask, bid) and normals
-    (n_paths, n_steps).  Stream p feeds a Philox generator from
-    SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
-    so it depends only on (seed, p) and not on which chunk asks for it."""
-    uniforms = np.empty((n_paths, n_steps, 3))
-    normals = np.empty((n_paths, n_steps))
-    for row in range(n_paths):
-        seq = np.random.SeedSequence(seed, spawn_key=(first + row,))
-        gen = np.random.Generator(np.random.Philox(seq))
-        gen.random(out=uniforms[row])
-        gen.standard_normal(out=normals[row])
+@dataclass
+class PathStreams:
+    """The streams of paths first .. first+n_paths-1, which generate_streams
+    draws a block of steps at a time.  Stream p feeds a Philox generator
+    from SeedSequence(seed, spawn_key=(p,)), the p-th spawn of
+    SeedSequence(seed), so it depends only on (seed, p) and not on which
+    chunk asks for it: all 3 n_steps uniforms, then all n_steps normals.
+
+    The first draw opens two generators per path on its stream.  One reads
+    the uniforms from the start.  The other opens at the normals: Philox is
+    counter based, four 64-bit draws per counter, and a draw with the
+    counter at c computes counter c + 1, so the normals start at counter
+    3 n_steps // 4 after 3 n_steps % 4 draws.  The normals' ziggurat rejects
+    a variable number of draws, so no later normal has a known counter: the
+    second generator lives from the first block to the last."""
+
+    seed: int
+    n_paths: int
+    n_steps: int
+    first: int = 0
+    drawn: int = field(default=0, init=False)  # steps drawn so far
+    # (uniform, normal) generators per path, opened by the first draw
+    generators: list = field(default_factory=list, init=False)
+
+
+def generate_streams(streams: PathStreams, steps: int | None = None):
+    """The next `steps` steps of every path of `streams`, all that are left
+    by default: uniforms (n_paths, steps, 3) ordered (regime, ask, bid) and
+    normals (n_paths, steps)."""
+    n_steps = streams.n_steps
+    left = n_steps - streams.drawn
+    steps = left if steps is None else steps
+    if not 0 < steps <= left:
+        raise ValueError(f"asked for {steps} steps of streams with {left} left")
+    if not streams.generators:
+        for p in range(streams.first, streams.first + streams.n_paths):
+            seq = np.random.SeedSequence(streams.seed, spawn_key=(p,))
+            normal_bits = np.random.Philox(seq, counter=3 * n_steps // 4)
+            normal_bits.random_raw(3 * n_steps % 4)
+            streams.generators.append((np.random.Generator(np.random.Philox(seq)),
+                                       np.random.Generator(normal_bits)))
+    uniforms = np.empty((streams.n_paths, steps, 3))
+    normals = np.empty((streams.n_paths, steps))
+    for row, (uniform_gen, normal_gen) in enumerate(streams.generators):
+        uniform_gen.random(out=uniforms[row])
+        normal_gen.standard_normal(out=normals[row])
+    streams.drawn += steps
     return uniforms, normals
 
 
@@ -191,26 +241,101 @@ def _regime_block(reg, u, p_leave, target_cum, cand, out):
     reg[:] = out[-1]
 
 
+class ReplayState:
+    """What a replay of n_paths paths under n_pol policies carries from one
+    block of steps to the next: the steps replayed, each path's regime, per
+    policy and path its price, cash, inventory, fill counts and report
+    sums, and a row per step of config's grid for each of the first
+    `record` paths under the last policy."""
+
+    def __init__(self, config: SimConfig, n_pol: int, n_paths: int, record: int = 0):
+        self.n_steps = config.n_steps
+        self.step = 0
+        self.reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
+        self.S = np.full((n_pol, n_paths), config.model.s0, dtype=float)
+        self.m = np.zeros((n_pol, n_paths))
+        self.q = np.zeros((n_pol, n_paths), dtype=np.int64)
+        self.fills = np.zeros((2, n_pol, n_paths), dtype=np.int64)  # ask, bid
+        self.spread_sum = np.zeros((n_pol, n_paths))
+        self.spread_count = np.zeros((n_pol, n_paths), dtype=np.int64)
+        self.abs_drift_sum = np.zeros((n_pol, n_paths))
+        self.abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
+        self.increment_sum = np.zeros((n_pol, n_paths))
+        # row s holds the last policy's values of the recorded paths at step s
+        self.rec = {name: np.zeros((config.n_steps, min(record, n_paths)), dtype)
+                    for name, dtype in RECORD_DTYPES.items()}
+
+    def results(self):
+        """One dict per policy of per-path arrays (PER_PATH), which
+        _strategy_stats reduces.  The last policy's dict also holds
+        "records": {column: values} over RECORD_DTYPES for each recorded
+        path under that policy, NaN where a side does not quote."""
+        if self.step != self.n_steps:
+            raise ValueError(f"replay is at step {self.step} of {self.n_steps}")
+        pnl = self.m + self.q * self.S
+        per_path = (pnl, self.fills[0], self.fills[1], self.q, self.spread_sum,
+                    self.spread_count, self.abs_drift_sum, self.abs_q_sum,
+                    self.increment_sum)  # in PER_PATH order
+        outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
+                for k in range(len(pnl))]
+        outs[-1]["records"] = [{name: values[:, p] for name, values in self.rec.items()}
+                               for p in range(self.rec["price"].shape[1])]
+        return outs
+
+
+def _check_policies(config: SimConfig, policies):
+    """A policy for another grid or (A, k, dt) than config's is a
+    ValueError; one that breaks QuotePolicy's NaN encoding is a
+    NumericalError."""
+    model = config.model
+    shape = (config.n_steps + 1, model.n_regimes, model.n_levels)
+    market = (model.A, model.k, config.dt)
+    for policy in policies:
+        if policy.ask.shape != shape:
+            raise ValueError(f"policy {policy.name!r} has quote tables of shape "
+                             f"{policy.ask.shape}, expected {shape} for "
+                             f"{config.n_steps} steps")
+        if policy.market != market:
+            raise ValueError(f"policy {policy.name!r} was priced on (A, k, dt) = "
+                             f"{policy.market}, not on {market}")
+        ask_rows, bid_rows = policy.table[0::2], policy.table[1::2]
+        if not (np.isnan(ask_rows[..., 0]).all() and np.isnan(bid_rows[..., -1]).all()
+                and np.isfinite(ask_rows[..., 1:]).all()
+                and np.isfinite(bid_rows[..., :-1]).all()):
+            raise NumericalError(f"policy {policy.name!r} has a non-finite entry where "
+                                 "a side quotes, or quotes a side at its bound")
+
+
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
-              normals: np.ndarray, record: int = 0):
-    """Vectorized replay of all paths under a stack of quote policies.
+              normals: np.ndarray, record: int = 0, state: ReplayState | None = None):
+    """Vectorized replay of paths under a stack of quote policies.
 
     Every policy replays the same streams in one step loop.  What no policy
     changes, the regime path, the price noise and the table offset of each
     path, is found for REPLAY_BLOCK steps at a time before the block's step
     loop, which does only the work that depends on the policy; the outputs
-    do not depend on the block size.  Returns one dict per policy of
-    per-path arrays (PER_PATH), which _strategy_stats reduces.  The last
-    policy's dict also holds "records": {column: values} over RECORD_DTYPES
-    for each of the first `record` paths under that policy, NaN where a
-    side does not quote.  uniforms and normals are read, never written.  A
-    policy for another grid or (A, k, dt) than config's is a ValueError;
-    one that breaks QuotePolicy's NaN encoding is a NumericalError.
+    do not depend on the block size.
+
+    Without `state`, uniforms and normals are whole paths of config's grid,
+    and run_paths returns their ReplayState.results, recording the first
+    `record` paths under the last policy.  With `state`, they are the next
+    steps of state's paths: run_paths carries the replay through them and
+    returns None, and the caller takes the results from state after the
+    last step.  uniforms and normals are read, never written.  The
+    policies are checked (_check_policies) before the first step.
     """
     model = config.model
-    n_paths, n_steps = uniforms.shape[:2]
+    n_paths, n_block = uniforms.shape[:2]
+    n_steps = config.n_steps
+    whole = state is None
+    if whole:
+        state = ReplayState(config, len(policies), n_paths, record)
+    if state.step + n_block > n_steps:
+        raise ValueError(f"{n_block} steps from step {state.step} pass the grid's "
+                         f"{n_steps}")
+    if state.step == 0:
+        _check_policies(config, policies)
     n_pol = len(policies)
-    n_rec = min(record, n_paths)
     dt = config.dt
     Q = model.q_max
     D = model.n_levels
@@ -229,72 +354,53 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
     noise_scale = model.sigmas * math.sqrt(dt)
     drift_coef = -model.xi * model.gamma
 
-    shape, market = (n_steps + 1, N, D), (model.A, model.k, dt)
-    for policy in policies:
-        if policy.ask.shape != shape:
-            raise ValueError(f"policy {policy.name!r} has quote tables of shape "
-                             f"{policy.ask.shape}, expected {shape} for {n_steps} steps")
-        if policy.market != market:
-            raise ValueError(f"policy {policy.name!r} was priced on (A, k, dt) = "
-                             f"{policy.market}, not on {market}")
-        ask_rows, bid_rows = policy.table[0::2], policy.table[1::2]
-        if not (np.isnan(ask_rows[..., 0]).all() and np.isnan(bid_rows[..., -1]).all()
-                and np.isfinite(ask_rows[..., 1:]).all()
-                and np.isfinite(bid_rows[..., :-1]).all()):
-            raise NumericalError(f"policy {policy.name!r} has a non-finite entry where "
-                                 "a side quotes, or quotes a side at its bound")
     # flat offset of (node = n_steps - s, regime 0, q = 0) in a table row
     node_offset = np.arange(n_steps, 0, -1) * (N * D) + Q
     lookups = [policy.table.reshape(4, -1) for policy in policies]
 
-    reg = np.full(n_paths, config.initial_regime, dtype=np.int64)
-    S = np.full((n_pol, n_paths), model.s0, dtype=float)
-    m = np.zeros((n_pol, n_paths))
+    reg, S, m, q, fills, rec = (state.reg, state.S, state.m, state.q, state.fills,
+                                state.rec)
+    spread_sum, spread_count = state.spread_sum, state.spread_count
+    abs_drift_sum, abs_q_sum = state.abs_drift_sum, state.abs_q_sum
+    increment_sum = state.increment_sum
+    n_rec = rec["price"].shape[1]
     w = np.zeros((n_pol, n_paths))
     dS = np.empty((n_pol, n_paths))
-    q = np.zeros((n_pol, n_paths), dtype=np.int64)
     abs_q = np.empty((n_pol, n_paths), dtype=np.int64)
     idx = np.empty((n_pol, n_paths), dtype=np.int64)
-    fills = np.zeros((2, n_pol, n_paths), dtype=np.int64)  # ask, bid
     fill = np.empty((2, n_pol, n_paths), dtype=bool)
     fill_a, fill_b = fill
     both = np.empty((n_pol, n_paths), dtype=bool)
-    spread_sum = np.zeros((n_pol, n_paths))
-    spread_count = np.zeros((n_pol, n_paths), dtype=np.int64)
-    abs_drift_sum = np.zeros((n_pol, n_paths))
-    abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
-    increment_sum = np.zeros((n_pol, n_paths))
     scratch = np.empty((n_pol, n_paths))
     # one row of each policy's table per path: ask, bid, p_ask, p_bid
     looked_up = np.empty((n_pol, 4, n_paths))
     lanes = looked_up.swapaxes(0, 1)
     ua, ub, p_fill = lanes[0], lanes[1], lanes[2:]
 
-    # row j of a block holds step s0 + j: its regime, then its table offset
-    block = min(REPLAY_BLOCK, n_steps)
+    # row j of a block holds its step j: its regime, then its table offset
+    block = min(REPLAY_BLOCK, n_block)
     offsets = np.empty((block, n_paths), dtype=np.int64)
     noises = np.empty((block, n_paths))
     candidates = np.empty((n_paths, block), dtype=bool)
+    # (step, side, 1, path): each step's ask and bid fill uniforms, step-major
+    # so that a step's comparison reads contiguous memory
+    u_fills = np.empty((block, 2, 1, n_paths))
 
-    # row s holds the last policy's values of the recorded paths at step s
-    rec = {name: np.zeros((n_steps, n_rec), dtype)
-           for name, dtype in RECORD_DTYPES.items()}
-
-    for s0 in range(0, n_steps, block):
-        b = min(block, n_steps - s0)
-        offset, noise = offsets[:b], noises[:b]
-        _regime_block(reg, uniforms[:, s0:s0 + b, 0], p_leave, target_cum,
+    for b0 in range(0, n_block, block):
+        b = min(block, n_block - b0)
+        s0 = state.step + b0  # the grid step of the block's first row
+        offset, noise, u_fill = offsets[:b], noises[:b], u_fills[:b]
+        _regime_block(reg, uniforms[:, b0:b0 + b, 0], p_leave, target_cum,
                       candidates[:, :b], offset)
         rec["regime"][s0:s0 + b] = offset[:, :n_rec]
         # every index here and, as the policy check sees to, in the lookups
         # is in range: mode "clip" only skips the copy that a bounds-checked
         # take makes of its output
         np.take(noise_scale, offset, out=noise, mode="clip")
-        noise *= normals[:, s0:s0 + b].T
+        noise *= normals[:, b0:b0 + b].T
         offset *= D
         offset += node_offset[s0:s0 + b, None]
-        # (b, 2, 1, n_paths): the ask and bid fill uniforms of each step
-        u_fill = uniforms[:, s0:s0 + b, 1:].transpose(1, 2, 0)[:, :, None]
+        np.copyto(u_fill[:, :, 0], uniforms[:, b0:b0 + b, 1:].transpose(1, 2, 0))
 
         for j in range(b):
             if config.predator:
@@ -327,14 +433,8 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                                     ("ask_fill", fill_a), ("bid_fill", fill_b)):
                     rec[name][s0 + j] = value[-1, :n_rec]
 
-    pnl = m + q * S
-    per_path = (pnl, fills[0], fills[1], q, spread_sum, spread_count,
-                abs_drift_sum, abs_q_sum, increment_sum)  # in PER_PATH order
-    outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
-            for k in range(n_pol)]
-    outs[-1]["records"] = [{name: values[:, p] for name, values in rec.items()}
-                           for p in range(n_rec)]
-    return outs
+    state.step += n_block
+    return state.results() if whole else None
 
 
 def _strategy_stats(per_path: dict, n_steps: int) -> dict:
@@ -411,27 +511,32 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
                     on_path=None) -> SimReport:
     """Run vanilla and equilibrium quoting on common random numbers.
 
-    Streams are generated and replayed chunk by chunk (_chunk_paths); the
-    per-path results are joined in path order before any reduction, so the
-    report does not depend on the chunk size.  For each of the first
+    Paths are replayed chunk by chunk (_chunk_paths), a chunk's streams
+    drawn and replayed STREAM_BLOCK steps at a time; the per-path results
+    are joined in path order before any reduction, so the report does not
+    depend on the chunk or block size.  For each of the first
     n_export paths p, in path order, on_path(p, record) receives p's
     {column: values} over RECORD_DTYPES under the equilibrium policy while
     p's chunk is live, so at most one chunk's records are held at a time."""
-    kinds = ("vanilla", "equilibrium")  # run_paths records the last one
+    kinds = ("vanilla", "equilibrium")  # the replay records the last one
     policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
     parts = []
     first = 0
     while first < config.n_paths:
         count = _chunk_paths(first, config.n_paths, n_export, config.n_steps)
-        uniforms, normals = generate_streams(config.seed, count, config.n_steps,
-                                             first=first)
-        outs = run_paths(config, policies, uniforms, normals,
-                         record=max(0, n_export - first))
+        streams = PathStreams(config.seed, count, config.n_steps, first)
+        state = ReplayState(config, len(policies), count, max(0, n_export - first))
+        for s0 in range(0, config.n_steps, STREAM_BLOCK):
+            uniforms, normals = generate_streams(
+                streams, min(STREAM_BLOCK, config.n_steps - s0))
+            run_paths(config, policies, uniforms, normals, state=state)
+            del uniforms, normals  # free this block before the next is drawn
+        outs = state.results()
         records = outs[-1].pop("records")
         for p in range(len(records)):
             on_path(first + p, records[p])
         parts.append(outs)  # the per-path arrays only
-        del uniforms, normals, records  # free this chunk before the next one
+        del streams, state, records  # free this chunk before the next one
         first += count
     results = {kind: {key: np.concatenate([part[k][key] for part in parts])
                       for key in PER_PATH} for k, kind in enumerate(kinds)}

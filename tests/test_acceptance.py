@@ -210,7 +210,7 @@ def test_09_predator_law_and_harm(paper_as_model, lively_as_model):
     config = sim.SimConfig(model=lively_as_model, n_paths=400, n_steps=400,
                            seed=7)
     policy = sim.make_policy(lively_as_model, "vanilla", 400)
-    uniforms, normals = sim.generate_streams(7, 400, 400)
+    uniforms, normals = sim.generate_streams(sim.PathStreams(7, 400, 400))
     with_pred = sim.run_paths(config, [policy], uniforms, normals)[0]
     without = sim.run_paths(dataclasses.replace(config, predator=False), [policy],
                             uniforms, normals)[0]
@@ -230,7 +230,7 @@ def counterfactual_run():
     config = sim.SimConfig(model=model, n_paths=1000, n_steps=2880,
                            seed=20251212)
     t0 = time.perf_counter()
-    uniforms, normals = sim.generate_streams(config.seed, 1000, 2880)
+    uniforms, normals = sim.generate_streams(sim.PathStreams(config.seed, 1000, 2880))
     results = {}
     for kind in ("vanilla", "equilibrium"):
         policy = sim.make_policy(model, kind, 2880)

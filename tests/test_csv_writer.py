@@ -321,7 +321,8 @@ def simulate_config(config, n_paths, n_steps=None):
 def oracle_path_csv(path, config, policy, p):
     """path_NNNN.csv of path p from the single-policy oracle replaying p's
     stream alone, written by the row writer."""
-    uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
+    uniforms, normals = sim.generate_streams(
+        sim.PathStreams(config.seed, 1, config.n_steps, p))
     rec = run_paths_oracle(config, policy, uniforms, normals, config.predator,
                            record=True)["record"]
     # a side that does not quote is NaN in the record and empty in the file
@@ -338,17 +339,21 @@ def oracle_path_csv(path, config, policy, p):
     )
 
 
+@pytest.mark.parametrize("stream_block", [64, 192, 200])
 @pytest.mark.parametrize("paths_per_chunk", [1, 2, 7])
 @pytest.mark.parametrize("market", ["simulate_lively", "simulate_reference"])
 def test_exported_paths_come_from_their_chunk(tmp_path, monkeypatch, market,
-                                              paths_per_chunk):
-    # catches: recording chunk-local row p for global path first + p, and
-    # exporting from the wrong policy or past n_export_paths
-    n_paths, n_steps, n_export = 7, 60, 5
-    # a chunk of exported paths holds paths_per_chunk of them
+                                              paths_per_chunk, stream_block):
+    # catches: recording chunk-local row p for global path first + p, a
+    # block's rows at the chunk's first steps, and exporting from the wrong
+    # policy or past n_export_paths
+    n_paths, n_steps, n_export = 7, 200, 5
+    # a chunk of exported paths holds paths_per_chunk of them; its streams
+    # are drawn stream_block steps at a time, 200 not a multiple of 64 or 192
     monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
                         (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP)
                         * n_steps * paths_per_chunk)
+    monkeypatch.setattr(sim, "STREAM_BLOCK", stream_block)
     tree = yaml.safe_load(open(os.path.join(CONFIGS, f"{market}.yaml")))
     tree["sim"].update(export_paths=True, n_export_paths=n_export)
     config = write_yaml(tmp_path / "sim.yaml", tree)

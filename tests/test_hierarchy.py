@@ -228,6 +228,31 @@ class TestTurnpikeReport:
         report = hierarchy.turnpike_report(sol)
         assert report["inner_degenerate"] and report["outer_degenerate"]
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_inner_residual_does_not_depend_on_the_block(self, monkeypatch, block):
+        # the residual is taken a block of nodes at a time, 201 nodes here,
+        # and must equal the one expression over the whole stack bit for
+        # bit.  catches: a block that skips or repeats the nodes at its ends
+        eye = np.broadcast_to(np.eye(2), (2, 2, 2))
+        Q = np.array([[[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.5], [0.5, 1.0]]])
+        model = RegimeLQModel(A=-0.5 * eye, B=eye, D=0.1 * eye, Sigma=0.2 * eye,
+                              Q=Q, R=eye, S=4.0 * eye, Q_T=0.5 * Q)
+        sol = hierarchy.solve_hierarchy(model, mixed_saddle_spec(),
+                                        TimeGrid(0.0, 4.0, 200))
+        P = sol.riccati.P[::-1]
+        want = np.linalg.norm(P - P[-1], axis=(2, 3)).max(axis=1)
+        fitted = []
+        real_fit = hierarchy._fit_decay_rate
+
+        def fit(taus, residuals):
+            fitted.append(residuals)
+            return real_fit(taus, residuals)
+        monkeypatch.setattr(hierarchy, "_fit_decay_rate", fit)
+        monkeypatch.setattr(hierarchy, "RESIDUAL_BLOCK", block)
+        hierarchy.turnpike_report(sol)
+        assert fitted[0].tobytes() == want.tobytes()
+        assert want.max() > 0
+
     def test_short_horizon_warns(self, scalar_lq_model):
         spec = OuterGameSpec(mu_bar=np.zeros((1, 1)), Lambda=np.zeros((1, 1, 1, 1)))
         grid = TimeGrid(0.0, 0.5, 50)

@@ -20,7 +20,8 @@ def path_record(config, policy=None, p=0):
     own stream (the equilibrium policy by default)."""
     if policy is None:
         policy = sim.make_policy(config.model, "equilibrium", config.n_steps)
-    uniforms, normals = sim.generate_streams(config.seed, 1, config.n_steps, first=p)
+    uniforms, normals = sim.generate_streams(
+        sim.PathStreams(config.seed, 1, config.n_steps, p))
     out = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]
     return out["records"][0], out["pnl"][0]
 
@@ -35,7 +36,7 @@ class TestDeterminism:
     def test_single_path_matches_batch(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400, seed=31)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
-        uniforms, normals = sim.generate_streams(31, 5, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(31, 5, 400))
         batch = sim.run_paths(config, [policy], uniforms, normals)[0]
         for p in (0, 3):
             _, pnl = path_record(config, policy, p)
@@ -64,7 +65,7 @@ class TestPathMechanics:
 
     def test_inventory_bound_never_violated(self, lively_config):
         policy = sim.make_policy(lively_config.model, "equilibrium", 400)
-        uniforms, normals = sim.generate_streams(7, 100, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(7, 100, 400))
         out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
         assert np.abs(out["terminal_inventory"]).max() <= lively_config.model.q_max
         rec, _ = path_record(lively_config, policy)
@@ -101,7 +102,7 @@ class TestPathMechanics:
         model = dataclasses.replace(lively_as_model, xi=0.0)
         config = SimConfig(model=model, n_paths=400, n_steps=400, seed=5)
         policy = sim.make_policy(model, "vanilla", 400)
-        uniforms, normals = sim.generate_streams(5, 400, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(5, 400, 400))
         out = sim.run_paths(config, [policy], uniforms, normals)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
         se = sigma_bar * np.sqrt(config.dt) / np.sqrt(400 * 400)
@@ -127,8 +128,8 @@ class TestRegimeDraw:
 
         real_streams = sim.generate_streams
 
-        def streams(seed, n_paths, n_steps, first=0):
-            uniforms, normals = real_streams(seed, n_paths, n_steps, first)
+        def streams(paths, steps=None):
+            uniforms, normals = real_streams(paths, steps)
             uniforms[:, :, 0] = u_reg
             return uniforms, normals
 
@@ -138,7 +139,7 @@ class TestRegimeDraw:
         assert np.isfinite(report.strategies["vanilla"]["mean_pnl"])
 
         policy = sim.make_policy(model, "vanilla", 40)
-        uniforms, normals = streams(5, 4, 40)
+        uniforms, normals = streams(sim.PathStreams(5, 4, 40))
         rec = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]["records"][0]
         # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
         np.testing.assert_array_equal(rec["regime"], [2, 1] * 20)
@@ -210,9 +211,9 @@ class TestPredatorEffects:
     def test_predator_harms_vanilla(self, lively_config):
         policy = sim.make_policy(lively_config.model, "vanilla",
                                  lively_config.n_steps)
-        uniforms, normals = sim.generate_streams(
+        uniforms, normals = sim.generate_streams(sim.PathStreams(
             lively_config.seed, lively_config.n_paths, lively_config.n_steps
-        )
+        ))
         with_pred = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
         without = sim.run_paths(dataclasses.replace(lively_config, predator=False),
                                 [policy], uniforms, normals)[0]
@@ -229,7 +230,7 @@ class TestPredatorEffects:
                     for kind in ("vanilla", "equilibrium")]
         m = lively_config.model
         for seed in (7, 8):
-            uniforms, normals = sim.generate_streams(seed, 100, 400)
+            uniforms, normals = sim.generate_streams(sim.PathStreams(seed, 100, 400))
             for out in sim.run_paths(lively_config, policies, uniforms, normals):
                 stats = sim._strategy_stats(out, 400)
                 expected = m.xi * m.gamma * (

@@ -61,7 +61,8 @@ def sim_cases(draw):
                        n_steps=n_steps, seed=draw(st.integers(0, 2**32 - 1)),
                        predator=draw(st.booleans()),
                        initial_regime=draw(st.integers(0, n - 1)))
-    uniforms, normals = sim.generate_streams(config.seed, config.n_paths, n_steps)
+    uniforms, normals = sim.generate_streams(
+        sim.PathStreams(config.seed, config.n_paths, n_steps))
     return config, uniforms, normals
 
 
@@ -143,7 +144,8 @@ def block_cases(draw):
                        n_steps=n_steps, seed=draw(st.integers(0, 2**32 - 1)),
                        predator=draw(st.booleans()),
                        initial_regime=draw(st.integers(0, n - 1)))
-    uniforms, normals = sim.generate_streams(config.seed, config.n_paths, n_steps)
+    uniforms, normals = sim.generate_streams(
+        sim.PathStreams(config.seed, config.n_paths, n_steps))
     return config, uniforms, normals, draw(st.integers(1, config.n_paths))
 
 
@@ -195,31 +197,65 @@ class TestBlocks:
 class TestStreams:
     def test_stream_depends_only_on_seed_and_path(self):
         seed, n_steps = 41, 30
-        uniforms, normals = sim.generate_streams(seed, 9, n_steps)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(seed, 9, n_steps))
         for p, child in enumerate(np.random.SeedSequence(seed).spawn(9)):
             gen = np.random.Generator(np.random.Philox(child))
             np.testing.assert_array_equal(uniforms[p], gen.random((n_steps, 3)))
             np.testing.assert_array_equal(normals[p], gen.standard_normal(n_steps))
-        part_u, part_n = sim.generate_streams(seed, 4, n_steps, first=5)
+        part_u, part_n = sim.generate_streams(sim.PathStreams(seed, 4, n_steps, 5))
         np.testing.assert_array_equal(part_u, uniforms[5:])
         np.testing.assert_array_equal(part_n, normals[5:])
+
+    # 3 n_steps % 4 is 0, 3, 2 and 1: the normals start at each of the four
+    # draws of a Philox counter
+    @pytest.mark.parametrize("n_steps", [200, 201, 202, 203])
+    @pytest.mark.parametrize("block", [1, 7, 64, 203])
+    def test_stream_drawn_in_blocks_is_the_whole_path_stream(self, n_steps, block):
+        # catches: the normal generator opened one counter late, at
+        # 3 n_steps // 4 + 1 (a draw at counter c computes counter c + 1),
+        # or one early, or without discarding the 3 n_steps % 4 uniforms
+        # of the counter that the two sections share
+        seed, n_paths = 23, 3
+        streams = sim.PathStreams(seed, n_paths, n_steps)
+        blocks = [sim.generate_streams(streams, min(block, n_steps - s0))
+                  for s0 in range(0, n_steps, block)]
+        uniforms = np.concatenate([u for u, _ in blocks], axis=1)
+        normals = np.concatenate([z for _, z in blocks], axis=1)
+        for p, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+            gen = np.random.Generator(np.random.Philox(child))
+            np.testing.assert_array_equal(uniforms[p], gen.random((n_steps, 3)))
+            np.testing.assert_array_equal(normals[p], gen.standard_normal(n_steps))
+        with pytest.raises(ValueError, match="0 left"):
+            sim.generate_streams(streams, 1)
 
     def test_exported_path_is_its_batch_row(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
-        uniforms, normals = sim.generate_streams(12, 8, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(12, 8, 400))
         batch = sim.run_paths(config, [policy], uniforms, normals)[0]
         for p in (0, 5, 7):
-            alone_u, alone_n = sim.generate_streams(12, 1, 400, first=p)
+            alone_u, alone_n = sim.generate_streams(sim.PathStreams(12, 1, 400, p))
             rec = sim.run_paths(config, [policy], alone_u, alone_n,
                                 record=1)[0]["records"][0]
             assert record_pnl(rec) == batch["pnl"][p]
 
 
-def _report_at_chunk(monkeypatch, tmp_path, config_path, paths_per_chunk, n_steps):
+def _peak_memory(config, *args):
+    """tracemalloc's peak over one run_monte_carlo(config, *args)."""
+    tracemalloc.start()
+    try:
+        sim.run_monte_carlo(config, *args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _report_at_chunk(monkeypatch, tmp_path, config_path, paths_per_chunk, n_steps,
+                     stream_block):
     monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
                         sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
-    out = tmp_path / f"chunk{paths_per_chunk}"
+    monkeypatch.setattr(sim, "STREAM_BLOCK", stream_block)
+    out = tmp_path / f"chunk{paths_per_chunk}-block{stream_block}"
     assert cli.main(["simulate", "--config", str(config_path), "--out", str(out),
                      "--steps", str(n_steps)]) == 0
     return (out / "sim_report.json").read_bytes()
@@ -229,7 +265,9 @@ class TestChunks:
     @pytest.mark.parametrize("regimes", [2, 3])
     def test_report_does_not_depend_on_chunk_size(self, monkeypatch, tmp_path,
                                                   capsys, regimes):
-        n_paths, n_steps = 23, 60
+        # streams drawn a replay block, three and all n_steps at a time,
+        # n_steps not a multiple of the first two
+        n_paths, n_steps = 23, 200
         as_model = {"gamma": 0.5, "xi": 2.0, "A": 2000.0, "k": 8.0,
                     "sigmas": [0.3, 0.8], "q_max": 4, "horizon_hours": 175.2,
                     "dt_seconds": 1576.8, "mu_per_day": [[0.0, 0.5], [0.5, 0.0]],
@@ -241,12 +279,13 @@ class TestChunks:
         config_path = tmp_path / "sim.yaml"
         config_path.write_text(yaml.safe_dump(
             {"as_model": as_model, "sim": {"n_paths": n_paths, "seed": 8}}))
-        reports = {size: _report_at_chunk(monkeypatch, tmp_path, config_path,
-                                          size, n_steps)
-                   for size in (1, 7, n_paths)}
-        assert reports[1] == reports[n_paths]
-        assert reports[7] == reports[n_paths]
-        assert json.loads(reports[1])["n_paths"] == n_paths
+        reports = {(size, block): _report_at_chunk(monkeypatch, tmp_path, config_path,
+                                                   size, n_steps, block)
+                   for size in (1, 7, n_paths)
+                   for block in (sim.REPLAY_BLOCK, 3 * sim.REPLAY_BLOCK, n_steps)}
+        for key, report in reports.items():
+            assert report == reports[n_paths, n_steps], key
+        assert json.loads(reports[1, n_steps])["n_paths"] == n_paths
 
     def test_reference_run_is_one_chunk(self):
         assert sim.STREAM_CHUNK_BYTES // (sim.STREAM_BYTES_PER_STEP * 2880) >= 1000
@@ -257,18 +296,28 @@ class TestChunks:
                             sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
 
         def peak(n_paths):
-            config = SimConfig(model=lively_as_model, n_paths=n_paths,
-                               n_steps=n_steps, seed=4)
-            tracemalloc.start()
-            try:
-                sim.run_monte_carlo(config)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _peak_memory(SimConfig(model=lively_as_model, n_paths=n_paths,
+                                          n_steps=n_steps, seed=4))
 
         one_chunk = peak(paths_per_chunk)
         four_chunks = peak(4 * paths_per_chunk)
         assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
+
+    def test_peak_memory_does_not_grow_with_the_streams(self, lively_as_model):
+        # streams are drawn a block of 576 steps at a time, so four times
+        # the steps add the quote tables' growth (1.7 MB here) but not the
+        # streams' 32 bytes per path-step (11 MB).  catches: drawing a
+        # chunk's whole streams before its replay, as a one-chunk run did
+        # (13.5 MB more)
+        n_paths, n_steps = 200, 576
+
+        def peak(steps):
+            return _peak_memory(SimConfig(model=lively_as_model, n_paths=n_paths,
+                                          n_steps=steps, seed=4))
+
+        growth = peak(4 * n_steps) - peak(n_steps)
+        streams_growth = sim.STREAM_BYTES_PER_STEP * n_paths * 3 * n_steps
+        assert growth < 0.25 * streams_growth, (growth, streams_growth)
 
 
 class TestExport:
@@ -290,19 +339,23 @@ class TestExport:
         real_run_paths = sim.run_paths
 
         def run_paths(config, policies, uniforms, *args, **kwargs):
-            replayed.append(len(uniforms))
+            replayed.append(uniforms.shape[0] * uniforms.shape[1])
             return real_run_paths(config, policies, uniforms, *args, **kwargs)
         monkeypatch.setattr(sim, "run_paths", run_paths)
-        n_paths, n_steps = 10, 60
+        # chunks of 4 paths' streams, so of one exported path with its
+        # record, and streams drawn in blocks of 64 steps
+        n_paths, n_steps = 10, 150
         monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
                             sim.STREAM_BYTES_PER_STEP * n_steps * 4)
+        monkeypatch.setattr(sim, "STREAM_BLOCK", sim.REPLAY_BLOCK)
         config = tmp_path / "sim.yaml"
         config.write_text("sim:\n  export_paths: true\n  n_export_paths: 3\n")
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out),
                          "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
         assert calls == {"make_policy": 2, "build_theta_table": 2}
-        assert sum(replayed) == n_paths
+        assert sum(replayed) == n_paths * n_steps
+        assert len(replayed) == 5 * 3  # chunks of 1, 1, 1, 4 and 3 paths
         assert len(list(out.glob("path_*.csv"))) == 3
 
     def test_records_are_freed_with_their_chunk(self, monkeypatch, lively_as_model):
@@ -318,13 +371,8 @@ class TestExport:
                                 * n_steps * paths_per_chunk)
             config = SimConfig(model=lively_as_model, n_paths=n_paths,
                                n_steps=n_steps, seed=4)
-            tracemalloc.start()
-            try:
-                sim.run_monte_carlo(config, n_paths,
-                                    lambda p, rec: pnl.setdefault(p, record_pnl(rec)))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _peak_memory(config, n_paths,
+                                lambda p, rec: pnl.setdefault(p, record_pnl(rec)))
 
         one_chunk = peak(n_paths)
         four_chunks = peak(n_paths // 4)
@@ -341,12 +389,7 @@ class TestExport:
         config = SimConfig(model=lively_as_model, n_paths=n_paths, n_steps=n_steps,
                            seed=4)
         exported = []
-        tracemalloc.start()
-        try:
-            sim.run_monte_carlo(config, n_paths, lambda p, rec: exported.append(p))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_memory(config, n_paths, lambda p, rec: exported.append(p))
         assert exported == list(range(n_paths))
         # the rest is the quote and fill tables, about 0.4 times the budget
         assert peak < 2 * budget, (peak, budget)
@@ -427,7 +470,7 @@ class TestLookups:
 class TestPolicyChecks:
     def test_policy_for_another_grid_is_rejected(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
-        uniforms, normals = sim.generate_streams(2, 3, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(2, 3, 400))
         for steps in (64, 401, 800):
             policy = sim.make_policy(lively_as_model, "vanilla", steps)
             with pytest.raises(ValueError, match="expected"):
@@ -439,7 +482,7 @@ class TestPolicyChecks:
         # catches: the market check removed, which would replay fills at the
         # policy's intensity instead of the config's
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
-        uniforms, normals = sim.generate_streams(2, 3, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(2, 3, 400))
         other = dataclasses.replace(
             lively_as_model, **{field: 1.5 * getattr(lively_as_model, field)})
         policy = sim.make_policy(other, "vanilla", 400)
@@ -448,7 +491,7 @@ class TestPolicyChecks:
 
     def test_nan_quote_is_a_numerical_error(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
-        uniforms, normals = sim.generate_streams(2, 3, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(2, 3, 400))
         for side in ("ask", "bid"):
             policy = sim.make_policy(lively_as_model, "vanilla", 400)
             getattr(policy, side)[200, 1, lively_as_model.q_max] = np.nan
@@ -467,7 +510,7 @@ class TestPolicyChecks:
         # on this market, 5 paths of 400 steps at seed 2 ended at
         # inventories -381 to -387 with no error
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
-        uniforms, normals = sim.generate_streams(2, 3, 400)
+        uniforms, normals = sim.generate_streams(sim.PathStreams(2, 3, 400))
         policy = sim.make_policy(lively_as_model, "vanilla", 400)
         policy.table[row, ..., level] = value
         with pytest.raises(NumericalError, match="at its bound"):
