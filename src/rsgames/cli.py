@@ -459,10 +459,7 @@ def cmd_simulate(args) -> int:
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
     n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
-    # one path's streams, and its record when paths are exported, must fit
-    # in one chunk of sim.STREAM_CHUNK_BYTES
-    max_steps = sim.STREAM_CHUNK_BYTES // (
-        sim.STREAM_BYTES_PER_STEP + (sim.RECORD_BYTES_PER_STEP if n_export else 0))
+    limit = sim.max_steps(model, n_export)
     n_steps, key = args.steps, "--steps"
     if n_steps is None:
         tree, key = cfg["as_model"], "as_model.dt_seconds"
@@ -470,16 +467,19 @@ def cmd_simulate(args) -> int:
         # a dt that underflows to 0, or a horizon / dt that overflows to
         # inf, is over the limit and never reaches round()
         n_steps = model.horizon / dt if dt > 0 else np.inf
-        if n_steps <= max_steps:
+        if n_steps <= limit:
             n_steps = round(n_steps)
             if abs(n_steps * dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
                 raise ConfigError(f"as_model: horizon_hours = {tree['horizon_hours']:g} "
                                   f"is not a whole number of dt_seconds = "
                                   f"{tree['dt_seconds']:g} steps")
-    if n_steps > max_steps:
-        raise ConfigError(f"{key} gives {n_steps:.6g} steps per path; one path's "
-                          f"streams{' and record' if n_export else ''} fit in "
-                          f"{sim.STREAM_CHUNK_BYTES} bytes up to {max_steps} steps")
+    if n_steps > limit:
+        held = "the quote tables"
+        if n_export:  # name the key to lower when the records push it over
+            held += (f" and the records of sim.n_export_paths = {n_export} paths"
+                     if n_steps <= sim.max_steps(model, 0) else " and records")
+        raise ConfigError(f"{key} gives {n_steps:.6g} steps per path; {held} fit in "
+                          f"{sim.STEP_BUDGET_BYTES} bytes up to {limit} steps")
     with _config_errors("sim"):
         config = sim.SimConfig(
             model=model, n_paths=n_paths, n_steps=n_steps,

@@ -4,23 +4,23 @@ Randomness is a Philox counter stream per path: stream p is seeded by
 SeedSequence(seed, spawn_key=(p,)), the p-th spawn of SeedSequence(seed),
 and draws all 3 n_steps uniforms (per step: regime, ask fill, bid fill),
 then all n_steps standard normals (price shocks).  run_monte_carlo replays
-the paths chunk by chunk, and a chunk STREAM_BLOCK steps at a time: it
-draws the block's streams (generate_streams, from the chunk's PathStreams)
-and replays every strategy on them in one step loop (common random
-numbers) before it draws the next block, so fill comparisons differ only
-through the quote tables.  A chunk has as many paths as keep their whole
-streams, and the records of its exported paths, within STREAM_CHUNK_BYTES;
-it holds the records whole and the streams one block at a time.  run_paths
-carries the chunk's ReplayState from block to block and works through a
-block REPLAY_BLOCK steps at a time.  Per replay block it finds what no
-policy changes: the regime path of step 1 below (the block's candidate
-exits in one pass, then one table lookup per step), the price noise and
-each path's table offset.  So the step loop does only the work that
-depends on the policy, steps 2 to 5, and nothing run_paths returns depends
-on either block size.  Report statistics are accumulated per path and
-reduced once, in path order, over all paths, so the report does not depend
-on the chunk size.  Exported paths come from the same replay: the
-ReplayState records a chunk's first paths under the last policy as
+the paths CHUNK_PATHS at a time, and a chunk STREAM_BLOCK steps at a time:
+it draws the block's streams (generate_streams, from the chunk's
+PathStreams) and replays every strategy on them in one step loop (common
+random numbers) before it draws the next block, so fill comparisons differ
+only through the quote tables.  A chunk holds its streams one block at a
+time and the records of its exported paths whole.  What grows with n_steps,
+the two policies' quote tables and one chunk's records, max_steps bounds by
+STEP_BUDGET_BYTES.  run_paths carries the chunk's ReplayState from block to
+block and works through a block REPLAY_BLOCK steps at a time.  Per replay
+block it finds what no policy changes: the regime path of step 1 below (the
+block's candidate exits in one pass, then one table lookup per step), the
+price noise and each path's table offset.  So the step loop does only the
+work that depends on the policy, steps 2 to 5, and nothing a replay holds
+depends on either block size.  Report statistics are accumulated per path
+and reduced once, in path order, over all paths, so the report does not
+depend on the chunk size.  Exported paths come from the same replay:
+ReplayState.rec holds a chunk's first paths under the last policy as
 {column: values} over RECORD_DTYPES, handed out chunk by chunk.
 
 Step order (one step of size dt = horizon / n_steps):
@@ -46,14 +46,19 @@ from . import as_game
 from .as_game import ASModel
 from .numkit import NumericalError, student_t_sf
 
-# Streams take 32 bytes per path-step (three uniforms and one normal), and
-# a recorded path RECORD_BYTES_PER_STEP more.  run_monte_carlo replays paths
-# in chunks of as many as keep their whole streams and records within
-# STREAM_CHUNK_BYTES; 128 MiB holds the reference run (1000 paths x 2880
-# steps, 92 MB of whole streams) in one chunk.  A chunk's streams are drawn
-# STREAM_BLOCK steps at a time, so it holds 18 MB of them for that run.
-STREAM_BYTES_PER_STEP = 32
-STREAM_CHUNK_BYTES = 128 * 2**20
+# run_monte_carlo replays paths in chunks of this many, which keeps the
+# reference run (1000 paths) in one.  A path takes the same in a chunk
+# whatever n_steps is, one STREAM_BLOCK of streams (18 KB) and its share of
+# the replay buffers, but for its record if exported.  5000 x 2880 paths
+# peaked at 69 MB RSS in chunks of 1024 and at 134 MB in chunks of 4096
+CHUNK_PATHS = 1024
+
+POLICY_KINDS = ("vanilla", "equilibrium")  # stack order: the replay records the last
+
+# max_steps bounds what grows with n_steps, the quote tables and one chunk's
+# records, by this many bytes: 399 456 steps on the reference market.
+# Building the second table peaks at about 1.6 times the tables held
+STEP_BUDGET_BYTES = 2**30
 
 # the columns of path_NNNN.csv after step and time, and their dtypes
 RECORD_DTYPES = {"price": np.float64, "regime": np.int64, "inventory": np.int64,
@@ -73,7 +78,9 @@ REPLAY_BLOCK = 64
 # take 12 288, a multiple of 4 KiB: the replay's strided reads across paths
 # (the step-major copy, the regime and noise passes) then fall into the same
 # cache sets, and the reference run was a few per cent slower; 320 to 960
-# steps replayed it about equally fast
+# steps replayed it about equally fast.  One block for draws and replay, 64
+# steps, took the reference run's peak RSS from 67 to 51 MB but its time
+# from 0.336-0.385 s to 0.409-0.438 s (6 pairs), so the two stay apart
 STREAM_BLOCK = 9 * REPLAY_BLOCK
 
 
@@ -261,26 +268,22 @@ class ReplayState:
         self.abs_drift_sum = np.zeros((n_pol, n_paths))
         self.abs_q_sum = np.zeros((n_pol, n_paths), dtype=np.int64)
         self.increment_sum = np.zeros((n_pol, n_paths))
-        # row s holds the last policy's values of the recorded paths at step s
+        # row s holds the last policy's values of the recorded paths at step s,
+        # NaN where a side does not quote
         self.rec = {name: np.zeros((config.n_steps, min(record, n_paths)), dtype)
                     for name, dtype in RECORD_DTYPES.items()}
 
     def results(self):
         """One dict per policy of per-path arrays (PER_PATH), which
-        _strategy_stats reduces.  The last policy's dict also holds
-        "records": {column: values} over RECORD_DTYPES for each recorded
-        path under that policy, NaN where a side does not quote."""
+        _strategy_stats reduces."""
         if self.step != self.n_steps:
             raise ValueError(f"replay is at step {self.step} of {self.n_steps}")
         pnl = self.m + self.q * self.S
         per_path = (pnl, self.fills[0], self.fills[1], self.q, self.spread_sum,
                     self.spread_count, self.abs_drift_sum, self.abs_q_sum,
                     self.increment_sum)  # in PER_PATH order
-        outs = [{key: value[k] for key, value in zip(PER_PATH, per_path)}
+        return [{key: value[k] for key, value in zip(PER_PATH, per_path)}
                 for k in range(len(pnl))]
-        outs[-1]["records"] = [{name: values[:, p] for name, values in self.rec.items()}
-                               for p in range(self.rec["price"].shape[1])]
-        return outs
 
 
 def _check_policies(config: SimConfig, policies):
@@ -307,29 +310,22 @@ def _check_policies(config: SimConfig, policies):
 
 
 def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
-              normals: np.ndarray, record: int = 0, state: ReplayState | None = None):
-    """Vectorized replay of paths under a stack of quote policies.
+              normals: np.ndarray, state: ReplayState):
+    """Carry state's replay of its paths under a stack of quote policies
+    through the next steps of their streams, uniforms and normals, which are
+    read, never written.  The caller takes the results from state after the
+    last step.
 
     Every policy replays the same streams in one step loop.  What no policy
     changes, the regime path, the price noise and the table offset of each
     path, is found for REPLAY_BLOCK steps at a time before the block's step
-    loop, which does only the work that depends on the policy; the outputs
-    do not depend on the block size.
-
-    Without `state`, uniforms and normals are whole paths of config's grid,
-    and run_paths returns their ReplayState.results, recording the first
-    `record` paths under the last policy.  With `state`, they are the next
-    steps of state's paths: run_paths carries the replay through them and
-    returns None, and the caller takes the results from state after the
-    last step.  uniforms and normals are read, never written.  The
-    policies are checked (_check_policies) before the first step.
+    loop, which does only the work that depends on the policy; the replay
+    does not depend on the block size.  The policies are checked
+    (_check_policies) before the first step.
     """
     model = config.model
     n_paths, n_block = uniforms.shape[:2]
     n_steps = config.n_steps
-    whole = state is None
-    if whole:
-        state = ReplayState(config, len(policies), n_paths, record)
     if state.step + n_block > n_steps:
         raise ValueError(f"{n_block} steps from step {state.step} pass the grid's "
                          f"{n_steps}")
@@ -434,7 +430,6 @@ def run_paths(config: SimConfig, policies, uniforms: np.ndarray,
                     rec[name][s0 + j] = value[-1, :n_rec]
 
     state.step += n_block
-    return state.results() if whole else None
 
 
 def _strategy_stats(per_path: dict, n_steps: int) -> dict:
@@ -493,53 +488,45 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
-def _chunk_paths(first: int, n_paths: int, n_export: int, n_steps: int) -> int:
-    """Paths in the chunk that starts at path `first`: as many as keep their
-    streams, and the records of those among the first n_export, within
-    STREAM_CHUNK_BYTES; at least one."""
-    budget = STREAM_CHUNK_BYTES // n_steps  # bytes per step
-    recorded = max(0, n_export - first)
-    with_record = STREAM_BYTES_PER_STEP + RECORD_BYTES_PER_STEP
-    if recorded * with_record >= budget:
-        count = budget // with_record
-    else:
-        count = recorded + (budget - recorded * with_record) // STREAM_BYTES_PER_STEP
-    return max(1, min(count, n_paths - first))
+def max_steps(model: ASModel, n_export: int) -> int:
+    """The most steps whose quote tables, n_steps + 1 nodes of (4, N,
+    2 q_max + 1) float64 per policy of POLICY_KINDS, and one chunk's records
+    of the first n_export paths fit in STEP_BUDGET_BYTES."""
+    per_node = len(POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
+    per_step = RECORD_BYTES_PER_STEP * min(n_export, CHUNK_PATHS)
+    return (STEP_BUDGET_BYTES - per_node) // (per_node + per_step)
 
 
 def run_monte_carlo(config: SimConfig, n_export: int = 0,
                     on_path=None) -> SimReport:
     """Run vanilla and equilibrium quoting on common random numbers.
 
-    Paths are replayed chunk by chunk (_chunk_paths), a chunk's streams
-    drawn and replayed STREAM_BLOCK steps at a time; the per-path results
-    are joined in path order before any reduction, so the report does not
-    depend on the chunk or block size.  For each of the first
-    n_export paths p, in path order, on_path(p, record) receives p's
-    {column: values} over RECORD_DTYPES under the equilibrium policy while
-    p's chunk is live, so at most one chunk's records are held at a time."""
-    kinds = ("vanilla", "equilibrium")  # the replay records the last one
-    policies = [make_policy(config.model, kind, config.n_steps) for kind in kinds]
+    Paths are replayed CHUNK_PATHS at a time, a chunk's streams drawn and
+    replayed STREAM_BLOCK steps at a time; the per-path results are joined
+    in path order before any reduction, so the report does not depend on
+    the chunk or block size.  For each of the first n_export paths p, in
+    path order, on_path(p, record) receives p's {column: values} over
+    RECORD_DTYPES under the equilibrium policy while p's chunk is live, so
+    at most one chunk's records are held at a time.  The tables and
+    records grow with n_steps; max_steps bounds them."""
+    policies = [make_policy(config.model, kind, config.n_steps)
+                for kind in POLICY_KINDS]
     parts = []
-    first = 0
-    while first < config.n_paths:
-        count = _chunk_paths(first, config.n_paths, n_export, config.n_steps)
+    for first in range(0, config.n_paths, CHUNK_PATHS):
+        count = min(CHUNK_PATHS, config.n_paths - first)
         streams = PathStreams(config.seed, count, config.n_steps, first)
         state = ReplayState(config, len(policies), count, max(0, n_export - first))
         for s0 in range(0, config.n_steps, STREAM_BLOCK):
             uniforms, normals = generate_streams(
                 streams, min(STREAM_BLOCK, config.n_steps - s0))
-            run_paths(config, policies, uniforms, normals, state=state)
+            run_paths(config, policies, uniforms, normals, state)
             del uniforms, normals  # free this block before the next is drawn
-        outs = state.results()
-        records = outs[-1].pop("records")
-        for p in range(len(records)):
-            on_path(first + p, records[p])
-        parts.append(outs)  # the per-path arrays only
-        del streams, state, records  # free this chunk before the next one
-        first += count
+        for p in range(state.rec["price"].shape[1]):
+            on_path(first + p, {name: values[:, p] for name, values in state.rec.items()})
+        parts.append(state.results())
+        del streams, state  # free this chunk before the next one
     results = {kind: {key: np.concatenate([part[k][key] for part in parts])
-                      for key in PER_PATH} for k, kind in enumerate(kinds)}
+                      for key in PER_PATH} for k, kind in enumerate(POLICY_KINDS)}
     stats = {kind: _strategy_stats(res, config.n_steps) for kind, res in results.items()}
 
     def ratio(num, den):

@@ -7,7 +7,8 @@ the config's market) and reduces the report statistics over paths at every
 step.  Its per-path arrays and the record of its first path, {column:
 values} in the order of `sim.RECORD_DTYPES`, are the exact reference for the
 stacked replay; its mean_* fields sum in another order, so they are the
-reference to rounding only.
+reference to rounding only.  replay_whole runs `sim.run_paths` over whole
+paths in one call, as tests of the replay itself do.
 
 theta_table_oracle is the node-by-node penalty table that the spectral
 `as_game.build_theta_table` replaced, and solve_theta_piecewise composes
@@ -59,7 +60,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from rsgames import as_game, calib, mjls_inner, outer_layer
+from rsgames import as_game, calib, mjls_inner, outer_layer, sim
 from rsgames.calib import OhlcvSeries
 from rsgames.numkit import BlowupError
 
@@ -200,6 +201,18 @@ def fill_probability_oracle(model, quotes, dt):
     """Fill probability 1 - exp(-A exp(-k u) dt) of each quote u, whether or
     not its side quotes."""
     return 1.0 - np.exp(-model.A * np.exp(-model.k * quotes) * dt)
+
+
+def replay_whole(config, policies, uniforms, normals, record=0):
+    """sim.run_paths over whole paths of config's grid: one dict of per-path
+    arrays per policy, the last one also holding "records", the {column:
+    values} of each of the first `record` paths under the last policy."""
+    state = sim.ReplayState(config, len(policies), uniforms.shape[0], record)
+    sim.run_paths(config, policies, uniforms, normals, state)
+    outs = state.results()
+    outs[-1]["records"] = [{name: values[:, p] for name, values in state.rec.items()}
+                           for p in range(state.rec["price"].shape[1])]
+    return outs
 
 
 def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):

@@ -211,9 +211,9 @@ def test_09_predator_law_and_harm(paper_as_model, lively_as_model):
                            seed=7)
     policy = sim.make_policy(lively_as_model, "vanilla", 400)
     uniforms, normals = sim.generate_streams(sim.PathStreams(7, 400, 400))
-    with_pred = sim.run_paths(config, [policy], uniforms, normals)[0]
-    without = sim.run_paths(dataclasses.replace(config, predator=False), [policy],
-                            uniforms, normals)[0]
+    with_pred = oracles.replay_whole(config, [policy], uniforms, normals)[0]
+    without = oracles.replay_whole(dataclasses.replace(config, predator=False),
+                                   [policy], uniforms, normals)[0]
     t_stat, p_val = sim.paired_one_sided(without["pnl"] - with_pred["pnl"])
     ok = exact and p_val < 0.05
     assert report(9, ok, f"w*(q) = -xi*gamma*q exact for all q: {exact}; "
@@ -234,7 +234,7 @@ def counterfactual_run():
     results = {}
     for kind in ("vanilla", "equilibrium"):
         policy = sim.make_policy(model, kind, 2880)
-        results[kind] = sim.run_paths(config, [policy], uniforms, normals)[0]
+        results[kind] = oracles.replay_whole(config, [policy], uniforms, normals)[0]
     elapsed = time.perf_counter() - t0
     return results, elapsed
 

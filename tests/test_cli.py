@@ -562,17 +562,20 @@ class TestSimulateCommand:
         assert rows[0].split(",")[0] == "schema_version"
         assert len(rows) == 1 + 120  # header + one row per step
 
-    @pytest.mark.parametrize("export", [False, True], ids=["streams", "with_record"])
-    def test_a_path_beyond_the_stream_chunk_is_a_config_error(self, tmp_path, capsys,
-                                                              monkeypatch,
-                                                              small_sim_config, export):
-        # a chunk that holds 119 steps of one path, with its record when
-        # paths are exported; the config's dt_seconds gives 120.  catches:
-        # a path larger than the chunk reaching the replay, whose
-        # _chunk_paths still gives it a chunk of its own, and a limit that
-        # counts the record when nothing is exported, or not when it is
-        per_step = sim.STREAM_BYTES_PER_STEP + (sim.RECORD_BYTES_PER_STEP if export else 0)
-        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES", per_step * 119)
+    @pytest.mark.parametrize("export", [False, True], ids=["tables", "with_record"])
+    def test_steps_beyond_the_budget_are_a_config_error(self, tmp_path, capsys,
+                                                         monkeypatch, small_sim_config,
+                                                         export):
+        # a budget that holds the quote tables of 119 steps (120 nodes), and
+        # the record of 119 steps when a path is exported; the config's
+        # dt_seconds gives 120.  catches: a limit that counts the record
+        # when nothing is exported, or not when it is, or the tables of one
+        # policy only
+        model = cli.build_as_model(yaml.safe_load(open(small_sim_config))["as_model"])
+        per_node = len(sim.POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
+        record = sim.RECORD_BYTES_PER_STEP if export else 0
+        monkeypatch.setattr(sim, "STEP_BUDGET_BYTES", per_node * 120 + record * 119)
+        assert sim.max_steps(model, int(export)) == 119
         tree = yaml.safe_load(open(small_sim_config))
         tree["sim"].update(n_paths=2, export_paths=export)
         cfg = write_yaml(tmp_path / "sim.yaml", tree)
@@ -580,7 +583,10 @@ class TestSimulateCommand:
             out = tmp_path / key
             assert run(["simulate", "--config", cfg, "--out", str(out)] + flags) == \
                 cli.EXIT_CONFIG
-            assert f"config error: {key} gives 120 steps per path" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"config error: {key} gives 120 steps per path" in err
+            # the tables alone would fit: the record pushes it over
+            assert ("sim.n_export_paths = 1" in err) == export
             assert not out.exists()
         out = tmp_path / "fits"
         assert run(["simulate", "--config", cfg, "--out", str(out),

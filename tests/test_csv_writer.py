@@ -348,11 +348,9 @@ def test_exported_paths_come_from_their_chunk(tmp_path, monkeypatch, market,
     # block's rows at the chunk's first steps, and exporting from the wrong
     # policy or past n_export_paths
     n_paths, n_steps, n_export = 7, 200, 5
-    # a chunk of exported paths holds paths_per_chunk of them; its streams
-    # are drawn stream_block steps at a time, 200 not a multiple of 64 or 192
-    monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                        (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP)
-                        * n_steps * paths_per_chunk)
+    # a chunk holds paths_per_chunk paths; its streams are drawn
+    # stream_block steps at a time, 200 not a multiple of 64 or 192
+    monkeypatch.setattr(sim, "CHUNK_PATHS", paths_per_chunk)
     monkeypatch.setattr(sim, "STREAM_BLOCK", stream_block)
     tree = yaml.safe_load(open(os.path.join(CONFIGS, f"{market}.yaml")))
     tree["sim"].update(export_paths=True, n_export_paths=n_export)

@@ -22,7 +22,7 @@ def path_record(config, policy=None, p=0):
         policy = sim.make_policy(config.model, "equilibrium", config.n_steps)
     uniforms, normals = sim.generate_streams(
         sim.PathStreams(config.seed, 1, config.n_steps, p))
-    out = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]
+    out = oracles.replay_whole(config, [policy], uniforms, normals, record=1)[0]
     return out["records"][0], out["pnl"][0]
 
 
@@ -37,7 +37,7 @@ class TestDeterminism:
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400, seed=31)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(sim.PathStreams(31, 5, 400))
-        batch = sim.run_paths(config, [policy], uniforms, normals)[0]
+        batch = oracles.replay_whole(config, [policy], uniforms, normals)[0]
         for p in (0, 3):
             _, pnl = path_record(config, policy, p)
             assert pnl == pytest.approx(batch["pnl"][p], abs=1e-12)
@@ -66,7 +66,7 @@ class TestPathMechanics:
     def test_inventory_bound_never_violated(self, lively_config):
         policy = sim.make_policy(lively_config.model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(sim.PathStreams(7, 100, 400))
-        out = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
+        out = oracles.replay_whole(lively_config, [policy], uniforms, normals)[0]
         assert np.abs(out["terminal_inventory"]).max() <= lively_config.model.q_max
         rec, _ = path_record(lively_config, policy)
         assert np.abs(rec["inventory"]).max() <= lively_config.model.q_max
@@ -103,7 +103,7 @@ class TestPathMechanics:
         config = SimConfig(model=model, n_paths=400, n_steps=400, seed=5)
         policy = sim.make_policy(model, "vanilla", 400)
         uniforms, normals = sim.generate_streams(sim.PathStreams(5, 400, 400))
-        out = sim.run_paths(config, [policy], uniforms, normals)[0]
+        out = oracles.replay_whole(config, [policy], uniforms, normals)[0]
         sigma_bar = np.sqrt((model.sigmas**2).mean())
         se = sigma_bar * np.sqrt(config.dt) / np.sqrt(400 * 400)
         stats = sim._strategy_stats(out, 400)
@@ -140,7 +140,8 @@ class TestRegimeDraw:
 
         policy = sim.make_policy(model, "vanilla", 40)
         uniforms, normals = streams(sim.PathStreams(5, 4, 40))
-        rec = sim.run_paths(config, [policy], uniforms, normals, record=1)[0]["records"][0]
+        rec = oracles.replay_whole(config, [policy], uniforms, normals,
+                                   record=1)[0]["records"][0]
         # the draw takes the last regime with a positive rate: 0 -> 2 -> 1 -> 2
         np.testing.assert_array_equal(rec["regime"], [2, 1] * 20)
 
@@ -214,9 +215,10 @@ class TestPredatorEffects:
         uniforms, normals = sim.generate_streams(sim.PathStreams(
             lively_config.seed, lively_config.n_paths, lively_config.n_steps
         ))
-        with_pred = sim.run_paths(lively_config, [policy], uniforms, normals)[0]
-        without = sim.run_paths(dataclasses.replace(lively_config, predator=False),
-                                [policy], uniforms, normals)[0]
+        with_pred = oracles.replay_whole(lively_config, [policy], uniforms, normals)[0]
+        without = oracles.replay_whole(
+            dataclasses.replace(lively_config, predator=False), [policy], uniforms,
+            normals)[0]
         t, p = sim.paired_one_sided(without["pnl"] - with_pred["pnl"])
         assert p < 0.05
         assert without["pnl"].mean() > with_pred["pnl"].mean()
@@ -231,7 +233,7 @@ class TestPredatorEffects:
         m = lively_config.model
         for seed in (7, 8):
             uniforms, normals = sim.generate_streams(sim.PathStreams(seed, 100, 400))
-            for out in sim.run_paths(lively_config, policies, uniforms, normals):
+            for out in oracles.replay_whole(lively_config, policies, uniforms, normals):
                 stats = sim._strategy_stats(out, 400)
                 expected = m.xi * m.gamma * (
                     stats["mean_abs_inventory"]

@@ -1,6 +1,7 @@
 """The stacked, chunked Monte-Carlo replay against the single-policy oracle,
-its invariants, chunk-size independence, bounded memory, the lookups each
-policy carries, and the checks on the policies it is given."""
+its invariants, chunk-size independence, bounded memory, the step budget,
+the lookups each policy carries, and the checks on the policies it is
+given."""
 
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from oracles import fill_probability_oracle, run_paths_oracle
+from oracles import fill_probability_oracle, replay_whole, run_paths_oracle
 from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
@@ -83,7 +84,7 @@ class TestAgainstOracle:
         # run_paths records the last policy of the stack, so each order
         # records one of the two
         for stack in (policies, policies[::-1]):
-            outs = sim.run_paths(config, stack, uniforms, normals, record=1)
+            outs = replay_whole(config, stack, uniforms, normals, record=1)
             for policy, out in zip(stack, outs):
                 ref = refs[policy.name]
                 for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
@@ -106,11 +107,11 @@ class TestAgainstOracle:
         # run_paths records the last policy of the stack, so each order
         # records one of the two
         for stack in (policies, policies[::-1]):
-            batch = sim.run_paths(config, stack, uniforms, normals,
-                                  record=config.n_paths)
+            batch = replay_whole(config, stack, uniforms, normals,
+                                 record=config.n_paths)
             for p in range(config.n_paths):
-                alone = sim.run_paths(config, stack, uniforms[p:p + 1],
-                                      normals[p:p + 1], record=1)
+                alone = replay_whole(config, stack, uniforms[p:p + 1],
+                                     normals[p:p + 1], record=1)
                 out, full = alone[-1], batch[-1]
                 rec = out["records"][0]
                 assert np.abs(rec["inventory"]).max() <= q_max
@@ -164,8 +165,8 @@ class TestBlocks:
         for block in (1, 3, 7):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sim, "REPLAY_BLOCK", block)
-                outs = sim.run_paths(config, policies, uniforms, normals,
-                                     record=record)
+                outs = replay_whole(config, policies, uniforms, normals,
+                                    record=record)
             for out, ref in zip(outs, refs):
                 for key in ("pnl", "fills_ask", "fills_bid", "terminal_inventory"):
                     np.testing.assert_array_equal(
@@ -183,8 +184,8 @@ class TestBlocks:
         before = uniforms.tobytes(), normals.tobytes()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "REPLAY_BLOCK", 7)
-            first, second = (sim.run_paths(config, policies, uniforms, normals,
-                                           record=record) for _ in range(2))
+            first, second = (replay_whole(config, policies, uniforms, normals,
+                                          record=record) for _ in range(2))
         assert (uniforms.tobytes(), normals.tobytes()) == before
         for one, two in zip(first, second):
             for key in sim.PER_PATH:
@@ -232,11 +233,11 @@ class TestStreams:
         config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
         policy = sim.make_policy(lively_as_model, "equilibrium", 400)
         uniforms, normals = sim.generate_streams(sim.PathStreams(12, 8, 400))
-        batch = sim.run_paths(config, [policy], uniforms, normals)[0]
+        batch = replay_whole(config, [policy], uniforms, normals)[0]
         for p in (0, 5, 7):
             alone_u, alone_n = sim.generate_streams(sim.PathStreams(12, 1, 400, p))
-            rec = sim.run_paths(config, [policy], alone_u, alone_n,
-                                record=1)[0]["records"][0]
+            rec = replay_whole(config, [policy], alone_u, alone_n,
+                               record=1)[0]["records"][0]
             assert record_pnl(rec) == batch["pnl"][p]
 
 
@@ -252,8 +253,7 @@ def _peak_memory(config, *args):
 
 def _report_at_chunk(monkeypatch, tmp_path, config_path, paths_per_chunk, n_steps,
                      stream_block):
-    monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                        sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+    monkeypatch.setattr(sim, "CHUNK_PATHS", paths_per_chunk)
     monkeypatch.setattr(sim, "STREAM_BLOCK", stream_block)
     out = tmp_path / f"chunk{paths_per_chunk}-block{stream_block}"
     assert cli.main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -288,12 +288,11 @@ class TestChunks:
         assert json.loads(reports[1, n_steps])["n_paths"] == n_paths
 
     def test_reference_run_is_one_chunk(self):
-        assert sim.STREAM_CHUNK_BYTES // (sim.STREAM_BYTES_PER_STEP * 2880) >= 1000
+        assert sim.CHUNK_PATHS >= 1000
 
     def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, lively_as_model):
         paths_per_chunk, n_steps = 100, 400
-        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                            sim.STREAM_BYTES_PER_STEP * n_steps * paths_per_chunk)
+        monkeypatch.setattr(sim, "CHUNK_PATHS", paths_per_chunk)
 
         def peak(n_paths):
             return _peak_memory(SimConfig(model=lively_as_model, n_paths=n_paths,
@@ -316,8 +315,27 @@ class TestChunks:
                                           n_steps=steps, seed=4))
 
         growth = peak(4 * n_steps) - peak(n_steps)
-        streams_growth = sim.STREAM_BYTES_PER_STEP * n_paths * 3 * n_steps
+        # three uniforms and one normal per path-step, 8 bytes each
+        streams_growth = 32 * n_paths * 3 * n_steps
         assert growth < 0.25 * streams_growth, (growth, streams_growth)
+
+
+class TestStepBudget:
+    def test_peak_memory_at_max_steps_is_within_the_budget(self, monkeypatch,
+                                                            lively_as_model):
+        # a 4 MiB budget, one exported path: max_steps gives 2860 steps.
+        # Building the second quote table peaks at about 1.55 times the
+        # tables held, and the stream block and record add little, so the
+        # peak stays under twice the budget.  catches: the tables of one
+        # policy counted (5721 steps, about 3 times the budget)
+        budget = 2**22
+        monkeypatch.setattr(sim, "STEP_BUDGET_BYTES", budget)
+        n_steps = sim.max_steps(lively_as_model, 1)
+        config = SimConfig(model=lively_as_model, n_paths=20, n_steps=n_steps, seed=4)
+        exported = []
+        peak = _peak_memory(config, 1, lambda p, rec: exported.append(p))
+        assert exported == [0]
+        assert peak < 2 * budget, (n_steps, peak, budget)
 
 
 class TestExport:
@@ -342,11 +360,9 @@ class TestExport:
             replayed.append(uniforms.shape[0] * uniforms.shape[1])
             return real_run_paths(config, policies, uniforms, *args, **kwargs)
         monkeypatch.setattr(sim, "run_paths", run_paths)
-        # chunks of 4 paths' streams, so of one exported path with its
-        # record, and streams drawn in blocks of 64 steps
+        # chunks of 4 paths, streams drawn in blocks of 64 steps
         n_paths, n_steps = 10, 150
-        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                            sim.STREAM_BYTES_PER_STEP * n_steps * 4)
+        monkeypatch.setattr(sim, "CHUNK_PATHS", 4)
         monkeypatch.setattr(sim, "STREAM_BLOCK", sim.REPLAY_BLOCK)
         config = tmp_path / "sim.yaml"
         config.write_text("sim:\n  export_paths: true\n  n_export_paths: 3\n")
@@ -355,7 +371,7 @@ class TestExport:
                          "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
         assert calls == {"make_policy": 2, "build_theta_table": 2}
         assert sum(replayed) == n_paths * n_steps
-        assert len(replayed) == 5 * 3  # chunks of 1, 1, 1, 4 and 3 paths
+        assert len(replayed) == 3 * 3  # chunks of 4, 4 and 2 paths
         assert len(list(out.glob("path_*.csv"))) == 3
 
     def test_records_are_freed_with_their_chunk(self, monkeypatch, lively_as_model):
@@ -365,10 +381,7 @@ class TestExport:
         pnl = {}
 
         def peak(paths_per_chunk):
-            # every path is exported, so each takes its record's bytes too
-            monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES",
-                                (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP)
-                                * n_steps * paths_per_chunk)
+            monkeypatch.setattr(sim, "CHUNK_PATHS", paths_per_chunk)
             config = SimConfig(model=lively_as_model, n_paths=n_paths,
                                n_steps=n_steps, seed=4)
             return _peak_memory(config, n_paths,
@@ -379,13 +392,13 @@ class TestExport:
         assert sorted(pnl) == list(range(n_paths))
         assert four_chunks < 0.5 * one_chunk, (one_chunk, four_chunks)
 
-    def test_export_peak_is_bounded_by_the_budget(self, monkeypatch, lively_as_model):
-        # exporting every path at a budget of 50 paths' streams and records;
-        # catches: sizing chunks by their streams alone (140 paths a chunk
-        # here, records not counted)
+    def test_export_peak_is_bounded_by_the_chunk(self, monkeypatch, lively_as_model):
+        # exporting every path in chunks of 50; the budget is what 50 paths'
+        # streams (32 bytes per path-step, whole at 400 steps) and records
+        # take.  catches: a chunk of every path, or of every exported one
         n_paths, n_steps = 200, 400
-        budget = (sim.STREAM_BYTES_PER_STEP + sim.RECORD_BYTES_PER_STEP) * n_steps * 50
-        monkeypatch.setattr(sim, "STREAM_CHUNK_BYTES", budget)
+        budget = (32 + sim.RECORD_BYTES_PER_STEP) * n_steps * 50
+        monkeypatch.setattr(sim, "CHUNK_PATHS", 50)
         config = SimConfig(model=lively_as_model, n_paths=n_paths, n_steps=n_steps,
                            seed=4)
         exported = []
@@ -474,7 +487,7 @@ class TestPolicyChecks:
         for steps in (64, 401, 800):
             policy = sim.make_policy(lively_as_model, "vanilla", steps)
             with pytest.raises(ValueError, match="expected"):
-                sim.run_paths(config, [policy], uniforms, normals)
+                replay_whole(config, [policy], uniforms, normals)
 
     # a policy made on another horizon is priced on another dt
     @pytest.mark.parametrize("field", ["A", "k", pytest.param("horizon", id="dt")])
@@ -487,7 +500,7 @@ class TestPolicyChecks:
             lively_as_model, **{field: 1.5 * getattr(lively_as_model, field)})
         policy = sim.make_policy(other, "vanilla", 400)
         with pytest.raises(ValueError, match="priced on"):
-            sim.run_paths(config, [policy], uniforms, normals)
+            replay_whole(config, [policy], uniforms, normals)
 
     def test_nan_quote_is_a_numerical_error(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=3, n_steps=400, seed=2)
@@ -496,7 +509,7 @@ class TestPolicyChecks:
             policy = sim.make_policy(lively_as_model, "vanilla", 400)
             getattr(policy, side)[200, 1, lively_as_model.q_max] = np.nan
             with pytest.raises(NumericalError):
-                sim.run_paths(config, [policy], uniforms, normals)
+                replay_whole(config, [policy], uniforms, normals)
 
     @pytest.mark.parametrize("row, level", [(0, 0), (1, -1), (2, 0), (3, -1)],
                              ids=["ask", "bid", "p_ask", "p_bid"])
@@ -514,7 +527,7 @@ class TestPolicyChecks:
         policy = sim.make_policy(lively_as_model, "vanilla", 400)
         policy.table[row, ..., level] = value
         with pytest.raises(NumericalError, match="at its bound"):
-            sim.run_paths(config, [policy], uniforms, normals)
+            replay_whole(config, [policy], uniforms, normals)
 
     @pytest.mark.parametrize("fault, code", [("grid", 2), ("nan", 3), ("bound", 3)])
     def test_cli_exit_codes(self, monkeypatch, tmp_path, capsys, fault, code):
