@@ -191,19 +191,17 @@ def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray):
     length dtau, yielding (v, log_scale), the state v * exp(log_scale),
     after each interval.
 
-    One expm(-M dtau / n_sub) is built and applied n_sub times per interval,
-    with n_sub chosen to keep |M| per sub-segment below MAX_SEG_NORM.  v is
-    rescaled to max 1 after every sub-segment, so arbitrarily stiff
-    generators stay inside floating range.
+    One numkit.expm(-M dtau / n_sub) is built and applied n_sub times per
+    interval, with n_sub chosen to keep |M| per sub-segment below
+    MAX_SEG_NORM.  v is rescaled to max 1 after every sub-segment, so
+    arbitrarily stiff generators stay inside floating range.
     """
-    import scipy.linalg  # here, so that a reversible chain never loads it
-
     norm_dtau = float(np.abs(M).sum(axis=0).max()) * dtau
     if not norm_dtau <= MAX_SUB_SEGMENTS * MAX_SEG_NORM:  # inf and NaN too
         raise NumericalError(f"penalty system too stiff: |M| dtau = {norm_dtau:.4g} "
                              f"needs over {MAX_SUB_SEGMENTS} sub-segments per interval")
     n_sub = max(1, math.ceil(norm_dtau / MAX_SEG_NORM))
-    E = scipy.linalg.expm(-M * (dtau / n_sub))
+    E = numkit.expm(-M * (dtau / n_sub))
     log_scale = 0.0
     for step in range(1, n_steps + 1):
         for _ in range(n_sub):
@@ -350,11 +348,9 @@ def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
 
     Computed exactly through the augmented generator [[Q, s], [0, 0]]: the
     top-right block of its exponential is the integral above.  Every (Q,
-    tau) pair goes through one stacked expm, which treats each slice
+    tau) pair goes through one stacked numkit.expm, which treats each slice
     exactly as it treats a single matrix.
     """
-    import scipy.linalg
-
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
@@ -363,7 +359,7 @@ def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
     aug = np.zeros(Q.shape[:-2] + (1, N + 1, N + 1))
     aug[..., :N, :N] = Q[..., None, :, :]
     aug[..., :N, N] = model.sigmas**2
-    return scipy.linalg.expm(aug * taus[:, None, None])[..., :N, N]
+    return numkit.expm(aug * taus[:, None, None])[..., :N, N]
 
 
 def risk_factors(model: ASModel, rates=None, taus=(0.0,)) -> np.ndarray:

@@ -5,10 +5,11 @@ error that names its column and line.  Each bar is labelled by clustering
 its trailing log-return volatility, reduced over sliding-window views in
 blocks of `VOL_BLOCK` windows, and the switching generator is estimated
 from the labels.  Rate estimation prefers the matrix logarithm of the
-empirical bar-transition matrix, which undoes the aliasing of fast chains
-observed at coarse bars; when no real generator log exists (e.g. labels
-alternating every bar) it falls back to direct transition counting, whose
-small-step limit it matches.
+empirical bar-transition matrix (numkit.logm, real by construction), which
+undoes the aliasing of fast chains observed at coarse bars; when no real
+generator log exists (an eigenvalue on the closed negative real axis, e.g.
+labels alternating every bar) or the log is not a generator, it falls back
+to direct transition counting, whose small-step limit it matches.
 """
 
 import csv
@@ -218,7 +219,9 @@ def estimate_generator(labels, bar_interval_days: float,
 
 
 def _generator_from_logm(counts, occupancy, bar_interval_days):
-    """logm(P_hat)/dt when it is a real generator; None otherwise."""
+    """numkit.logm(P_hat)/dt when P_hat has a real principal logarithm and
+    that is a generator (no off-diagonal entry below -1e-8 of the largest);
+    None otherwise."""
     n = counts.shape[0]
     P = np.eye(n)
     visited = occupancy > 0
@@ -228,14 +231,7 @@ def _generator_from_logm(counts, occupancy, bar_interval_days):
     eigs = np.linalg.eigvals(P)
     if np.any((eigs.real <= 1e-10) & (np.abs(eigs.imag) <= 1e-10)):
         return None
-    import scipy.linalg  # here, so that only calibrate loads it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        G = scipy.linalg.logm(P)
-    if np.abs(G.imag).max() > 1e-8:
-        return None
-    G = G.real / bar_interval_days
+    G = numkit.logm(P) / bar_interval_days
     off = G - np.diag(np.diag(G))
     if off.min() < -1e-8 * max(1.0, np.abs(G).max()):
         return None

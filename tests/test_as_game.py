@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from rsgames import as_game, game_core, outer_layer
+from rsgames import as_game, game_core, numkit, outer_layer
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
 from rsgames.outer_layer import OuterGameSpec
@@ -301,13 +301,13 @@ class TestIntegratedVariance:
 import scipy.linalg  # noqa: E402  (used by the quadrature oracle above)
 
 
-def single_integrated_variance(model, i, tau):
+def single_integrated_variance(model, i, tau, expm=numkit.expm):
     """w_i(tau) from one (N+1, N+1) exponential, as before batching."""
     N = model.n_regimes
     aug = np.zeros((N + 1, N + 1))
     aug[:N, :N] = model.rates
     aug[:N, N] = model.sigmas**2
-    return float(scipy.linalg.expm(aug * tau)[i, N])
+    return float(expm(aug * tau)[i, N])
 
 
 @st.composite
@@ -336,6 +336,10 @@ class TestRiskFactors:
                 assert got[n, i] == m.gamma * w + m.gamma**2 * m.xi * tau
                 assert oracles.integrated_variance(m, None, i, tau) == w
                 assert as_game.risk_factor(m, None, i, tau) == got[n, i]
+                # scipy's expm, which numkit.expm replaced: the band of
+                # test_numkit's augmented generators, above the subnormals
+                want = single_integrated_variance(m, i, tau, scipy.linalg.expm)
+                assert w == pytest.approx(want, rel=1e-12, abs=np.finfo(float).tiny)
 
     def test_theta_expansions_match_scalar_form(self):
         m = small_model()
@@ -606,9 +610,15 @@ class TestMacroLayer:
         # the two orientations commit to different efforts somewhere
         assert np.abs(f["bang_bang"] - f["bang_bang_flipped"]).max() == 1.0
 
+    @pytest.fixture
+    def scipy_expm(self, monkeypatch):
+        # the reference values were recorded with scipy.linalg.expm; with it
+        # in place of numkit.expm the sweep must reproduce them bit for bit
+        monkeypatch.setattr(numkit, "expm", scipy.linalg.expm)
+
     @pytest.mark.parametrize("case", MACRO_REFERENCE["cases"],
                              ids=lambda c: f"{c['mode']}-q{c['q']}")
-    def test_matches_reference_values(self, case):
+    def test_matches_reference_values(self, case, scipy_expm):
         # values recorded from the per-call implementation before the
         # running costs were precomputed; the sweep must reproduce them bit
         # for bit
@@ -622,20 +632,40 @@ class TestMacroLayer:
 
     @pytest.mark.parametrize("case", MACRO_REFERENCE["three_regime_cases"],
                              ids=lambda c: f"{c['mode']}-q{c['q']}")
-    def test_matches_three_regime_reference(self, case):
+    def test_matches_three_regime_reference(self, case, scipy_expm):
         # values recorded from the per-regime loop over node games; in
         # affine mode these reach mixed 2x2 saddles and flagged nodes
-        m = small_model(sigmas=case["sigmas"], rates=case["rates"])
-        spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
-                                         np.array(case["lam_stab"]), rho_f=0.5, rho_g=0.5)
-        sol = as_game.solve_macro_as(m, spec, case["q"], MACRO_REFERENCE["n_steps"],
-                                     mode=case["mode"])
+        sol = self.three_regime_solution(case)
         for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
             np.testing.assert_array_equal(got, np.array(case[name]), err_msg=name)
         assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
         if case["mode"] == "affine":
             mixed = (sol.f[:, :, 1] > 0.0) & (sol.f[:, :, 1] < 1.0)
             assert mixed.any() and case["nonbilinear_nodes"] > 0
+
+    def three_regime_solution(self, case):
+        m = small_model(sigmas=case["sigmas"], rates=case["rates"])
+        spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
+                                         np.array(case["lam_stab"]), rho_f=0.5, rho_g=0.5)
+        return as_game.solve_macro_as(m, spec, case["q"], MACRO_REFERENCE["n_steps"],
+                                      mode=case["mode"])
+
+    def test_numkit_expm_stays_near_every_reference(self):
+        # the live kernel against the scipy-recorded values, relative to
+        # each array's largest entry; measured: U 2.1e-16, f 1.4e-13, g
+        # 3.7e-13, mu 9.3e-14, with every flagged count equal
+        bands = {"U": 1e-14, "f": 1e-11, "g": 1e-11, "mu": 1e-11}
+        spec = self.affine_spec(rho_f=0.5, rho_g=0.5)
+        solutions = [(as_game.solve_macro_as(small_model(), spec, case["q"],
+                                             MACRO_REFERENCE["n_steps"], mode=case["mode"]),
+                      case) for case in MACRO_REFERENCE["cases"]]
+        solutions += [(self.three_regime_solution(case), case)
+                      for case in MACRO_REFERENCE["three_regime_cases"]]
+        for sol, case in solutions:
+            for name, got in (("U", sol.k), ("f", sol.f), ("g", sol.g), ("mu", sol.mu)):
+                want = np.array(case[name])
+                assert np.abs(got - want).max() <= bands[name] * np.abs(want).max(), name
+            assert sol.meta["nonbilinear_nodes"] == case["nonbilinear_nodes"]
 
     @pytest.mark.parametrize("mode", as_game.MACRO_MODES)
     def test_one_game_batch_and_one_exponential_per_node(self, monkeypatch, mode):
@@ -644,7 +674,7 @@ class TestMacroLayer:
         spec = OuterGameSpec.from_affine(np.array(case["mu0"]), np.array(case["lam_att"]),
                                          np.array(case["lam_stab"]))
         calls = {"games": [], "expm": 0}
-        solve_games, expm = game_core.solve_games, scipy.linalg.expm
+        solve_games, expm = game_core.solve_games, numkit.expm
 
         def counting_games(M, *args):
             calls["games"].append(M.shape)
@@ -655,7 +685,7 @@ class TestMacroLayer:
             return expm(A)
 
         monkeypatch.setattr(game_core, "solve_games", counting_games)
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(numkit, "expm", counting_expm)
         as_game.solve_macro_as(m, spec, 1, 9, mode=mode)
         n_nodes = 9 + 1
         if mode == "affine":  # plus the vertex generators over all nodes

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rsgames import as_game, cli, sim
+from rsgames import as_game, cli, numkit, sim
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -779,58 +779,69 @@ class TestFlags:
                 assert exc.value.code == 2, flag
 
 
-# Runs in one fresh interpreter: import rsgames.cli, then solve on the shipped
-# two-regime config, then simulate on the reference market; prints, as its
-# last line, the exit codes and the scipy modules loaded after each stage.
+# Runs in one fresh interpreter: import rsgames.cli, then each stage's
+# command in turn; prints, as its last line, the exit codes and the scipy
+# modules loaded after each stage.
 COLD_START = """
 import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from rsgames import cli
-solve_config, simulate_config, out = sys.argv[1:]
 stages = {"import": [0, scipy_modules()]}
-for name, argv in (("solve", ["--config", solve_config]),
-                   ("simulate", ["--config", simulate_config, "--paths", "20",
-                                 "--steps", "400"])):
-    code = cli.main([name, *argv, "--out", out + "/" + name])
+for name, argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
     stages[name] = [code, scipy_modules()]
 print(json.dumps(stages))
 """
 
+# a cyclic three-regime chain breaks detailed balance, so its penalty table
+# is stepped by numkit.expm
+CYCLIC_MODEL = {"sigmas": [0.2, 0.4, 0.6],
+                "mu_per_day": [[0.0, 2.0, 0.5], [0.5, 0.0, 2.0], [2.0, 0.5, 0.0]]}
+
 
 @pytest.fixture(scope="module")
 def cold_start(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cold")
+    macro = write_yaml(work / "macro.yaml", {"mm": {"macro": {
+        "enabled": True, "inventory": 3, "mode": "affine", "affine": {
+            "mu0": [[0.0, 30.0], [30.0, 0.0]], "lam_att": [[0.0, 400.0], [400.0, 0.0]],
+            "lam_stab": [[0.0, 20.0], [20.0, 0.0]]}}}})
+    cyclic = write_yaml(work / "cyclic.yaml", {"as_model": CYCLIC_MODEL})
+    bars = synthetic_ohlcv(work / "bars.csv")
+    stages = [
+        ("solve", ["solve", "--config", os.path.join(CONFIGS, "solve_two_regime.yaml")]),
+        ("simulate", ["simulate", "--config", os.path.join(CONFIGS, "simulate_reference.yaml"),
+                      "--paths", "20", "--steps", "400"]),
+        ("mm_macro", ["mm", "--config", macro]),
+        ("calibrate", ["calibrate", bars]),
+        ("simulate_cyclic", ["simulate", "--config", cyclic, "--paths", "4", "--steps", "40"]),
+        ("mm_cyclic", ["mm", "--config", cyclic, "--steps", "8"]),
+    ]
+    stages = [(name, argv + ["--out", str(work / name)]) for name, argv in stages]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-c", COLD_START,
-         os.path.join(CONFIGS, "solve_two_regime.yaml"),
-         os.path.join(CONFIGS, "simulate_reference.yaml"),
-         str(tmp_path_factory.mktemp("cold"))],
-        env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(stages)],
+                         env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
 class TestColdStart:
-    """Import, solve and simulate on a reversible chain load no scipy."""
+    """Import and every command, on a reversible and a cyclic chain and on
+    the logm path of calibrate, load no scipy."""
 
-    @pytest.mark.parametrize("stage", ["import", "solve", "simulate"])
+    @pytest.mark.parametrize("stage", ["import", "solve", "simulate", "mm_macro",
+                                       "calibrate", "simulate_cyclic", "mm_cyclic"])
     def test_no_scipy_module_is_loaded(self, cold_start, stage):
         assert cold_start[stage] == [cli.EXIT_OK, []]
 
     def test_non_reversible_chain_runs_through_expm(self, tmp_path, monkeypatch):
-        # a cyclic three-regime chain breaks detailed balance, so simulate
-        # and mm step the penalty table with the lazily imported expm
-        import scipy.linalg
-
+        # simulate and mm step the cyclic chain's penalty table
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            lambda A: calls.append(A.shape) or expm(A))
-        config = write_yaml(tmp_path / "cyclic.yaml", {"as_model": {
-            "sigmas": [0.2, 0.4, 0.6],
-            "mu_per_day": [[0.0, 2.0, 0.5], [0.5, 0.0, 2.0], [2.0, 0.5, 0.0]]}})
+        expm = numkit.expm
+        monkeypatch.setattr(numkit, "expm", lambda A: calls.append(A.shape) or expm(A))
+        config = write_yaml(tmp_path / "cyclic.yaml", {"as_model": CYCLIC_MODEL})
         sim_out, mm_out = tmp_path / "sim", tmp_path / "mm"
         assert run(["simulate", "--config", config, "--paths", "4", "--steps", "40",
                     "--out", str(sim_out)]) == cli.EXIT_OK
@@ -841,3 +852,12 @@ class TestColdStart:
         assert calls
         assert (sim_out / "sim_report.json").exists()
         assert (mm_out / "theta_quotes.csv").exists()
+
+    def test_calibrate_runs_through_logm(self, tmp_path, monkeypatch):
+        # the cold start's bars take the matrix logarithm, not the fallback
+        calls = []
+        logm = numkit.logm
+        monkeypatch.setattr(numkit, "logm", lambda A: calls.append(A.shape) or logm(A))
+        bars = synthetic_ohlcv(tmp_path / "bars.csv")
+        assert run(["calibrate", bars, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert calls == [(2, 2)]

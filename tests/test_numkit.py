@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from rsgames import mjls_inner, numkit, outer_layer
-from rsgames.numkit import BlowupError, TimeGrid
+from rsgames import as_game, mjls_inner, numkit, outer_layer
+from rsgames.numkit import BlowupError, NumericalError, TimeGrid
 
 
 def integrate_backward(phi, mu, terminal, grid):
@@ -115,3 +118,151 @@ class TestStudentTSurvival:
     def test_rejects_fewer_than_one_degree(self):
         with pytest.raises(ValueError, match="nu >= 1"):
             numkit.student_t_sf(1.0, 0.5)
+
+
+def rel_err(got, want):
+    """|got - want|_1 / |want|_1 over the last two axes, the worst slice."""
+    return float((np.abs(got - want).sum(axis=-2).max(axis=-1)
+                  / np.abs(want).sum(axis=-2).max(axis=-1)).max())
+
+
+@st.composite
+def augmented_generators(draw):
+    """[[Q, s], [0, 0]] tau, as as_game._integrated_variances builds them."""
+    N = draw(st.integers(2, 5))
+    rates = draw(hnp.arrays(np.float64, (N, N), elements=st.floats(0.0, 50.0)))
+    vols = draw(hnp.arrays(np.float64, N, elements=st.floats(0.05, 2.0)))
+    aug = np.zeros((N + 1, N + 1))
+    aug[:N, :N] = numkit.generator(rates)
+    aug[:N, N] = vols**2
+    return aug * draw(st.floats(0.0, 3.0))
+
+
+@st.composite
+def penalty_segments(draw):
+    """-M dtau / n_sub, the sub-segment as_game._propagate exponentiates,
+    with |.|_1 <= MAX_SEG_NORM; half of them on the cyclic 3-regime chain
+    0 -> 1 -> 2 -> 0, which is not reversible."""
+    if draw(st.booleans()):
+        N, rates = 3, np.roll(np.eye(3), 1, axis=1) * draw(st.floats(0.1, 400.0))
+    else:
+        N = draw(st.integers(1, 3))
+        rates = draw(hnp.arrays(np.float64, (N, N), elements=st.floats(0.0, 400.0)))
+    positive = st.floats(0.05, 2.0)
+    model = as_game.ASModel(
+        gamma=draw(positive), xi=draw(st.floats(0.0, 5.0)), A=draw(st.floats(1.0, 200.0)),
+        k=draw(st.floats(1.0, 50.0)), q_max=draw(st.integers(1, 8)), horizon=1.0,
+        sigmas=draw(hnp.arrays(np.float64, N, elements=positive)), rates=rates)
+    M = as_game.build_generator(model)
+    dtau = draw(st.floats(1e-4, 1.0))
+    n_sub = max(1, math.ceil(np.abs(M).sum(axis=0).max() * dtau / as_game.MAX_SEG_NORM))
+    return -M * (dtau / n_sub)
+
+
+class TestExpm:
+    """numkit.expm against scipy.linalg.expm, which it replaced, on the two
+    families of matrices the program exponentiates.  Each band is about 20
+    times the worst gap measured over 3000 random draws: 4.9e-14 on the
+    augmented column and 2.1e-14 on the sub-segments.  The sub-segment band
+    is 1e-11 because scipy's own error reaches 1.0e-12 on the segment below,
+    where numkit's is 2.5e-15 (against a 40-digit exponential).  Each of
+    PADE13[5] off by 1e-6 relative and one squaring too few fails them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(augmented_generators())
+    def test_augmented_generators_within_1e_12_of_scipy(self, aug):
+        got, want = numkit.expm(aug), scipy.linalg.expm(aug)
+        assert rel_err(got, want) <= 1e-12
+        # the integrated variances, entry by entry (all positive for tau >
+        # 0), above the subnormals, which hold fewer digits
+        np.testing.assert_allclose(got[:-1, -1], want[:-1, -1], rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
+
+    @settings(max_examples=200, deadline=None)
+    @given(penalty_segments())
+    @example(np.array([[-1 / 12, 125 / 12, 0.0], [125 / 12, 0.0, 125 / 12],
+                       [0.0, 125 / 12, -1 / 12]]))
+    def test_penalty_sub_segments_within_1e_11_of_scipy(self, segment):
+        assert rel_err(numkit.expm(segment), scipy.linalg.expm(segment)) <= 1e-11
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                            st.just(3), st.just(3)),
+                      elements=st.floats(-200.0, 200.0)))
+    def test_a_stack_is_its_single_exponentials_bitwise(self, stack):
+        # the slices' norms differ, so they take different squaring counts
+        got = numkit.expm(stack)
+        assert got.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            np.testing.assert_array_equal(got[index], numkit.expm(stack[index]))
+
+    def test_tau_zero_gives_exactly_the_identity(self):
+        aug = np.zeros((4, 4))
+        aug[:3, :3] = numkit.generator(np.full((3, 3), 40.0))
+        aug[:3, 3] = 0.5
+        got = numkit.expm(aug * np.array([0.0, 2.0, 0.0])[:, None, None])
+        np.testing.assert_array_equal(got[[0, 2]], np.broadcast_to(np.eye(4), (2, 4, 4)))
+        np.testing.assert_array_equal(numkit.expm(np.zeros((1, 1))), [[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_matrix_gives_nan_alone(self, bad):
+        stack = np.array([[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [bad, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numkit.expm(stack)
+        assert np.isnan(got[1]).all()
+        np.testing.assert_array_equal(got[0], numkit.expm(stack[0]))
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numkit.expm(np.full((2, 2), 1e300))
+        assert not np.isfinite(got).any()
+
+
+@st.composite
+def transition_steps(draw):
+    """G dt for a generator G on 2..5 states with |G dt|_inf <= 4, so every
+    eigenvalue has |Im| <= 2 < pi and log expm(G dt) = G dt."""
+    N = draw(st.integers(2, 5))
+    rate = st.one_of(st.just(0.0), st.floats(0.01, 50.0))
+    G = numkit.generator(draw(hnp.arrays(np.float64, (N, N), elements=rate)))
+    size = np.abs(G).sum(axis=1).max()
+    if size == 0.0:
+        return G
+    return G * (draw(st.floats(1e-3, 4.0)) / size)
+
+
+class TestLogm:
+    """numkit.logm against the truth G dt and against scipy.linalg.logm,
+    which it replaced.  Measured worst over 6000 draws: 5.4e-13 from the
+    truth (scipy's own: 2.5e-12) and 2.7e-12 from scipy.  A Gauss-Legendre
+    weight off by 1e-9 relative, or Denman-Beavers stopping once M is within
+    1e-4 of I, fails them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(transition_steps())
+    def test_round_trip_within_1e_11(self, step):
+        P = numkit.expm(step)
+        got = numkit.logm(P)
+        scale = np.abs(step).sum(axis=0).max()
+        assert np.abs(got - step).sum(axis=0).max() <= 1e-11 * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = scipy.linalg.logm(P)
+        assert np.abs(got - want).sum(axis=0).max() <= 1e-10 * scale
+
+    def test_identity_gives_zero_and_stacks_slice_by_slice(self):
+        np.testing.assert_array_equal(numkit.logm(np.eye(3)), np.zeros((3, 3)))
+        steps = np.stack([numkit.generator(np.full((3, 3), r)) for r in (0.1, 1.0, 3.0)])
+        P = numkit.expm(steps)
+        got = numkit.logm(P)
+        for b in range(3):
+            np.testing.assert_array_equal(got[b], numkit.logm(P[b]))
+        assert rel_err(got, steps) <= 1e-12
+
+    @pytest.mark.parametrize("A", [np.diag([-1.0, 1.0]), np.diag([-2.0, 1.0]),
+                                   np.zeros((2, 2)), [[1.0, np.nan], [0.0, 1.0]]])
+    def test_no_real_logarithm_raises_numerical_error(self, A):
+        with pytest.raises(NumericalError):
+            numkit.logm(np.array(A))
