@@ -16,7 +16,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -240,27 +240,6 @@ def _generator_from_logm(counts, occupancy, bar_interval_days):
     return numkit.generator(off)
 
 
-@dataclass
-class RegimeCalibration:
-    sigmas: np.ndarray              # annualized, ascending (regime 0 = calm)
-    generator_per_day: np.ndarray
-    centers: np.ndarray
-    labels: np.ndarray              # per bar with a defined volatility
-    window: int
-    annualization: float
-    run_lengths: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "sigmas": self.sigmas.tolist(),
-            "generator_per_day": self.generator_per_day.tolist(),
-            "centers": self.centers.tolist(),
-            "window": self.window,
-            "annualization": self.annualization,
-            "run_lengths": self.run_lengths,
-        }
-
-
 def label_runs(labels) -> list:
     """(label, length) of each run of equal consecutive labels."""
     labels = np.asarray(labels, dtype=int)
@@ -271,10 +250,14 @@ def label_runs(labels) -> list:
 
 def calibrate(series: OhlcvSeries, window: int = 48,
               annualization: float = 365.0 * 48.0,
-              n_regimes: int = 2) -> RegimeCalibration:
+              n_regimes: int = 2) -> dict:
     """Full pipeline: rolling volatility, k-means labels, rate estimation.
 
-    Warm-up bars (no full window) are excluded from clustering and rate
+    Returns the dict that calibration.json holds: the regimes' annualized
+    sigmas, ascending (regime 0 is the calm one), the generator per day,
+    the cluster centers (the same values as the sigmas), window,
+    annualization, and the (label, length) runs of the labels.  Warm-up
+    bars (no full window) are excluded from clustering and rate
     estimation.  The default annualization assumes 30-minute bars on a
     24/7 market (365 * 48 bars per year).
     """
@@ -282,12 +265,6 @@ def calibrate(series: OhlcvSeries, window: int = 48,
     centers, labels = kmeans_1d(vol[window:], n_regimes)
     bar_days = series.bar_seconds / 86400.0
     generator = estimate_generator(labels, bar_days, n_states=n_regimes)
-    return RegimeCalibration(
-        sigmas=centers.copy(),
-        generator_per_day=generator,
-        centers=centers,
-        labels=labels,
-        window=window,
-        annualization=annualization,
-        run_lengths=label_runs(labels),
-    )
+    return {"sigmas": centers.tolist(), "generator_per_day": generator.tolist(),
+            "centers": centers.tolist(), "window": window,
+            "annualization": annualization, "run_lengths": label_runs(labels)}

@@ -94,24 +94,27 @@ WANTS = {"bool": "must be true or false", "number": "must be a number",
 def load_config(path, command: str) -> dict:
     """The command's sections with defaults merged and every field checked
     against its kind, as plain YAML values; a ConfigError otherwise."""
-    if path is None:
-        cfg = {}
-    else:
+    cfg = None  # no file, or an empty one
+    if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path) as handle:
             try:
-                cfg = yaml.safe_load(handle) or {}
+                cfg = yaml.safe_load(handle)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config root must be a mapping, got {type(cfg)}")
+    if cfg is None:
+        cfg = {}
+    elif not isinstance(cfg, dict):
+        raise ConfigError(f"config root must be a mapping, got {type(cfg)}")
     sections = {"calibrate": ("calibrate",), "solve": ("grid", "lq", "outer"),
                 "mm": ("as_model", "mm"), "simulate": ("as_model", "sim")}[command]
     for key in cfg:
         if key not in sections:
             raise ConfigError(f"unknown section {key!r} for command {command!r}")
-    return {section: _resolve(section, cfg.get(section) or {}) for section in sections}
+    # only a null section is absent: false, 0 or [] is refused as not a mapping
+    return {section: _resolve(section, {} if cfg.get(section) is None else cfg[section])
+            for section in sections}
 
 
 def _resolve(section: str, given) -> dict:
@@ -345,23 +348,27 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, "calibrate")["calibrate"]
     result = calib.calibrate(calib.load_ohlcv_csv(args.csv), **cfg)
     out = os.path.join(args.out, "calibration.json")
-    write_json(out, result.to_dict())
+    write_json(out, result)
     print(f"wrote {out}")
     print("regime  sigma(annualized)")
-    for i, s in enumerate(result.sigmas):
+    for i, s in enumerate(result["sigmas"]):
         print(f"{i:>6}  {s:.4f}")
     print("generator (per day):")
-    for row in result.generator_per_day:
+    for row in result["generator_per_day"]:
         print("  " + "  ".join(f"{x:9.4f}" for x in row))
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    """Solve the hierarchy and compute turnpike_report's dict, then write
+    the five CSVs and turnpike.json; a failure of the solve or the report
+    leaves no file."""
     cfg = load_config(args.config, "solve")
     model = build_lq_model(cfg["lq"])
     spec = build_outer_spec(cfg["outer"], model.n_regimes)
     grid = build_grid(cfg["grid"])
     sol = hierarchy.solve_hierarchy(model, spec, grid)
+    report = hierarchy.turnpike_report(sol)
 
     nodes = grid.nodes()
     P = sol.riccati.P
@@ -387,10 +394,7 @@ def cmd_solve(args) -> int:
               ["t", "regime", "player", "action", "weight"],
               [nodes[idx], i, np.where(is_row, "row", "col"),
                np.where(is_row, a, a - n_row_actions), weights.ravel()])
-    write_json(os.path.join(args.out, "turnpike.json"), {
-        **hierarchy.turnpike_report(sol),
-        "saddle_paths": sol.diagnostics["saddle_paths"],
-        "max_best_response_gap": sol.diagnostics["max_best_response_gap"]})
+    write_json(os.path.join(args.out, "turnpike.json"), report)
     print(f"wrote riccati_p.csv, riccati_r.csv, outer_k.csv, rates.csv, "
           f"policies.csv, turnpike.json to {args.out}")
     return EXIT_OK
@@ -500,9 +504,9 @@ def cmd_simulate(args) -> int:
 
     report = sim.run_monte_carlo(config, n_export, write_path)
     out = os.path.join(args.out, "sim_report.json")
-    write_json(out, report.to_dict())
+    write_json(out, report)
     print(f"wrote {out}")
-    for note in report.notes:
+    for note in report["notes"]:
         print(f"note: {note}")
     return EXIT_OK
 

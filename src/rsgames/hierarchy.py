@@ -101,12 +101,13 @@ def _fit_decay_rate(taus, residuals):
 
 def turnpike_report(sol: HierarchySolution) -> dict:
     """Fitted exponential decay rates of both layers, next to their spectral
-    references (2 rho_H inner, mean lambda_2 outer).  Diagnostic only.
+    references (2 rho_H inner, mean lambda_2 outer), and the saddle health
+    of the outer layer's node games from sol.diagnostics.  Diagnostic only.
 
-    These are the fields of turnpike.json besides the saddle counters.  The
-    inner residual is |P(tau) - P(tau_max)| and the outer residual is the
-    distance of the disagreement component of k from its long-horizon
-    limit, both in backward time tau = T - t.
+    These are all the fields of turnpike.json.  The inner residual is
+    |P(tau) - P(tau_max)| and the outer residual is the distance of the
+    disagreement component of k from its long-horizon limit, both in
+    backward time tau = T - t.
     """
     grid = sol.riccati.grid
     taus = grid.T - grid.nodes()[::-1]  # ascending 0 .. T - t0
@@ -141,4 +142,6 @@ def turnpike_report(sol: HierarchySolution) -> dict:
         "outer_reference_rate": sol.diagnostics.get("lambda2_mean"),
         "outer_degenerate": outer_rate is None,
         "warnings": warnings,
+        "saddle_paths": sol.diagnostics["saddle_paths"],
+        "max_best_response_gap": sol.diagnostics["max_best_response_gap"],
     }

@@ -473,21 +473,6 @@ def paired_one_sided(diffs: np.ndarray):
     return t, student_t_sf(t, n - 1)
 
 
-@dataclass
-class SimReport:
-    strategies: dict
-    ratios: dict
-    paired: dict
-    seed: int
-    n_paths: int
-    n_steps: int
-    predator: bool
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def max_steps(model: ASModel, n_export: int) -> int:
     """The most steps whose quote tables, n_steps + 1 nodes of (4, N,
     2 q_max + 1) float64 per policy of POLICY_KINDS, and one chunk's records
@@ -498,8 +483,11 @@ def max_steps(model: ASModel, n_export: int) -> int:
 
 
 def run_monte_carlo(config: SimConfig, n_export: int = 0,
-                    on_path=None) -> SimReport:
-    """Run vanilla and equilibrium quoting on common random numbers.
+                    on_path=None) -> dict:
+    """Run vanilla and equilibrium quoting on common random numbers; the
+    report is the dict that sim_report.json holds: per-strategy statistics,
+    their ratios, the paired PnL test, the run's seed, sizes and predator
+    flag, and notes.
 
     Paths are replayed CHUNK_PATHS at a time, a chunk's streams drawn and
     replayed STREAM_BLOCK steps at a time; the per-path results are joined
@@ -550,13 +538,6 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
             "predator disabled: with xi = 0 the vanilla and equilibrium "
             "policies coincide and any gap reflects xi-awareness only"
         )
-    return SimReport(
-        strategies=stats,
-        ratios=ratios,
-        paired=paired,
-        seed=config.seed,
-        n_paths=config.n_paths,
-        n_steps=config.n_steps,
-        predator=config.predator,
-        notes=notes,
-    )
+    return {"strategies": stats, "ratios": ratios, "paired": paired,
+            "seed": config.seed, "n_paths": config.n_paths,
+            "n_steps": config.n_steps, "predator": config.predator, "notes": notes}

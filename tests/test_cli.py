@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rsgames import as_game, cli, numkit, sim
+from rsgames import as_game, calib, cli, hierarchy, numkit, sim
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -57,6 +57,17 @@ def solve_config(tmp_path):
     return write_yaml(tmp_path / "solve.yaml", tree)
 
 
+def written_report(path):
+    """A JSON output's fields besides its schema_version."""
+    payload = json.loads(path.read_text())
+    assert payload.pop("schema_version") == cli.SCHEMA_VERSION
+    return payload
+
+
+def json_round_trip(report):
+    return json.loads(json.dumps(report))
+
+
 def synthetic_ohlcv(path, n=800, seed=5):
     rng = np.random.default_rng(seed)
     regime = np.zeros(n, dtype=int)
@@ -89,6 +100,29 @@ class TestCalibrateCommand:
         assert payload["sigmas"][0] < payload["sigmas"][1]
         gen = np.array(payload["generator_per_day"])
         np.testing.assert_allclose(gen.sum(axis=1), 0.0, atol=1e-12)
+
+    def test_file_is_calibrate_and_stdout_its_table(self, tmp_path, capsys):
+        # calibration.json is what calib.calibrate returns, and the printed
+        # table shows the file's sigmas and generator
+        csv = synthetic_ohlcv(tmp_path / "bars.csv")
+        cfg = write_yaml(tmp_path / "cal.yaml", {"calibrate": {"window": 12}})
+        out = tmp_path / "out"
+        assert run(["calibrate", csv, "--config", cfg, "--out", str(out)]) == 0
+        payload = written_report(out / "calibration.json")
+        result = calib.calibrate(calib.load_ohlcv_csv(csv),
+                                 **cli.load_config(cfg, "calibrate")["calibrate"])
+        assert payload == json_round_trip(result)
+
+        lines = capsys.readouterr().out.splitlines()
+        n = len(payload["sigmas"])
+        assert lines[:2] == [f"wrote {out / 'calibration.json'}",
+                             "regime  sigma(annualized)"]
+        assert [line.split() for line in lines[2:2 + n]] == \
+            [[str(i), f"{s:.4f}"] for i, s in enumerate(payload["sigmas"])]
+        assert lines[2 + n] == "generator (per day):"
+        table = [[float(x) for x in line.split()] for line in lines[3 + n:]]
+        np.testing.assert_allclose(table, payload["generator_per_day"], rtol=0,
+                                   atol=5e-5)
 
     def test_constant_prices_degenerate(self, tmp_path):
         csv = tmp_path / "flat.csv"
@@ -133,6 +167,19 @@ class TestSolveCommand:
             n_regimes * (tree["grid"]["n_steps"] + 1)
         assert 0.0 <= report["max_best_response_gap"] <= 1e-9
 
+    def test_turnpike_json_is_turnpike_report(self, tmp_path):
+        # every field of turnpike.json comes from hierarchy.turnpike_report
+        config = os.path.join(CONFIGS, "solve_two_regime.yaml")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", str(out)]) == 0
+        cfg = cli.load_config(config, "solve")
+        model = cli.build_lq_model(cfg["lq"])
+        sol = hierarchy.solve_hierarchy(
+            model, cli.build_outer_spec(cfg["outer"], model.n_regimes),
+            cli.build_grid(cfg["grid"]))
+        assert written_report(out / "turnpike.json") == \
+            json_round_trip(hierarchy.turnpike_report(sol))
+
     TURNPIKE_KEYS = {"schema_version", "rho_H", "lambda2_mean", "inner_fitted_rate",
                      "inner_reference_rate", "inner_degenerate", "outer_fitted_rate",
                      "outer_reference_rate", "outer_degenerate", "warnings",
@@ -140,9 +187,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "zero_rates"])
     def test_turnpike_json_schema(self, tmp_path, coupled):
-        # the file is turnpike_report's nine fields, the saddle counters and
-        # the schema version, and nothing else; with every rate zero the
-        # generator's diagonal is +0.0, never -0.0
+        # the file is turnpike_report's eleven fields, the saddle counters
+        # among them, and the schema version, and nothing else; with every
+        # rate zero the generator's diagonal is +0.0, never -0.0
         tree = yaml.safe_load(open(os.path.join(CONFIGS, "solve_two_regime.yaml")))
         if not coupled:
             for key in tree["outer"]["affine"]:
@@ -526,6 +573,21 @@ class TestSimulateCommand:
         assert payload["schema_version"] == 1
         assert set(payload["strategies"]) == {"vanilla", "equilibrium"}
         assert "pnl_ratio" in payload["ratios"]
+
+    def test_file_is_run_monte_carlo(self, tmp_path, small_sim_config):
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", small_sim_config, "--out", str(out)]) == 0
+        cfg = cli.load_config(small_sim_config, "simulate")
+        model = cli.build_as_model(cfg["as_model"])
+        sim_cfg = cfg["sim"]
+        config = sim.SimConfig(
+            model=model, n_paths=sim_cfg["n_paths"],
+            n_steps=round(cfg["as_model"]["horizon_hours"] * 3600
+                          / cfg["as_model"]["dt_seconds"]),
+            seed=sim_cfg["seed"], predator=sim_cfg["predator"],
+            initial_regime=sim_cfg["initial_regime"])
+        assert written_report(out / "sim_report.json") == \
+            json_round_trip(sim.run_monte_carlo(config))
 
     def test_predator_off_note(self, tmp_path, capsys):
         tree = {

@@ -198,6 +198,70 @@ class TestCalibrateBounds:
         assert (code, written) == (0, ["calibration.json"]), err
 
 
+class TestFalsyRootAndSections:
+    """A config root or a command's section that is false, 0, [] or "" is
+    not a mapping: it exits 2, names the root or the section and writes
+    nothing.  Only null, like an empty mapping, leaves it out."""
+
+    SOLVE = shipped("solve_two_regime.yaml")
+    COMMANDS = {"calibrate": ("calibrate",), "solve": ("grid", "lq", "outer"),
+                "mm": ("as_model", "mm"), "simulate": ("as_model", "sim")}
+    SECTIONS = [(command, section) for command, sections in COMMANDS.items()
+                for section in sections]
+    FALSY = [False, 0, [], ""]
+
+    def base(self, command):
+        return copy.deepcopy(self.SOLVE) if command == "solve" else {}
+
+    def refused(self, tmp_path, command, tree, message):
+        write_bars(os.path.join(tmp_path, "bars.csv"))  # calibrate reads it
+        code, err, written = run_cli(command, tree, tmp_path)
+        assert code == cli.EXIT_CONFIG, err
+        assert f"config error: {message}" in err
+        assert written == []
+
+    @pytest.mark.parametrize("value", FALSY, ids=repr)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_falsy_root_is_refused(self, tmp_path, command, value):
+        self.refused(tmp_path, command, value, "config root must be a mapping")
+
+    @pytest.mark.parametrize("value", FALSY, ids=repr)
+    @pytest.mark.parametrize("command,section", SECTIONS)
+    def test_falsy_section_is_refused(self, tmp_path, command, section, value):
+        tree = {**self.base(command), section: value}
+        self.refused(tmp_path, command, tree,
+                     f"{section} must be a mapping, got {value!r}")
+
+    @staticmethod
+    def resolved(tmp_path, command, text):
+        """load_config on a file holding text: the config, or the message
+        of its ConfigError."""
+        path = os.path.join(tmp_path, "config.yaml")
+        with open(path, "w") as handle:
+            handle.write(text)
+        try:
+            return cli.load_config(path, command)
+        except cli.ConfigError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("text", ["", "null\n", "{}\n"], ids=repr)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_null_or_empty_root_is_the_defaults(self, tmp_path, command, text):
+        assert self.resolved(tmp_path, command, text) == \
+            self.resolved(tmp_path, command, "{}\n")
+        if command != "solve":  # solve has required fields
+            assert self.resolved(tmp_path, command, text) == \
+                cli.load_config(None, command)
+
+    @pytest.mark.parametrize("value", [None, {}], ids=repr)
+    @pytest.mark.parametrize("command,section", SECTIONS)
+    def test_null_or_empty_section_is_absent(self, tmp_path, command, section, value):
+        without = {k: v for k, v in self.base(command).items() if k != section}
+        given = {**without, section: value}
+        assert self.resolved(tmp_path, command, yaml.safe_dump(given)) == \
+            self.resolved(tmp_path, command, yaml.safe_dump(without))
+
+
 class TestFlagValues:
     BAD = [("mm", "--steps", "-4"), ("mm", "--steps", "0"), ("mm", "--steps", "x"),
            ("simulate", "--steps", "0"), ("simulate", "--paths", "0"),

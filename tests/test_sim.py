@@ -29,8 +29,8 @@ def path_record(config, policy=None, p=0):
 class TestDeterminism:
     def test_reports_bit_identical(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=40, n_steps=400, seed=99)
-        r1 = sim.run_monte_carlo(config).to_dict()
-        r2 = sim.run_monte_carlo(config).to_dict()
+        r1 = sim.run_monte_carlo(config)
+        r2 = sim.run_monte_carlo(config)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_single_path_matches_batch(self, lively_as_model):
@@ -47,8 +47,8 @@ class TestDeterminism:
         other = SimConfig(model=lively_as_model, n_paths=20, n_steps=400, seed=2)
         r1 = sim.run_monte_carlo(base)
         r2 = sim.run_monte_carlo(other)
-        assert r1.strategies["vanilla"]["mean_pnl"] != \
-            r2.strategies["vanilla"]["mean_pnl"]
+        assert r1["strategies"]["vanilla"]["mean_pnl"] != \
+            r2["strategies"]["vanilla"]["mean_pnl"]
 
 
 class TestPathMechanics:
@@ -58,7 +58,7 @@ class TestPathMechanics:
                         s0=50.0)
         config = SimConfig(model=model, n_paths=10, n_steps=100, seed=3)
         report = sim.run_monte_carlo(config)
-        for stats in report.strategies.values():
+        for stats in report["strategies"].values():
             assert abs(stats["mean_pnl"]) <= 1e-6
             assert stats["mean_fills_ask"] == 0.0
             assert stats["mean_fills_bid"] == 0.0
@@ -136,7 +136,7 @@ class TestRegimeDraw:
         monkeypatch.setattr(sim, "generate_streams", streams)
         config = SimConfig(model=model, n_paths=4, n_steps=40, seed=5)
         report = sim.run_monte_carlo(config)
-        assert np.isfinite(report.strategies["vanilla"]["mean_pnl"])
+        assert np.isfinite(report["strategies"]["vanilla"]["mean_pnl"])
 
         policy = sim.make_policy(model, "vanilla", 40)
         uniforms, normals = streams(sim.PathStreams(5, 4, 40))
@@ -255,7 +255,7 @@ class TestReport:
 
     def test_report_fields(self, lively_as_model, tmp_path):
         config = SimConfig(model=lively_as_model, n_paths=30, n_steps=400, seed=13)
-        cli.write_json(tmp_path / "sim_report.json", sim.run_monte_carlo(config).to_dict())
+        cli.write_json(tmp_path / "sim_report.json", sim.run_monte_carlo(config))
         report = json.loads((tmp_path / "sim_report.json").read_text())
         for key in ("schema_version", "strategies", "ratios", "paired", "seed"):
             assert key in report
@@ -272,14 +272,14 @@ class TestReport:
         _, pnl = path_record(
             config, sim.make_policy(lively_as_model, "vanilla", 400), 0
         )
-        assert report.strategies["vanilla"]["mean_pnl"] == \
+        assert report["strategies"]["vanilla"]["mean_pnl"] == \
             pytest.approx(pnl, abs=1e-12)
 
     def test_predator_off_note(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=5, n_steps=400,
                            seed=1, predator=False)
         report = sim.run_monte_carlo(config)
-        assert any("predator disabled" in note for note in report.notes)
+        assert any("predator disabled" in note for note in report["notes"])
 
     def test_config_validation(self, lively_as_model):
         with pytest.raises(ValueError):
