@@ -106,7 +106,7 @@ def load_config(path, command: str) -> dict:
     if cfg is None:
         cfg = {}
     elif not isinstance(cfg, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(cfg)}")
+        raise ConfigError(f"config root must be a mapping, got {cfg!r}")
     sections = {"calibrate": ("calibrate",), "solve": ("grid", "lq", "outer"),
                 "mm": ("as_model", "mm"), "simulate": ("as_model", "sim")}[command]
     for key in cfg:

@@ -10,6 +10,11 @@ stacked replay; its mean_* fields sum in another order, so they are the
 reference to rounding only.  replay_whole runs `sim.run_paths` over whole
 paths in one call, as tests of the replay itself do.
 
+generate_streams_oracle is the one-thread draw that `sim.generate_streams`
+replaced: it fills every path's rows in order, in the calling thread.  The
+two-thread draw must equal it bit for bit, its arrays, `drawn` and every
+generator's state.
+
 theta_table_oracle is the node-by-node penalty table that the spectral
 `as_game.build_theta_table` replaced, and solve_theta_piecewise composes
 `as_game.solve_theta_exact` over constant-rate segments through the same
@@ -213,6 +218,30 @@ def replay_whole(config, policies, uniforms, normals, record=0):
     outs[-1]["records"] = [{name: values[:, p] for name, values in state.rec.items()}
                            for p in range(state.rec["price"].shape[1])]
     return outs
+
+
+def generate_streams_oracle(streams, steps=None):
+    """The next `steps` steps of every path of `streams`, all that are left
+    by default, drawn row by row in the calling thread."""
+    n_steps = streams.n_steps
+    left = n_steps - streams.drawn
+    steps = left if steps is None else steps
+    if not 0 < steps <= left:
+        raise ValueError(f"asked for {steps} steps of streams with {left} left")
+    if not streams.generators:
+        for p in range(streams.first, streams.first + streams.n_paths):
+            seq = np.random.SeedSequence(streams.seed, spawn_key=(p,))
+            normal_bits = np.random.Philox(seq, counter=3 * n_steps // 4)
+            normal_bits.random_raw(3 * n_steps % 4)
+            streams.generators.append((np.random.Generator(np.random.Philox(seq)),
+                                       np.random.Generator(normal_bits)))
+    uniforms = np.empty((streams.n_paths, steps, 3))
+    normals = np.empty((streams.n_paths, steps))
+    for row, (uniform_gen, normal_gen) in enumerate(streams.generators):
+        uniform_gen.random(out=uniforms[row])
+        normal_gen.standard_normal(out=normals[row])
+    streams.drawn += steps
+    return uniforms, normals
 
 
 def run_paths_oracle(config, policy, uniforms, normals, predator, record=False):

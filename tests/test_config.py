@@ -223,7 +223,8 @@ class TestFalsyRootAndSections:
     @pytest.mark.parametrize("value", FALSY, ids=repr)
     @pytest.mark.parametrize("command", COMMANDS)
     def test_falsy_root_is_refused(self, tmp_path, command, value):
-        self.refused(tmp_path, command, value, "config root must be a mapping")
+        self.refused(tmp_path, command, value,
+                     f"config root must be a mapping, got {value!r}")
 
     @pytest.mark.parametrize("value", FALSY, ids=repr)
     @pytest.mark.parametrize("command,section", SECTIONS)

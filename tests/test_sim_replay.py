@@ -7,7 +7,9 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from oracles import fill_probability_oracle, replay_whole, run_paths_oracle
+from oracles import (fill_probability_oracle, generate_streams_oracle, replay_whole,
+                     run_paths_oracle)
 from rsgames import as_game, cli, sim
 from rsgames.as_game import ASModel
 from rsgames.numkit import NumericalError
@@ -228,6 +231,59 @@ class TestStreams:
             np.testing.assert_array_equal(normals[p], gen.standard_normal(n_steps))
         with pytest.raises(ValueError, match="0 left"):
             sim.generate_streams(streams, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_paths=st.integers(1, 9), first=st.integers(0, 40),
+           n_steps=st.integers(1, 50), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_two_thread_draw_equals_one_thread_loop(self, n_paths, first, n_steps,
+                                                    data, seed):
+        # the helper thread draws rows [n_paths // 2, n_paths); catches its
+        # rows starting one late (row n_paths // 2 is left unfilled and its
+        # generators undrawn) or ending one early, and a generator drawn by
+        # the wrong half; a short switch interval interleaves the threads
+        block = data.draw(st.integers(1, n_steps), label="block")
+        got, want = (sim.PathStreams(seed, n_paths, n_steps, first) for _ in range(2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocks = [(sim.generate_streams(got, min(block, n_steps - s0)),
+                       generate_streams_oracle(want, min(block, n_steps - s0)))
+                      for s0 in range(0, n_steps, block)]
+        finally:
+            sys.setswitchinterval(interval)
+        for (got_u, got_n), (want_u, want_n) in blocks:
+            assert got_u.tobytes() == want_u.tobytes()
+            assert got_n.tobytes() == want_n.tobytes()
+        assert got.drawn == want.drawn
+        for got_gens, want_gens in zip(got.generators, want.generators, strict=True):
+            for one, two in zip(got_gens, want_gens):
+                np.testing.assert_equal(one.bit_generator.state,
+                                        two.bit_generator.state)
+
+    class _FailingDraw:
+        def __init__(self, row):
+            self.row = row
+
+        def random(self, out):
+            raise RuntimeError(f"draw failed at row {self.row}")
+
+    # five paths: the caller draws rows 0 and 1, the helper rows 2 to 4
+    @pytest.mark.parametrize("rows", [(0,), (4,), (1, 2)], ids=str)
+    def test_failed_draw_is_raised_in_the_caller(self, rows):
+        # catches the helper's exception lost in its thread (the call then
+        # returns a block with unfilled rows) and a helper left running
+        streams = sim.PathStreams(3, 5, 40)
+        sim.generate_streams(streams, 10)
+        for row in rows:
+            streams.generators[row] = (self._FailingDraw(row),
+                                       streams.generators[row][1])
+        threads = threading.active_count()
+        pattern = "|".join(f"row {row}$" for row in rows)
+        with pytest.raises(RuntimeError, match=pattern):
+            sim.generate_streams(streams, 10)
+        assert threading.active_count() == threads
+        assert streams.drawn == 10
 
     def test_exported_path_is_its_batch_row(self, lively_as_model):
         config = SimConfig(model=lively_as_model, n_paths=8, n_steps=400, seed=12)
