@@ -68,21 +68,6 @@ SPECTRAL_CHUNK_NODES = 64
 NONBILINEAR_TOL = 1e-9
 
 
-class AccuracyError(NumericalError):
-    """The CARA transform left the positive cone (tolerance exceeded)."""
-
-
-def _as_generator(rates, N):
-    """Return generators (..., N, N) from rates (..., N, N): the given
-    off-diagonals, diagonal = -row sum."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape[-2:] != (N, N):
-        raise ValueError(f"rates must be (..., {N}, {N}), got {rates.shape}")
-    if np.any((rates < 0) & ~np.eye(N, dtype=bool)):
-        raise ValueError("switching rates must be nonnegative off-diagonal")
-    return numkit.generator(rates)
-
-
 @dataclass
 class ASModel:
     """Market-making parameters.  Times are in years (365-day year).
@@ -126,9 +111,9 @@ class ASModel:
             raise ValueError("horizon must be positive")
         N = self.sigmas.shape[0]
         rates = np.zeros((N, N)) if self.rates is None else np.asarray(self.rates, float)
-        if rates.ndim != 2:  # only the internal helpers take stacks of generators
+        if rates.shape != (N, N):  # only the internal helpers take stacks of generators
             raise ValueError(f"rates must be ({N}, {N}), got {rates.shape}")
-        self.rates = _as_generator(rates, N)
+        self.rates = numkit.generator(rates)
 
     @property
     def n_regimes(self) -> int:
@@ -173,7 +158,7 @@ def build_generator(model: ASModel, rates=None) -> np.ndarray:
     is what halves the executed-flow term at the bounds.
     """
     N, nq = model.n_regimes, model.n_levels
-    Q = _as_generator(model.rates if rates is None else rates, N)
+    Q = numkit.generator(model.rates if rates is None else rates)
     fill = model.A * model.fill_constant
     gamma = model.gamma
     risk = 0.5 * gamma**2 * (model.sigmas**2 + model.xi * gamma)
@@ -208,7 +193,7 @@ def _propagate(M: np.ndarray, dtau: float, n_steps: int, v: np.ndarray):
             v = E @ v
             top = v.max()
             if not np.isfinite(top) or np.any(v <= 0.0):
-                raise AccuracyError(
+                raise NumericalError(
                     f"CARA transform v lost positivity in interval {step} of "
                     f"{n_steps} (dtau={dtau:.6g})"
                 )
@@ -355,7 +340,7 @@ def _integrated_variances(model: ASModel, rates, taus) -> np.ndarray:
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     N = model.n_regimes
-    Q = _as_generator(model.rates if rates is None else rates, N)
+    Q = numkit.generator(model.rates if rates is None else rates)
     aug = np.zeros(Q.shape[:-2] + (1, N + 1, N + 1))
     aug[..., :N, :N] = Q[..., None, :, :]
     aug[..., :N, N] = model.sigmas**2

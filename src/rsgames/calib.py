@@ -254,17 +254,16 @@ def calibrate(series: OhlcvSeries, window: int = 48,
     """Full pipeline: rolling volatility, k-means labels, rate estimation.
 
     Returns the dict that calibration.json holds: the regimes' annualized
-    sigmas, ascending (regime 0 is the calm one), the generator per day,
-    the cluster centers (the same values as the sigmas), window,
-    annualization, and the (label, length) runs of the labels.  Warm-up
-    bars (no full window) are excluded from clustering and rate
-    estimation.  The default annualization assumes 30-minute bars on a
-    24/7 market (365 * 48 bars per year).
+    sigmas, the cluster centers in ascending order (regime 0 is the calm
+    one), the generator per day, window, annualization, and the (label,
+    length) runs of the labels.  Warm-up bars (no full window) are excluded
+    from clustering and rate estimation.  The default annualization assumes
+    30-minute bars on a 24/7 market (365 * 48 bars per year).
     """
     vol = rolling_volatility(series, window, annualization)
     centers, labels = kmeans_1d(vol[window:], n_regimes)
     bar_days = series.bar_seconds / 86400.0
     generator = estimate_generator(labels, bar_days, n_states=n_regimes)
     return {"sigmas": centers.tolist(), "generator_per_day": generator.tolist(),
-            "centers": centers.tolist(), "window": window,
-            "annualization": annualization, "run_lengths": label_runs(labels)}
+            "window": window, "annualization": annualization,
+            "run_lengths": label_runs(labels)}

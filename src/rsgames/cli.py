@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 REQUIRED = object()  # the default of a field that has none
 
 # "section.key": (kind, default).  The kinds: "bool" (a YAML bool, never a
-# quoted one), "int" (integer-valued, see config_int) or "int>=n" (also at
+# quoted one), "int" (integer-valued) or "int>=n" (also at
 # least n), "number" (float() of it) or "number>0" (also finite and
 # positive), "list" (numeric, one axis), "matrix" (numeric, two or more
 # axes), "mode" (one of as_game.MACRO_MODES) and "section" (a nested
@@ -141,8 +141,12 @@ def _checked(tree: dict, section: str, key: str, kind: str):
     """tree[key] as a plain YAML value of its kind, or a ConfigError."""
     value, path = tree[key], f"{section}.{key}"
     kind, _, low = kind.partition(">=")
-    if kind == "int":
-        value = config_int(tree, section, key)
+    if kind == "int":  # NaN, inf, 2.7, "x" and true are refused, never truncated
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if not isinstance(value, bool) and float(value) == int(value):
+                value = int(value)
+        if type(value) is not int:
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
         if low and value < int(low):
             raise ConfigError(f"{path} must be at least {low}, got {value}")
         return value
@@ -161,16 +165,6 @@ def _checked(tree: dict, section: str, key: str, kind: str):
             if (array.ndim > 1) == (kind == "matrix"):  # a list has one axis
                 return array.tolist()
     raise ConfigError(f"{path} {WANTS[kind]}, got {value!r}")
-
-
-def config_int(tree: dict, section: str, key: str) -> int:
-    """tree[key] if it is integer-valued; otherwise (NaN, inf, 2.7, "x",
-    true) a config error that names the field, never a silent truncation."""
-    value = tree[key]
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if not isinstance(value, bool) and float(value) == int(value):
-            return int(value)
-    raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -218,22 +212,21 @@ def build_affine_spec(section: str, tree: dict, n_regimes: int,
         return outer_layer.OuterGameSpec.from_affine(**mats)
 
 
-def build_outer_spec(tree: dict, n_regimes=None) -> outer_layer.OuterGameSpec:
-    """The solve game from outer.affine when given, else from outer.mu_bar
-    and outer.Lambda; for n_regimes regimes when that is given."""
+def build_outer_spec(tree: dict, n_regimes: int) -> outer_layer.OuterGameSpec:
+    """The solve game for n_regimes regimes, from outer.affine when given,
+    else from outer.mu_bar and outer.Lambda."""
     if tree["affine"]:
         beside = [key for key in ("mu_bar", "Lambda") if tree[key] is not None]
         if beside:
             raise ConfigError(f"outer: give 'affine' or 'mu_bar' and 'Lambda', not "
                               f"'affine' and {' and '.join(map(repr, beside))}")
-        return build_affine_spec("outer.affine", tree["affine"],
-                                 n_regimes or len(tree["affine"]["mu0"]))
+        return build_affine_spec("outer.affine", tree["affine"], n_regimes)
     for key in ("mu_bar", "Lambda"):
         if tree[key] is None:
             raise ConfigError(f"outer: missing {key!r}")
     with _config_errors("outer"):
         spec = outer_layer.OuterGameSpec(mu_bar=tree["mu_bar"], Lambda=tree["Lambda"])
-    if n_regimes not in (None, spec.n_regimes):
+    if spec.n_regimes != n_regimes:
         raise ConfigError(f"outer.mu_bar has {spec.n_regimes} regimes, lq has {n_regimes}")
     return spec
 
@@ -463,6 +456,7 @@ def cmd_simulate(args) -> int:
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
     n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
+    n_export = min(n_export, max(n_paths, 0))  # records only of paths the run has
     limit = sim.max_steps(model, n_export)
     n_steps, key = args.steps, "--steps"
     if n_steps is None:

@@ -41,10 +41,6 @@ class MatrixGame:
             raise ValueError("payoff has non-finite entries")
         object.__setattr__(self, "payoff", payoff)
 
-    @property
-    def shape(self):
-        return self.payoff.shape
-
 
 @dataclass(frozen=True)
 class SaddlePoint:

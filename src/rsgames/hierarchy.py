@@ -133,13 +133,13 @@ def turnpike_report(sol: HierarchySolution) -> dict:
             )
 
     return {
-        "rho_H": sol.diagnostics.get("rho_H"),
-        "lambda2_mean": sol.diagnostics.get("lambda2_mean"),
+        "rho_H": sol.diagnostics["rho_H"],
+        "lambda2_mean": sol.diagnostics["lambda2_mean"],
         "inner_fitted_rate": inner_rate,
-        "inner_reference_rate": 2.0 * sol.diagnostics.get("rho_H", np.nan),
+        "inner_reference_rate": 2.0 * sol.diagnostics["rho_H"],
         "inner_degenerate": inner_rate is None,
         "outer_fitted_rate": outer_rate,
-        "outer_reference_rate": sol.diagnostics.get("lambda2_mean"),
+        "outer_reference_rate": sol.diagnostics["lambda2_mean"],
         "outer_degenerate": outer_rate is None,
         "warnings": warnings,
         "saddle_paths": sol.diagnostics["saddle_paths"],

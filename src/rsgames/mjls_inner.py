@@ -203,11 +203,6 @@ def _rates_at_nodes(rates, n_nodes, N):
     )
 
 
-def terminal_value(model: RegimeLQModel) -> np.ndarray:
-    """P(T) = Q_T, symmetrized, stacked (N, n, n)."""
-    return _sym(model.Q_T)
-
-
 def check_escape(P: np.ndarray, t: float) -> None:
     """Raise BlowupError when some entry of P (N, n, n) at time t leaves
     [-NORM_BOUND, NORM_BOUND]; NaN and inf both count as an escape.  The
@@ -237,7 +232,7 @@ def backward_sweep(model: RegimeLQModel, grid: TimeGrid, node_rates) -> RiccatiS
     P = np.empty((len(nodes), N, n, n))
     r = np.zeros((len(nodes), N))
     G = np.empty((len(nodes), N, N))
-    P[-1] = terminal_value(model)
+    P[-1] = _sym(model.Q_T)
     G[-1] = node_rates(grid.n_steps, P)
     for idx in range(grid.n_steps, 0, -1):
         riccati_step(workspace, P[idx], r[idx], G[idx], grid.step, P[idx - 1], r[idx - 1])

@@ -57,10 +57,14 @@ class TimeGrid:
 def generator(rates) -> np.ndarray:
     """The generator of rates (..., N, N): their off-diagonal entries, and
     on the diagonal 0.0 minus the off-diagonal row sum (a row with no exits
-    gets +0.0).  The diagonal of rates is ignored."""
+    gets +0.0).  The diagonal of rates is ignored; a negative off-diagonal
+    rate is a ValueError.  NaN passes, so a sweep that overflowed is judged
+    after it ends."""
     G = np.array(rates, dtype=float)
     diag = np.arange(G.shape[-1])
     G[..., diag, diag] = 0.0
+    if np.any(G < 0.0):
+        raise ValueError("switching rates must be nonnegative off-diagonal")
     G[..., diag, diag] = 0.0 - G.sum(axis=-1)
     return G
 

@@ -218,10 +218,9 @@ def laplacian_spectral_gap(mu: np.ndarray):
 
     mu must be a generator (zero row sums, nonnegative off-diagonal), or a
     stack (..., N, N) of them, solved with one batched eigenvalue call.
-    Returns 0.0 where no eigenvalue has real part above 1e-12: a float for
-    one generator, an array of the stack's shape for a stack.
+    Returns an array of the stack's shape (0-d for one generator), 0.0
+    where no eigenvalue has real part above 1e-12.
     """
     lam = np.linalg.eigvals(-np.asarray(mu, dtype=float)).real
     smallest = np.where(lam > 1e-12, lam, np.inf).min(axis=-1)
-    gap = np.where(np.isfinite(smallest), smallest, 0.0)
-    return float(gap) if gap.ndim == 0 else gap
+    return np.where(np.isfinite(smallest), smallest, 0.0)

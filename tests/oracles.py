@@ -70,10 +70,26 @@ from rsgames.calib import OhlcvSeries
 from rsgames.numkit import BlowupError
 
 
+def generator_oracle(rates):
+    """The generator of rates (N, N), one entry at a time: the off-diagonal
+    copied, the diagonal 0.0 minus the row's off-diagonal sum."""
+    rates = np.asarray(rates, dtype=float)
+    N = rates.shape[0]
+    Q = np.zeros((N, N))
+    for i in range(N):
+        total = 0.0
+        for j in range(N):
+            if j != i:
+                Q[i, j] = rates[i, j]
+                total += rates[i, j]
+        Q[i, i] = 0.0 - total
+    return Q
+
+
 def build_generator_oracle(model, rates=None):
     """Block generator M of the penalty system, one state at a time."""
     N, nq = model.n_regimes, model.n_levels
-    Q = as_game._as_generator(model.rates if rates is None else rates, N)
+    Q = generator_oracle(model.rates if rates is None else rates)
     fill = model.A * model.fill_constant
     gamma = model.gamma
     M = np.zeros((N * nq, N * nq))
@@ -139,8 +155,7 @@ def integrated_variance(model, rates=None, i=0, tau=0.0):
 def integrated_variance_expansion(model, rates=None, i=0, tau=0.0):
     """Second-order form sigma_i^2 tau + 0.5 sum_j mu_ij (sigma_j^2 -
     sigma_i^2) tau^2 capturing the drift into connected regimes."""
-    Q = as_game._as_generator(model.rates if rates is None else rates,
-                              model.n_regimes)
+    Q = generator_oracle(model.rates if rates is None else rates)
     s = model.sigmas**2
     return float(s[i] * tau + 0.5 * (Q[i] @ s) * tau**2)
 
@@ -630,7 +645,7 @@ def riccati_sweep_oracle(model, rates, grid, norm_bound=1e8):
     nodes = grid.nodes()
     P = np.empty((n_nodes, N, n, n))
     r = np.zeros((n_nodes, N))
-    P[-1] = mjls_inner.terminal_value(model)
+    P[-1] = [_sym(Q_T) for Q_T in model.Q_T]
     for k in range(grid.n_steps - 1, -1, -1):
         P[k], r[k] = riccati_step_oracle(
             P[k + 1], r[k + 1], rates[k + 1], model, nodes[k + 1], grid.step,

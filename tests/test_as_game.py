@@ -224,7 +224,7 @@ class TestPropagator:
     def test_lost_positivity_raises(self):
         # expm(-M) of this M has a negative entry, so v = (1, 2) turns negative
         M = np.array([[0.0, 5.0], [5.0, 0.0]])
-        with pytest.raises(as_game.AccuracyError):
+        with pytest.raises(numkit.NumericalError):
             list(as_game._propagate(M, 1.0, 3, np.array([1.0, 2.0])))
 
     def test_sub_segment_limit(self, monkeypatch):

@@ -96,6 +96,9 @@ class TestCalibrateCommand:
         code = run(["calibrate", csv, "--config", cfg, "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "calibration.json").read_text())
+        # the cluster centers are the sigmas, written once
+        assert sorted(payload) == ["annualization", "generator_per_day", "run_lengths",
+                                   "schema_version", "sigmas", "window"]
         assert len(payload["sigmas"]) == 2
         assert payload["sigmas"][0] < payload["sigmas"][1]
         gen = np.array(payload["generator_per_day"])
@@ -655,6 +658,31 @@ class TestSimulateCommand:
                     "--steps", "119"]) == 0
         assert (out / "path_0000.csv").exists() == export
 
+    def test_records_are_counted_for_the_paths_the_run_has(self, tmp_path, capsys,
+                                                            monkeypatch, small_sim_config):
+        # one path and n_export_paths 1000: one path's record is counted, so
+        # max_steps(model, 1) steps run and write path_0000.csv alone, and a
+        # step more is still refused.  catches: counting every path that
+        # sim.n_export_paths names, which refuses the 119 steps
+        model = cli.build_as_model(yaml.safe_load(open(small_sim_config))["as_model"])
+        per_node = len(sim.POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
+        monkeypatch.setattr(sim, "STEP_BUDGET_BYTES",
+                            per_node * 120 + sim.RECORD_BYTES_PER_STEP * 119)
+        limit = sim.max_steps(model, 1)
+        tree = yaml.safe_load(open(small_sim_config))
+        tree["sim"].update(export_paths=True, n_export_paths=1000)
+        cfg = write_yaml(tmp_path / "sim.yaml", tree)
+        out = tmp_path / "fits"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--paths", "1",
+                    "--steps", str(limit)]) == 0, capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("path_*.csv")) == ["path_0000.csv"]
+        out = tmp_path / "over"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--paths", "1",
+                    "--steps", str(limit + 1)]) == cli.EXIT_CONFIG
+        assert f"config error: --steps gives {limit + 1} steps per path" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt_seconds", [1.0e-300, 1.0e-320],
                              ids=["overflow", "underflow"])
     def test_a_tiny_dt_seconds_is_a_config_error(self, tmp_path, capsys,
@@ -809,8 +837,18 @@ class TestConfigHandling:
         assert "rates must be (2, 2), got (1, 2, 2)" in capsys.readouterr().err
         assert not (out / output).exists()
 
+    def test_square_rates_of_another_size_are_a_config_error(self, tmp_path, capsys):
+        tree = cli.load_config(None, "mm")
+        tree["as_model"]["mu_per_day"] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        cfg = write_yaml(tmp_path / "bad.yaml", tree)
+        out = tmp_path / "out"
+        assert run(["mm", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "as_model: rates must be (2, 2), got (3, 3)" in capsys.readouterr().err
+        assert not (out / "theta_quotes.csv").exists()
+
     def test_integer_valued_float_is_accepted(self):
-        assert cli.config_int({"q_max": 4.0}, "as_model", "q_max") == 4
+        value = cli._checked({"q_max": 4.0}, "as_model", "q_max", "int")
+        assert value == 4 and type(value) is int
 
 
 class TestFlags:

@@ -205,7 +205,8 @@ class TestCommandsMatchRowOracle:
         cfg = cli.load_config(config, "solve")
         model = cli.build_lq_model(cfg["lq"])
         grid = cli.build_grid(cfg["grid"])
-        sol = hierarchy.solve_hierarchy(model, cli.build_outer_spec(cfg["outer"]), grid)
+        sol = hierarchy.solve_hierarchy(
+            model, cli.build_outer_spec(cfg["outer"], model.n_regimes), grid)
         nodes = grid.nodes()
         N, n = model.n_regimes, model.n_states
         steps = range(len(nodes))

@@ -197,7 +197,7 @@ class TestSaddlePaths:
         calls = []
 
         def counting_saddle(game):
-            calls.append(game.shape)
+            calls.append(game.payoff.shape)
             return oracle_saddle(game)
 
         f, g, _, path, gap = outer_layer.node_equilibrium(np.array([0.0, 1.0]), spec,

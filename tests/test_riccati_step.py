@@ -158,7 +158,7 @@ class TestBufferedStepMatchesOracle:
             Q=Q, R=np.broadcast_to(np.eye(2), (2, 2, 2)), S=np.ones((2, 1, 1)),
             Q_T=Q,
         )
-        P = mjls_inner.terminal_value(model)
+        P = mjls_inner._sym(model.Q_T)
         r = np.array([0.5, -1.0])
         P_old, r_old = oracles.riccati_step_oracle(P, r, np.asarray(rates), model,
                                                    1.0, 0.01)
