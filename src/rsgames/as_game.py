@@ -2,9 +2,12 @@
 
 A market maker quotes ask/bid offsets (u_a, u_b) from the mid price; orders
 arrive with intensity A * exp(-k * u).  A drift predator pushes the price
-against the maker's inventory at w*(q) = -xi * gamma * q, which under CARA
-utility is equivalent to raising the variance by xi * gamma (the risk
-isomorphism used throughout).  The inventory penalty theta_i(tau, q)
+against the maker's inventory at w*(q) = -xi * gamma * q.  The penalty
+table prices it at a variance of sigma_i^2 + xi * gamma, which charges
+0.5 * gamma^3 * xi * q^2 per unit time in log-utility units; the replay's
+drift costs gamma^2 * xi * q^2, a variance increase of 2 * xi, a factor
+2 / gamma more.  Which of the two the model should use is open.  The
+inventory penalty theta_i(tau, q)
 (tau = time to horizon, regime i, integer inventory q in [-Q, Q]) solves
 
     d theta_i(q) / d tau = 0.5 * gamma * (sigma_i^2 + xi*gamma) * q^2
@@ -418,9 +421,9 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, n_steps: int,
     regime adopts its mixed saddle, and regimes where the true bracket there
     strays from the game value by more than NONBILINEAR_TOL are counted in
     meta["nonbilinear_nodes"].  The quadratic modes play the proportional
-    efforts (cut to [0, 1] unless quadratic_unclamped) and charge both
-    effort penalties to the flow; the bang_bang modes play the printed
-    thresholds (trigger reversed in bang_bang_flipped).
+    efforts, cut at 1 in quadratic, and charge both effort penalties to the
+    flow; bang_bang plays the printed thresholds, bang_bang_flipped the same
+    on the negated gaps, whose sums are the negated sums: the trigger reverses.
 
     phi comes from stacked exponentials: the four vertex generators over all
     node taus once, each node's N adopted generators at the taus of the
@@ -458,12 +461,13 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, n_steps: int,
     for idx in range(n_steps, -1, -1):
         gaps = outer_layer.stability_gaps(U[idx])
         if quadratic:
-            f, g = outer_layer.proportional_policy(
-                gaps, spec.lam_att, spec.lam_stab, spec.rho_f, spec.rho_g,
-                clamp=(mode == "quadratic"))
+            f, g = outer_layer.proportional_policy(gaps, spec.lam_att, spec.lam_stab,
+                                                   spec.rho_f, spec.rho_g)
+            if mode == "quadratic":
+                f, g = np.where(f > 1.0, 1.0, f), np.where(g > 1.0, 1.0, g)
         elif mode.startswith("bang_bang"):
-            f, g = outer_layer.bang_bang_policy(gaps, spec.lam_att, spec.lam_stab,
-                                                flip=(mode == "bang_bang_flipped"))
+            f, g = outer_layer.bang_bang_policy(
+                -gaps if mode == "bang_bang_flipped" else gaps, spec.lam_att, spec.lam_stab)
         else:
             H = vertex_costs[:, idx] + np.vecdot(vertex_rates, gaps)
             games = H.T.reshape(N, 2, 2)

@@ -254,11 +254,11 @@ def calibrate(series: OhlcvSeries, window: int = 48,
     """Full pipeline: rolling volatility, k-means labels, rate estimation.
 
     Returns the dict that calibration.json holds: the regimes' annualized
-    sigmas, the cluster centers in ascending order (regime 0 is the calm
-    one), the generator per day, window, annualization, and the (label,
-    length) runs of the labels.  Warm-up bars (no full window) are excluded
-    from clustering and rate estimation.  The default annualization assumes
-    30-minute bars on a 24/7 market (365 * 48 bars per year).
+    sigmas, which are the cluster centers in ascending order (regime 0 is
+    the calm one), the generator per day, window, annualization, and the
+    (label, length) runs of the labels.  Warm-up bars (no full window) are
+    excluded from clustering and rate estimation.  The default annualization
+    assumes 30-minute bars on a 24/7 market (365 * 48 bars per year).
     """
     vol = rolling_volatility(series, window, annualization)
     centers, labels = kmeans_1d(vol[window:], n_regimes)

@@ -473,9 +473,10 @@ def cmd_simulate(args) -> int:
                                   f"{tree['dt_seconds']:g} steps")
     if n_steps > limit:
         held = "the quote tables"
-        if n_export:  # name the key to lower when the records push it over
-            held += (f" and the records of sim.n_export_paths = {n_export} paths"
-                     if n_steps <= sim.max_steps(model, 0) else " and records")
+        if n_export:  # the records of one chunk's exported paths are held at a time
+            n_held = min(n_export, sim.CHUNK_PATHS)
+            paths = "path" if n_held == 1 else "paths"
+            held += f" and the records of {n_held} exported {paths} (sim.n_export_paths)"
         raise ConfigError(f"{key} gives {n_steps:.6g} steps per path; {held} fit in "
                           f"{sim.STEP_BUDGET_BYTES} bytes up to {limit} steps")
     with _config_errors("sim"):

@@ -179,28 +179,19 @@ def k_step(k, phi, mu, h, penalty=0.0):
     return k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def bang_bang_policy(gaps, lam_att, lam_stab, flip: bool = False):
+def bang_bang_policy(gaps, lam_att, lam_stab):
     """Threshold efforts for the affine family, as printed:
     f = 1 iff sum_j lam_att_j * Delta_j < 0, same for g with lam_stab.
     gaps and profiles hold one row (..., N) per regime; f, g are (...).
-
-    flip=True reverses the trigger orientation (> 0), matching the prose
-    reading where effort rises when switching toward costlier regimes.
     """
     s_att, s_stab = np.vecdot(lam_att, gaps), np.vecdot(lam_stab, gaps)
-    if flip:
-        s_att, s_stab = -s_att, -s_stab
     return np.where(s_att < 0, 1.0, 0.0), np.where(s_stab < 0, 1.0, 0.0)
 
 
-def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float,
-                        clamp: bool = True):
+def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float):
     """Variable-gain efforts under quadratic effort costs, rows as in
-    bang_bang_policy:
+    bang_bang_policy, not cut at 1:
     f = [sum lam_att_j Delta_j]+ / rho_f,  g = [-sum lam_stab_j Delta_j]+ / rho_g.
-
-    With clamp=True (default) efforts are cut to [0, 1] so they remain
-    usable as mixing weights.
     """
     if not (rho_f > 0 and rho_g > 0):
         raise ValueError("rho_f and rho_g must be positive")
@@ -208,8 +199,6 @@ def proportional_policy(gaps, lam_att, lam_stab, rho_f: float, rho_g: float,
     # [x]+ keeps x unless 0 > x, so a -0.0 sum stays -0.0
     f = np.where(s_att < 0.0, 0.0, s_att) / rho_f
     g = np.where(s_stab < 0.0, 0.0, s_stab) / rho_g
-    if clamp:
-        f, g = np.where(f > 1.0, 1.0, f), np.where(g > 1.0, 1.0, g)
     return f, g
 
 

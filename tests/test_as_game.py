@@ -577,14 +577,15 @@ class TestMacroLayer:
         assert np.abs(sol.mu.sum(axis=2)).max() <= 1e-10
 
     POLICIES = {
-        "quadratic": lambda gaps, s: outer_layer.proportional_policy(
-            gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g),
+        "quadratic": lambda gaps, s: [
+            np.where(e > 1.0, 1.0, e) for e in outer_layer.proportional_policy(
+                gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g)],
         "quadratic_unclamped": lambda gaps, s: outer_layer.proportional_policy(
-            gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g, clamp=False),
+            gaps, s.lam_att, s.lam_stab, s.rho_f, s.rho_g),
         "bang_bang": lambda gaps, s: outer_layer.bang_bang_policy(
             gaps, s.lam_att, s.lam_stab),
         "bang_bang_flipped": lambda gaps, s: outer_layer.bang_bang_policy(
-            gaps, s.lam_att, s.lam_stab, flip=True),
+            -gaps, s.lam_att, s.lam_stab),
     }
 
     @pytest.mark.parametrize("mode", sorted(POLICIES))

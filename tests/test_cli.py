@@ -651,7 +651,8 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert f"config error: {key} gives 120 steps per path" in err
             # the tables alone would fit: the record pushes it over
-            assert ("sim.n_export_paths = 1" in err) == export
+            assert ("the records of 1 exported path (sim.n_export_paths) fit in"
+                    in err) == export
             assert not out.exists()
         out = tmp_path / "fits"
         assert run(["simulate", "--config", cfg, "--out", str(out),
@@ -679,8 +680,29 @@ class TestSimulateCommand:
         out = tmp_path / "over"
         assert run(["simulate", "--config", cfg, "--out", str(out), "--paths", "1",
                     "--steps", str(limit + 1)]) == cli.EXIT_CONFIG
-        assert f"config error: --steps gives {limit + 1} steps per path" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: --steps gives {limit + 1} steps per path" in err
+        # the message counts the one path's record, and names the key
+        assert ("; the quote tables and the records of 1 exported path "
+                f"(sim.n_export_paths) fit in {sim.STEP_BUDGET_BYTES} bytes up to "
+                f"{limit} steps") in err
+        assert not out.exists()
+
+    def test_the_message_counts_one_chunk_of_records(self, tmp_path, capsys,
+                                                     monkeypatch, small_sim_config):
+        # records are held one chunk at a time: with chunks of 2 paths and 3
+        # of 5 paths exported, 2 paths' records are counted, and named so
+        monkeypatch.setattr(sim, "CHUNK_PATHS", 2)
+        tree = yaml.safe_load(open(small_sim_config))
+        tree["sim"].update(export_paths=True, n_export_paths=3)
+        cfg = write_yaml(tmp_path / "sim.yaml", tree)
+        limit = sim.max_steps(cli.build_as_model(tree["as_model"]), 2)
+        out = tmp_path / "over"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--paths", "5",
+                    "--steps", str(limit + 1)]) == cli.EXIT_CONFIG
+        assert ("the quote tables and the records of 2 exported paths "
+                f"(sim.n_export_paths) fit in {sim.STEP_BUDGET_BYTES} bytes up to "
+                f"{limit} steps") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dt_seconds", [1.0e-300, 1.0e-320],

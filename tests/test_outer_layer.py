@@ -368,8 +368,9 @@ class TestPolicies:
         assert f == 1.0  # sum = -2 < 0 triggers as printed
 
     def test_bang_bang_flip(self):
-        f, _ = bang_bang_policy(np.array([3.0, -5.0]), np.array([1.0, 1.0]),
-                                np.zeros(2), flip=True)
+        # bang_bang_flipped plays the policy on -gaps: the trigger reverses
+        f, _ = bang_bang_policy(-np.array([3.0, -5.0]), np.array([1.0, 1.0]),
+                                np.zeros(2))
         assert f == 0.0
 
     def test_proportional_zero_gaps(self):
@@ -378,8 +379,8 @@ class TestPolicies:
 
     def test_proportional_scaling(self):
         f, _ = proportional_policy(np.array([4.0]), np.array([1.0]),
-                                   np.array([0.0]), 2.0, 1.0, clamp=False)
-        assert f == pytest.approx(2.0)
+                                   np.array([0.0]), 2.0, 1.0)
+        assert f == pytest.approx(2.0)  # not cut at 1
 
     def test_proportional_clipping(self):
         _, g = proportional_policy(np.array([4.0]), np.array([0.0]),
@@ -387,9 +388,10 @@ class TestPolicies:
         assert g == 0.0  # [-4]+ = 0
 
     def test_proportional_clamp(self):
+        # quadratic mode cuts the efforts at 1 with this expression
         f, _ = proportional_policy(np.array([4.0]), np.array([1.0]),
-                                   np.array([0.0]), 2.0, 1.0, clamp=True)
-        assert f == 1.0
+                                   np.array([0.0]), 2.0, 1.0)
+        assert np.where(f > 1.0, 1.0, f) == 1.0
 
 
 class TestPoliciesOnTheGapMatrix:
@@ -402,13 +404,14 @@ class TestPoliciesOnTheGapMatrix:
         gaps = stability_gaps(rng.normal(size=N) * rng.choice([0.0, 1.0, 50.0]))
         lam_att, lam_stab = rng.uniform(-1.0, 3.0, (2, N, N))
         rho_f, rho_g = rng.uniform(0.1, 2.0, 2)
-        for clamp, flip in ((True, True), (False, False)):
-            rows = [proportional_policy(gaps[i], lam_att[i], lam_stab[i], rho_f, rho_g,
-                                        clamp=clamp) for i in range(N)]
-            full = proportional_policy(gaps, lam_att, lam_stab, rho_f, rho_g, clamp=clamp)
-            rows_bb = [bang_bang_policy(gaps[i], lam_att[i], lam_stab[i], flip=flip)
+        # on gaps and on -gaps, the matrix bang_bang_flipped passes
+        for signed in (gaps, -gaps):
+            rows = [proportional_policy(signed[i], lam_att[i], lam_stab[i], rho_f, rho_g)
+                    for i in range(N)]
+            full = proportional_policy(signed, lam_att, lam_stab, rho_f, rho_g)
+            rows_bb = [bang_bang_policy(signed[i], lam_att[i], lam_stab[i])
                        for i in range(N)]
-            full_bb = bang_bang_policy(gaps, lam_att, lam_stab, flip=flip)
+            full_bb = bang_bang_policy(signed, lam_att, lam_stab)
             for got, want in ((full, rows), (full_bb, rows_bb)):
                 for player in range(2):
                     expected = np.array([r[player] for r in want])
