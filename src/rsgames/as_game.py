@@ -438,6 +438,8 @@ def solve_macro_as(model: ASModel, spec: OuterGameSpec, q: int, n_steps: int,
         raise ValueError("solve_macro_as needs an affine-profile OuterGameSpec")
     if mode not in MACRO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not float(q).is_integer():
+        raise ValueError(f"inventory q = {q} is not an integer")
     N = spec.n_regimes
     if N != model.n_regimes:
         raise ValueError("model and spec disagree on the number of regimes")

@@ -456,8 +456,7 @@ def cmd_simulate(args) -> int:
     sim_cfg = cfg["sim"]
     n_paths = sim_cfg["n_paths"] if args.paths is None else args.paths
     n_export = sim_cfg["n_export_paths"] if sim_cfg["export_paths"] else 0
-    n_export = min(n_export, max(n_paths, 0))  # records only of paths the run has
-    limit = sim.max_steps(model, n_export)
+    limit, n_held = sim.max_steps(model, n_paths, n_export)
     n_steps, key = args.steps, "--steps"
     if n_steps is None:
         tree, key = cfg["as_model"], "as_model.dt_seconds"
@@ -473,8 +472,7 @@ def cmd_simulate(args) -> int:
                                   f"{tree['dt_seconds']:g} steps")
     if n_steps > limit:
         held = "the quote tables"
-        if n_export:  # the records of one chunk's exported paths are held at a time
-            n_held = min(n_export, sim.CHUNK_PATHS)
+        if n_held:
             paths = "path" if n_held == 1 else "paths"
             held += f" and the records of {n_held} exported {paths} (sim.n_export_paths)"
         raise ConfigError(f"{key} gives {n_steps:.6g} steps per path; {held} fit in "

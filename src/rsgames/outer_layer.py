@@ -93,8 +93,11 @@ class OuterGameSpec:
         efforts f, g in [0, 1] read as the mixing weight on action "act".
         """
         mu0, lam_att, lam_stab = (np.asarray(M, float) for M in (mu0, lam_att, lam_stab))
-        if not (np.isfinite(lam_att).all() and np.isfinite(lam_stab).all()):
-            raise ValueError("lam_att and lam_stab must be finite")
+        for name, M in (("lam_att", lam_att), ("lam_stab", lam_stab)):
+            if M.shape != mu0.shape:
+                raise ValueError(f"{name} has shape {M.shape}, mu0 has {mu0.shape}")
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
         Lam = np.zeros(mu0.shape + (2, 2))
         Lam[..., 0, 1] = -lam_stab
         Lam[..., 1, 0] = lam_att

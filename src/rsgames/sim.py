@@ -11,9 +11,9 @@ random numbers) before it draws the next block, so fill comparisons differ
 only through the quote tables.  The calling thread draws the first half of
 a block's paths and a helper thread the second, while numpy's fill loops
 release the GIL; each path is drawn by one thread, so the streams do not
-depend on the split.  A chunk holds its streams one block at a
-time and the records of its exported paths whole.  What grows with n_steps,
-the two policies' quote tables and one chunk's records, max_steps bounds by
+depend on the split.  A chunk holds its streams one block at a time and its
+exported paths' records whole (_chunk counts both).  What grows with
+n_steps, the quote tables and the first chunk's records, max_steps bounds by
 STEP_BUDGET_BYTES.  run_paths carries the chunk's ReplayState from block to
 block and works through a block REPLAY_BLOCK steps at a time.  Per replay
 block it finds what no policy changes: the regime path of step 1 below (the
@@ -305,7 +305,7 @@ class ReplayState:
         self.increment_sum = np.zeros((n_pol, n_paths))
         # row s holds the last policy's values of the recorded paths at step s,
         # NaN where a side does not quote
-        self.rec = {name: np.zeros((config.n_steps, min(record, n_paths)), dtype)
+        self.rec = {name: np.zeros((config.n_steps, record), dtype)
                     for name, dtype in RECORD_DTYPES.items()}
 
     def results(self):
@@ -508,13 +508,19 @@ def paired_one_sided(diffs: np.ndarray):
     return t, student_t_sf(t, n - 1)
 
 
-def max_steps(model: ASModel, n_export: int) -> int:
-    """The most steps whose quote tables, n_steps + 1 nodes of (4, N,
-    2 q_max + 1) float64 per policy of POLICY_KINDS, and one chunk's records
-    of the first n_export paths fit in STEP_BUDGET_BYTES."""
+def _chunk(n_paths: int, n_export: int) -> tuple[int, int]:
+    """(paths, records) of the first chunk of n_paths paths, its first n_export exported."""
+    paths = min(n_paths, CHUNK_PATHS)
+    return paths, max(0, min(n_export, paths))
+
+
+def max_steps(model: ASModel, n_paths: int, n_export: int) -> tuple[int, int]:
+    """(limit, held): the most steps whose quote tables, n_steps + 1 nodes of
+    (4, N, 2 q_max + 1) float64 per policy of POLICY_KINDS, and the held records
+    of the first chunk (_chunk), which holds the most, fit in STEP_BUDGET_BYTES."""
     per_node = len(POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
-    per_step = RECORD_BYTES_PER_STEP * min(n_export, CHUNK_PATHS)
-    return (STEP_BUDGET_BYTES - per_node) // (per_node + per_step)
+    held = _chunk(n_paths, n_export)[1]
+    return (STEP_BUDGET_BYTES - per_node) // (per_node + RECORD_BYTES_PER_STEP * held), held
 
 
 def run_monte_carlo(config: SimConfig, n_export: int = 0,
@@ -530,21 +536,20 @@ def run_monte_carlo(config: SimConfig, n_export: int = 0,
     the chunk or block size.  For each of the first n_export paths p, in
     path order, on_path(p, record) receives p's {column: values} over
     RECORD_DTYPES under the equilibrium policy while p's chunk is live, so
-    at most one chunk's records are held at a time.  The tables and
-    records grow with n_steps; max_steps bounds them."""
+    at most one chunk's records, as _chunk counts them, are held at a time."""
     policies = [make_policy(config.model, kind, config.n_steps)
                 for kind in POLICY_KINDS]
     parts = []
     for first in range(0, config.n_paths, CHUNK_PATHS):
-        count = min(CHUNK_PATHS, config.n_paths - first)
+        count, record = _chunk(config.n_paths - first, n_export - first)
         streams = PathStreams(config.seed, count, config.n_steps, first)
-        state = ReplayState(config, len(policies), count, max(0, n_export - first))
+        state = ReplayState(config, len(policies), count, record)
         for s0 in range(0, config.n_steps, STREAM_BLOCK):
             uniforms, normals = generate_streams(
                 streams, min(STREAM_BLOCK, config.n_steps - s0))
             run_paths(config, policies, uniforms, normals, state)
             del uniforms, normals  # free this block before the next is drawn
-        for p in range(state.rec["price"].shape[1]):
+        for p in range(record):
             on_path(first + p, {name: values[:, p] for name, values in state.rec.items()})
         parts.append(state.results())
         del streams, state  # free this chunk before the next one

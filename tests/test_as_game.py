@@ -566,6 +566,12 @@ class TestMacroLayer:
         assert type(sol.meta["inventory"]) is int
         assert type(sol.meta["nonbilinear_nodes"]) is int
 
+    @pytest.mark.parametrize("q", [2.5, np.float64(-0.5), np.nan])
+    def test_fractional_inventory_is_refused(self, q):
+        # catches: U solved at q = 2.5 while meta["inventory"] reads 2
+        with pytest.raises(ValueError, match="is not an integer"):
+            as_game.solve_macro_as(small_model(), self.affine_spec(), q, 20)
+
     def test_quadratic_mode_runs_and_orders(self):
         m = small_model()
         spec = self.affine_spec(rho_f=0.5, rho_g=0.5)

@@ -168,6 +168,9 @@ class TestSolveCommand:
         n_regimes = len(tree["lq"]["A"])
         assert sum(report["saddle_paths"].values()) == \
             n_regimes * (tree["grid"]["n_steps"] + 1)
+        # an outer.affine game is a row term plus a column term, so each of
+        # the 2 x 301 node games has a pure saddle, as the config says
+        assert report["saddle_paths"] == {"pure": 602, "equalizer": 0, "lp": 0}
         assert 0.0 <= report["max_best_response_gap"] <= 1e-9
 
     def test_turnpike_json_is_turnpike_report(self, tmp_path):
@@ -640,7 +643,7 @@ class TestSimulateCommand:
         per_node = len(sim.POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
         record = sim.RECORD_BYTES_PER_STEP if export else 0
         monkeypatch.setattr(sim, "STEP_BUDGET_BYTES", per_node * 120 + record * 119)
-        assert sim.max_steps(model, int(export)) == 119
+        assert sim.max_steps(model, 2, int(export)) == (119, int(export))
         tree = yaml.safe_load(open(small_sim_config))
         tree["sim"].update(n_paths=2, export_paths=export)
         cfg = write_yaml(tmp_path / "sim.yaml", tree)
@@ -662,14 +665,15 @@ class TestSimulateCommand:
     def test_records_are_counted_for_the_paths_the_run_has(self, tmp_path, capsys,
                                                             monkeypatch, small_sim_config):
         # one path and n_export_paths 1000: one path's record is counted, so
-        # max_steps(model, 1) steps run and write path_0000.csv alone, and a
-        # step more is still refused.  catches: counting every path that
-        # sim.n_export_paths names, which refuses the 119 steps
+        # max_steps(model, 1, 1000) steps run and write path_0000.csv alone,
+        # and a step more is still refused.  catches: counting every path
+        # that sim.n_export_paths names, which refuses the 119 steps
         model = cli.build_as_model(yaml.safe_load(open(small_sim_config))["as_model"])
         per_node = len(sim.POLICY_KINDS) * 4 * 8 * model.n_regimes * model.n_levels
         monkeypatch.setattr(sim, "STEP_BUDGET_BYTES",
                             per_node * 120 + sim.RECORD_BYTES_PER_STEP * 119)
-        limit = sim.max_steps(model, 1)
+        limit, held = sim.max_steps(model, 1, 1000)
+        assert held == 1
         tree = yaml.safe_load(open(small_sim_config))
         tree["sim"].update(export_paths=True, n_export_paths=1000)
         cfg = write_yaml(tmp_path / "sim.yaml", tree)
@@ -696,7 +700,8 @@ class TestSimulateCommand:
         tree = yaml.safe_load(open(small_sim_config))
         tree["sim"].update(export_paths=True, n_export_paths=3)
         cfg = write_yaml(tmp_path / "sim.yaml", tree)
-        limit = sim.max_steps(cli.build_as_model(tree["as_model"]), 2)
+        limit, held = sim.max_steps(cli.build_as_model(tree["as_model"]), 5, 3)
+        assert held == 2
         out = tmp_path / "over"
         assert run(["simulate", "--config", cfg, "--out", str(out), "--paths", "5",
                     "--steps", str(limit + 1)]) == cli.EXIT_CONFIG

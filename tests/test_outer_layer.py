@@ -59,6 +59,17 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"{profile}.* must be finite"):
             OuterGameSpec.from_affine(**mats)
 
+    @pytest.mark.parametrize("profile", ["lam_att", "lam_stab"])
+    def test_affine_profile_of_another_shape_rejected(self, profile):
+        # catches: a (1, 1) profile broadcast into Lambda's (2, 2) pairs,
+        # while spec.lam_att and spec.lam_stab keep the shape they were given
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        mats = {"mu0": 0.3 * off, "lam_att": 0.6 * off, "lam_stab": 0.25 * off}
+        mats[profile] = np.array([[0.6]])
+        with pytest.raises(ValueError, match=rf"{profile} has shape \(1, 1\), "
+                                             r"mu0 has \(2, 2\)"):
+            OuterGameSpec.from_affine(**mats)
+
     def test_negative_baseline_rejected(self):
         with pytest.raises(ValueError):
             OuterGameSpec(mu_bar=np.array([[0.0, -1.0], [1.0, 0.0]]),

@@ -386,12 +386,40 @@ class TestStepBudget:
         # policy counted (5721 steps, about 3 times the budget)
         budget = 2**22
         monkeypatch.setattr(sim, "STEP_BUDGET_BYTES", budget)
-        n_steps = sim.max_steps(lively_as_model, 1)
+        n_steps, _ = sim.max_steps(lively_as_model, 20, 1)
         config = SimConfig(model=lively_as_model, n_paths=20, n_steps=n_steps, seed=4)
         exported = []
         peak = _peak_memory(config, 1, lambda p, rec: exported.append(p))
         assert exported == [0]
         assert peak < 2 * budget, (n_steps, peak, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(paths_per_chunk=st.integers(1, 5), n_paths=st.integers(1, 12),
+           n_export=st.integers(0, 15))
+    def test_max_steps_charges_the_records_a_chunk_holds(self, paths_per_chunk,
+                                                         n_paths, n_export):
+        # the records max_steps counts are the most that any chunk's
+        # ReplayState holds in run_monte_carlo.  catches: counting exported
+        # paths the run does not have, or more than a chunk's, and a replay
+        # that holds a record max_steps did not count
+        model = ASModel(gamma=0.5, xi=2.0, A=2000.0, k=8.0, sigmas=[0.3, 0.8],
+                        q_max=1, horizon=0.02, rates=[[0.0, 50.0], [50.0, 0.0]])
+        held, exported = [], []
+
+        class CountingState(sim.ReplayState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                held.append(self.rec["price"].shape[1])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "CHUNK_PATHS", paths_per_chunk)
+            patch.setattr(sim, "ReplayState", CountingState)
+            config = SimConfig(model=model, n_paths=n_paths, n_steps=3, seed=2)
+            sim.run_monte_carlo(config, n_export, lambda p, rec: exported.append(p))
+            charged = sim.max_steps(model, n_paths, n_export)[1]
+        assert len(held) == -(-n_paths // paths_per_chunk)
+        assert charged == max(held)
+        assert exported == list(range(min(n_export, n_paths)))
 
 
 class TestExport:
